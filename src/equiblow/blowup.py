@@ -11,13 +11,12 @@ that make a weak local model.
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import (
     Budget,
+    GroebnerBasis,
     Ideal,
     buchberger,
     eliminate,
-    ideal_equal,
     lift_certificate,
     normal_form,
-    saturate,
 )
 from .poly import DEGREVLEX, Poly, Ring, divide_exact
 from .torus import (
@@ -315,7 +314,8 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
 
     Requires the ideal invariant under the center subtorus, verified by
     reducing every isotypic piece of every generator to normal form.
-    Returns the raw generators together with their reduced Groebner basis.
+    Returns the ideal of the images; callers that compare it take its
+    reduced Groebner basis once.
     """
     if ideal.ring != chart.parent_ring:
         raise PreconditionError("ideal does not live in the chart's parent ring")
@@ -343,8 +343,7 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
                 continue
             seen.add(image)
             gens.append(image)
-    out = Ideal(chart.ring, gens)
-    return out, buchberger(out, DEGREVLEX, budget)
+    return Ideal(chart.ring, gens)
 
 
 def blowup_bundle(bundle: EquivariantBundle, chart: BlowupChart) -> EquivariantBundle:
@@ -411,7 +410,8 @@ def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:
     return out
 
 
-def _poly_mat_mul(A, B, ring: Ring):
+def poly_mat_mul(A, B, ring: Ring):
+    """Product of two polynomial matrices given as row tuples."""
     rows = len(A)
     inner = len(B)
     cols = len(B[0]) if inner else 0
@@ -578,9 +578,7 @@ def check_weak_local_model(
         )
     else:
         sigma = action_pairing(ring, W)
-        prod = _poly_mat_mul(model.cofactor, alpha, ring) if r else tuple(
-            tuple(ring.zero() for _ in range(ring.n)) for _ in range(k)
-        )
+        prod = poly_mat_mul(model.cofactor, alpha, ring)
         for a in range(k):
             for i in range(ring.n):
                 lhs = prod[a][i] if r else ring.zero()
@@ -666,7 +664,7 @@ def blowup_local_model(
 
     pulled_alpha = tuple(tuple(chart.pullback(e) for e in row) for row in alpha)
     cleared = _cleared_form_transform(chart)
-    raw = _poly_mat_mul(pulled_alpha, cleared, ring)
+    raw = poly_mat_mul(pulled_alpha, cleared, ring)
     lift_rows = []
     for b in range(model.bundle.rank):
         if moving_frames[b]:
@@ -702,20 +700,16 @@ def blowup_local_model(
     return out
 
 
-def verify_coinc(
-    model: LocalModel, center: Subtorus, budget: Budget | None = None
-) -> dict[str, bool]:
-    """Per chart: does the blowup section cut exactly the intrinsic ideal?
-
-    Both sides are compared through reduced Groebner bases.
-    """
-    charts = make_charts(model.ring, model.weights, center)
-    out: dict[str, bool] = {}
-    for chart in charts:
-        intr, _ = intrinsic_ideal(model.ideal, chart, budget)
-        sec = Ideal(chart.ring, blowup_section(model, chart))
-        out[chart.name] = ideal_equal(sec, intr, DEGREVLEX, budget)
-    return out
+def section_coincides(
+    model: LocalModel,
+    chart: BlowupChart,
+    gb: GroebnerBasis,
+    budget: Budget | None = None,
+) -> bool:
+    """Does the blowup section on this chart cut exactly the intrinsic
+    ideal whose reduced Groebner basis is ``gb``?"""
+    sec = Ideal(chart.ring, blowup_section(model, chart))
+    return buchberger(sec, DEGREVLEX, budget).basis == gb.basis
 
 
 def embedding_independence_check(
@@ -760,87 +754,14 @@ def embedding_independence_check(
         raise PreconditionError("chart atlases of the two models do not match")
     for cs in charts_small:
         cb = by_pivot[cs.parent_ring.names[cs.pivot]]
-        ideal_small, _ = intrinsic_ideal(small.ideal, cs, budget)
-        ideal_big, _ = intrinsic_ideal(big.ideal, cb, budget)
-        dropped = eliminate(ideal_big, aux, budget)
+        ideal_small = intrinsic_ideal(small.ideal, cs, budget)
+        dropped = eliminate(intrinsic_ideal(big.ideal, cb, budget), aux, budget)
         carried = Ideal(
             cs.ring, [g.rename_ring(cs.ring) for g in dropped.generators]
         )
-        if not ideal_equal(carried, ideal_small, DEGREVLEX, budget):
+        if (
+            buchberger(carried, DEGREVLEX, budget).basis
+            != buchberger(ideal_small, DEGREVLEX, budget).basis
+        ):
             return False
     return True
-
-
-def transition_substitute(p: Poly, source: BlowupChart, target: BlowupChart) -> Poly:
-    """Rewrite a chart polynomial into an overlapping chart of one blowup.
-
-    The transition inverts the source ratio coordinate of the target
-    pivot, so the result is cleared by the smallest power of that
-    coordinate; comparisons must saturate it away.
-    """
-    if (
-        source.parent_ring != target.parent_ring
-        or source.center != target.center
-    ):
-        raise PreconditionError("charts belong to different blowups")
-    if p.ring != source.ring:
-        raise ValueError("polynomial does not live in the source chart ring")
-    if source.pivot == target.pivot:
-        return p
-    names = source.parent_ring.names
-    tr = target.ring
-    t_link = tr.var("T_" + names[source.pivot])
-    numerators: list[Poly] = []
-    denom_pow: list[int] = []
-    for i in range(source.parent_ring.n):
-        if i == source.pivot:
-            numerators.append(tr.var(target.exceptional) * t_link)
-            denom_pow.append(0)
-        elif i == target.pivot:
-            numerators.append(tr.one())
-            denom_pow.append(1)
-        elif i in source.moving:
-            numerators.append(tr.var("T_" + names[i]))
-            denom_pow.append(1)
-        else:
-            numerators.append(tr.var(names[i]))
-            denom_pow.append(0)
-    depth = 0
-    for m in p.terms:
-        depth = max(depth, sum(e * denom_pow[i] for i, e in enumerate(m)))
-    total = tr.zero()
-    for m, c in p.terms.items():
-        term = tr.const(c)
-        used = 0
-        for i, e in enumerate(m):
-            if e:
-                term = term * numerators[i] ** e
-                used += e * denom_pow[i]
-        total = total + term * t_link ** (depth - used)
-    return total
-
-
-def charts_glue(
-    ideal_a: Ideal,
-    chart_a: BlowupChart,
-    ideal_b: Ideal,
-    chart_b: BlowupChart,
-    budget: Budget | None = None,
-) -> bool:
-    """Two chart ideals agree on the chart overlap.
-
-    The ideal of the second chart is carried over the transition and both
-    sides are saturated by the transition coordinate before comparison.
-    """
-    names = chart_a.parent_ring.names
-    t_link = chart_a.ring.var("T_" + names[chart_b.pivot])
-    moved = Ideal(
-        chart_a.ring,
-        [transition_substitute(g, chart_b, chart_a) for g in ideal_b.generators],
-    )
-    return ideal_equal(
-        saturate(moved, t_link, budget),
-        saturate(ideal_a, t_link, budget),
-        DEGREVLEX,
-        budget,
-    )

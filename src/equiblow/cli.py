@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 corpus criterion failed, 2 unreadable input,
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from .blowup import (
     embedding_independence_check,
     intrinsic_ideal,
     make_charts,
-    verify_coinc,
+    section_coincides,
 )
 from .dcrit import (
     SmallExtension,
@@ -30,7 +31,7 @@ from .dcrit import (
     obstruction_assignment,
     verify_omega_equivalence,
 )
-from .desing import partial_desingularization
+from .desing import action_is_trivial, partial_desingularization
 from .errors import (
     BudgetExceededError,
     ModelFileError,
@@ -39,9 +40,9 @@ from .errors import (
     TheoremCheckError,
 )
 from .family import fiber_blowup_commutes
-from .groebner import Budget, Ideal, contains_one, eliminate
+from .groebner import Budget, Ideal, buchberger, contains_one, eliminate
 from .modelfile import BuiltModel, build_model, load_model_file, parse_hint
-from .poly import Ring, parse_poly
+from .poly import DEGREVLEX, Ring, parse_poly
 from .stability import point_semistable, unstable_ideal
 from .torus import Subtorus, WeightMatrix
 
@@ -76,13 +77,6 @@ def _parse_point(text: str, n: int):
         raise ModelFileError(f"bad point {text!r}") from None
 
 
-def _action_trivial(built: BuiltModel) -> bool:
-    W = built.weights
-    if W.k == 0:
-        return False
-    return all(all(row[i] == 0 for row in W.rows) for i in range(built.ring.n))
-
-
 def _stage_dict(stage) -> dict:
     return {
         "center": [list(r) for r in stage.center.cochar],
@@ -105,26 +99,30 @@ def cmd_blowup(args) -> tuple[dict, int]:
     budget = _parse_budget(args)
     ledger: dict = {}
     charts_out: list[dict] = []
-    if _action_trivial(built):
+    if action_is_trivial(built.weights):
         ledger["dense"] = True
         ledger["stages"] = []
         return rpt.assemble(Path(args.file).name, "blowup", charts_out, ledger), 0
     center = Subtorus.full(built.weights.k)
-    charts = make_charts(built.ring, built.weights, center)
-    if args.chart is not None:
-        charts = [c for c in charts if c.name == args.chart]
-        if not charts:
-            raise ModelFileError(f"no chart named {args.chart!r}")
-    coinc = None
-    if built.model is not None:
-        coinc = verify_coinc(built.model, center, budget)
+    atlas = make_charts(built.ring, built.weights, center)
+    charts = [c for c in atlas if args.chart is None or c.name == args.chart]
+    if not charts:
+        raise ModelFileError(f"no chart named {args.chart!r}")
+    coinc = []
     unit_charts = []
-    for chart in charts:
-        raw, gb = intrinsic_ideal(built.ideal, chart, budget)
-        unstable = unstable_ideal(chart, budget) if center.dim == 1 else None
+    for chart in atlas:
+        # coincidence is judged on the whole atlas, even under --chart
+        if chart not in charts and built.model is None:
+            continue
+        raw = intrinsic_ideal(built.ideal, chart, budget)
+        gb = buchberger(raw, DEGREVLEX, budget)
         checks = {"xi": True}
-        if coinc is not None:
-            checks["coinc"] = coinc[chart.name]
+        if built.model is not None:
+            coinc.append(section_coincides(built.model, chart, gb, budget))
+            checks["coinc"] = coinc[-1]
+        if chart not in charts:
+            continue
+        unstable = unstable_ideal(chart) if center.dim == 1 else None
         if contains_one(gb):
             unit_charts.append(chart.name)
         charts_out.append(
@@ -140,8 +138,8 @@ def cmd_blowup(args) -> tuple[dict, int]:
             )
         )
     ledger["u_hat_empty"] = len(unit_charts) == len(charts) and bool(charts)
-    if coinc is not None:
-        ledger["coinc_all"] = all(coinc.values())
+    if built.model is not None:
+        ledger["coinc_all"] = all(coinc)
     if args.full:
         if built.model is None:
             raise PreconditionError(
@@ -301,15 +299,9 @@ def _ideal_as_model(ring: Ring, weights: WeightMatrix, ideal: Ideal) -> LocalMod
     )
 
 
-def cmd_independence(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
-    aux = tuple(s.strip() for s in args.aux.split(",") if s.strip())
-    if not aux:
-        raise ModelFileError("--aux needs at least one variable name")
-    for a in aux:
-        if a not in built.ring.index:
-            raise ModelFileError(f"auxiliary variable {a!r} is not in the model")
+def _independent(built: BuiltModel, aux, budget) -> bool:
+    """Eliminate the auxiliary coordinates to get the small model, then
+    check that its intrinsic chart ideals match the model's."""
     small_ring = built.ring.without(aux)
     keep = [built.ring.index[nm] for nm in small_ring.names]
     small_weights = WeightMatrix(
@@ -320,13 +312,20 @@ def cmd_independence(args) -> tuple[dict, int]:
         small_ring, [g.rename_ring(small_ring) for g in dropped.generators]
     )
     small = _ideal_as_model(small_ring, small_weights, small_ideal)
-    big = (
-        built.model
-        if built.model is not None
-        else _ideal_as_model(built.ring, built.weights, built.ideal)
-    )
-    ok = embedding_independence_check(small, big, aux, budget=budget)
-    ledger = {"aux": list(aux), "independent": ok}
+    big = _ideal_as_model(built.ring, built.weights, built.ideal)
+    return embedding_independence_check(small, big, aux, budget=budget)
+
+
+def cmd_independence(args) -> tuple[dict, int]:
+    built = build_model(load_model_file(args.file))
+    budget = _parse_budget(args)
+    aux = tuple(s.strip() for s in args.aux.split(",") if s.strip())
+    if not aux:
+        raise ModelFileError("--aux needs at least one variable name")
+    for a in aux:
+        if a not in built.ring.index:
+            raise ModelFileError(f"auxiliary variable {a!r} is not in the model")
+    ledger = {"aux": list(aux), "independent": _independent(built, aux, budget)}
     return rpt.assemble(Path(args.file).name, "independence", [], ledger), 0
 
 
@@ -347,18 +346,15 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     for fname in pipeline:
         built = build_model(load_model_file(str(CORPUS_DIR / fname)))
         center = Subtorus.full(built.weights.k)
-        chs = make_charts(built.ring, built.weights, center)
-        coinc = (
-            verify_coinc(built.model, center, budget)
-            if built.model is not None
-            else None
-        )
-        for chart in chs:
-            raw, gb = intrinsic_ideal(built.ideal, chart, budget)
-            unstable = unstable_ideal(chart, budget)
+        coinc = []
+        for chart in make_charts(built.ring, built.weights, center):
+            raw = intrinsic_ideal(built.ideal, chart, budget)
+            gb = buchberger(raw, DEGREVLEX, budget)
+            unstable = unstable_ideal(chart)
             entry_checks = {"xi": True}
-            if coinc is not None:
-                entry_checks["coinc"] = coinc[chart.name]
+            if built.model is not None:
+                coinc.append(section_coincides(built.model, chart, gb, budget))
+                entry_checks["coinc"] = coinc[-1]
             charts_out.append(
                 rpt.chart_entry(
                     f"{fname}:{chart.name}",
@@ -369,11 +365,11 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
                     checks=entry_checks,
                 )
             )
-        if coinc is not None:
-            check(f"coinc:{fname}", all(coinc.values()))
+        if built.model is not None:
+            check(f"coinc:{fname}", all(coinc))
 
     trivial = build_model(load_model_file(str(CORPUS_DIR / "trivial.kb")))
-    check("dense:trivial.kb", _action_trivial(trivial))
+    check("dense:trivial.kb", action_is_trivial(trivial.weights))
 
     fam = build_model(load_model_file(str(CORPUS_DIR / "family.kb")))
     for c in (0, 1, -2):
@@ -392,21 +388,7 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
 
     for fname, aux in (("e1aux.kb", ("u",)), ("e2aux.kb", ("u",))):
         built = build_model(load_model_file(str(CORPUS_DIR / fname)))
-        small_ring = built.ring.without(aux)
-        keep = [built.ring.index[nm] for nm in small_ring.names]
-        small_weights = WeightMatrix(
-            [tuple(row[i] for i in keep) for row in built.weights.rows]
-        )
-        dropped = eliminate(built.ideal, aux, budget)
-        small_ideal = Ideal(
-            small_ring, [g.rename_ring(small_ring) for g in dropped.generators]
-        )
-        small = _ideal_as_model(small_ring, small_weights, small_ideal)
-        big = _ideal_as_model(built.ring, built.weights, built.ideal)
-        check(
-            f"independence:{fname}",
-            embedding_independence_check(small, big, aux, budget=budget),
-        )
+        check(f"independence:{fname}", _independent(built, aux, budget))
 
     # worked cohomology dimensions, frozen
     ring2 = Ring(["x", "y"])
@@ -442,7 +424,7 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     center = Subtorus.full(1)
     chs = make_charts(e2.ring, e2.weights, center)
     chart_x = chs[0]
-    unst = unstable_ideal(chart_x, budget)
+    unst = unstable_ideal(chart_x)
     check("unstable:e2:chart_x", rpt.ideal_strings(unst) == ["T_y"])
     check(
         "semistable:e2:(0,1,0)",
@@ -545,9 +527,20 @@ _DISPATCH = {
 }
 
 
+# options whose value may start with a minus sign, as in "--point -1,0,0"
+_SIGNED_OPTIONS = ("--point", "--direction", "--at")
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes "-1,0,0" for a flag, so glue such a value to its option
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in _SIGNED_OPTIONS and _NEGATIVE.match(word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = _build_parser().parse_args(words)
     try:
         report, code = _DISPATCH[args.command](args)
     except (ModelFileError, PolyParseError) as e:

@@ -9,9 +9,9 @@ and obstruction classes live in explicit cokernel coordinates.
 import warnings
 from fractions import Fraction
 
-from .blowup import EquivariantBundle, LocalModel, action_pairing
+from .blowup import EquivariantBundle, LocalModel, action_pairing, poly_mat_mul
 from .errors import PreconditionError, TheoremCheckError
-from .groebner import Budget, Ideal, buchberger, ideal_equal, lift_certificate, normal_form, saturate
+from .groebner import Budget, Ideal, buchberger, lift_certificate, normal_form, saturate
 from .linalg import coker_projection, mat_mul, rank, solve
 from .poly import DEGREVLEX, Poly, Ring, divide_exact
 from .torus import (
@@ -416,16 +416,6 @@ def _zero_matrix(ring: Ring, rows: int, cols: int):
     return tuple(tuple(ring.zero() for _ in range(cols)) for _ in range(rows))
 
 
-def _mat_vec_poly(M, v, ring: Ring):
-    out = []
-    for row in M:
-        acc = ring.zero()
-        for e, x in zip(row, v):
-            acc = acc + e * x
-        out.append(acc)
-    return tuple(out)
-
-
 def verify_omega_equivalence(
     model: LocalModel,
     omega_bar,
@@ -474,11 +464,11 @@ def verify_omega_equivalence(
     if not hint.is_constant():
         ideal_a = saturate(ideal_a, hint, budget)
         ideal_b = saturate(ideal_b, hint, budget)
-    same_ideal = ideal_equal(ideal_a, ideal_b, DEGREVLEX, budget)
+    gb = buchberger(ideal_a, DEGREVLEX, budget)
+    same_ideal = gb.basis == buchberger(ideal_b, DEGREVLEX, budget).basis
     if not same_ideal:
         witnesses.append("same_ideal: the two sections cut different ideals")
 
-    gb = buchberger(ideal_a, DEGREVLEX, budget)
     squares = []
     for i, p in enumerate(gb.basis):
         for q in gb.basis[i:]:
@@ -486,10 +476,12 @@ def verify_omega_equivalence(
     gb_sq = buchberger(Ideal(ring, squares), DEGREVLEX, budget)
 
     jac_bar = derivative_matrix(omega_bar, ring)
-    corr_fwd = _mat_vec_poly(jac_bar, _mat_vec_poly(A, omega_bar, ring), ring)
+    corr_fwd = poly_mat_mul(
+        jac_bar, poly_mat_mul(A, [(c,) for c in omega_bar], ring), ring
+    )
     identity_forward = True
     for b in range(r):
-        residual = omega[b] - omega_bar[b] - corr_fwd[b]
+        residual = omega[b] - omega_bar[b] - corr_fwd[b][0]
         if not normal_form(residual, gb_sq).is_zero():
             identity_forward = False
             witnesses.append(
@@ -497,10 +489,10 @@ def verify_omega_equivalence(
                 "modulo the squared ideal"
             )
     jac = derivative_matrix(omega, ring)
-    corr_bwd = _mat_vec_poly(jac, _mat_vec_poly(B, omega, ring), ring)
+    corr_bwd = poly_mat_mul(jac, poly_mat_mul(B, [(c,) for c in omega], ring), ring)
     identity_backward = True
     for b in range(r):
-        residual = omega_bar[b] - omega[b] - corr_bwd[b]
+        residual = omega_bar[b] - omega[b] - corr_bwd[b][0]
         if not normal_form(residual, gb_sq).is_zero():
             identity_backward = False
             witnesses.append(

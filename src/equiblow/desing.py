@@ -8,7 +8,7 @@ theorem and its failure raises loudly.
 
 from .blowup import LocalModel, blowup_local_model, intrinsic_ideal, make_charts
 from .errors import BudgetExceededError, TheoremCheckError
-from .groebner import Budget, GroebnerBasis, Ideal, buchberger
+from .groebner import Budget, Ideal, buchberger
 from .poly import DEGREVLEX, Ring
 from .stability import unstable_ideal
 from .torus import Subtorus, WeightMatrix, enumerate_blowup_centers
@@ -63,12 +63,10 @@ class Desingularization:
         return f"Desingularization(stages={len(self.stages)}, dense={self.dense})"
 
 
-def _action_is_trivial(weights: WeightMatrix, n: int) -> bool:
-    if weights.k == 0:
-        return False
-    return all(
-        all(row[i] == 0 for row in weights.rows) for i in range(n)
-    )
+def action_is_trivial(weights: WeightMatrix) -> bool:
+    """A torus of positive rank whose weights all vanish: every point is
+    fixed, and the blowup of everything is empty."""
+    return weights.k > 0 and not any(any(row) for row in weights.rows)
 
 
 def partial_desingularization(
@@ -79,14 +77,15 @@ def partial_desingularization(
 ) -> Desingularization:
     """Run the blowup loop on a local model until no semistable point has
     a nontrivial stabilizer, returning the full stage tree."""
-    if _action_is_trivial(model.weights, model.ring.n):
+    if action_is_trivial(model.weights):
         return Desingularization((), dense=True)
+    centers = enumerate_blowup_centers(model.weights, model.ideal, None, max_vars)
     stages = _descend(
         model.ring,
         model.weights,
         model.ideal,
         model,
-        None,
+        centers,
         budget,
         max_depth,
         max_vars,
@@ -99,12 +98,11 @@ def _descend(
     weights: WeightMatrix,
     ideal: Ideal,
     model: LocalModel | None,
-    unstable,
+    centers: list[Subtorus],
     budget,
     depth_left: int,
     max_vars: int,
 ):
-    centers = enumerate_blowup_centers(weights, ideal, unstable, max_vars)
     if not centers:
         return ()
     if depth_left <= 0:
@@ -116,11 +114,11 @@ def _descend(
         if model is not None and center.is_full():
             chart_model = blowup_local_model(model, center, chart, budget)
             raw = chart_model.ideal
-            gb = buchberger(raw, DEGREVLEX, budget)
         else:
             chart_model = None
-            raw, gb = intrinsic_ideal(ideal, chart, budget)
-        chart_unstable = unstable_ideal(chart, budget) if center.dim == 1 else None
+            raw = intrinsic_ideal(ideal, chart, budget)
+        gb = buchberger(raw, DEGREVLEX, budget)
+        chart_unstable = unstable_ideal(chart) if center.dim == 1 else None
         next_centers = enumerate_blowup_centers(
             chart.weights, raw, chart_unstable, max_vars
         )
@@ -135,7 +133,7 @@ def _descend(
             chart.weights,
             raw,
             chart_model,
-            chart_unstable,
+            next_centers,
             budget,
             depth_left - 1,
             max_vars,

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
 from .errors import PreconditionError
-from .groebner import Budget, Ideal, ideal_equal
+from .groebner import Budget, Ideal, buchberger
 from .poly import DEGREVLEX, Poly, Ring
-from .torus import Subtorus, WeightMatrix
+from .torus import Subtorus, WeightMatrix, fixed_locus
 
 
 def _base_index(model: LocalModel) -> int:
@@ -88,12 +88,7 @@ def check_fixed_locus_flat(model: LocalModel) -> bool:
     among the cut coordinates.
     """
     t = _base_index(model)
-    moving = [
-        i
-        for i in range(model.ring.n)
-        if any(row[i] for row in model.weights.rows)
-    ]
-    return t not in moving
+    return t not in fixed_locus(model.weights, Subtorus.full(model.weights.k))
 
 
 def _specialize_chart_poly(p: Poly, chart_ring: Ring, name: str, c) -> Poly:
@@ -129,14 +124,13 @@ def fiber_blowup_commutes(
     for ch in family_charts:
         pivot_name = model.ring.names[ch.pivot]
         fch = by_pivot[pivot_name]
-        raw_a, _ = intrinsic_ideal(model.ideal, ch, budget)
         gens_a = [
             _specialize_chart_poly(p, ch.ring, model.base_param, c)
-            for p in raw_a.generators
+            for p in intrinsic_ideal(model.ideal, ch, budget).generators
         ]
-        ideal_a = Ideal(fch.ring, gens_a)
-        raw_b, _ = intrinsic_ideal(fiber.ideal, fch, budget)
-        ok = ideal_equal(ideal_a, raw_b, DEGREVLEX, budget)
+        gb_a = buchberger(Ideal(fch.ring, gens_a), DEGREVLEX, budget)
+        gb_b = buchberger(intrinsic_ideal(fiber.ideal, fch, budget), DEGREVLEX, budget)
+        ok = gb_a.basis == gb_b.basis
         if ok and model.sigma_lift is not None:
             sec_a = [
                 _specialize_chart_poly(p, ch.ring, model.base_param, c)

@@ -58,9 +58,6 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
 
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -69,19 +66,6 @@ class GroebnerBasis:
     ring: Ring
     order: MonomialOrder
     basis: tuple[Poly, ...]
-
-    def leading_monomials(self) -> list[Mono]:
-        return [g.leading_monomial(self.order) for g in self.basis]
-
-    def self_check(self) -> bool:
-        """Re-verify the defining property: every S-polynomial reduces to 0."""
-        n = len(self.basis)
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = _s_poly(self.basis[i], self.basis[j], self.order)
-                if not normal_form(s, self).is_zero():
-                    return False
-        return True
 
 
 def contains_one(gb: GroebnerBasis) -> bool:
@@ -256,10 +240,10 @@ def buchberger(
         return (sugar, order.key(lcm), i, j)
 
     while pairs:
-        ij = min(pairs, key=pair_key)
+        sugar, _, i, j = min(pair_key(ij) for ij in pairs)
+        ij = (i, j)
         pairs.discard(ij)
         done.add(ij)
-        i, j = ij
         li, lj = lm(i), lm(j)
         if mono_coprime(li, lj):
             continue
@@ -280,19 +264,14 @@ def buchberger(
         s = _s_poly(basis[i].poly, basis[j].poly, order)
         rep = None
         if _tracked:
-            lcm_ij = mono_lcm(li, lj)
-            ui = mono_div(lcm_ij, li)
-            uj = mono_div(lcm_ij, lj)
+            ui = mono_div(lcm, li)
+            uj = mono_div(lcm, lj)
             ci = Fraction(1) / basis[i].poly.leading_coefficient(order)
             cj = Fraction(1) / basis[j].poly.leading_coefficient(order)
             rep = tuple(
                 ri.term_mul(ui, ci) - rj.term_mul(uj, cj)
                 for ri, rj in zip(basis[i].rep, basis[j].rep)
             )
-        sugar = max(
-            basis[i].sugar + mono_degree(lcm) - mono_degree(li),
-            basis[j].sugar + mono_degree(lcm) - mono_degree(lj),
-        )
         item = _reduce_tracked(_Tracked(s, rep, sugar), basis, order, budget)
         if item.poly.is_zero():
             continue
@@ -357,15 +336,6 @@ def ideal_equal(
     return ga.basis == gb.basis
 
 
-def ideal_member(p: Poly, ideal_or_gb, budget: Budget | None = None) -> bool:
-    gb = (
-        ideal_or_gb
-        if isinstance(ideal_or_gb, GroebnerBasis)
-        else buchberger(ideal_or_gb, DEGREVLEX, budget)
-    )
-    return normal_form(p, gb).is_zero()
-
-
 def lift_certificate(
     p: Poly, ideal: Ideal, budget: Budget | None = None
 ) -> tuple[Poly, ...] | None:
@@ -396,10 +366,6 @@ def lift_certificate(
     return tuple(out)
 
 
-def _transfer(p: Poly, target: Ring) -> Poly:
-    return p.rename_ring(target)
-
-
 def eliminate(
     ideal: Ideal,
     names: Iterable[str],
@@ -417,14 +383,14 @@ def eliminate(
     if not drop:
         return ideal
     front = Ring(tuple(drop) + tuple(nm for nm in ideal.ring.names if nm not in set(drop)))
-    moved = Ideal(front, [_transfer(g, front) for g in ideal.generators])
+    moved = Ideal(front, [g.rename_ring(front) for g in ideal.generators])
     gb = buchberger(moved, block_order(len(drop)), budget)
     sub = ideal.ring.without(drop)
     kept = []
     block = len(drop)
     for g in gb.basis:
         if all(all(m[i] == 0 for i in range(block)) for m in g.terms):
-            kept.append(_transfer(g, sub))
+            kept.append(g.rename_ring(sub))
     return Ideal(sub, kept)
 
 
@@ -448,8 +414,8 @@ def saturate(ideal: Ideal, h: Poly, budget: Budget | None = None) -> Ideal:
     ring = ideal.ring
     t = _fresh_name(ring, "s_inv")
     big = ring.adjoin_front([t])
-    gens = [_transfer(g, big) for g in ideal.generators]
-    gens.append(big.var(t) * _transfer(h, big) - 1)
+    gens = [g.rename_ring(big) for g in ideal.generators]
+    gens.append(big.var(t) * h.rename_ring(big) - 1)
     return eliminate(Ideal(big, gens), [t], budget)
 
 
@@ -461,8 +427,8 @@ def intersect(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
     t = _fresh_name(ring, "mix")
     big = ring.adjoin_front([t])
     tv = big.var(t)
-    gens = [tv * _transfer(g, big) for g in a.generators]
-    gens += [(big.one() - tv) * _transfer(g, big) for g in b.generators]
+    gens = [tv * g.rename_ring(big) for g in a.generators]
+    gens += [(big.one() - tv) * g.rename_ring(big) for g in b.generators]
     return eliminate(Ideal(big, gens), [t], budget)
 
 
@@ -473,7 +439,7 @@ def in_radical(p: Poly, ideal: Ideal, budget: Budget | None = None) -> bool:
     ring = ideal.ring
     t = _fresh_name(ring, "rad")
     big = ring.adjoin_front([t])
-    gens = [_transfer(g, big) for g in ideal.generators]
-    gens.append(big.one() - big.var(t) * _transfer(p, big))
+    gens = [g.rename_ring(big) for g in ideal.generators]
+    gens.append(big.one() - big.var(t) * p.rename_ring(big))
     gb = buchberger(Ideal(big, gens), DEGREVLEX, budget)
     return contains_one(gb)

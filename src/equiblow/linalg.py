@@ -15,10 +15,6 @@ Vec = tuple
 Mat = tuple  # tuple of row tuples
 
 
-def to_mat(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)

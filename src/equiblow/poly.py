@@ -215,17 +215,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def variables_used(self) -> set:
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
-
-    def coeff(self, m: Mono) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
-
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -233,14 +222,6 @@ class Poly:
 
     def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
         return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Poly":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        if lc == 1:
-            return self
-        return self * Fraction(1, 1) / lc
 
     # -- arithmetic ---------------------------------------------------------
 

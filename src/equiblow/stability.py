@@ -12,7 +12,7 @@ import functools
 from fractions import Fraction
 
 from .errors import PreconditionError, TheoremCheckError
-from .groebner import Budget, Ideal, intersect
+from .groebner import Ideal
 from .linalg import primitive, zero_in_convex_hull
 from .blowup import BlowupChart
 from .torus import WeightMatrix
@@ -161,6 +161,11 @@ def candidate_directions(columns) -> list[tuple[int, ...]]:
         return [(1, 0), (0, 1), (-1, 0), (0, -1)]
     ordered = sorted(rays, key=_angular_key())
     out = list(ordered)
+    if len(ordered) == 2:
+        # collinear columns: the two rays sum to zero, so add the normals
+        # to their line, which point along the columns
+        a, b = ordered[0]
+        out += [(-b, a), (b, -a)]
     m = len(ordered)
     for i in range(m):
         a = ordered[i]
@@ -280,13 +285,13 @@ def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
     return StabilityVerdict(True)
 
 
-def unstable_ideal(chart: BlowupChart, budget: Budget | None = None) -> Ideal:
+def unstable_ideal(chart: BlowupChart) -> Ideal:
     """Ideal of the closure of the unstable set of a rank-one chart.
 
     One flow direction drives points into the exceptional-unstable set:
     its basin is cut by the ratio coordinates of opposite weight sign to
-    the pivot (the other direction contributes the unit ideal, since no
-    flow can reach the exceptional locus against the pivot's sign).  The
+    the pivot.  The other direction contributes nothing, since no flow
+    can reach the exceptional locus against the pivot's sign.  The
     exceptional-unstable set itself lies inside that basin closure.
     """
     if chart.center.dim != 1:
@@ -296,22 +301,18 @@ def unstable_ideal(chart: BlowupChart, budget: Budget | None = None) -> Ideal:
     w = [fiber.column(i)[0] for i in range(fiber.n)]
     wk = w[chart.pivot]
     names = chart.parent_ring.names
-    opposite = [
-        ring.var("T_" + names[i])
-        for i in chart.moving
-        if i != chart.pivot and w[i] * wk < 0
-    ]
-    if wk > 0:
-        flow_zero = Ideal(ring, opposite)
-        flow_inf = Ideal(ring, [ring.one()])
-    else:
-        flow_zero = Ideal(ring, [ring.one()])
-        flow_inf = Ideal(ring, opposite)
-    return intersect(flow_zero, flow_inf, budget)
+    return Ideal(
+        ring,
+        [
+            ring.var("T_" + names[i])
+            for i in chart.moving
+            if i != chart.pivot and w[i] * wk < 0
+        ],
+    )
 
 
 def semistable_locus(
-    scheme_ideal: Ideal, chart: BlowupChart | None = None, budget: Budget | None = None
+    scheme_ideal: Ideal, chart: BlowupChart | None = None
 ) -> SemistableLocus:
     """Pair a chart ideal with its unstable ideal.
 
@@ -323,4 +324,4 @@ def semistable_locus(
         return SemistableLocus(None, scheme_ideal, Ideal(ring, [ring.one()]))
     if scheme_ideal.ring != chart.ring:
         raise PreconditionError("scheme ideal does not live in the chart ring")
-    return SemistableLocus(chart, scheme_ideal, unstable_ideal(chart, budget))
+    return SemistableLocus(chart, scheme_ideal, unstable_ideal(chart))

@@ -46,9 +46,6 @@ class WeightMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(i) for i in range(self.n)]
 
-    def drop_column(self, i: int) -> "WeightMatrix":
-        return WeightMatrix(tuple(r[:i] + r[i + 1 :] for r in self.rows))
-
     def with_columns(self, cols: Sequence[Sequence[int]]) -> "WeightMatrix":
         cols = [tuple(int(x) for x in c) for c in cols]
         return WeightMatrix(
@@ -86,10 +83,6 @@ class Subtorus:
     @classmethod
     def full(cls, k: int) -> "Subtorus":
         return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)], k)
-
-    @classmethod
-    def trivial(cls, k: int) -> "Subtorus":
-        return cls([], k)
 
     @property
     def dim(self) -> int:
@@ -163,10 +156,6 @@ def reynolds(p: Poly, weights: WeightMatrix, torus: Subtorus) -> Poly:
     return Poly(p.ring, kept)
 
 
-def is_invariant(p: Poly, weights: WeightMatrix, torus: Subtorus) -> bool:
-    return reynolds(p, weights, torus) == p
-
-
 def fixed_locus(weights: WeightMatrix, torus: Subtorus) -> tuple[int, ...]:
     """Indices of the moving coordinates; their common zero set is the
     fixed locus of the subtorus."""
@@ -205,11 +194,7 @@ def orbit_is_closed(support: Iterable[int], weights: WeightMatrix) -> bool:
     return linalg.zero_in_relative_interior([weights.column(i) for i in support])
 
 
-def support_is_realized(
-    support: Sequence[int],
-    ideal,
-    gb_cache: dict | None = None,
-):
+def support_is_realized(support: Sequence[int], ideal):
     """Saturated ideal of {points in V(I) with support exactly S}, or None.
 
     None means no point of V(I) has that exact support.  Imported lazily
@@ -233,28 +218,33 @@ def support_is_realized(
     return J
 
 
-def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[Subtorus]:
-    """Nontrivial subtori stabilizing some closed-orbit point of the ambient space.
-
-    A point's stabilizer depends only on its coordinate support, so a scan
-    over supports is exhaustive.  Unlike ``enumerate_blowup_centers`` this
-    keeps trivially-acting subtori and ignores any ideal: the list serves
-    structural checks that quantify over all closed-orbit points.
-    """
-    n = weights.n
+def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
+    """Every coordinate support of a closed orbit whose stabilizer is
+    nontrivial, with that stabilizer.  A point's stabilizer depends only on
+    its coordinate support, so the scan is exhaustive."""
     if n > max_vars:
         raise BudgetExceededError(
             f"support scan over {n} coordinates exceeds the {max_vars}-variable cap"
         )
-    found: dict = {}
     for size in range(n + 1):
         for support in itertools.combinations(range(n), size):
             if not orbit_is_closed(support, weights):
                 continue
             R = stabilizer_subtorus(support, weights)
-            if R.is_trivial() or R.cochar in found:
-                continue
-            found[R.cochar] = R
+            if not R.is_trivial():
+                yield support, R
+
+
+def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[Subtorus]:
+    """Nontrivial subtori stabilizing some closed-orbit point of the ambient space.
+
+    Unlike ``enumerate_blowup_centers`` this keeps trivially-acting
+    subtori and ignores any ideal: the list serves structural checks that
+    quantify over all closed-orbit points.
+    """
+    found: dict = {}
+    for _, R in _closed_orbit_supports(weights, weights.n, max_vars):
+        found.setdefault(R.cochar, R)
     return sorted(found.values(), key=lambda R: R.sort_key())
 
 
@@ -269,38 +259,28 @@ def enumerate_blowup_centers(
     Scans every coordinate support, keeps those realized by an actual
     point of V(I) (membership tested through saturated coordinate-slice
     ideals), requires the orbit closed and, when an unstable ideal is
-    supplied, a realizing point outside its zero set.  Subtori acting
-    trivially on the ambient space are excluded: blowing up along the
-    whole space is the degenerate case handled by the caller.
+    supplied, a realizing point outside its zero set; an unstable ideal
+    without generators vanishes everywhere and so excludes every center.
+    Subtori acting trivially on the ambient space are excluded: blowing up
+    along the whole space is the degenerate case handled by the caller.
 
     Results are deduplicated and sorted by decreasing dimension, ties
     broken by the canonical cocharacter rows.
     """
     from . import groebner
 
-    ring = ideal.ring
-    n = ring.n
-    if n > max_vars:
-        raise BudgetExceededError(
-            f"support scan over {n} coordinates exceeds the {max_vars}-variable cap"
-        )
     found: dict = {}
-    for size in range(n + 1):
-        for support in itertools.combinations(range(n), size):
-            if not orbit_is_closed(support, weights):
-                continue
-            R = stabilizer_subtorus(support, weights)
-            if R.is_trivial() or R.cochar in found:
-                continue
-            if not fixed_locus(weights, R):
-                continue  # acts trivially on the ambient space
-            slice_ideal = support_is_realized(support, ideal)
-            if slice_ideal is None:
-                continue
-            if unstable is not None and unstable.generators:
-                if all(
-                    groebner.in_radical(g, slice_ideal) for g in unstable.generators
-                ):
-                    continue  # every realizing point is unstable
-            found[R.cochar] = R
+    for support, R in _closed_orbit_supports(weights, ideal.ring.n, max_vars):
+        if R.cochar in found:
+            continue
+        if not fixed_locus(weights, R):
+            continue  # acts trivially on the ambient space
+        slice_ideal = support_is_realized(support, ideal)
+        if slice_ideal is None:
+            continue
+        if unstable is not None and all(
+            groebner.in_radical(g, slice_ideal) for g in unstable.generators
+        ):
+            continue  # every realizing point is unstable
+        found[R.cochar] = R
     return sorted(found.values(), key=lambda R: R.sort_key())

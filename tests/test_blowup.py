@@ -1,7 +1,11 @@
 """Blowup charts, intrinsic ideals, model transport, and the chart
 coincidence and embedding-independence verifications."""
 
+import itertools
+from pathlib import Path
+
 import pytest
+from chart_glue import charts_glue
 
 from equiblow import (
     EquivariantBundle,
@@ -14,14 +18,18 @@ from equiblow import (
     action_pairing,
     blowup_local_model,
     blowup_section,
+    buchberger,
+    build_model,
     check_weak_local_model,
+    cli,
     dcritical_chart,
     embedding_independence_check,
     ideal_equal,
     intrinsic_ideal,
+    load_model_file,
     make_charts,
     parse_poly,
-    verify_coinc,
+    section_coincides,
 )
 
 R2 = Ring(["x", "y"])
@@ -61,16 +69,16 @@ def test_intrinsic_ideal_three_axes():
         [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)],
     )
     charts = make_charts(R3, W3, FULL1)
-    raw, gb = intrinsic_ideal(I, charts[0])
+    gb = buchberger(intrinsic_ideal(I, charts[0]))
     assert sorted(str(p) for p in gb.basis) == ["xi_x^2*T_y", "z"]
-    raw, gb = intrinsic_ideal(I, charts[1])
+    gb = buchberger(intrinsic_ideal(I, charts[1]))
     assert sorted(str(p) for p in gb.basis) == ["T_x*xi_y^2", "z"]
 
 
 def test_intrinsic_ideal_smooth_pair_empties_the_chart():
     I = Ideal(R2, [parse_poly("y", R2), parse_poly("x", R2)])
     for chart in make_charts(R2, W2, FULL1):
-        raw, gb = intrinsic_ideal(I, chart)
+        gb = buchberger(intrinsic_ideal(I, chart))
         assert [str(p) for p in gb.basis] == ["1"]
 
 
@@ -141,7 +149,12 @@ def test_blowup_section_divides_moving_components_once():
 
 def test_verify_coinc_on_the_square_model():
     model = dcritical_chart(parse_poly("1/2*x^2*y^2", R2), W2)
-    verdicts = verify_coinc(model, FULL1)
+    verdicts = {
+        chart.name: section_coincides(
+            model, chart, buchberger(intrinsic_ideal(model.ideal, chart))
+        )
+        for chart in make_charts(R2, W2, FULL1)
+    }
     assert verdicts == {"chart_x": True, "chart_y": True}
 
 
@@ -178,6 +191,34 @@ def test_intrinsic_ideal_equals_blowup_section_ideal_per_chart():
     # the coincidence statement unrolled by hand on one chart
     model = dcritical_chart(parse_poly("x*y*z", R3), W3)
     chart = make_charts(R3, W3, FULL1)[0]
-    raw, gb = intrinsic_ideal(model.ideal, chart)
+    raw = intrinsic_ideal(model.ideal, chart)
     sec = blowup_section(model, chart)
     assert ideal_equal(Ideal(chart.ring, list(sec)), raw)
+
+
+def test_corpus_chart_ideals_glue_on_overlaps():
+    glued = 0
+    for path in sorted((Path(cli.__file__).parent / "corpus").glob("*.kb")):
+        built = build_model(load_model_file(str(path)))
+        if not any(any(row) for row in built.weights.rows):
+            continue  # trivial action: no blowup, no charts
+        center = Subtorus.full(built.weights.k)
+        charts = make_charts(built.ring, built.weights, center)
+        ideals = [intrinsic_ideal(built.ideal, chart) for chart in charts]
+        for a, b in itertools.permutations(range(len(charts)), 2):
+            assert charts_glue(ideals[a], charts[a], ideals[b], charts[b]), (
+                path.name,
+                charts[a].name,
+                charts[b].name,
+            )
+            glued += 1
+    assert glued >= 18
+    # the oracle rejects a chart ideal that differs on the overlap
+    I = Ideal(
+        R3,
+        [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)],
+    )
+    cx, cy = make_charts(R3, W3, FULL1)
+    assert not charts_glue(
+        intrinsic_ideal(I, cx), cx, Ideal(cy.ring, [cy.ring.var("z")]), cy
+    )

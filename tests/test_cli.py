@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,7 @@ def test_theorem_failure_is_exit_5(capsys, monkeypatch):
     def explode(*a, **kw):
         raise TheoremCheckError("synthetic failure for the exit-code contract")
 
-    monkeypatch.setattr(cli, "verify_coinc", explode)
+    monkeypatch.setattr(cli, "section_coincides", explode)
     code, _, err = run(capsys, "blowup", str(CORPUS / "e2.kb"))
     assert code == 5
     assert "THEOREM" in err
@@ -176,14 +177,64 @@ def test_corpus_checks_all_pass(capsys):
 
 
 def test_corpus_failure_is_exit_1(capsys, monkeypatch):
-    def fail_coinc(model, center, budget=None):
-        from equiblow import make_charts
+    def fail_coinc(model, chart, gb, budget=None):
+        return False
 
-        charts = make_charts(model.ring, model.weights, center)
-        return {c.name: False for c in charts}
-
-    monkeypatch.setattr(cli, "verify_coinc", fail_coinc)
+    monkeypatch.setattr(cli, "section_coincides", fail_coinc)
     code, out, _ = run(capsys, "corpus")
     assert code == 1
     rep = json.loads(out)
     assert rep["ledger"]["failed"]
+
+
+def test_blowup_full_with_one_sign_weights_completes(capsys, tmp_path):
+    # every moving weight has one sign, so the unstable ideal has no
+    # generators: the whole chart is unstable and nothing is blown up again
+    src = tmp_path / "onesign.kb"
+    src.write_text('variables = [x0, x1]\nweights = [[-2, 0]]\npotential = "2*x1^4"\n')
+    rep = report(capsys, "blowup", str(src), "--full")
+    (stage,) = rep["ledger"]["stages"]
+    (chart,) = stage["charts"]
+    assert chart["ideal_gb"] == ["x1^3"]
+    assert chart["unstable_gb"] == []
+    assert chart["substages"] == []
+
+
+def test_negative_values_parse_after_a_space(capsys):
+    e2 = str(CORPUS / "e2.kb")
+    for argv, flag, value in (
+        (["semistable", e2, "--chart", "chart_x"], "--point", "-1,0,0"),
+        (["obstruction", str(CORPUS / "square.kb")], "--direction", "-1,0"),
+        (["fiber-check", str(CORPUS / "family.kb")], "--at", "-1/2"),
+    ):
+        spaced = report(capsys, *argv, flag, value)
+        assert spaced == report(capsys, *argv, f"{flag}={value}")
+
+
+def count_buchberger(monkeypatch):
+    """Count Groebner basis computations, wrapping the function in every
+    equiblow module that binds it."""
+    from equiblow import groebner
+
+    original = groebner.buchberger
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "equiblow":
+            continue
+        if getattr(module, "buchberger", None) is original:
+            monkeypatch.setattr(module, "buchberger", counted)
+    return calls
+
+
+def test_chart_bases_are_computed_once(capsys, monkeypatch):
+    calls = count_buchberger(monkeypatch)
+    report(capsys, "corpus")
+    assert 0 < len(calls) <= 50
+    calls.clear()
+    report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
+    assert 0 < len(calls) <= 15

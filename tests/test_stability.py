@@ -19,6 +19,7 @@ from equiblow import (
     semistable_locus,
     unstable_ideal,
 )
+from equiblow.stability import candidate_directions
 
 R3 = Ring(["x", "y", "z"])
 W3 = WeightMatrix([(1, -1, 0)])
@@ -117,3 +118,14 @@ def test_semistable_locus_without_chart_excludes_nothing():
     loc = semistable_locus(scheme)
     assert loc.chart is None
     assert [str(p) for p in loc.unstable.generators] == ["1"]
+
+
+def test_collinear_columns_give_directions_along_their_line():
+    assert (1, 0) in candidate_directions([(1, 0)])
+    assert (-1, 0) in candidate_directions([(2, 0), (-1, 0)])
+    ring = Ring(["x", "y", "z", "w"])
+    weights = WeightMatrix([(1, -1, 0, 0), (0, 0, 1, -1)])
+    charts = make_charts(ring, weights, Subtorus.full(2))
+    verdict = point_semistable((0, 0, 0, 0), charts[0], charts)
+    assert not verdict.semistable
+    assert verdict.direction == (1, 0)
