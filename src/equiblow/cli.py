@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 corpus criterion failed, 2 unreadable input,
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -28,6 +29,7 @@ from .dcrit import (
     dcritical_chart,
     find_lift,
     four_term_at,
+    lifting_data,
     obstruction_assignment,
     verify_omega_equivalence,
 )
@@ -227,8 +229,9 @@ def cmd_obstruction(args) -> tuple[dict, int]:
     ext = SmallExtension(
         args.ext_order, [(point[i], direction[i]) for i in range(n)]
     )
-    ob = obstruction_assignment(built.model, ext, budget)
-    lifted = find_lift(built.model, ext)
+    data = lifting_data(built.model, ext, budget)
+    ob = obstruction_assignment(built.model, ext, data=data)
+    lifted = find_lift(built.model, ext, data=data)
     if ob.liftable != (lifted is not None):
         raise TheoremCheckError(
             "obstruction verdict disagrees with the lift search"
@@ -409,15 +412,20 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     w0 = WeightMatrix([])
     cubic = dcritical_chart(parse_poly("1/3*x^3", ring1), w0)
     ext = SmallExtension(2, [(0, 1)])
-    ob = obstruction_assignment(cubic, ext, budget)
+    data = lifting_data(cubic, ext, budget)
+    ob = obstruction_assignment(cubic, ext, data=data)
     check(
         "obstruction:cubic",
-        (not ob.liftable) and find_lift(cubic, ext) is None,
+        (not ob.liftable) and find_lift(cubic, ext, data=data) is None,
     )
     quad = dcritical_chart(parse_poly("1/2*x^2", ring1), w0)
     ext0 = SmallExtension(2, [(0, 0)])
-    ob0 = obstruction_assignment(quad, ext0, budget)
-    check("obstruction:quadratic", ob0.liftable and find_lift(quad, ext0) is not None)
+    data0 = lifting_data(quad, ext0, budget)
+    ob0 = obstruction_assignment(quad, ext0, data=data0)
+    check(
+        "obstruction:quadratic",
+        ob0.liftable and find_lift(quad, ext0, data=data0) is not None,
+    )
 
     # stability verdicts on the blown-up three-axes model
     e2 = build_model(load_model_file(str(CORPUS_DIR / "e2.kb")))
@@ -453,7 +461,9 @@ def cmd_corpus(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args returns a fresh namespace per call
     p = argparse.ArgumentParser(
         prog="equiblow",
         description=(

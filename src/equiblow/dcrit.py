@@ -338,30 +338,36 @@ def _extension_residual(model: LocalModel, ext: SmallExtension):
     return [v[order] for v in values]
 
 
+def lifting_data(model: LocalModel, ext: SmallExtension, budget: Budget | None = None):
+    """The top residual of the extension and the four-term complex at its
+    basepoint: the data both the obstruction class and the lift search read."""
+    return _extension_residual(model, ext), four_term_at(model, ext.basepoint, budget)
+
+
 def obstruction_assignment(
-    model: LocalModel, ext: SmallExtension, budget: Budget | None = None
+    model: LocalModel, ext: SmallExtension, budget: Budget | None = None, data=None
 ) -> ObstructionAssignment:
     """Obstruction class of the lifting problem across one more order.
 
     The section is evaluated along the naive lift, the top coefficient is
     projected to the cokernel of the middle map at the basepoint, and the
-    class vanishes exactly when a lift exists.
+    class vanishes exactly when a lift exists.  ``data`` is a
+    ``lifting_data`` result already in hand.
     """
-    top = _extension_residual(model, ext)
-    K = four_term_at(model, ext.basepoint, budget)
+    top, K = data if data is not None else lifting_data(model, ext, budget)
     dim, project = coker_projection([list(row) for row in K.m1], model.bundle.rank)
     vector = project(top)
     return ObstructionAssignment(vector, dim, all(x == 0 for x in vector), ext.m)
 
 
-def find_lift(model: LocalModel, ext: SmallExtension):
+def find_lift(model: LocalModel, ext: SmallExtension, data=None):
     """Search for a lift of the extension map one order higher by solving
     the linear correction system; independent of the cokernel route.
 
     Returns the lifted extension, or None when no correction works.
+    ``data`` is a ``lifting_data`` result already in hand.
     """
-    top = _extension_residual(model, ext)
-    K = four_term_at(model, ext.basepoint)
+    top, K = data if data is not None else lifting_data(model, ext)
     # columns of the middle map multiply the unknown correction
     A = [list(row) for row in K.m1]
     delta = solve(A, [-x for x in top])

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
 from .errors import PreconditionError
 from .groebner import Budget, Ideal, buchberger
-from .poly import DEGREVLEX, Poly, Ring
+from .poly import DEGREVLEX, Ring
 from .torus import Subtorus, WeightMatrix, fixed_locus
 
 
@@ -32,14 +32,14 @@ def _base_index(model: LocalModel) -> int:
     return t
 
 
-def _drop_var(p: Poly, source: Ring, t: int, c: Fraction, target: Ring) -> Poly:
-    images = []
-    for i, nm in enumerate(source.names):
-        if i == t:
-            images.append(target.one() * c)
-        else:
-            images.append(target.var(nm))
-    return p.subs(images, target)
+def _drop_var(source: Ring, name: str, c: Fraction):
+    """The map setting the variable ``name`` of ``source`` to c, into the
+    ring without it."""
+    target = source.without((name,))
+    images = [
+        target.const(c) if nm == name else target.var(nm) for nm in source.names
+    ]
+    return lambda p: p.subs(images, target)
 
 
 def specialize(model: LocalModel, c) -> LocalModel:
@@ -54,9 +54,7 @@ def specialize(model: LocalModel, c) -> LocalModel:
     if model.base_param in model.divisor:
         raise PreconditionError("base parameter cannot carry the divisor")
 
-    def sub(p: Poly) -> Poly:
-        return _drop_var(p, ring, t, c, target)
-
+    sub = _drop_var(ring, model.base_param, c)
     section = tuple(sub(comp) for comp in model.section)
     cofactor = tuple(tuple(sub(e) for e in row) for row in model.cofactor)
     lift = None
@@ -91,12 +89,6 @@ def check_fixed_locus_flat(model: LocalModel) -> bool:
     return t not in fixed_locus(model.weights, Subtorus.full(model.weights.k))
 
 
-def _specialize_chart_poly(p: Poly, chart_ring: Ring, name: str, c) -> Poly:
-    target = chart_ring.without((name,))
-    t = chart_ring.index[name]
-    return _drop_var(p, chart_ring, t, Fraction(c), target)
-
-
 def fiber_blowup_commutes(
     model: LocalModel,
     c,
@@ -124,18 +116,13 @@ def fiber_blowup_commutes(
     for ch in family_charts:
         pivot_name = model.ring.names[ch.pivot]
         fch = by_pivot[pivot_name]
-        gens_a = [
-            _specialize_chart_poly(p, ch.ring, model.base_param, c)
-            for p in intrinsic_ideal(model.ideal, ch, budget).generators
-        ]
+        sub = _drop_var(ch.ring, model.base_param, c)
+        gens_a = [sub(p) for p in intrinsic_ideal(model.ideal, ch, budget).generators]
         gb_a = buchberger(Ideal(fch.ring, gens_a), DEGREVLEX, budget)
         gb_b = buchberger(intrinsic_ideal(fiber.ideal, fch, budget), DEGREVLEX, budget)
         ok = gb_a.basis == gb_b.basis
         if ok and model.sigma_lift is not None:
-            sec_a = [
-                _specialize_chart_poly(p, ch.ring, model.base_param, c)
-                for p in blowup_section(model, ch)
-            ]
+            sec_a = [sub(p) for p in blowup_section(model, ch)]
             sec_b = list(blowup_section(fiber, fch))
             ok = sec_a == sec_b
         out[ch.name] = ok

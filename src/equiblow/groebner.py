@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, PreconditionError, TheoremCheckError
@@ -26,7 +27,7 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
+    sub_scaled,
 )
 
 
@@ -86,24 +87,24 @@ def divmod_multi(
     re-check by expansion.
     """
     ring = p.ring
-    quotients = [ring.zero() for _ in divisors]
+    quotients: list[dict] = [{} for _ in divisors]
     lead = [(d.leading_monomial(order), d.leading_coefficient(order)) for d in divisors]
     r_terms: dict = {}
-    work = p
-    while not work.is_zero():
-        m = work.leading_monomial(order)
-        c = work.terms[m]
+    work = dict(p.terms)
+    key = order.key
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
         for i, (lm, lc) in enumerate(lead):
             quot = mono_div(m, lm)
             if quot is not None:
                 coeff = c / lc
-                quotients[i] = quotients[i] + Poly(ring, {quot: coeff})
-                work = work - divisors[i].term_mul(quot, coeff)
+                quotients[i][quot] = coeff
+                sub_scaled(work, divisors[i].terms, quot, coeff, lm)
                 break
         else:
             r_terms[m] = c
-            work = work - Poly(ring, {m: c})
-    return quotients, Poly(ring, r_terms)
+    return [Poly._make(ring, q) for q in quotients], Poly._make(ring, r_terms)
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
@@ -146,35 +147,36 @@ class _Tracked:
 def _reduce_tracked(
     item: _Tracked, basis: list[_Tracked], order: MonomialOrder, budget: Budget
 ) -> _Tracked:
-    """Full reduction of a tracked polynomial against the working basis."""
+    """Full reduction of a tracked polynomial against the working basis.
+
+    The running remainder is a dict updated in place; each step does the
+    same exact arithmetic as subtracting the reducer as a new Poly.
+    """
     ring = item.poly.ring
-    work = item.poly
+    work = dict(item.poly.terms)
     rep = item.rep
     sugar = item.sugar
     out_terms: dict = {}
-    lead = [(b.poly.leading_monomial(order), b.poly.leading_coefficient(order)) for b in basis]
-    while not work.is_zero():
-        m = work.leading_monomial(order)
-        c = work.terms[m]
-        hit = None
-        for i, (lm, lc) in enumerate(lead):
+    key = order.key
+    lead = [(b, b.poly.leading_monomial(order), b.poly.leading_coefficient(order)) for b in basis]
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for b, lm, lc in lead:
             quot = mono_div(m, lm)
             if quot is not None:
-                hit = (i, quot, c / lc)
                 break
-        if hit is None:
+        else:
             out_terms[m] = c
-            work = work - Poly(ring, {m: c})
             continue
-        i, quot, coeff = hit
-        work = work - basis[i].poly.term_mul(quot, coeff)
-        sugar = max(sugar, basis[i].sugar + mono_degree(quot))
+        coeff = c / lc
+        sub_scaled(work, b.poly.terms, quot, coeff, lm)
+        sugar = max(sugar, b.sugar + mono_degree(quot))
         if rep is not None:
-            brep = basis[i].rep
             rep = tuple(
-                r - br.term_mul(quot, coeff) for r, br in zip(rep, brep)
+                r - br.term_mul(quot, coeff) for r, br in zip(rep, b.rep)
             )
-    reduced = Poly(ring, out_terms)
+    reduced = Poly._make(ring, out_terms)
     if reduced.total_degree() > budget.max_degree:
         raise BudgetExceededError(
             f"reduction produced degree {reduced.total_degree()} "
@@ -221,30 +223,30 @@ def buchberger(
                 f"basis size exceeded the cap of {budget.max_basis}"
             )
 
-    pairs: set[tuple[int, int]] = set()
+    # each pair is pushed once under (sugar, order key of the lcm, i, j);
+    # the keys never change, so the heap yields the pairs in that order
+    lms: list[Mono] = [b.poly.leading_monomial(order) for b in basis]
+    pairs: list[tuple] = []
     done: set[tuple[int, int]] = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pairs.add((i, j))
 
-    def lm(i: int) -> Mono:
-        return basis[i].poly.leading_monomial(order)
+    def push_pairs(j: int):
+        lj, sj = lms[j], basis[j].sugar
+        dj = mono_degree(lj)
+        for i in range(j):
+            li = lms[i]
+            lcm = mono_lcm(li, lj)
+            d = mono_degree(lcm)
+            sugar = max(basis[i].sugar + d - mono_degree(li), sj + d - dj)
+            heappush(pairs, (sugar, order.key(lcm), i, j))
 
-    def pair_key(ij: tuple[int, int]):
-        i, j = ij
-        lcm = mono_lcm(lm(i), lm(j))
-        sugar = max(
-            basis[i].sugar + mono_degree(lcm) - mono_degree(lm(i)),
-            basis[j].sugar + mono_degree(lcm) - mono_degree(lm(j)),
-        )
-        return (sugar, order.key(lcm), i, j)
+    for j in range(1, len(basis)):
+        push_pairs(j)
 
     while pairs:
-        sugar, _, i, j = min(pair_key(ij) for ij in pairs)
+        sugar, _, i, j = heappop(pairs)
         ij = (i, j)
-        pairs.discard(ij)
         done.add(ij)
-        li, lj = lm(i), lm(j)
+        li, lj = lms[i], lms[j]
         if mono_coprime(li, lj):
             continue
         lcm = mono_lcm(li, lj)
@@ -252,7 +254,7 @@ def buchberger(
         for k in range(len(basis)):
             if k in ij:
                 continue
-            if not mono_divides(lm(k), lcm):
+            if not mono_divides(lms[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -275,14 +277,13 @@ def buchberger(
         item = _reduce_tracked(_Tracked(s, rep, sugar), basis, order, budget)
         if item.poly.is_zero():
             continue
-        new_index = len(basis)
         basis.append(item)
+        lms.append(item.poly.leading_monomial(order))
         if len(basis) > budget.max_basis:
             raise BudgetExceededError(
                 f"basis size exceeded the cap of {budget.max_basis}"
             )
-        for t in range(new_index):
-            pairs.add((t, new_index))
+        push_pairs(len(basis) - 1)
 
     return _finalize(ring, order, basis, _tracked)
 

@@ -4,10 +4,18 @@ Polynomials are immutable values: a ring is an ordered tuple of variable
 names, a monomial is a tuple of non-negative exponents (one per ring
 variable), and a polynomial stores a map monomial -> nonzero Fraction.
 All arithmetic is exact; nothing here ever touches floating point.
+
+``Poly(ring, terms)`` coerces every coefficient to ``Fraction`` and
+drops zeros.  The arithmetic here and the division loops in ``groebner``
+build their results with ``Poly._make(ring, terms)`` instead, which
+skips both steps.  Its invariant: the dict it is given holds only
+nonzero ``Fraction`` coefficients, and it becomes the polynomial's own
+``terms`` without a copy, so the caller must not touch it afterwards.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Mono = tuple  # exponent vector, length == number of ring variables
@@ -18,7 +26,7 @@ Mono = tuple  # exponent vector, length == number of ring variables
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono | None:
@@ -70,15 +78,15 @@ class MonomialOrder:
 
     def key(self, m: Mono):
         if self.name == "degrevlex":
-            return (sum(m),) + tuple(-e for e in reversed(m))
+            return (sum(m), *map(neg, reversed(m)))
         if self.name == "lex":
             return m
         head, tail = m[: self.block], m[self.block :]
         return (
-            (sum(head),)
-            + tuple(-e for e in reversed(head))
-            + (sum(tail),)
-            + tuple(-e for e in reversed(tail))
+            sum(head),
+            *map(neg, reversed(head)),
+            sum(tail),
+            *map(neg, reversed(tail)),
         )
 
     def __eq__(self, other):
@@ -139,13 +147,13 @@ class Ring:
     def var(self, name: str) -> "Poly":
         i = self.index[name]
         mono = tuple(1 if j == i else 0 for j in range(self.n))
-        return Poly(self, {mono: Fraction(1)})
+        return Poly._make(self, {mono: _ONE})
 
     def gens(self) -> tuple["Poly", ...]:
         return tuple(self.var(nm) for nm in self.names)
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._make(self, {})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -154,7 +162,7 @@ class Ring:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Poly(self, {(0,) * self.n: c})
+        return Poly._make(self, {(0,) * self.n: c})
 
     def without(self, names: Iterable[str]) -> "Ring":
         drop = set(names)
@@ -183,7 +191,7 @@ class Ring:
 class Poly:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: Ring, terms: Mapping[Mono, Fraction]):
         clean = {}
@@ -191,9 +199,20 @@ class Poly:
             c = Fraction(c)
             if c != 0:
                 clean[m] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_ring(self, ring)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+        _set_lead(self, None)
+
+    @classmethod
+    def _make(cls, ring: Ring, terms: dict) -> "Poly":
+        """Wrap ``terms`` as is; every value must be a nonzero Fraction."""
+        p = _new(cls)
+        _set_ring(p, ring)
+        _set_terms(p, terms)
+        _set_hash(p, None)
+        _set_lead(p, None)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -216,9 +235,15 @@ class Poly:
         return max(sum(m) for m in self.terms)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Mono:
+        # cached for the last order asked; a new order replaces the entry
+        lead = self._lead
+        if lead is not None and (lead[0] is order or lead[0] == order):
+            return lead[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        m = max(self.terms, key=order.key)
+        _set_lead(self, (order, m))
+        return m
 
     def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
         return self.terms[self.leading_monomial(order)]
@@ -226,7 +251,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other):
@@ -235,17 +260,20 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
+            if m in terms:
+                s = terms[m] + c
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
             else:
-                terms.pop(m, None)
-        return Poly(self.ring, terms)
+                terms[m] = c
+        return Poly._make(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly._make(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -260,18 +288,21 @@ class Poly:
             c = Fraction(other)
             if c == 0:
                 return self.ring.zero()
-            return Poly(self.ring, {m: cc * c for m, cc in self.terms.items()})
+            return Poly._make(self.ring, {m: cc * c for m, cc in self.terms.items()})
         self._check(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
+                m = tuple(map(add, m1, m2))
+                if m in out:
+                    s = out[m] + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
                 else:
-                    out.pop(m, None)
-        return Poly(self.ring, out)
+                    out[m] = c1 * c2
+        return Poly._make(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -296,7 +327,9 @@ class Poly:
         c = Fraction(c)
         if c == 0:
             return self.ring.zero()
-        return Poly(self.ring, {mono_mul(mm, m): cc * c for mm, cc in self.terms.items()})
+        return Poly._make(
+            self.ring, {tuple(map(add, mm, m)): cc * c for mm, cc in self.terms.items()}
+        )
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -306,9 +339,9 @@ class Poly:
         for m, c in self.terms.items():
             e = m[i]
             if e:
-                mm = m[:i] + (e - 1,) + m[i + 1 :]
-                out[mm] = out.get(mm, Fraction(0)) + c * e
-        return Poly(self.ring, out)
+                # distinct monomials keep distinct derivatives, so nothing sums
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return Poly._make(self.ring, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.ring.n:
@@ -327,13 +360,17 @@ class Poly:
         """Substitute images[i] for the i-th ring variable.
 
         All images must live in ``target``.  Powers are cached per
-        variable so repeated exponents do not recompute products.
+        variable so repeated exponents do not recompute products.  When
+        every image is a single term, each term maps to a single term,
+        and the result is summed term by term in the same order.
         """
         if len(images) != self.ring.n:
             raise ValueError("need one image per ring variable")
         for im in images:
-            if im.ring != target:
+            if im.ring is not target and im.ring != target:
                 raise ValueError("image outside the target ring")
+        if all(len(im.terms) == 1 for im in images):
+            return self._subs_monomial(images, target)
         pow_cache: list[dict[int, Poly]] = [dict() for _ in range(self.ring.n)]
 
         def power(i: int, e: int) -> Poly:
@@ -350,6 +387,35 @@ class Poly:
                     term = term * power(i, e)
             total = total + term
         return total
+
+    def _subs_monomial(self, images: Sequence["Poly"], target: Ring) -> "Poly":
+        # image i is cs[i] * x^us[i]: us[i] holds the nonzero (index, exponent)
+        # pairs, and cs[i] is None for a coefficient of 1
+        us, cs = [], []
+        for im in images:
+            (u, c), = im.terms.items()
+            us.append([(k, x) for k, x in enumerate(u) if x])
+            cs.append(None if c == 1 else c)
+        n = target.n
+        out: dict = {}
+        for m, c in self.terms.items():
+            mono = [0] * n
+            for i, e in enumerate(m):
+                if e:
+                    if cs[i] is not None:
+                        c = c * cs[i] ** e
+                    for k, x in us[i]:
+                        mono[k] += x * e
+            mono = tuple(mono)
+            if mono in out:
+                s = out[mono] + c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+            else:
+                out[mono] = c
+        return Poly._make(target, out)
 
     def rename_ring(self, target: Ring) -> "Poly":
         """Carry the polynomial into a ring with the same variable names.
@@ -393,7 +459,7 @@ class Poly:
         h = object.__getattribute__(self, "_hash")
         if h is None:
             h = hash((self.ring, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Mono, Fraction]]:
@@ -406,24 +472,56 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
+_ONE = Fraction(1)
+# Poly.__setattr__ refuses writes; the slot descriptors write past it,
+# and faster than object.__setattr__
+_new = object.__new__
+_set_ring = Poly.ring.__set__
+_set_terms = Poly.terms.__set__
+_set_hash = Poly._hash.__set__
+_set_lead = Poly._lead.__set__
+
+
+def sub_scaled(work: dict, terms: Mapping[Mono, Fraction], quot: Mono, c: Fraction, skip: Mono):
+    """work -= c * x^quot * terms, in place, leaving out the term at ``skip``.
+
+    A division step passes its divisor's leading monomial as ``skip``:
+    that term cancels the one the caller has already taken out of
+    ``work``.  Zero sums are removed, so ``work`` keeps the ``_make``
+    invariant.
+    """
+    for mm, cc in terms.items():
+        if mm == skip:
+            continue
+        t = tuple(map(add, mm, quot))
+        if t in work:
+            v = work[t] - cc * c
+            if v:
+                work[t] = v
+            else:
+                del work[t]
+        else:
+            work[t] = -(cc * c)
+
+
 def divide_exact(p: Poly, d: Poly, order: MonomialOrder = DEGREVLEX) -> Poly | None:
     """Exact quotient p / d, or None when d does not divide p."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    ring = p.ring
     lm = d.leading_monomial(order)
     lc = d.leading_coefficient(order)
-    q = ring.zero()
-    r = p
-    while not r.is_zero():
-        m = r.leading_monomial(order)
+    q: dict = {}
+    r = dict(p.terms)
+    key = order.key
+    while r:
+        m = max(r, key=key)
         quot = mono_div(m, lm)
         if quot is None:
             return None
-        c = r.terms[m] / lc
-        q = q + Poly(ring, {quot: c})
-        r = r - d.term_mul(quot, c)
-    return q
+        c = r.pop(m) / lc
+        q[quot] = c
+        sub_scaled(r, d.terms, quot, c, lm)
+    return Poly._make(p.ring, q)
 
 
 # ---------------------------------------------------------------------------

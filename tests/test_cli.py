@@ -157,6 +157,25 @@ def test_obstruction_disagreement_is_exit_5(capsys, monkeypatch, tmp_path):
     assert code == 5
 
 
+def test_obstruction_evaluates_its_inputs_once(capsys, monkeypatch):
+    from equiblow import dcrit
+
+    calls = {"four_term_at": 0, "_extension_residual": 0}
+    for name in calls:
+        real = getattr(dcrit, name)
+
+        def counted(*a, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(dcrit, name, counted)
+    code, out, _ = run(
+        capsys, "obstruction", str(CORPUS / "square.kb"), "--direction", "1,0"
+    )
+    assert code == 0
+    assert calls == {"four_term_at": 1, "_extension_residual": 1}
+
+
 def test_json_flag_writes_the_same_bytes(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

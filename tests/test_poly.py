@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiblow import DEGREVLEX, LEX, Poly, PolyParseError, Ring, divide_exact, parse_poly
+from equiblow.poly import block_order
 
 R3 = Ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -132,3 +133,90 @@ def test_derivative_by_name_matches_index():
 def test_evaluate_partial_point_length_guard():
     with pytest.raises(Exception):
         (X + Y).evaluate((Fraction(1),))
+
+
+# -- fast paths ---------------------------------------------------------------
+
+T2 = Ring(["u", "v"])
+
+
+def single_terms(ring=T2):
+    # coefficients +-1 and small exponents make images collide and cancel
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+    return st.tuples(monos(ring.n, 2), coeff).map(lambda mc: Poly(ring, {mc[0]: mc[1]}))
+
+
+def subs_by_arithmetic(p, images, target):
+    """Reference substitution: each term expanded with Poly arithmetic."""
+    total = target.zero()
+    for m, c in p.terms.items():
+        term = target.const(c)
+        for im, e in zip(images, m):
+            term = term * im**e
+        total = total + term
+    return total
+
+
+@given(polys(), st.lists(single_terms(), min_size=3, max_size=3))
+def test_single_term_subs_matches_the_generic_path(p, images):
+    fast = p.subs(images, T2)
+    slow = subs_by_arithmetic(p, images, T2)
+    assert fast == slow
+    assert list(fast.terms) == list(slow.terms)
+
+
+def test_single_term_subs_cancels_colliding_terms():
+    u, v = T2.gens()
+    p = X * Y - Y * Z + X
+    # x*y and y*z both map to u*v and cancel; x maps to u
+    images = [u, v, u]
+    assert p.subs(images, T2) == u
+    assert list(p.subs(images, T2).terms) == [(1, 0)]
+
+
+def only_nonzero_fractions(p):
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+@given(polys(), polys(), st.lists(single_terms(R3), min_size=3, max_size=3))
+@settings(max_examples=60)
+def test_arithmetic_results_hold_only_nonzero_fractions(p, q, images):
+    built = [
+        p + q,
+        p - q,
+        p - p,
+        -p,
+        p * q,
+        p * 3,
+        p * Fraction(-1, 2),
+        p * 0,
+        p / 2,
+        p**2,
+        p.term_mul((1, 0, 2), Fraction(3, 4)),
+        p.derivative(0),
+        p.subs(images, R3),
+        p.subs([X + Y, Y, Z], R3),
+        divide_exact(p * Y, Y),
+        divide_exact(p * (X + Z), X + Z),
+    ]
+    assert all(only_nonzero_fractions(r) for r in built)
+
+
+def test_leading_monomial_cache_follows_the_order_asked():
+    p = X + Y**2 * Z
+    block = block_order(1)
+    assert p.leading_monomial(DEGREVLEX) == (0, 2, 1)
+    assert p.leading_monomial(block) == (1, 0, 0)
+    assert p.leading_monomial(DEGREVLEX) == (0, 2, 1)
+    assert p.leading_monomial(block_order(1)) == (1, 0, 0)
+    assert p.leading_coefficient(block) == 1
+
+
+@given(polys(), st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_leading_monomial_cache_agrees_with_a_fresh_scan(p, picks):
+    if p.is_zero():
+        return
+    orders = [DEGREVLEX, LEX, block_order(1), block_order(2)]
+    for k in picks:
+        order = orders[k]
+        assert p.leading_monomial(order) == max(p.terms, key=order.key)

@@ -1,0 +1,54 @@
+"""Golden report digests: speed work must leave every report byte-identical.
+
+Each entry is the exit code and the SHA-256 of the stdout report of one
+CLI call, recorded before the polynomial-kernel fast paths and the heap
+pair queue landed.  A change that alters any report fails here, and the
+digest to compare against is the one below, not a fresh recording.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from equiblow import cli
+
+GOLDEN = {
+    "corpus": (0, "fbc1fedd75291b4e00c4ad695fd371a3641ee71178a235f9540701bb753e3f1d"),
+    "blowup conic.kb": (0, "7a0d15faaa9acf966f152720286bbf0589b8f269911111f2f7d4aabff59ea2e6"),
+    "blowup e1.kb": (0, "2812259f5033d08267b63dbfa3c310ed5b986e52e400dee46c9c658d4e69b1d3"),
+    "blowup e1aux.kb": (0, "bcac7c85ca5829e36b30bbb45c4f8fd5106496190d56d8887c2e23ad4fc9bced"),
+    "blowup e2.kb": (0, "9c5dbb4b4b7de7d0a6efb402c3d9352dc4869165365407bebb5e31784e1bebad"),
+    "blowup e2aux.kb": (0, "b9825c4f293a9a55594fa68c47764916f8234675317263949bdba02435e31985"),
+    "blowup family.kb": (0, "10ea0dd02d76d2449c8a71ebda7dc213c59faecaf2ad880cdbf820fced328a4f"),
+    "blowup fat.kb": (0, "46e5828ec81b5dcbd73d8d24d324de9d50ca43180c52f1d6a9c0edf7e11d4938"),
+    "blowup square.kb": (0, "7e33530404b396f34b4c535e1651a0919cf5612f2636263bb916a1fcff5d44d6"),
+    "blowup square_pair.kb": (0, "117894372ba610ef1b443991993b345047da3019c20caecced5a95b743082361"),
+    "blowup trivial.kb": (0, "31ac279cc033b4602e207bec9ce655bc1020c21dc0b89f698b9952a44bd0c560"),
+    "blowup e1.kb --full": (0, "bb3bad5d835fe2419c917d8867b81010f0a94e3d7a1737aa41e291d35b6ecc30"),
+    "blowup e2.kb --full": (0, "2321897edb4470fb70e6d174ffc0224bd6ef23a2300a4c07825556b4255d9dd7"),
+    "blowup conic.kb --full": (0, "dae3a2ce82303c5e134b62d0822e42c1a8caebf1a5c1f8414dae43dbd1c219b2"),
+    "blowup square.kb --full": (0, "cc7739da0883e32b5340f0cfe56dffb32cda8b39d28ea39dd01a994a008ffd1a"),
+    "blowup square_pair.kb --full": (0, "87441d48a4c1ab55c8f0e527ab9dd1463d41fdc262b07cc789176242d6accadc"),
+    "blowup family.kb --full": (0, "b500836372f14f6a1c36f4cc038b0d61b229569b451da6ae37a1c7bf62aba015"),
+}
+
+
+def _run(case: str) -> tuple[int, str]:
+    argv = [str(cli.CORPUS_DIR / w) if w.endswith(".kb") else w for w in case.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_every_corpus_file_has_a_plain_blowup_digest():
+    files = {p.name for p in cli.CORPUS_DIR.glob("*.kb")}
+    plain = {c.split()[1] for c in GOLDEN if c.startswith("blowup") and "--full" not in c}
+    assert plain == files
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_digest_is_unchanged(case):
+    assert _run(case) == GOLDEN[case]
