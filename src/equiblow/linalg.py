@@ -25,10 +25,15 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     if A and B and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
     cols = len(B[0]) if B else 0
-    return tuple(
-        tuple(sum((a[k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(cols))
-        for a in A
-    )
+    out = []
+    for a in A:
+        row = [Fraction(0)] * cols
+        for x, b in zip(a, B):
+            if x:  # a zero entry adds nothing to the row
+                for j in range(cols):
+                    row[j] += x * b[j]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def mat_vec(A: Mat, v: Sequence) -> Vec:

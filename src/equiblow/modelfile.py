@@ -169,9 +169,14 @@ class ModelFile:
                 raise ModelFileError(
                     "basepoint must list one rational per variable"
                 )
-            basepoint = tuple(
-                x if isinstance(x, Fraction) else Fraction(x) for x in basepoint
-            )
+            try:
+                basepoint = tuple(
+                    x if isinstance(x, Fraction) else Fraction(x) for x in basepoint
+                )
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ModelFileError(
+                    "basepoint must list one rational per variable"
+                ) from None
         self.basepoint = basepoint
 
         hint = entries.get("hint")
@@ -256,6 +261,8 @@ def _scan_value(sc: _Scanner):
         num, _, den = atom.partition("/")
         numneg = num[1:] if num.startswith("-") else num
         if numneg.isdigit() and den.isdigit():
+            if not int(den):
+                raise ModelFileError(f"zero denominator in {atom!r} at offset {start}")
             return Fraction(int(num), int(den))
     return atom
 

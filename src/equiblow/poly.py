@@ -346,14 +346,17 @@ class Poly:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.ring.n:
             raise ValueError("point length does not match ring")
-        pt = [Fraction(v) for v in point]
+        pt = [v if isinstance(v, Fraction) else Fraction(v) for v in point]
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c
             for x, e in zip(pt, m):
                 if e:
-                    val *= x**e
-            total += val
+                    if not x:
+                        break  # the term vanishes
+                    val *= x if e == 1 else x**e
+            else:
+                total += val
         return total
 
     def subs(self, images: Sequence["Poly"], target: Ring) -> "Poly":

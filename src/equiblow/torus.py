@@ -221,17 +221,34 @@ def support_is_realized(support: Sequence[int], ideal):
 def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
     """Every coordinate support of a closed orbit whose stabilizer is
     nontrivial, with that stabilizer.  A point's stabilizer depends only on
-    its coordinate support, so the scan is exhaustive."""
+    its coordinate support, so the scan is exhaustive.
+
+    Closedness and the stabilizer depend only on the set of distinct
+    nonzero weight columns of the support, so the LP and the kernel are
+    solved once per such set and scan.  This is exact: a strictly
+    positive combination summing to zero can merge repeated columns or
+    split one column's coefficient among its copies, and a zero column
+    takes any positive coefficient without changing the sum; the
+    stabilizer is the left kernel of the same columns, and ``Subtorus``
+    stores that lattice in canonical Hermite form.  Every support is
+    still yielded, in the same order.
+    """
     if n > max_vars:
         raise BudgetExceededError(
             f"support scan over {n} coordinates exceeds the {max_vars}-variable cap"
         )
+    cols = weights.columns()
+    by_columns: dict[frozenset, Subtorus | None] = {}
     for size in range(n + 1):
         for support in itertools.combinations(range(n), size):
-            if not orbit_is_closed(support, weights):
-                continue
-            R = stabilizer_subtorus(support, weights)
-            if not R.is_trivial():
+            key = frozenset(cols[i] for i in support if any(cols[i]))
+            if key not in by_columns:
+                R = None
+                if orbit_is_closed(support, weights):
+                    R = stabilizer_subtorus(support, weights)
+                by_columns[key] = None if R is None or R.is_trivial() else R
+            R = by_columns[key]
+            if R is not None:
                 yield support, R
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bench_models import write_bench_models
 from equiblow import TheoremCheckError, cli
 
 CORPUS = Path(cli.__file__).parent / "corpus"
@@ -107,6 +108,18 @@ def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "blowup", "/nonexistent/input.kb")
     assert code == 2
     assert err
+
+
+def test_bad_basepoint_rational_is_exit_2(capsys, tmp_path):
+    src = tmp_path / "bad.kb"
+    src.write_text(
+        'variables = [x, y]\nweights = [[1, -1]]\npotential = "x*y"\n'
+        "basepoint = [1/0, 0]\n"
+    )
+    code, out, err = run(capsys, "obstruction", str(src), "--direction", "1,0")
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err
 
 
 def test_budget_flag_exhaustion_is_exit_4(capsys):
@@ -257,3 +270,31 @@ def test_chart_bases_are_computed_once(capsys, monkeypatch):
     calls.clear()
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     assert 0 < len(calls) <= 15
+
+
+@pytest.mark.parametrize(
+    "name, point, most",
+    [
+        ("heavy.kb", "0,0,0,0,0,0", 15),
+        ("quiver3.kb", "0,0,0,0,0,0", 3),
+        ("conifold.kb", "0,0,0,0,0", 3),
+    ],
+)
+def test_crit_solves_one_lp_per_weight_column_set(
+    capsys, monkeypatch, tmp_path, name, point, most
+):
+    # one closed-orbit LP per nonempty set of distinct nonzero weight
+    # columns: heavy has 4 such columns, quiver3 and conifold 2 each
+    from equiblow import linalg
+
+    calls = []
+    original = linalg.lp_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lp_feasible", counted)
+    write_bench_models(tmp_path)
+    report(capsys, "crit", str(tmp_path / name), f"--point={point}")
+    assert 0 < len(calls) <= most

@@ -147,3 +147,23 @@ def test_relative_interior_is_strictly_stronger():
 def test_relint_implies_hull(vs):
     if zero_in_relative_interior(vs):
         assert zero_in_convex_hull(vs)
+
+
+def mat_mul_naively(A, B):
+    """Reference product: the plain triple loop."""
+    return tuple(
+        tuple(
+            sum((Fraction(A[i][t]) * Fraction(B[t][j]) for t in range(len(B))), Fraction(0))
+            for j in range(len(B[0]))
+        )
+        for i in range(len(A))
+    )
+
+
+@given(small_matrices(4, 3), small_matrices(3, 2), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_mat_mul_matches_the_triple_loop_with_zero_rows(A, B, zero):
+    A = [[Fraction(0)] * 3 if z else row for row, z in zip(A, zero)]
+    B[1] = [Fraction(0)] * 2
+    product = mat_mul(A, B)
+    assert product == mat_mul_naively(A, B)
+    assert all(type(x) is Fraction for row in product for x in row)

@@ -159,3 +159,20 @@ section = ["y"]
 def test_missing_file_is_a_file_error(tmp_path):
     with pytest.raises(ModelFileError):
         load_model_file(str(tmp_path / "absent.kb"))
+
+
+@pytest.mark.parametrize("value", ["[1/0, 0]", "[a, 0]", "[[1], 0]", '["1/0", 0]'])
+def test_bad_basepoint_rationals_are_file_errors(value):
+    text = f"""
+variables = [x, y]
+weights = [[1, -1]]
+potential = "x*y"
+basepoint = {value}
+"""
+    with pytest.raises(ModelFileError):
+        parse_model_text(text)
+
+
+def test_zero_denominator_is_a_file_error_in_any_list():
+    with pytest.raises(ModelFileError, match="zero denominator"):
+        parse_model_text("variables = [x]\nweights = [[1/0]]\nideal = [\"x\"]\n")

@@ -220,3 +220,38 @@ def test_leading_monomial_cache_agrees_with_a_fresh_scan(p, picks):
     for k in picks:
         order = orders[k]
         assert p.leading_monomial(order) == max(p.terms, key=order.key)
+
+
+# -- pointwise evaluation -------------------------------------------------------
+
+
+def evaluate_naively(p, point):
+    """Reference evaluation: the sum of c * prod x^e over every term."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, m):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def mixed_points(n=3):
+    # zeros, plain ints and Fractions side by side
+    coord = st.one_of(st.just(0), st.integers(-3, 3), fractions())
+    return st.lists(coord, min_size=n, max_size=n)
+
+
+@given(polys(), mixed_points())
+def test_evaluate_matches_the_naive_sum(p, point):
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == evaluate_naively(p, point)
+
+
+def test_evaluate_returns_a_fraction_when_every_term_vanishes():
+    p = parse_poly("x*y + x^2*z - 3*y*x", R3)
+    for poly in (p, R3.zero()):
+        value = poly.evaluate((0, 5, Fraction(1, 2)))
+        assert type(value) is Fraction
+        assert value == 0

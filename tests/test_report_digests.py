@@ -1,9 +1,12 @@
 """Golden report digests: speed work must leave every report byte-identical.
 
 Each entry is the exit code and the SHA-256 of the stdout report of one
-CLI call, recorded before the polynomial-kernel fast paths and the heap
-pair queue landed.  A change that alters any report fails here, and the
-digest to compare against is the one below, not a fresh recording.
+CLI call.  ``GOLDEN`` was recorded before the polynomial-kernel fast
+paths and the heap pair queue landed; ``POINT_GOLDEN`` (point queries on
+corpus and bench models, many points with zero coordinates) before the
+closed-orbit scan solved each weight-column set once.  A change that
+alters any report fails here, and the digest to compare against is the
+one below, not a fresh recording.
 """
 
 import contextlib
@@ -12,6 +15,7 @@ import io
 
 import pytest
 
+from bench_models import BENCH_MODELS, write_bench_models
 from equiblow import cli
 
 GOLDEN = {
@@ -34,9 +38,37 @@ GOLDEN = {
     "blowup family.kb --full": (0, "b500836372f14f6a1c36f4cc038b0d61b229569b451da6ae37a1c7bf62aba015"),
 }
 
+POINT_GOLDEN = {
+    "crit heavy.kb --point=0,0,3,0,0,1/2": (0, "96b276830411542b8271fea21c6442739f1597deb815f957bb5c74c14a32ff4f"),
+    "crit quiver3.kb --point=0,0,0,0,0,-1": (0, "dc4cd157f7505841875fa63465db6b8935504bc762c891a45aebb1516f4ee08c"),
+    "crit conifold.kb --point=0,0,0,-3,0": (0, "0083a40a6ad05a665c17276826183e36dda9fc6bff1e810a4e2a76424eb04d68"),
+    "crit e2.kb --point=0,0,-1": (0, "1e014860bb7cb60d015d2efb8bb336406ea84e9e8bf55a6d2760e267447b5a57"),
+    "crit square.kb --point=-1,0": (0, "558168030ae0206454bb28ce8ef44ce9da14b183c6306827d6dfb8b12fe84c4f"),
+    "semistable heavy.kb --chart chart_x2 --point=0,1/3,1/2,2,3,0": (0, "32af9127e752f96ce5bcfd93ab8dd251f3a7d458547e944ea828fd94bed462ee"),
+    "semistable quiver3.kb --chart chart_a --point=0,-3/2,0,0,0,-3": (0, "456b490725990eb907f9d2c25b39ce84763b63d2c0fec0be19b32935fc896847"),
+    "semistable conifold.kb --chart chart_x1 --point=-2,1/3,0,2,0": (0, "02e89e9f1d48bd6ad9c1687ca46261287d41feae722c1a60d968d01d9a413d03"),
+    "semistable e2aux.kb --chart chart_x --point=0,1/3,0,1/2": (0, "0f893d827d17d816d4a18aaa0dd14e813b6c8772e78d6b7268daa24d12fce2d1"),
+    "semistable family.kb --chart chart_y --point=1,0,-1/3,0": (0, "d24f4f94f061017a89deef24e1437abeb9b94c1ea8c4349404b3c43bfdb8b9e0"),
+    "obstruction heavy.kb --point=0,0,-3/2,0,2,0 --direction=0,-1,-1,0,0,-1 --ext-order 2": (0, "99731d47d6365bad5c187384113261679346dd1a26f6be130f1570de4b961308"),
+    "obstruction quiver3.kb --point=0,3/2,-1,0,0,0 --direction=0,1,-1,0,0,0 --ext-order 3": (0, "6ba45a781ff486dae3922e83c7fa9b23eeb16675d821beebdde9e5718dfafd30"),
+    "obstruction conifold.kb --point=0,-1,0,0,0 --direction=-1/3,2/3,-3/2,0,0 --ext-order 2": (0, "192e20fcf556dbf239a8acd173a41edd14c1c3886fe5d67c24419ef0d7141453"),
+    "obstruction square.kb --point=-1,0 --direction=3/2,0 --ext-order 3": (0, "a4d2e9e20f866784b700ec9d7913ca1efcaed3c1100eab5bd9330c91505bc186"),
+    "obstruction e2.kb --point=-1/3,0,0 --direction=-1,0,0 --ext-order 3": (0, "a55666b1ffb93385abfcbe66aac1acfac76968ebfd118e5e3c999c5ed2327d85"),
+}
 
-def _run(case: str) -> tuple[int, str]:
-    argv = [str(cli.CORPUS_DIR / w) if w.endswith(".kb") else w for w in case.split()]
+
+@pytest.fixture(scope="module")
+def bench_dir(tmp_path_factory):
+    return write_bench_models(tmp_path_factory.mktemp("bench"))
+
+
+def _run(case: str, bench_dir=None) -> tuple[int, str]:
+    argv = [
+        str((bench_dir if w in BENCH_MODELS else cli.CORPUS_DIR) / w)
+        if w.endswith(".kb")
+        else w
+        for w in case.split()
+    ]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -52,3 +84,8 @@ def test_every_corpus_file_has_a_plain_blowup_digest():
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_report_digest_is_unchanged(case):
     assert _run(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(POINT_GOLDEN))
+def test_point_query_digest_is_unchanged(case, bench_dir):
+    assert _run(case, bench_dir) == POINT_GOLDEN[case]

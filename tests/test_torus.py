@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiblow import (
     Ideal,
@@ -23,6 +24,7 @@ from equiblow import (
     stabilizer_subtorus,
     support_is_realized,
 )
+from equiblow.torus import _closed_orbit_supports
 
 R3 = Ring(["x", "y", "z"])
 W1 = WeightMatrix([(1, -1, 0)])
@@ -163,3 +165,53 @@ def test_closed_orbit_stabilizers_lists_the_full_torus():
     subs = closed_orbit_stabilizers(W1)
     assert any(s.is_full() for s in subs)
     assert all(s.dim >= 1 for s in subs)
+
+
+@st.composite
+def weight_matrices_with_repeats(draw):
+    """Rank 1 or 2, at most 6 coordinates, entries in [-2, 2], and at
+    least one column that repeats another or is zero."""
+    k = draw(st.sampled_from([1, 2]))
+    column = st.tuples(*[st.integers(min_value=-2, max_value=2)] * k)
+    base = draw(st.lists(column, min_size=1, max_size=4))
+    extra = draw(
+        st.lists(
+            st.one_of(st.sampled_from(base), st.just((0,) * k)),
+            min_size=1,
+            max_size=6 - len(base),
+        )
+    )
+    cols = draw(st.permutations(base + extra))
+    return WeightMatrix([[c[a] for c in cols] for a in range(k)])
+
+
+def closed_orbit_supports_by_brute_force(W):
+    """One LP and one kernel per support, in the scan's order."""
+    out = []
+    for size in range(W.n + 1):
+        for support in itertools.combinations(range(W.n), size):
+            if orbit_is_closed(support, W):
+                R = stabilizer_subtorus(support, W)
+                if not R.is_trivial():
+                    out.append((support, R.cochar))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_matrices_with_repeats())
+def test_closed_orbit_scan_matches_the_per_support_scan(W):
+    got = [(support, R.cochar) for support, R in _closed_orbit_supports(W, W.n, 16)]
+    assert got == closed_orbit_supports_by_brute_force(W)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_matrices_with_repeats(), st.data())
+def test_zero_and_repeated_columns_change_neither_test(W, data):
+    cols = W.columns()
+    support = tuple(sorted(data.draw(st.sets(st.integers(0, W.n - 1), min_size=1))))
+    copy = cols[data.draw(st.sampled_from(support))]
+    for added in ((0,) * W.k, copy):
+        wider = W.with_columns(cols + [added])
+        grown = support + (W.n,)
+        assert orbit_is_closed(grown, wider) == orbit_is_closed(support, W)
+        assert stabilizer_subtorus(grown, wider) == stabilizer_subtorus(support, W)
