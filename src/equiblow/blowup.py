@@ -8,6 +8,9 @@ equivariant bundles with their twisted sections, and the cofactor data
 that make a weak local model.
 """
 
+from fractions import Fraction
+from operator import add
+
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import (
     Budget,
@@ -29,6 +32,8 @@ from .torus import (
     poly_weight,
 )
 
+_ONE = Fraction(1)
+
 
 def action_pairing(ring: Ring, weights: WeightMatrix) -> tuple[tuple[Poly, ...], ...]:
     """Matrix of the pairing between torus directions and coordinate forms.
@@ -37,15 +42,14 @@ def action_pairing(ring: Ring, weights: WeightMatrix) -> tuple[tuple[Poly, ...],
     vector field generated by the a-th torus factor.  A d-critical chart
     uses exactly this matrix as its cofactor.
     """
-    rows = []
-    for a in range(weights.k):
-        rows.append(
-            tuple(
-                ring.const(weights.rows[a][i]) * ring.var(ring.names[i])
-                for i in range(ring.n)
-            )
+    # each entry is the single term w·x_i, or zero for a zero weight
+    return tuple(
+        tuple(
+            Poly._make(ring, {u: Fraction(w)} if w else {})
+            for u, w in zip(ring.units, row)
         )
-    return tuple(rows)
+        for row in weights.rows
+    )
 
 
 class EquivariantBundle:
@@ -203,43 +207,37 @@ class BlowupChart:
         parent_weights: WeightMatrix,
         center: Subtorus,
         pivot: int,
+        moving: tuple[int, ...],
     ):
+        """``moving`` is ``fixed_locus(parent_weights, center)``, which
+        the whole atlas shares."""
         if parent_weights.k and parent_weights.n != parent_ring.n:
             raise ValueError("weight matrix width must match the ring")
-        moving = fixed_locus(parent_weights, center)
         if pivot not in moving:
             raise PreconditionError(
                 f"pivot coordinate {parent_ring.names[pivot]!r} is not moving "
                 "under the center subtorus"
             )
-        names = []
+        # x_k -> xi_k, moving x_i -> xi_k·T_i, fixed x_i -> x_i: each
+        # image is one term, and chart variable i keeps position i
+        units = parent_ring.units
+        columns = parent_weights.columns()
+        pivot_w = columns[pivot]
+        names, cols, monos = [], [], []
         for i, nm in enumerate(parent_ring.names):
+            w = columns[i]
+            u = units[i]
             if i == pivot:
                 names.append("xi_" + nm)
             elif i in moving:
                 names.append("T_" + nm)
+                w = tuple(a - b for a, b in zip(w, pivot_w))
+                u = tuple(map(add, u, units[pivot]))
             else:
                 names.append(nm)
+            cols.append(w)
+            monos.append(u)
         ring = Ring(names)
-        pivot_w = parent_weights.column(pivot)
-        cols = []
-        for i in range(parent_ring.n):
-            w = parent_weights.column(i)
-            if i == pivot:
-                cols.append(pivot_w)
-            elif i in moving:
-                cols.append(tuple(a - b for a, b in zip(w, pivot_w)))
-            else:
-                cols.append(w)
-        xi = ring.var("xi_" + parent_ring.names[pivot])
-        images = []
-        for i, nm in enumerate(parent_ring.names):
-            if i == pivot:
-                images.append(xi)
-            elif i in moving:
-                images.append(xi * ring.var("T_" + nm))
-            else:
-                images.append(ring.var(nm))
         self.parent_ring = parent_ring
         self.parent_weights = parent_weights
         self.center = center
@@ -247,7 +245,7 @@ class BlowupChart:
         self.name = "chart_" + parent_ring.names[pivot]
         self.ring = ring
         self.weights = parent_weights.with_columns(cols)
-        self.subst_images = tuple(images)
+        self.subst_images = tuple(Poly._make(ring, {u: _ONE}) for u in monos)
         self.exceptional = "xi_" + parent_ring.names[pivot]
         self.moving = moving
 
@@ -274,7 +272,7 @@ def make_charts(
     moving = fixed_locus(weights, center)
     if not moving:
         raise PreconditionError("center equals ambient; blowup empty")
-    return [BlowupChart(ring, weights, center, i) for i in moving]
+    return [BlowupChart(ring, weights, center, i, moving) for i in moving]
 
 
 def exceptional_divide(p: Poly, chart: BlowupChart) -> Poly:

@@ -111,6 +111,8 @@ def cmd_blowup(args) -> tuple[dict, int]:
     if not charts:
         raise ModelFileError(f"no chart named {args.chart!r}")
     coinc = []
+    # chart bases that equal the blowup section's, for the --full tree
+    section_bases = {}
     unit_charts = []
     for chart in atlas:
         # coincidence is judged on the whole atlas, even under --chart
@@ -122,6 +124,8 @@ def cmd_blowup(args) -> tuple[dict, int]:
         if built.model is not None:
             coinc.append(section_coincides(built.model, chart, gb, budget))
             checks["coinc"] = coinc[-1]
+            if coinc[-1]:
+                section_bases[chart.name] = gb
         if chart not in charts:
             continue
         unstable = unstable_ideal(chart) if center.dim == 1 else None
@@ -148,7 +152,9 @@ def cmd_blowup(args) -> tuple[dict, int]:
                 "--full requires a model with a section (potential or "
                 "section file)"
             )
-        tree = partial_desingularization(built.model, budget)
+        tree = partial_desingularization(
+            built.model, budget, chart_bases=section_bases
+        )
         ledger["dense"] = tree.dense
         ledger["stages"] = [_stage_dict(s) for s in tree.stages]
     return rpt.assemble(Path(args.file).name, "blowup", charts_out, ledger), 0

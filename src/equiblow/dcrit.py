@@ -50,9 +50,9 @@ def dcritical_chart(
     section = tuple(f.derivative(i) for i in frame_idx)
     pairing = action_pairing(ring, weights)
     cofactor = tuple(tuple(row[i] for i in frame_idx) for row in pairing)
+    one, zero = ring.one(), ring.zero()
     lift = tuple(
-        tuple(ring.one() if i == frame_idx[b] else ring.zero() for i in range(ring.n))
-        for b in range(len(frame_idx))
+        tuple(one if i == fi else zero for i in range(ring.n)) for fi in frame_idx
     )
     return LocalModel(
         ring,

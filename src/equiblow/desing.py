@@ -74,9 +74,16 @@ def partial_desingularization(
     budget: Budget | None = None,
     max_depth: int = 4,
     max_vars: int = 16,
+    chart_bases: dict | None = None,
 ) -> Desingularization:
     """Run the blowup loop on a local model until no semistable point has
-    a nontrivial stabilizer, returning the full stage tree."""
+    a nontrivial stabilizer, returning the full stage tree.
+
+    ``chart_bases`` maps chart names of the full-torus atlas to reduced
+    bases the caller already holds of the blown-up model's chart ideals
+    (the blowup sections); a first blowup along the full torus takes
+    them instead of computing them again.
+    """
     if action_is_trivial(model.weights):
         return Desingularization((), dense=True)
     centers = enumerate_blowup_centers(model.weights, model.ideal, None, max_vars)
@@ -89,6 +96,7 @@ def partial_desingularization(
         budget,
         max_depth,
         max_vars,
+        chart_bases or {},
     )
     return Desingularization(stages, dense=False)
 
@@ -102,6 +110,7 @@ def _descend(
     budget,
     depth_left: int,
     max_vars: int,
+    known: dict,
 ):
     if not centers:
         return ()
@@ -111,13 +120,16 @@ def _descend(
     charts = make_charts(ring, weights, center)
     outcomes = []
     for chart in charts:
+        gb = None
         if model is not None and center.is_full():
             chart_model = blowup_local_model(model, center, chart, budget)
             raw = chart_model.ideal
+            gb = known.get(chart.name)
         else:
             chart_model = None
             raw = intrinsic_ideal(ideal, chart, budget)
-        gb = buchberger(raw, DEGREVLEX, budget)
+        if gb is None:
+            gb = buchberger(raw, DEGREVLEX, budget)
         chart_unstable = unstable_ideal(chart) if center.dim == 1 else None
         next_centers = enumerate_blowup_centers(
             chart.weights, raw, chart_unstable, max_vars
@@ -137,6 +149,7 @@ def _descend(
             budget,
             depth_left - 1,
             max_vars,
+            {},
         )
         outcomes.append(
             ChartOutcome(chart, raw, gb, chart_model, chart_unstable, substages)

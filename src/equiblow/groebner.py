@@ -285,11 +285,17 @@ def buchberger(
             )
         push_pairs(len(basis) - 1)
 
-    return _finalize(ring, order, basis, _tracked)
+    return _finalize(ring, order, basis, _tracked, budget)
 
 
-def _finalize(ring: Ring, order: MonomialOrder, basis: list[_Tracked], tracked: bool):
-    """Interreduce, tail-reduce, normalise to monic, sort canonically."""
+def _finalize(
+    ring: Ring, order: MonomialOrder, basis: list[_Tracked], tracked: bool, budget: Budget
+):
+    """Interreduce, tail-reduce, normalise to monic, sort canonically.
+
+    Tail reduction keeps the leading term, but outside a graded order it
+    can raise the total degree, so it runs under the caller's budget too.
+    """
     # drop elements whose leading monomial another one divides
     keep: list[_Tracked] = []
     lms = [b.poly.leading_monomial(order) for b in basis]
@@ -310,7 +316,7 @@ def _finalize(ring: Ring, order: MonomialOrder, basis: list[_Tracked], tracked: 
     for i, b in enumerate(keep):
         others = [keep[j] for j in range(len(keep)) if j != i]
         if others:
-            b = _reduce_tracked(b, others, order, Budget(10**9, 10**9))
+            b = _reduce_tracked(b, others, order, budget)
         lc = b.poly.leading_coefficient(order)
         final.append(b.scaled(Fraction(1) / lc))
 

@@ -9,14 +9,15 @@ The format is deliberately primitive so fixtures stay diff-friendly:
     potential = "x*y*z"
 """
 
+import re
 from fractions import Fraction
 
 from .blowup import EquivariantBundle, LocalModel
 from .dcrit import dcritical_chart
-from .errors import ModelFileError, PolyParseError
+from .errors import ModelFileError, PolyParseError, PreconditionError
 from .groebner import Ideal
 from .poly import Poly, Ring, parse_poly
-from .torus import Subtorus, WeightMatrix, reynolds
+from .torus import WeightMatrix
 
 _KEYS = {
     "variables",
@@ -189,102 +190,76 @@ class ModelFile:
 # text parsing
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self, newlines: bool):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self.pos += 1
-            elif ch in " \t\r" or (newlines and ch == "\n"):
-                self.pos += 1
-            else:
-                break
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ModelFileError(
-                f"expected {ch!r} at offset {self.pos}, found {self.peek()!r}"
-            )
-        self.pos += 1
+# each pattern matches from a given offset and cannot fail; "\w" is
+# exactly ch.isalnum() or ch == "_"
+_BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")  # blanks and comments
+_LINE_BLANKS = re.compile(r"(?:[ \t\r]|#[^\n]*)*")  # the same within a line
+_KEY = re.compile(r"\w*")
+_BARE = re.compile(r"[^,\]# \t\r\n]*")  # an unquoted value
 
 
-def _scan_value(sc: _Scanner):
-    sc.skip_ws(newlines=True)
-    ch = sc.peek()
+def _scan_value(text: str, pos: int):
+    """The value starting at ``pos`` (after blanks) and the offset past it."""
+    pos = _BLANKS.match(text, pos).end()
+    ch = text[pos : pos + 1]
     if ch == '"':
-        sc.pos += 1
-        start = sc.pos
-        while sc.peek() not in ('"', ""):
-            sc.pos += 1
-        if sc.peek() != '"':
+        end = text.find('"', pos + 1)
+        if end < 0:
             raise ModelFileError("unterminated string")
-        value = sc.text[start : sc.pos]
-        sc.pos += 1
-        return value
+        return text[pos + 1 : end], end + 1
     if ch == "[":
-        sc.pos += 1
         items = []
-        sc.skip_ws(newlines=True)
-        if sc.peek() == "]":
-            sc.pos += 1
-            return items
+        pos = _BLANKS.match(text, pos + 1).end()
+        if text[pos : pos + 1] == "]":
+            return items, pos + 1
         while True:
-            items.append(_scan_value(sc))
-            sc.skip_ws(newlines=True)
-            if sc.peek() == ",":
-                sc.pos += 1
-                sc.skip_ws(newlines=True)
-                if sc.peek() == "]":  # trailing comma
-                    sc.pos += 1
-                    return items
+            value, pos = _scan_value(text, pos)
+            items.append(value)
+            pos = _BLANKS.match(text, pos).end()
+            ch = text[pos : pos + 1]
+            if ch == ",":
+                pos = _BLANKS.match(text, pos + 1).end()
+                if text[pos : pos + 1] == "]":  # trailing comma
+                    return items, pos + 1
                 continue
-            sc.expect("]")
-            return items
-    start = sc.pos
-    while sc.peek() and sc.peek() not in ",]# \t\r\n":
-        sc.pos += 1
-    atom = sc.text[start : sc.pos]
+            if ch != "]":
+                raise ModelFileError(f"expected ']' at offset {pos}, found {ch!r}")
+            return items, pos + 1
+    start = pos
+    pos = _BARE.match(text, pos).end()
+    atom = text[start:pos]
     if not atom:
         raise ModelFileError(f"empty value at offset {start}")
     neg = atom[1:] if atom.startswith("-") else atom
     if neg.isdigit():
-        return int(atom)
+        return int(atom), pos
     if "/" in atom:
         num, _, den = atom.partition("/")
         numneg = num[1:] if num.startswith("-") else num
         if numneg.isdigit() and den.isdigit():
             if not int(den):
                 raise ModelFileError(f"zero denominator in {atom!r} at offset {start}")
-            return Fraction(int(num), int(den))
-    return atom
+            return Fraction(int(num), int(den)), pos
+    return atom, pos
 
 
 def parse_model_text(text: str) -> ModelFile:
-    sc = _Scanner(text)
     entries: dict = {}
-    while True:
-        sc.skip_ws(newlines=True)
-        if not sc.peek():
-            break
-        start = sc.pos
-        while sc.peek() and (sc.peek().isalnum() or sc.peek() == "_"):
-            sc.pos += 1
-        key = sc.text[start : sc.pos]
+    pos = _BLANKS.match(text).end()
+    while pos < len(text):
+        end = _KEY.match(text, pos).end()
+        key = text[pos:end]
         if not key:
-            raise ModelFileError(f"expected a key at offset {sc.pos}")
+            raise ModelFileError(f"expected a key at offset {pos}")
         if key in entries:
             raise ModelFileError(f"duplicate key {key!r}")
-        sc.skip_ws(newlines=False)
-        sc.expect("=")
-        entries[key] = _scan_value(sc)
+        pos = _LINE_BLANKS.match(text, end).end()
+        if text[pos : pos + 1] != "=":
+            raise ModelFileError(
+                f"expected '=' at offset {pos}, found {text[pos : pos + 1]!r}"
+            )
+        entries[key], pos = _scan_value(text, pos + 1)
+        pos = _BLANKS.match(text, pos).end()
     return ModelFile(entries)
 
 
@@ -327,9 +302,11 @@ def build_model(mf: ModelFile) -> BuiltModel:
     try:
         if mf.potential is not None:
             f = parse_poly(mf.potential, ring)
-            if reynolds(f, weights, Subtorus.full(weights.k)) != f:
-                raise ModelFileError("potential is not invariant")
-            model = dcritical_chart(f, weights, base_param=mf.base_parameter)
+            try:
+                model = dcritical_chart(f, weights, base_param=mf.base_parameter)
+            except PreconditionError:
+                # the one precondition of a d-critical chart: f is invariant
+                raise ModelFileError("potential is not invariant") from None
             against = None
             if mf.section is not None:
                 if len(mf.section) != model.bundle.rank:

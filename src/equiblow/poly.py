@@ -14,6 +14,7 @@ nonzero ``Fraction`` coefficients, and it becomes the polynomial's own
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add, neg
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -123,7 +124,7 @@ def block_order(first: int) -> MonomialOrder:
 class Ring:
     """An ordered tuple of variable names fixing the polynomial ring."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "units")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -136,6 +137,10 @@ class Ring:
             seen.add(nm)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "index", {nm: i for i, nm in enumerate(names)})
+        # units[i] is the exponent vector of the i-th variable
+        zeros = (0,) * len(names)
+        units = tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(len(names)))
+        object.__setattr__(self, "units", units)
 
     def __setattr__(self, *a):
         raise AttributeError("Ring is immutable")
@@ -145,9 +150,7 @@ class Ring:
         return len(self.names)
 
     def var(self, name: str) -> "Poly":
-        i = self.index[name]
-        mono = tuple(1 if j == i else 0 for j in range(self.n))
-        return Poly._make(self, {mono: _ONE})
+        return Poly._make(self, {self.units[self.index[name]]: _ONE})
 
     def gens(self) -> tuple["Poly", ...]:
         return tuple(self.var(nm) for nm in self.names)
@@ -540,116 +543,140 @@ def divide_exact(p: Poly, d: Poly, order: MonomialOrder = DEGREVLEX) -> Poly | N
 
 from .errors import PolyParseError
 
+_NAME_TAIL = re.compile(r"\w*")  # the characters ch.isalnum() or ch == "_"
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list[tuple[str, str, int]] = []
-        self._lex()
-        self.i = 0
 
-    def _lex(self):
-        text, n = self.text, len(self.text)
-        pos = 0
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace():
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    """Tokens (kind, text, offset) of polynomial text, ending with "end"."""
+    toks = []
+    n = len(text)
+    pos = 0
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+        elif ch.isdigit():
+            start = pos
+            pos += 1
+            while pos < n and text[pos].isdigit():
                 pos += 1
-                continue
-            if ch.isdigit():
-                start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                self.toks.append(("int", text[start:pos], start))
-                continue
-            if ch.isalpha() or ch == "_":
-                start = pos
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                self.toks.append(("name", text[start:pos], start))
-                continue
-            if ch in "+-*^()/":
-                self.toks.append((ch, ch, pos))
-                pos += 1
-                continue
+            toks.append(("int", text[start:pos], start))
+        elif ch.isalpha() or ch == "_":
+            end = _NAME_TAIL.match(text, pos + 1).end()
+            toks.append(("name", text[pos:end], pos))
+            pos = end
+        elif ch in "+-*^()/":
+            toks.append((ch, ch, pos))
+            pos += 1
+        else:
             raise PolyParseError(f"unexpected character {ch!r}", pos)
-        self.toks.append(("end", "", n))
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind: str | None = None):
-        tok = self.toks[self.i]
-        if kind is not None and tok[0] != kind:
-            raise PolyParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
+    toks.append(("end", "", n))
+    return toks
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
-    """Parse polynomial text over the given ring's variables."""
-    toks = _Tokens(text)
+    """Parse polynomial text over the given ring's variables.
 
-    def parse_rational(first: tuple) -> Fraction:
-        num = int(first[1])
-        if toks.peek()[0] == "/":
-            toks.take("/")
-            den_tok = toks.take("int")
-            den = int(den_tok[1])
-            if den == 0:
-                raise PolyParseError("zero denominator", den_tok[2])
-            return Fraction(num, den)
-        return Fraction(num)
+    The rationals and variable powers of a product multiply into one
+    term; only parenthesised groups go through ``Poly`` arithmetic.  The
+    terms come out in the order that left-to-right ``Poly`` arithmetic
+    on the same text gives them.
+    """
+    toks = _lex(text)
+    index = ring.index
+    n = ring.n
+    i = 0
 
-    def parse_atom() -> Poly:
-        tok = toks.peek()
-        if tok[0] == "int":
-            toks.take()
-            return ring.const(parse_rational(tok))
-        if tok[0] == "name":
-            toks.take()
-            if tok[1] not in ring.index:
-                raise PolyParseError(f"undeclared variable {tok[1]!r}", tok[2])
-            return ring.var(tok[1])
-        if tok[0] == "(":
-            toks.take()
-            inner = parse_expr()
-            toks.take(")")
-            return inner
-        raise PolyParseError(f"expected a term, found {tok[1]!r}", tok[2])
+    def expect(kind: str):
+        nonlocal i
+        tok = toks[i]
+        if tok[0] != kind:
+            raise PolyParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        i += 1
+        return tok
 
-    def parse_factor() -> Poly:
-        base = parse_atom()
-        if toks.peek()[0] == "^":
-            toks.take()
-            etok = toks.peek()
-            if etok[0] == "-":
-                raise PolyParseError("negative exponent", etok[2])
-            etok = toks.take("int")
-            return base ** int(etok[1])
-        return base
+    def exponent() -> int | None:
+        # the '^ nonneg-int' after an atom, if any
+        nonlocal i
+        if toks[i][0] != "^":
+            return None
+        i += 1
+        if toks[i][0] == "-":
+            raise PolyParseError("negative exponent", toks[i][2])
+        return int(expect("int")[1])
 
-    def parse_product() -> Poly:
-        p = parse_factor()
-        while toks.peek()[0] == "*":
-            toks.take()
-            p = p * parse_factor()
-        return p
+    def parse_product() -> dict:
+        nonlocal i
+        coeff = _ONE
+        mono = [0] * n
+        group = None
+        while True:
+            tok = toks[i]
+            kind = tok[0]
+            i += 1
+            if kind == "int":
+                c = Fraction(int(tok[1]))
+                if toks[i][0] == "/":
+                    i += 1
+                    den_tok = expect("int")
+                    den = int(den_tok[1])
+                    if den == 0:
+                        raise PolyParseError("zero denominator", den_tok[2])
+                    c /= den
+                e = exponent()
+                coeff *= c if e is None else c**e
+            elif kind == "name":
+                v = index.get(tok[1])
+                if v is None:
+                    raise PolyParseError(f"undeclared variable {tok[1]!r}", tok[2])
+                e = exponent()
+                mono[v] += 1 if e is None else e
+            elif kind == "(":
+                g = Poly._make(ring, parse_expr())
+                expect(")")
+                e = exponent()
+                if e is not None:
+                    g = g**e
+                group = g if group is None else group * g
+            else:
+                raise PolyParseError(f"expected a term, found {tok[1]!r}", tok[2])
+            if toks[i][0] != "*":
+                break
+            i += 1
+        if not coeff:
+            return {}
+        if group is None:
+            return {tuple(mono): coeff}
+        return group.term_mul(tuple(mono), coeff).terms
 
-    def parse_expr() -> Poly:
-        sign = 1
-        if toks.peek()[0] in ("+", "-"):
-            sign = -1 if toks.take()[0] == "-" else 1
-        p = parse_product() * sign
-        while toks.peek()[0] in ("+", "-"):
-            op = toks.take()[0]
-            q = parse_product()
-            p = p + q if op == "+" else p - q
-        return p
+    def parse_expr() -> dict:
+        # the products are summed into one dict, as p + q and p - q would
+        nonlocal i
+        out: dict = {}
+        kind = toks[i][0]
+        negate = kind == "-"
+        if negate or kind == "+":
+            i += 1
+        while True:
+            for m, c in parse_product().items():
+                if negate:
+                    c = -c
+                if m in out:
+                    s = out[m] + c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+                else:
+                    out[m] = c
+            kind = toks[i][0]
+            if kind != "+" and kind != "-":
+                return out
+            negate = kind == "-"
+            i += 1
 
-    result = parse_expr()
-    end = toks.peek()
+    result = Poly._make(ring, parse_expr())
+    end = toks[i]
     if end[0] != "end":
         raise PolyParseError(f"trailing input {end[1]!r}", end[2])
     return result

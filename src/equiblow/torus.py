@@ -82,7 +82,12 @@ class Subtorus:
 
     @classmethod
     def full(cls, k: int) -> "Subtorus":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)], k)
+        # the identity basis is saturated and already in Hermite form
+        full = object.__new__(cls)
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        object.__setattr__(full, "cochar", identity)
+        object.__setattr__(full, "ambient_rank", int(k))
+        return full
 
     @property
     def dim(self) -> int:

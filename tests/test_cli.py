@@ -140,6 +140,58 @@ def test_bad_budget_env_is_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_budget_hit_in_finalisation_is_exit_4(capsys, tmp_path):
+    # eliminating u, v tail-reduces v^2 + u*y^2 to degree 5 in the last
+    # step of the basis computation; the cap of 4 holds there too
+    src = tmp_path / "tail.kb"
+    src.write_text(
+        "variables = [u, v, x, y, z]\nweights = [[0, 0, 1, 0, 0]]\n"
+        'ideal = ["v^2 + u*y^2", "u - z^3"]\n'
+    )
+    argv = ("independence", str(src), "--aux", "u,v")
+    code, out, err = run(capsys, *argv, "--budget", "4")
+    assert code == 4
+    assert out == ""
+    assert err == "budget: reduction produced degree 5 (cap 4)\n"
+    assert report(capsys, *argv, "--budget", "5")["ledger"]["independent"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crit",),
+        ("semistable", "--chart", "chart_x", "--point=0,0"),
+        ("obstruction", "--point=0,0"),
+    ],
+)
+def test_non_invariant_potential_is_exit_2(capsys, tmp_path, argv):
+    src = tmp_path / "skew.kb"
+    src.write_text('variables = [x, y]\nweights = [[1, -1]]\npotential = "x^2*y"\n')
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: potential is not invariant\n"
+
+
+def test_build_model_checks_invariance_once(monkeypatch):
+    from equiblow import modelfile, torus
+
+    calls = []
+    original = torus.reynolds
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "equiblow" and getattr(module, "reynolds", None) is original:
+            monkeypatch.setattr(module, "reynolds", counted)
+    for name in ("e2.kb", "square.kb", "family.kb"):
+        calls.clear()
+        modelfile.build_model(modelfile.load_model_file(str(CORPUS / name)))
+        assert len(calls) == 1, name
+
+
 def test_precondition_violation_is_exit_3(capsys, tmp_path):
     # fiber-check on a file without a base parameter
     src = tmp_path / "nobase.kb"
@@ -269,7 +321,9 @@ def test_chart_bases_are_computed_once(capsys, monkeypatch):
     assert 0 < len(calls) <= 50
     calls.clear()
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
-    assert 0 < len(calls) <= 15
+    # one basis per chart for the report, one per section check, and the
+    # tree reuses them: its stage-0 bases are not computed again
+    assert len(calls) == 13
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from equiblow import (
     parse_poly,
     saturate,
 )
-from equiblow.poly import mono_divides, mono_lcm
+from equiblow.poly import block_order, mono_divides, mono_lcm
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -199,6 +199,30 @@ def test_budget_caps_raise():
     I = Ideal(R3, [parse_poly("x*y - z^2", R3), parse_poly("x^2 - y*z", R3)])
     with pytest.raises(BudgetExceededError):
         buchberger(I, DEGREVLEX, Budget(max_basis=1, max_degree=1))
+
+
+def test_budget_caps_the_tail_reduction_of_finalisation(monkeypatch):
+    # under a block order the tail reduction of v^2 + u*y^2 by u - z^3
+    # gives v^2 + y^2*z^3: degree 5 from inputs of degree 3, with no pair
+    # to reduce (the leading monomials are coprime)
+    from equiblow import groebner
+
+    ring = Ring(["u", "v", "y", "z"])
+    ideal = Ideal(ring, [parse_poly("v^2 + u*y^2", ring), parse_poly("u - z^3", ring)])
+    order = block_order(2)
+    finalised = []
+    original = groebner._finalize
+
+    def finalize(*args):
+        finalised.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_finalize", finalize)
+    with pytest.raises(BudgetExceededError, match=r"degree 5 \(cap 4\)"):
+        buchberger(ideal, order, Budget(max_basis=10, max_degree=4))
+    assert finalised
+    gb = buchberger(ideal, order, Budget(max_basis=10, max_degree=5))
+    assert gb.basis == (parse_poly("u - z^3", ring), parse_poly("v^2 + y^2*z^3", ring))
 
 
 def test_zero_generators_are_dropped():

@@ -4,7 +4,9 @@ Each entry is the exit code and the SHA-256 of the stdout report of one
 CLI call.  ``GOLDEN`` was recorded before the polynomial-kernel fast
 paths and the heap pair queue landed; ``POINT_GOLDEN`` (point queries on
 corpus and bench models, many points with zero coordinates) before the
-closed-orbit scan solved each weight-column set once.  A change that
+closed-orbit scan solved each weight-column set once; ``KIRWAN_GOLDEN``
+(the Kirwan loop on the bench models) before chart atlases and models
+were built directly.  A change that
 alters any report fails here, and the digest to compare against is the
 one below, not a fresh recording.
 """
@@ -56,6 +58,12 @@ POINT_GOLDEN = {
     "obstruction e2.kb --point=-1/3,0,0 --direction=-1,0,0 --ext-order 3": (0, "a55666b1ffb93385abfcbe66aac1acfac76968ebfd118e5e3c999c5ed2327d85"),
 }
 
+KIRWAN_GOLDEN = {
+    "blowup heavy.kb --full": (0, "2997b510111dc7e373d138d5131910a8a57ce4ea8ca9e5c62742dcae7f34205e"),
+    "blowup quiver3.kb --full": (0, "335e4515259fcb074690fd00cd6d59d0cc4c79fc36ae823c85d2f58befd1db44"),
+    "blowup conifold.kb --full": (0, "a785f6ded1b6bb50d0c28cbeb21fdac8725f419e28faf49d7640978050b010db"),
+}
+
 
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
@@ -89,3 +97,8 @@ def test_report_digest_is_unchanged(case):
 @pytest.mark.parametrize("case", sorted(POINT_GOLDEN))
 def test_point_query_digest_is_unchanged(case, bench_dir):
     assert _run(case, bench_dir) == POINT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(KIRWAN_GOLDEN))
+def test_kirwan_loop_digest_is_unchanged(case, bench_dir):
+    assert _run(case, bench_dir) == KIRWAN_GOLDEN[case]
