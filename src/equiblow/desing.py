@@ -86,7 +86,9 @@ def partial_desingularization(
     """
     if action_is_trivial(model.weights):
         return Desingularization((), dense=True)
-    centers = enumerate_blowup_centers(model.weights, model.ideal, None, max_vars)
+    centers = enumerate_blowup_centers(
+        model.weights, model.ideal, None, max_vars, budget
+    )
     stages = _descend(
         model.ring,
         model.weights,
@@ -132,7 +134,7 @@ def _descend(
             gb = buchberger(raw, DEGREVLEX, budget)
         chart_unstable = unstable_ideal(chart) if center.dim == 1 else None
         next_centers = enumerate_blowup_centers(
-            chart.weights, raw, chart_unstable, max_vars
+            chart.weights, raw, chart_unstable, max_vars, budget
         )
         for R in next_centers:
             if R.cochar == center.cochar:

@@ -424,29 +424,3 @@ def saturate(ideal: Ideal, h: Poly, budget: Budget | None = None) -> Ideal:
     gens = [g.rename_ring(big) for g in ideal.generators]
     gens.append(big.var(t) * h.rename_ring(big) - 1)
     return eliminate(Ideal(big, gens), [t], budget)
-
-
-def intersect(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
-    """Ideal intersection via the single-variable graded trick."""
-    if a.ring != b.ring:
-        raise ValueError("ideals live in different rings")
-    ring = a.ring
-    t = _fresh_name(ring, "mix")
-    big = ring.adjoin_front([t])
-    tv = big.var(t)
-    gens = [tv * g.rename_ring(big) for g in a.generators]
-    gens += [(big.one() - tv) * g.rename_ring(big) for g in b.generators]
-    return eliminate(Ideal(big, gens), [t], budget)
-
-
-def in_radical(p: Poly, ideal: Ideal, budget: Budget | None = None) -> bool:
-    """Radical membership via the inverse-variable trick."""
-    if p.is_zero():
-        return True
-    ring = ideal.ring
-    t = _fresh_name(ring, "rad")
-    big = ring.adjoin_front([t])
-    gens = [g.rename_ring(big) for g in ideal.generators]
-    gens.append(big.one() - big.var(t) * p.rename_ring(big))
-    gb = buchberger(Ideal(big, gens), DEGREVLEX, budget)
-    return contains_one(gb)

@@ -5,6 +5,12 @@ weight matrix; column i is the character through which the i-th
 coordinate transforms.  Subtori are saturated cocharacter sublattices,
 stored as canonical Hermite-reduced row bases so equal subtori compare
 equal.
+
+Because the action is diagonal, a point's stabilizer, the closedness
+of its orbit and the vanishing of a monomial on it depend only on its
+coordinate support.  The blowup-center scan therefore works support by
+support: everything but one emptiness test (is some point of V(I)
+supported exactly there?) is read off the support itself.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import linalg
+from . import groebner, linalg
 from .errors import BudgetExceededError, PreconditionError
 from .poly import Mono, Poly, Ring
 
@@ -199,28 +205,30 @@ def orbit_is_closed(support: Iterable[int], weights: WeightMatrix) -> bool:
     return linalg.zero_in_relative_interior([weights.column(i) for i in support])
 
 
-def support_is_realized(support: Sequence[int], ideal):
-    """Saturated ideal of {points in V(I) with support exactly S}, or None.
+def support_is_realized(
+    support: Sequence[int], ideal, budget: groebner.Budget | None = None
+) -> bool:
+    """Whether some point of V(I) has exactly the given coordinate support.
 
-    None means no point of V(I) has that exact support.  Imported lazily
-    from the Groebner layer to keep the module graphs acyclic.
+    Such a point is a zero of I and of the off-support coordinates at
+    which the product of the support's coordinates is invertible, so one
+    Rabinowitsch basis decides it: in the ring with one adjoined variable
+    t, the ideal generated by I, the off-support variables and
+    ``1 - t * prod_{i in S} x_i`` contains 1 exactly when no point does.
     """
-    from . import groebner
-
     ring = ideal.ring
-    support = sorted(set(support))
-    off = [i for i in range(ring.n) if i not in support]
-    gens = list(ideal.generators) + [ring.var(ring.names[i]) for i in off]
-    J = groebner.Ideal(ring, gens)
-    if support:
-        prod = ring.one()
-        for i in support:
-            prod = prod * ring.var(ring.names[i])
-        J = groebner.saturate(J, prod)
-    gb = groebner.buchberger(J)
-    if groebner.contains_one(gb):
-        return None
-    return J
+    support = set(support)
+    big = ring.adjoin_front([groebner._fresh_name(ring, "t")])
+    gens = [g.rename_ring(big) for g in ideal.generators]
+    prod = big.var(big.names[0])
+    for i, name in enumerate(ring.names):
+        if i in support:
+            prod = prod * big.var(name)
+        else:
+            gens.append(big.var(name))
+    gens.append(big.one() - prod)
+    gb = groebner.buchberger(groebner.Ideal(big, gens), budget=budget)
+    return not groebner.contains_one(gb)
 
 
 def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
@@ -275,34 +283,43 @@ def enumerate_blowup_centers(
     ideal,
     unstable=None,
     max_vars: int = 16,
+    budget: groebner.Budget | None = None,
 ) -> list[Subtorus]:
     """Nontrivial stabilizer subtori of closed-orbit points of V(I).
 
-    Scans every coordinate support, keeps those realized by an actual
-    point of V(I) (membership tested through saturated coordinate-slice
-    ideals), requires the orbit closed and, when an unstable ideal is
-    supplied, a realizing point outside its zero set; an unstable ideal
+    Scans every coordinate support S whose orbit is closed.  On the
+    points with support exactly S a monomial vanishes iff one of its
+    variables lies outside S, so an unstable ideal (monomial generators
+    only) excludes S when every generator has such a variable; one
     without generators vanishes everywhere and so excludes every center.
-    Subtori acting trivially on the ambient space are excluded: blowing up
-    along the whole space is the degenerate case handled by the caller.
+    That test is read off S and runs first.  A support that passes it
+    costs one emptiness basis, under ``budget``, to check that a point
+    of V(I) realizes it.  Subtori acting trivially on the ambient space
+    are excluded: blowing up along the whole space is the degenerate
+    case handled by the caller.
 
     Results are deduplicated and sorted by decreasing dimension, ties
     broken by the canonical cocharacter rows.
     """
-    from . import groebner
-
+    unstable_vars = None
+    if unstable is not None:
+        if any(len(g.terms) != 1 for g in unstable.generators):
+            raise PreconditionError("unstable ideal must be generated by monomials")
+        unstable_vars = [
+            {i for m in g.terms for i, e in enumerate(m) if e}
+            for g in unstable.generators
+        ]
     found: dict = {}
     for support, R in _closed_orbit_supports(weights, ideal.ring.n, max_vars):
         if R.cochar in found:
             continue
         if not fixed_locus(weights, R):
             continue  # acts trivially on the ambient space
-        slice_ideal = support_is_realized(support, ideal)
-        if slice_ideal is None:
-            continue
-        if unstable is not None and all(
-            groebner.in_radical(g, slice_ideal) for g in unstable.generators
+        if unstable_vars is not None and all(
+            v.difference(support) for v in unstable_vars
         ):
-            continue  # every realizing point is unstable
+            continue  # every point with this support is unstable
+        if not support_is_realized(support, ideal, budget):
+            continue
         found[R.cochar] = R
     return sorted(found.values(), key=lambda R: R.sort_key())

@@ -322,8 +322,21 @@ def test_chart_bases_are_computed_once(capsys, monkeypatch):
     calls.clear()
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     # one basis per chart for the report, one per section check, and the
-    # tree reuses them: its stage-0 bases are not computed again
-    assert len(calls) == 13
+    # tree reuses them: its stage-0 bases are not computed again; the
+    # center scan then costs one emptiness basis per surviving support
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize(
+    "name, count", [("heavy.kb", 13), ("quiver3.kb", 9), ("conifold.kb", 9)]
+)
+def test_bench_model_trees_compute_exact_basis_counts(
+    capsys, monkeypatch, tmp_path, name, count
+):
+    write_bench_models(tmp_path)
+    calls = count_buchberger(monkeypatch)
+    report(capsys, "blowup", str(tmp_path / name), "--full")
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize(

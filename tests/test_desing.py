@@ -4,6 +4,7 @@ the stabilizer set, and the trivial-action early exit."""
 import pytest
 
 from equiblow import (
+    Budget,
     BudgetExceededError,
     Ring,
     WeightMatrix,
@@ -53,3 +54,22 @@ def test_depth_budget_is_respected():
     model = dcritical_chart(parse_poly("x*y*z", R3), WeightMatrix([(1, -1, 0)]))
     with pytest.raises(BudgetExceededError):
         partial_desingularization(model, max_depth=0)
+
+
+def test_every_center_scan_gets_the_callers_budget(monkeypatch):
+    from equiblow import desing
+
+    seen = []
+    original = desing.enumerate_blowup_centers
+
+    def spy(weights, ideal, unstable, max_vars, budget):
+        seen.append(budget)
+        return original(weights, ideal, unstable, max_vars, budget)
+
+    monkeypatch.setattr(desing, "enumerate_blowup_centers", spy)
+    budget = Budget(max_basis=500, max_degree=30)
+    model = dcritical_chart(parse_poly("x*y*z", R3), WeightMatrix([(1, -1, 0)]))
+    partial_desingularization(model, budget)
+    # the scan of the model and one scan per chart of the first stage
+    assert len(seen) == 3
+    assert all(b is budget for b in seen)

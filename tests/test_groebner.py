@@ -1,6 +1,6 @@
 """Buchberger engine: worked bases, S-polynomial self-checks, the ideal
-operations (saturation, elimination, intersection, radical membership),
-and robustness of ideal_equal under generator presentation changes."""
+operations (saturation, elimination, lift certificates), and robustness
+of ideal_equal under generator presentation changes."""
 
 import random
 from fractions import Fraction
@@ -19,8 +19,6 @@ from equiblow import (
     contains_one,
     eliminate,
     ideal_equal,
-    in_radical,
-    intersect,
     lift_certificate,
     normal_form,
     parse_poly,
@@ -179,20 +177,6 @@ def test_elimination_projects_a_graph():
     E2 = eliminate(C, ["z"])
     target = Ring(["x", "y"])
     assert ideal_equal(E2, Ideal(target, [parse_poly("y - x^2", target)]))
-
-
-def test_intersection_of_two_axes():
-    I = Ideal(R2, [parse_poly("x", R2)])
-    J = Ideal(R2, [parse_poly("y", R2)])
-    both = intersect(I, J)
-    assert ideal_equal(both, Ideal(R2, [parse_poly("x*y", R2)]))
-
-
-def test_radical_membership():
-    I = Ideal(R2, [parse_poly("x^2", R2)])
-    assert in_radical(parse_poly("x", R2), I)
-    assert not in_radical(parse_poly("y", R2), I)
-    assert in_radical(parse_poly("x^5*y", R2), I)
 
 
 def test_budget_caps_raise():

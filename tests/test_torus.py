@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiblow import (
+    Budget,
+    BudgetExceededError,
     Ideal,
     Poly,
     PreconditionError,
@@ -147,11 +149,13 @@ def test_closed_orbit_rule_matches_limit_oracle_k2_sample():
 
 def test_support_is_realized_gives_the_slice():
     I = Ideal(R3, [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)])
-    sl = support_is_realized((2,), I)
-    assert sl is not None
-    assert sorted(str(g) for g in sl.generators) == ["x", "y"]
+    # the z-axis minus the origin has support exactly {z}
+    assert support_is_realized((2,), I) is True
     # the support {x, y} forces x*y = 0, impossible with both nonzero
-    assert support_is_realized((0, 1), I) is None
+    assert support_is_realized((0, 1), I) is False
+    # the empty support is the origin: on the three axes, not on x = 1
+    assert support_is_realized((), I) is True
+    assert support_is_realized((), Ideal(R3, [parse_poly("x - 1", R3)])) is False
 
 
 def test_enumerate_blowup_centers_on_three_axes():
@@ -159,6 +163,28 @@ def test_enumerate_blowup_centers_on_three_axes():
     centers = enumerate_blowup_centers(W1, I)
     assert centers
     assert centers[0].is_full()
+
+
+def test_center_scan_runs_under_the_callers_budget():
+    I = Ideal(R3, [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)])
+    with pytest.raises(BudgetExceededError):
+        enumerate_blowup_centers(W1, I, budget=Budget(max_basis=1))
+
+
+def test_center_scan_reads_unstable_monomials_off_the_support():
+    everything = Ideal(R3, [])
+
+    def centers(*unstable):
+        gens = [parse_poly(g, R3) for g in unstable]
+        return enumerate_blowup_centers(W1, everything, Ideal(R3, gens))
+
+    # only the supports () and {z} have a nontrivial stabilizer; x*z
+    # vanishes on both strata, z only on the origin
+    assert centers("x*z") == []
+    assert [c.is_full() for c in centers("z")] == [True]
+    assert centers() == []
+    with pytest.raises(PreconditionError):
+        centers("x + z")
 
 
 def test_closed_orbit_stabilizers_lists_the_full_torus():
