@@ -1,24 +1,20 @@
 """Exact linear algebra over Q and Z.
 
-Rational ranks and kernels via Gaussian elimination on Fractions (with
-an integer fraction-free path for ranks), Hermite reduction for integer
-lattices, and a small exact simplex for the convex-position tests that
-GIT stability needs.  No floating point anywhere.
+Rational kernels, solutions and cokernels via Gaussian elimination on
+Fractions; ranks and the convex-position tests that GIT stability needs
+by integer-preserving (Bareiss) elimination, so their entries stay
+plain ints; Hermite and Smith reduction for integer lattices.  No
+floating point anywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index
 from typing import Callable, Sequence
 
 Vec = tuple
 Mat = tuple  # tuple of row tuples
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
@@ -72,13 +68,12 @@ def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(A: Mat) -> int:
-    """Exact rank, computed fraction-free after clearing denominators."""
+    """Exact rank of a matrix of ints and Fractions, computed
+    fraction-free after clearing each row's denominators."""
     rows = []
     for row in A:
-        den = 1
-        for x in row:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-        rows.append([int(Fraction(x) * den) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
     m = len(rows)
     n = len(rows[0]) if rows else 0
     # Bareiss elimination
@@ -298,61 +293,74 @@ def primitive(v) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact LP feasibility (phase-one simplex, Bland's rule)
+# exact LP feasibility (fraction-free phase-one simplex, Bland's rule)
 
 
-def _phase_one(A: list[list[Fraction]], b: list[Fraction]) -> bool:
-    """Feasibility of {x >= 0 : A x = b} over the rationals."""
+def _phase_one(A: list[list[int]], b: list[int]) -> bool:
+    """Feasibility of {x >= 0 : A x = b} for integer A and b.
+
+    The tableau is kept integer-preserving (Edmonds, Bareiss): every
+    row, the cost row included, is the rational tableau times d, the
+    determinant of the current basis, which is the last pivot.  The
+    pivot row stays as it is and every other row becomes
+    (p*x - f*y) // d, an exact division.  Pivots are positive, so d > 0
+    and the signs and cross-multiplied ratios of the integer tableau
+    are those of the rational one: Bland's rule makes the same pivots.
+    """
     m = len(A)
     n = len(A[0]) if A else 0
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
     # tableau with artificial basis; minimize the sum of artificials
-    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
-    cost = [Fraction(0)] * (n + m + 1)
+    T = []
     for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= T[i][j]
-    for i in range(m):
-        cost[n + i] = Fraction(0)
+        unit = [0] * m
+        unit[i] = 1
+        if b[i] < 0:
+            T.append([-x for x in A[i]] + unit + [-b[i]])
+        else:
+            T.append(A[i] + unit + [b[i]])
+    cost = [-sum(col) for col in zip(*T)] if T else [0]
+    cost[n : n + m] = [0] * m
     basis = [n + i for i in range(m)]
+    d = 1
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
-            break
-        best = None
+            return cost[-1] == 0
+        leave = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, T[i][-1], a
+                    continue
+                # compare the ratio T[i][-1] / a with num / den
+                lhs, rhs = T[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, T[i][-1], a
+        if leave is None:
             # unbounded phase-one cannot happen (objective bounded below by 0)
             raise ArithmeticError("phase-one simplex unbounded")
-        _, leave = best
-        pv = T[leave][enter]
-        T[leave] = [x / pv for x in T[leave]]
+        y = T[leave]
+        p = y[enter]
         for i in range(m):
-            if i != leave and T[i][enter] != 0:
+            if i != leave:
                 f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+                T[i] = [(p * x - f * z) // d for x, z in zip(T[i], y)]
         f = cost[enter]
-        if f != 0:
-            cost = [x - f * y for x, y in zip(cost, T[leave] + [])]
+        cost = [(p * x - f * z) // d for x, z in zip(cost, y)]
+        d = p
         basis[leave] = enter
-    return -cost[-1] == 0
 
 
 def lp_feasible(A_eq, b_eq, lower) -> bool:
-    """Feasibility of {x : A x = b, x_i >= lower_i} with exact rationals."""
-    A = [[Fraction(x) for x in row] for row in A_eq]
-    b = [Fraction(x) for x in b_eq]
-    lo = [Fraction(x) for x in lower]
-    if A:
-        shift = [sum(A[i][j] * lo[j] for j in range(len(lo))) for i in range(len(A))]
-        b = [b[i] - shift[i] for i in range(len(b))]
+    """Feasibility of {x : A x = b, x_i >= lower_i} for integer data.
+
+    Substitutes x = lower + x' and decides {x' >= 0 : A x' = b - A lower}
+    exactly with the fraction-free simplex.
+    """
+    lo = [index(x) for x in lower]
+    A = [[index(x) for x in row] for row in A_eq]
+    b = [index(bi) - sum(a * l for a, l in zip(row, lo)) for bi, row in zip(b_eq, A)]
     return _phase_one(A, b)
 
 
@@ -362,10 +370,9 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> bool:
     if not vs:
         return False
     d = len(vs[0])
-    A = [[Fraction(v[i]) for v in vs] for i in range(d)]
-    A.append([Fraction(1)] * len(vs))
-    b = [Fraction(0)] * d + [Fraction(1)]
-    return lp_feasible(A, b, [0] * len(vs))
+    A = [[v[i] for v in vs] for i in range(d)]
+    A.append([1] * len(vs))
+    return lp_feasible(A, [0] * d + [1], [0] * len(vs))
 
 
 def zero_in_relative_interior(vectors: Sequence[Sequence[int]]) -> bool:
@@ -379,6 +386,5 @@ def zero_in_relative_interior(vectors: Sequence[Sequence[int]]) -> bool:
     if not vs:
         return False
     d = len(vs[0])
-    A = [[Fraction(v[i]) for v in vs] for i in range(d)]
-    b = [Fraction(0)] * d
-    return lp_feasible(A, b, [1] * len(vs))
+    A = [[v[i] for v in vs] for i in range(d)]
+    return lp_feasible(A, [0] * d, [1] * len(vs))

@@ -340,7 +340,7 @@ def test_bench_model_trees_compute_exact_basis_counts(
 
 
 @pytest.mark.parametrize(
-    "name, point, most",
+    "name, point, count",
     [
         ("heavy.kb", "0,0,0,0,0,0", 15),
         ("quiver3.kb", "0,0,0,0,0,0", 3),
@@ -348,7 +348,7 @@ def test_bench_model_trees_compute_exact_basis_counts(
     ],
 )
 def test_crit_solves_one_lp_per_weight_column_set(
-    capsys, monkeypatch, tmp_path, name, point, most
+    capsys, monkeypatch, tmp_path, name, point, count
 ):
     # one closed-orbit LP per nonempty set of distinct nonzero weight
     # columns: heavy has 4 such columns, quiver3 and conifold 2 each
@@ -364,4 +364,4 @@ def test_crit_solves_one_lp_per_weight_column_set(
     monkeypatch.setattr(linalg, "lp_feasible", counted)
     write_bench_models(tmp_path)
     report(capsys, "crit", str(tmp_path / name), f"--point={point}")
-    assert 0 < len(calls) <= most
+    assert len(calls) == count

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from equiblow import (
     coker_projection,
@@ -15,10 +16,11 @@ from equiblow import (
     zero_in_convex_hull,
     zero_in_relative_interior,
 )
+from equiblow import linalg
 from equiblow.linalg import (
     hermite_rows,
-    identity,
     left_kernel_basis,
+    lp_feasible,
     primitive,
     smith_diagonal,
     transpose,
@@ -63,7 +65,8 @@ def test_coker_projection_annihilates_the_image(A):
     for col in transpose(A):
         assert all(x == 0 for x in project(col))
     # projection of the standard basis spans a dim-dimensional space
-    images = [list(project(row)) for row in identity(3)]
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    images = [list(project(row)) for row in identity]
     assert rank(images) == dim
 
 
@@ -167,3 +170,201 @@ def test_mat_mul_matches_the_triple_loop_with_zero_rows(A, B, zero):
     product = mat_mul(A, B)
     assert product == mat_mul_naively(A, B)
     assert all(type(x) is Fraction for row in product for x in row)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against references that share no code with them
+
+
+def fraction_phase_one(A, b):
+    """The phase-one simplex on Fraction tableaux, as equiblow ran it
+    before the fraction-free kernel: Bland's rule, artificial basis."""
+    m = len(A)
+    n = len(A[0]) if A else 0
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
+    cost = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= T[i][j]
+    for i in range(m):
+        cost[n + i] = Fraction(0)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        _, leave = best
+        pv = T[leave][enter]
+        T[leave] = [x / pv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        f = cost[enter]
+        if f != 0:
+            cost = [x - f * y for x, y in zip(cost, T[leave])]
+        basis[leave] = enter
+    return -cost[-1] == 0
+
+
+def fraction_lp_feasible(A_eq, b_eq, lower):
+    A = [[Fraction(x) for x in row] for row in A_eq]
+    lo = [Fraction(x) for x in lower]
+    b = [Fraction(bi) - sum(a * l for a, l in zip(row, lo)) for bi, row in zip(b_eq, A)]
+    return fraction_phase_one(A, b)
+
+
+def fraction_hull(vs):
+    d = len(vs[0])
+    A = [[v[i] for v in vs] for i in range(d)] + [[1] * len(vs)]
+    return fraction_lp_feasible(A, [0] * d + [1], [0] * len(vs))
+
+
+def fraction_relint(vs):
+    d = len(vs[0])
+    A = [[v[i] for v in vs] for i in range(d)]
+    return fraction_lp_feasible(A, [0] * d, [1] * len(vs))
+
+
+def caratheodory_oracles():
+    """Hull and relative-interior membership by Caratheodory enumeration,
+    with every linear system solved exactly by sympy.
+
+    0 is in conv(V) iff the barycentric system of some affinely
+    independent subset has a (unique) nonnegative solution.  0 is a
+    strictly positive combination of V iff, for each i, -v_i is a
+    nonnegative combination of a linearly independent subset of the
+    other vectors: adding up those combinations gives every weight a
+    positive coefficient.  (sympy's own simplex, `lpmin`, accepts
+    infeasible equality systems here, so it is no oracle.)
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ = sympy.QQ
+
+    def unique_nonnegative(cols, rhs):
+        n = len(cols)
+        rows = [[QQ(c[i]) for c in cols] + [QQ(rhs[i])] for i in range(len(rhs))]
+        reduced, pivots = DomainMatrix(rows, (len(rows), n + 1), QQ).rref()
+        if pivots != tuple(range(n)):  # singular or inconsistent
+            return False
+        return all(reduced[j, n].element >= 0 for j in range(n))
+
+    def hull(vs):
+        d = len(vs[0])
+        return any(
+            unique_nonnegative([v + (1,) for v in sub], (0,) * d + (1,))
+            for size in range(1, min(len(vs), d + 1) + 1)
+            for sub in itertools.combinations(vs, size)
+        )
+
+    def in_cone(target, others, d):
+        return not any(target) or any(
+            unique_nonnegative(sub, target)
+            for size in range(1, min(len(others), d) + 1)
+            for sub in itertools.combinations(others, size)
+        )
+
+    def relint(vs):
+        d = len(vs[0])
+        return all(
+            in_cone(tuple(-x for x in v), vs[:i] + vs[i + 1 :], d)
+            for i, v in enumerate(vs)
+        )
+
+    return hull, relint
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=7
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_convex_position_predicates_match_sympy_and_the_fraction_simplex(vs):
+    hull, relint = caratheodory_oracles()
+    in_hull = zero_in_convex_hull(vs)
+    in_relint = zero_in_relative_interior(vs)
+    assert in_hull == hull(vs) == fraction_hull(vs)
+    assert in_relint == relint(vs) == fraction_relint(vs)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=m, max_size=m),
+                st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            )
+        )
+    )
+)
+@settings(max_examples=200)
+def test_lp_feasible_matches_the_fraction_simplex(system):
+    A, b, lower = system
+    assert lp_feasible(A, b, lower) == fraction_lp_feasible(A, b, lower)
+
+
+def mixed_matrices():
+    """Tall and wide matrices of ints and Fractions (denominators up to
+    10**6), with dependent rows c * row_i + row_j appended and shuffled
+    in, and some rows and columns zeroed."""
+    entry = st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
+    )
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=10**6)
+
+    @st.composite
+    def build(draw):
+        rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+        M = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        for _ in range(draw(st.integers(0, 3)) if rows else 0):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            c = draw(coefficient)
+            M.append([c * x + y for x, y in zip(M[i], M[j])])
+        M = draw(st.permutations(M))
+        zero_rows = draw(st.sets(st.integers(0, len(M))))
+        zero_cols = draw(st.sets(st.integers(0, cols)))
+        return [
+            [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(M)
+        ]
+
+    return build()
+
+
+@given(mixed_matrices())
+@settings(max_examples=200)
+def test_rank_of_mixed_entries_matches_a_rational_row_reduction(M):
+    from test_acceptance import frac_rank
+
+    assert rank(M) == frac_rank(M)
+    assert rank(transpose(M)) == frac_rank(M)
+
+
+def test_integer_kernels_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("an integer kernel built a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert rank([[1, 2, 3], [2, 4, 6], [0, 1, -1]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert zero_in_convex_hull([(1, -2), (-3, 1), (2, 2)])
+    assert not zero_in_convex_hull([(1, 1), (2, -1)])
+    assert zero_in_relative_interior([(1, 0), (-1, 0), (0, 2), (0, -3)])
+    assert not zero_in_relative_interior([(0, 0), (1, 0)])
