@@ -186,6 +186,13 @@ class BlowupChart:
     other moving x_i becomes the ratio coordinate T_i (so x_i = xi_k·T_i),
     fixed coordinates are untouched.  Induced weights: w(xi_k) = w_k,
     w(T_i) = w_i - w_k, fixed unchanged.
+
+    The pullback is a map on exponent vectors: x^m goes to the monomial
+    with the same exponents except at the pivot, which becomes the sum of
+    the moving exponents.  Multiplying or dividing by xi shifts that sum,
+    so pullback, exceptional division and the xi twist are one routine,
+    ``shifted_pullback``, that copies coefficients as they are.
+    ``subst_images`` holds the same map as one image per variable.
     """
 
     __slots__ = (
@@ -199,6 +206,7 @@ class BlowupChart:
         "subst_images",
         "exceptional",
         "moving",
+        "fixed",
     )
 
     def __init__(
@@ -248,15 +256,37 @@ class BlowupChart:
         self.subst_images = tuple(Poly._make(ring, {u: _ONE}) for u in monos)
         self.exceptional = "xi_" + parent_ring.names[pivot]
         self.moving = moving
+        self.fixed = tuple(i for i in range(parent_ring.n) if i not in moving)
 
     @property
     def xi(self) -> Poly:
         return self.ring.var(self.exceptional)
 
     def pullback(self, p: Poly) -> Poly:
-        if p.ring != self.parent_ring:
+        return self.shifted_pullback(p, 0)
+
+    def shifted_pullback(self, p: Poly, shift: int) -> Poly | None:
+        """xi^shift times the pullback of p, or None when shift is
+        negative and some term of the pullback lacks xi^(-shift).
+
+        The pivot exponent of the image of x^m is the sum of the moving
+        exponents of m.  The other exponents stay, so the map is
+        injective: terms never collide and keep their coefficients and
+        their order.
+        """
+        if p.ring is not self.parent_ring and p.ring != self.parent_ring:
             raise ValueError("polynomial does not live in the parent ring")
-        return p.subs(self.subst_images, self.ring)
+        k = self.pivot
+        fixed = self.fixed
+        out: dict = {}
+        for m, c in p.terms.items():
+            e = sum(m) + shift
+            for i in fixed:
+                e -= m[i]
+            if e < 0:
+                return None
+            out[m[:k] + (e,) + m[k + 1 :]] = c
+        return Poly._make(self.ring, out)
 
     def __repr__(self):
         return f"BlowupChart({self.name}, vars={list(self.ring.names)})"
@@ -296,8 +326,13 @@ def exceptional_divide(p: Poly, chart: BlowupChart) -> Poly:
         raise PreconditionError(
             f"fixed element passed where a moving piece is required: {p}"
         )
-    q = chart.pullback(p)
-    quotient = divide_exact(q, chart.xi)
+    return _divide_moving(p, chart)
+
+
+def _divide_moving(p: Poly, chart: BlowupChart) -> Poly:
+    """Pullback of p divided by xi, for p already known to be
+    homogeneous of nonzero weight for the chart's center."""
+    quotient = chart.shifted_pullback(p, -1)
     if quotient is None:
         raise TheoremCheckError(
             "pullback of a moving piece is not divisible by the exceptional "
@@ -312,6 +347,8 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
 
     Requires the ideal invariant under the center subtorus, verified by
     reducing every isotypic piece of every generator to normal form.
+    Each piece is homogeneous by construction and carries its restricted
+    weight, so it is divided without ``exceptional_divide``'s check.
     Returns the ideal of the images; callers that compare it take its
     reduced Groebner basis once.
     """
@@ -334,7 +371,7 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
                     )
         for gp in pieces:
             if any(gp.weight):
-                image = exceptional_divide(gp.part, chart)
+                image = _divide_moving(gp.part, chart)
             else:
                 image = chart.pullback(gp.part)
             if image.is_zero() or image in seen:
@@ -371,20 +408,15 @@ def blowup_section(model: LocalModel, chart: BlowupChart) -> tuple[Poly, ...]:
     Divisibility is guaranteed for an invariant section (a moving frame
     pairs with a moving component); failure is a theorem check.
     """
-    xi = chart.xi
     comps = []
     for mov, comp in zip(_frame_moving(model.bundle, chart.center), model.section):
-        q = chart.pullback(comp)
-        if mov:
-            divided = divide_exact(q, xi)
-            if divided is None:
-                raise TheoremCheckError(
-                    "moving section component is not divisible by the "
-                    f"exceptional coordinate {chart.exceptional}: {comp}"
-                )
-            comps.append(divided)
-        else:
-            comps.append(q)
+        q = chart.shifted_pullback(comp, -1 if mov else 0)
+        if q is None:
+            raise TheoremCheckError(
+                "moving section component is not divisible by the "
+                f"exceptional coordinate {chart.exceptional}: {comp}"
+            )
+        comps.append(q)
     return tuple(comps)
 
 
@@ -593,12 +625,19 @@ def check_weak_local_model(
     fixed_projection = True
     for R in closed_orbit_stabilizers(W, max_vars):
         moving = fixed_locus(W, R)
-        images = [
-            ring.zero() if i in moving else ring.var(ring.names[i])
-            for i in range(ring.n)
-        ]
         for b in range(r):
-            restricted = [model.cofactor[a][b].subs(images, ring) for a in range(k)]
+            # setting the moving coordinates to zero keeps the terms free of them
+            restricted = [
+                Poly._make(
+                    ring,
+                    {
+                        m: c
+                        for m, c in model.cofactor[a][b].terms.items()
+                        if not any(m[i] for i in moving)
+                    },
+                )
+                for a in range(k)
+            ]
             for c in R.cochar:
                 acc = ring.zero()
                 for a in range(k):
@@ -654,7 +693,7 @@ def blowup_local_model(
 
     cofactor = tuple(
         tuple(
-            chart.pullback(e) * xi if moving_frames[b] else chart.pullback(e)
+            chart.shifted_pullback(e, 1 if moving_frames[b] else 0)
             for b, e in enumerate(row)
         )
         for row in model.cofactor

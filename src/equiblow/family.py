@@ -11,7 +11,7 @@ from fractions import Fraction
 from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
 from .errors import PreconditionError
 from .groebner import Budget, Ideal, buchberger
-from .poly import DEGREVLEX, Ring
+from .poly import DEGREVLEX, Poly, Ring
 from .torus import Subtorus, WeightMatrix, fixed_locus
 
 
@@ -34,12 +34,40 @@ def _base_index(model: LocalModel) -> int:
 
 def _drop_var(source: Ring, name: str, c: Fraction):
     """The map setting the variable ``name`` of ``source`` to c, into the
-    ring without it."""
+    ring without it.
+
+    Each term loses its exponent e of ``name`` and its coefficient takes
+    a factor c^e, cached per exponent; terms that land on one monomial
+    sum, and zero sums are dropped.  The result equals ``Poly.subs`` with
+    c as the image of ``name``, term order included.
+    """
     target = source.without((name,))
-    images = [
-        target.const(c) if nm == name else target.var(nm) for nm in source.names
-    ]
-    return lambda p: p.subs(images, target)
+    t = source.index[name]
+    powers: dict[int, Fraction] = {}
+
+    def sub(p: Poly) -> Poly:
+        out: dict = {}
+        for m, cc in p.terms.items():
+            e = m[t]
+            if e:
+                if not c:
+                    continue  # the term vanishes
+                f = powers.get(e)
+                if f is None:
+                    f = powers[e] = c**e
+                cc = cc * f
+            mm = m[:t] + m[t + 1 :]
+            if mm in out:
+                s = out[mm] + cc
+                if s:
+                    out[mm] = s
+                else:
+                    del out[mm]
+            else:
+                out[mm] = cc
+        return Poly._make(target, out)
+
+    return sub
 
 
 def specialize(model: LocalModel, c) -> LocalModel:

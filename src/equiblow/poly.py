@@ -310,8 +310,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = Fraction(other)
-        return self * Fraction(1, 1) * Fraction(c.denominator, c.numerator)
+        # 1 / Fraction(0) raises ZeroDivisionError
+        return self * (1 / Fraction(other))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -448,7 +448,7 @@ class Poly:
                     )
                 mm[j] = e
             out[tuple(mm)] = c
-        return Poly(target, out)
+        return Poly._make(target, out)
 
     # -- comparisons --------------------------------------------------------
 
@@ -511,9 +511,31 @@ def sub_scaled(work: dict, terms: Mapping[Mono, Fraction], quot: Mono, c: Fracti
 
 
 def divide_exact(p: Poly, d: Poly, order: MonomialOrder = DEGREVLEX) -> Poly | None:
-    """Exact quotient p / d, or None when d does not divide p."""
+    """Exact quotient p / d, or None when d does not divide p.
+
+    A one-term divisor c·x^u divides term by term: each exponent drops
+    by u and each coefficient is divided by c, or copied when c is 1.
+    Distinct monomials keep distinct quotients, so nothing sums, and the
+    quotient is None as soon as one term lacks x^u.  Any other divisor
+    goes through long division in ``order``.
+    """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(d.terms) != 1:
+        return _long_divide(p, d, order)
+    ((u, lc),) = d.terms.items()
+    unit = lc == 1
+    q: dict = {}
+    for m, c in p.terms.items():
+        quot = mono_div(m, u)
+        if quot is None:
+            return None
+        q[quot] = c if unit else c / lc
+    return Poly._make(p.ring, q)
+
+
+def _long_divide(p: Poly, d: Poly, order: MonomialOrder) -> Poly | None:
+    """Long division of p by d in ``order``: exact quotient or None."""
     lm = d.leading_monomial(order)
     lc = d.leading_coefficient(order)
     q: dict = {}

@@ -50,7 +50,7 @@ class WeightMatrix:
         return tuple(row[i] for row in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(i) for i in range(self.n)]
+        return list(zip(*self.rows))
 
     def with_columns(self, cols: Sequence[Sequence[int]]) -> "WeightMatrix":
         cols = [tuple(int(x) for x in c) for c in cols]
@@ -145,26 +145,38 @@ def poly_weight(p: Poly, weights: WeightMatrix) -> tuple[int, ...] | None:
     return w if w is not None else (0,) * weights.k
 
 
+def _restricted_weights(p: Poly, weights: WeightMatrix, torus: Subtorus):
+    """Each term of p with its weight restricted to the subtorus.
+
+    Restriction is linear, so each variable's weight is restricted once
+    and a monomial's restricted weight is the exponent-weighted sum.
+    """
+    cols = [torus.restrict(col) for col in weights.columns()]
+    zero = (0,) * torus.dim
+    for m, c in p.terms.items():
+        w = zero
+        for e, col in zip(m, cols):
+            if e:
+                w = tuple(x + e * y for x, y in zip(w, col))
+        yield m, c, w
+
+
 def isotypic_decompose(p: Poly, weights: WeightMatrix, torus: Subtorus) -> list[GradedPiece]:
     """Split p into isotypic parts under the subtorus, sorted by weight."""
     buckets: dict[tuple[int, ...], dict] = {}
-    for m, c in p.terms.items():
-        w = torus.restrict(monomial_weight(m, weights))
+    for m, c, w in _restricted_weights(p, weights, torus):
         buckets.setdefault(w, {})[m] = c
     return [
-        GradedPiece(w, Poly(p.ring, terms)) for w, terms in sorted(buckets.items())
+        GradedPiece(w, Poly._make(p.ring, terms))
+        for w, terms in sorted(buckets.items())
     ]
 
 
 def reynolds(p: Poly, weights: WeightMatrix, torus: Subtorus) -> Poly:
     """Projection onto the weight-zero isotypic piece (Reynolds operator)."""
     zero = (0,) * torus.dim
-    kept = {
-        m: c
-        for m, c in p.terms.items()
-        if torus.restrict(monomial_weight(m, weights)) == zero
-    }
-    return Poly(p.ring, kept)
+    kept = {m: c for m, c, w in _restricted_weights(p, weights, torus) if w == zero}
+    return Poly._make(p.ring, kept)
 
 
 def fixed_locus(weights: WeightMatrix, torus: Subtorus) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from chart_glue import charts_glue
+from hypothesis import assume, given, settings, strategies as st
 
 from equiblow import (
     EquivariantBundle,
@@ -31,6 +32,8 @@ from equiblow import (
     parse_poly,
     section_coincides,
 )
+from equiblow.poly import DEGREVLEX, Poly, _long_divide
+from equiblow.torus import fixed_locus, isotypic_decompose
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -222,3 +225,51 @@ def test_corpus_chart_ideals_glue_on_overlaps():
     assert not charts_glue(
         intrinsic_ideal(I, cx), cx, Ideal(cy.ring, [cy.ring.var("z")]), cy
     )
+
+
+# ---------------------------------------------------------------------------
+# the chart routine against substitution and long division
+
+
+@st.composite
+def charted_polys(draw):
+    """A rank-1 or rank-2 weight matrix with a zero (fixed) column, a
+    center with at least one moving coordinate, and a polynomial."""
+    k = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.integers(min_value=2, max_value=4))
+    weight = st.tuples(*[st.integers(min_value=-2, max_value=2)] * k)
+    cols = draw(st.lists(weight, min_size=n, max_size=n))
+    cols[draw(st.integers(min_value=0, max_value=n - 1))] = (0,) * k
+    weights = WeightMatrix([[c[a] for c in cols] for a in range(k)])
+    if k == 2 and draw(st.booleans()):
+        center = Subtorus([draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]))], 2)
+    else:
+        center = Subtorus.full(k)
+    assume(fixed_locus(weights, center))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            max_size=6,
+        )
+    )
+    return Ring(("x", "y", "z", "w")[:n]), weights, center, terms
+
+
+@given(charted_polys())
+@settings(max_examples=80)
+def test_shifted_pullback_matches_substitution_and_long_division(case):
+    ring, weights, center, terms = case
+    p = Poly(ring, terms)
+    pieces = isotypic_decompose(p, weights, center)
+    for chart in make_charts(ring, weights, center):
+        for q, moving in [(p, False)] + [(gp.part, any(gp.weight)) for gp in pieces]:
+            pulled = q.subs(chart.subst_images, chart.ring)
+            same = chart.shifted_pullback(q, 0)
+            assert list(same.terms.items()) == list(pulled.terms.items())
+            assert chart.pullback(q) == pulled
+            assert chart.shifted_pullback(q, 1) == pulled * chart.xi
+            divided = chart.shifted_pullback(q, -1)
+            assert divided == _long_divide(pulled, chart.xi, DEGREVLEX)
+            if moving:
+                assert divided is not None

@@ -327,6 +327,31 @@ def test_chart_bases_are_computed_once(capsys, monkeypatch):
     assert len(calls) == 5
 
 
+def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatch):
+    # chart pullbacks, exceptional division, the xi twist and fiber
+    # specialization are exponent maps, and every divisor on these runs
+    # is one term, so neither generic path is ever entered
+    from equiblow import poly
+
+    entered = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            entered.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(poly.Poly, "subs", counted("subs", poly.Poly.subs))
+    monkeypatch.setattr(poly, "_long_divide", counted("long", poly._long_divide))
+    calls = count_buchberger(monkeypatch)
+    report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
+    assert (entered, len(calls)) == ([], 5)
+    calls.clear()
+    report(capsys, "fiber-check", str(CORPUS / "family.kb"), "--at=3/2")
+    assert (entered, len(calls)) == ([], 4)
+
+
 @pytest.mark.parametrize(
     "name, count", [("heavy.kb", 13), ("quiver3.kb", 9), ("conifold.kb", 9)]
 )

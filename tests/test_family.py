@@ -4,6 +4,7 @@ locus, and commutation of the blowup with passing to a fiber."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiblow import (
     PreconditionError,
@@ -15,6 +16,8 @@ from equiblow import (
     parse_poly,
     specialize,
 )
+from equiblow.family import _drop_var
+from equiblow.poly import Poly
 
 R4 = Ring(["x", "y", "z", "t"])
 W4 = WeightMatrix([(1, -1, 0, 0)])
@@ -63,3 +66,35 @@ def test_fiber_blowup_commutes_at_three_values():
 def test_fiber_blowup_commutes_with_fractional_value():
     results = fiber_blowup_commutes(family_model(), Fraction(1, 2))
     assert all(results.values())
+
+
+RXT = Ring(["x", "t", "y"])
+
+
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 4)]),
+        max_size=6,
+    ),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]),
+)
+@settings(max_examples=80)
+def test_drop_var_matches_subs_with_a_constant_image(terms, c):
+    p = Poly(RXT, terms)
+    target = RXT.without(("t",))
+    images = [target.var("x"), target.const(c), target.var("y")]
+    fast = _drop_var(RXT, "t", c)(p)
+    slow = p.subs(images, target)
+    assert fast.ring == target
+    assert list(fast.terms.items()) == list(slow.terms.items())
+    assert all(type(v) is Fraction and v != 0 for v in fast.terms.values())
+
+
+def test_drop_var_drops_cancelled_and_vanishing_terms():
+    x, t, y = RXT.gens()
+    at_two = _drop_var(RXT, "t", Fraction(2))
+    assert at_two(x * t - 2 * x).terms == {}
+    assert at_two(x * t - 2 * x + t**2 * y) == 4 * at_two(y)
+    at_zero = _drop_var(RXT, "t", Fraction(0))
+    assert at_zero(x * t + t**2 + y) == at_zero(y)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiblow import DEGREVLEX, LEX, Poly, PolyParseError, Ring, divide_exact, parse_poly
-from equiblow.poly import block_order
+from equiblow.poly import _long_divide, block_order
 
 R3 = Ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -197,9 +197,38 @@ def test_arithmetic_results_hold_only_nonzero_fractions(p, q, images):
         p.subs(images, R3),
         p.subs([X + Y, Y, Z], R3),
         divide_exact(p * Y, Y),
+        divide_exact(p * Y * Fraction(-2, 3), Y * Fraction(-2, 3)),
         divide_exact(p * (X + Z), X + Z),
+        p.rename_ring(Ring(["z", "x", "y", "w"])),
     ]
     assert all(only_nonzero_fractions(r) for r in built)
+
+
+def test_division_by_zero_constant_raises():
+    with pytest.raises(ZeroDivisionError):
+        (X + Y) / 0
+    assert (X + Y) / Fraction(-2, 3) == X * Fraction(-3, 2) - Y * Fraction(3, 2)
+
+
+@given(polys(), single_terms(R3))
+@settings(max_examples=80)
+def test_one_term_division_matches_long_division(p, d):
+    # the long-division loop, called directly, is the reference
+    for dividend in (p, p * d, p * d + p):
+        fast = divide_exact(dividend, d)
+        slow = _long_divide(dividend, d, DEGREVLEX)
+        assert fast == slow
+        if fast is not None:
+            assert only_nonzero_fractions(fast)
+    assert divide_exact(p * d, d) == p
+
+
+def test_one_term_division_rejects_a_term_without_the_divisor():
+    d = 3 * X * Y
+    p = 6 * X**2 * Y - 3 * X * Y * Z
+    assert divide_exact(p, d) == 2 * X - Z
+    assert divide_exact(p + Y * Z, d) is None
+    assert _long_divide(p + Y * Z, d, DEGREVLEX) is None
 
 
 def test_leading_monomial_cache_follows_the_order_asked():

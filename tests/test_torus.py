@@ -26,7 +26,7 @@ from equiblow import (
     stabilizer_subtorus,
     support_is_realized,
 )
-from equiblow.torus import _closed_orbit_supports
+from equiblow.torus import _closed_orbit_supports, monomial_weight
 
 R3 = Ring(["x", "y", "z"])
 W1 = WeightMatrix([(1, -1, 0)])
@@ -49,6 +49,42 @@ def test_isotypic_pieces_sum_back_and_are_homogeneous():
     assert total == p
     weights = [gp.weight for gp in pieces]
     assert len(weights) == len(set(weights))
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),
+        min_size=1,
+        max_size=2,
+    ),
+    st.sampled_from([None, (1, 0), (0, 1), (1, 1), (2, -1)]),
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        max_size=8,
+    ),
+)
+@settings(max_examples=60)
+def test_isotypic_pieces_match_per_term_restriction(rows, cochar, terms):
+    # reference: restrict every term's full weight, one term at a time
+    weights = WeightMatrix(rows)
+    if cochar is None or weights.k == 1:
+        torus = Subtorus.full(weights.k)
+    else:
+        torus = Subtorus([cochar], 2)
+    p = Poly(R3, terms)
+    buckets = {}
+    for m, c in p.terms.items():
+        w = torus.restrict(monomial_weight(m, weights))
+        buckets.setdefault(w, {})[m] = c
+    pieces = isotypic_decompose(p, weights, torus)
+    assert [(gp.weight, list(gp.part.terms.items())) for gp in pieces] == [
+        (w, list(t.items())) for w, t in sorted(buckets.items())
+    ]
+    zero = (0,) * torus.dim
+    assert list(reynolds(p, weights, torus).terms.items()) == list(
+        buckets.get(zero, {}).items()
+    )
 
 
 def test_reynolds_is_the_weight_zero_piece_and_idempotent():
