@@ -9,7 +9,6 @@ that make a weak local model.
 """
 
 from fractions import Fraction
-from operator import add
 
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import (
@@ -28,11 +27,8 @@ from .torus import (
     closed_orbit_stabilizers,
     fixed_locus,
     isotypic_decompose,
-    monomial_weight,
     poly_weight,
 )
-
-_ONE = Fraction(1)
 
 
 def action_pairing(ring: Ring, weights: WeightMatrix) -> tuple[tuple[Poly, ...], ...]:
@@ -192,7 +188,6 @@ class BlowupChart:
     the moving exponents.  Multiplying or dividing by xi shifts that sum,
     so pullback, exceptional division and the xi twist are one routine,
     ``shifted_pullback``, that copies coefficients as they are.
-    ``subst_images`` holds the same map as one image per variable.
     """
 
     __slots__ = (
@@ -203,7 +198,6 @@ class BlowupChart:
         "name",
         "ring",
         "weights",
-        "subst_images",
         "exceptional",
         "moving",
         "fixed",
@@ -226,25 +220,21 @@ class BlowupChart:
                 f"pivot coordinate {parent_ring.names[pivot]!r} is not moving "
                 "under the center subtorus"
             )
-        # x_k -> xi_k, moving x_i -> xi_k·T_i, fixed x_i -> x_i: each
-        # image is one term, and chart variable i keeps position i
-        units = parent_ring.units
+        # x_k -> xi_k, moving x_i -> xi_k·T_i, fixed x_i -> x_i, and
+        # chart variable i keeps position i
         columns = parent_weights.columns()
         pivot_w = columns[pivot]
-        names, cols, monos = [], [], []
+        names, cols = [], []
         for i, nm in enumerate(parent_ring.names):
             w = columns[i]
-            u = units[i]
             if i == pivot:
                 names.append("xi_" + nm)
             elif i in moving:
                 names.append("T_" + nm)
                 w = tuple(a - b for a, b in zip(w, pivot_w))
-                u = tuple(map(add, u, units[pivot]))
             else:
                 names.append(nm)
             cols.append(w)
-            monos.append(u)
         ring = Ring(names)
         self.parent_ring = parent_ring
         self.parent_weights = parent_weights
@@ -253,7 +243,6 @@ class BlowupChart:
         self.name = "chart_" + parent_ring.names[pivot]
         self.ring = ring
         self.weights = parent_weights.with_columns(cols)
-        self.subst_images = tuple(Poly._make(ring, {u: _ONE}) for u in monos)
         self.exceptional = "xi_" + parent_ring.names[pivot]
         self.moving = moving
         self.fixed = tuple(i for i in range(parent_ring.n) if i not in moving)
@@ -306,32 +295,14 @@ def make_charts(
 
 
 def exceptional_divide(p: Poly, chart: BlowupChart) -> Poly:
-    """Pull a moving weight-homogeneous element back and divide by xi.
+    """Pull a moving piece back and divide by xi.
 
     The input must be homogeneous of nonzero weight for the center
-    subtorus; its pullback then vanishes on the exceptional locus and the
-    division is exact.  A division failure means the invariance
-    assumptions were violated upstream, so it is raised as a theorem
-    check, never returned.
+    subtorus, as every moving isotypic piece is; its pullback then
+    vanishes on the exceptional locus and the division is exact.  A
+    division failure means the invariance assumptions were violated
+    upstream, so it is raised as a theorem check, never returned.
     """
-    restricted = set()
-    for m in p.terms:
-        restricted.add(chart.center.restrict(monomial_weight(m, chart.parent_weights)))
-    if len(restricted) != 1:
-        raise PreconditionError(
-            f"not weight-homogeneous for the center subtorus: {p}"
-        )
-    (w,) = restricted
-    if not any(w):
-        raise PreconditionError(
-            f"fixed element passed where a moving piece is required: {p}"
-        )
-    return _divide_moving(p, chart)
-
-
-def _divide_moving(p: Poly, chart: BlowupChart) -> Poly:
-    """Pullback of p divided by xi, for p already known to be
-    homogeneous of nonzero weight for the chart's center."""
     quotient = chart.shifted_pullback(p, -1)
     if quotient is None:
         raise TheoremCheckError(
@@ -348,7 +319,7 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
     Requires the ideal invariant under the center subtorus, verified by
     reducing every isotypic piece of every generator to normal form.
     Each piece is homogeneous by construction and carries its restricted
-    weight, so it is divided without ``exceptional_divide``'s check.
+    weight, which says whether it is moving.
     Returns the ideal of the images; callers that compare it take its
     reduced Groebner basis once.
     """
@@ -371,7 +342,7 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
                     )
         for gp in pieces:
             if any(gp.weight):
-                image = _divide_moving(gp.part, chart)
+                image = exceptional_divide(gp.part, chart)
             else:
                 image = chart.pullback(gp.part)
             if image.is_zero() or image in seen:

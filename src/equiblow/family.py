@@ -45,8 +45,7 @@ def _drop_var(source: Ring, name: str, c: Fraction):
     t = source.index[name]
     powers: dict[int, Fraction] = {}
 
-    def sub(p: Poly) -> Poly:
-        out: dict = {}
+    def images(p: Poly):
         for m, cc in p.terms.items():
             e = m[t]
             if e:
@@ -56,16 +55,10 @@ def _drop_var(source: Ring, name: str, c: Fraction):
                 if f is None:
                     f = powers[e] = c**e
                 cc = cc * f
-            mm = m[:t] + m[t + 1 :]
-            if mm in out:
-                s = out[mm] + cc
-                if s:
-                    out[mm] = s
-                else:
-                    del out[mm]
-            else:
-                out[mm] = cc
-        return Poly._make(target, out)
+            yield m[:t] + m[t + 1 :], cc
+
+    def sub(p: Poly) -> Poly:
+        return Poly._collect(target, images(p))
 
     return sub
 

@@ -217,6 +217,25 @@ class Poly:
         _set_lead(p, None)
         return p
 
+    @classmethod
+    def _collect(cls, ring: Ring, pairs) -> "Poly":
+        """Sum (monomial, nonzero Fraction) pairs into a polynomial.
+
+        Terms that land on one monomial add, and a zero sum is dropped;
+        the result keeps the order in which monomials first appear.
+        """
+        out: dict = {}
+        for m, c in pairs:
+            if m in out:
+                s = out[m] + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            else:
+                out[m] = c
+        return cls._make(ring, out)
+
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
@@ -403,25 +422,19 @@ class Poly:
             us.append([(k, x) for k, x in enumerate(u) if x])
             cs.append(None if c == 1 else c)
         n = target.n
-        out: dict = {}
-        for m, c in self.terms.items():
-            mono = [0] * n
-            for i, e in enumerate(m):
-                if e:
-                    if cs[i] is not None:
-                        c = c * cs[i] ** e
-                    for k, x in us[i]:
-                        mono[k] += x * e
-            mono = tuple(mono)
-            if mono in out:
-                s = out[mono] + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-            else:
-                out[mono] = c
-        return Poly._make(target, out)
+
+        def images():
+            for m, c in self.terms.items():
+                mono = [0] * n
+                for i, e in enumerate(m):
+                    if e:
+                        if cs[i] is not None:
+                            c = c * cs[i] ** e
+                        for k, x in us[i]:
+                            mono[k] += x * e
+                yield tuple(mono), c
+
+        return Poly._collect(target, images())
 
     def rename_ring(self, target: Ring) -> "Poly":
         """Carry the polynomial into a ring with the same variable names.

@@ -145,26 +145,11 @@ def poly_weight(p: Poly, weights: WeightMatrix) -> tuple[int, ...] | None:
     return w if w is not None else (0,) * weights.k
 
 
-def _restricted_weights(p: Poly, weights: WeightMatrix, torus: Subtorus):
-    """Each term of p with its weight restricted to the subtorus.
-
-    Restriction is linear, so each variable's weight is restricted once
-    and a monomial's restricted weight is the exponent-weighted sum.
-    """
-    cols = [torus.restrict(col) for col in weights.columns()]
-    zero = (0,) * torus.dim
-    for m, c in p.terms.items():
-        w = zero
-        for e, col in zip(m, cols):
-            if e:
-                w = tuple(x + e * y for x, y in zip(w, col))
-        yield m, c, w
-
-
 def isotypic_decompose(p: Poly, weights: WeightMatrix, torus: Subtorus) -> list[GradedPiece]:
     """Split p into isotypic parts under the subtorus, sorted by weight."""
     buckets: dict[tuple[int, ...], dict] = {}
-    for m, c, w in _restricted_weights(p, weights, torus):
+    for m, c in p.terms.items():
+        w = torus.restrict(monomial_weight(m, weights))
         buckets.setdefault(w, {})[m] = c
     return [
         GradedPiece(w, Poly._make(p.ring, terms))
@@ -175,7 +160,11 @@ def isotypic_decompose(p: Poly, weights: WeightMatrix, torus: Subtorus) -> list[
 def reynolds(p: Poly, weights: WeightMatrix, torus: Subtorus) -> Poly:
     """Projection onto the weight-zero isotypic piece (Reynolds operator)."""
     zero = (0,) * torus.dim
-    kept = {m: c for m, c, w in _restricted_weights(p, weights, torus) if w == zero}
+    kept = {
+        m: c
+        for m, c in p.terms.items()
+        if torus.restrict(monomial_weight(m, weights)) == zero
+    }
     return Poly._make(p.ring, kept)
 
 

@@ -1,11 +1,29 @@
-"""Test oracle: chart ideals of one blowup agree on chart overlaps.
+"""Test oracles for blowup charts, written out here on their own so
+they share nothing with how the package transports polynomials.
 
-The transition map between two charts is written out here on its own,
-so the check shares nothing with how the intrinsic ideal is built on
-each chart.
+``chart_images`` gives the chart map as one image per parent variable,
+for ``Poly.subs``.  ``charts_glue`` checks that chart ideals of one
+blowup agree on chart overlaps, through the transition map between two
+charts.
 """
 
 from equiblow import DEGREVLEX, Ideal, PreconditionError, ideal_equal, saturate
+
+
+def chart_images(chart):
+    """The chart map by Poly arithmetic: x_k -> xi_k, moving x_i ->
+    xi_k*T_i, fixed x_i -> x_i."""
+    ring = chart.ring
+    xi = ring.var(chart.exceptional)
+    out = []
+    for i, name in enumerate(chart.parent_ring.names):
+        if i == chart.pivot:
+            out.append(xi)
+        elif i in chart.moving:
+            out.append(xi * ring.var("T_" + name))
+        else:
+            out.append(ring.var(name))
+    return out
 
 
 def transition_substitute(p, source, target):

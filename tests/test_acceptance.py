@@ -491,7 +491,7 @@ def test_criterion_08_equivalence_construction_and_blowup_lift():
     Ahat = lift_morphism_to_blowup(A, model, chart)
     hat = blowup_local_model(model, center, chart)
     gbar_hat = blowup_section(g_model, chart)
-    h_hat = h.subs(list(chart.subst_images), chart.ring)
+    h_hat = chart.pullback(h)
     assert verify_omega_equivalence(
         hat, gbar_hat, A=Ahat, B=Bhat, hint=h_hat
     ).passed

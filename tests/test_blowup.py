@@ -5,7 +5,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from chart_glue import charts_glue
+from chart_glue import chart_images, charts_glue
 from hypothesis import assume, given, settings, strategies as st
 
 from equiblow import (
@@ -32,6 +32,8 @@ from equiblow import (
     parse_poly,
     section_coincides,
 )
+from equiblow.blowup import exceptional_divide
+from equiblow.errors import TheoremCheckError
 from equiblow.poly import DEGREVLEX, Poly, _long_divide
 from equiblow.torus import fixed_locus, isotypic_decompose
 
@@ -57,8 +59,18 @@ def test_substitution_restores_parent_coordinates():
     charts = make_charts(R3, W3, FULL1)
     cx = charts[0]
     # x -> xi, y -> xi*T, z -> z
-    images = [str(p) for p in cx.subst_images]
+    images = [str(cx.pullback(R3.var(name))) for name in R3.names]
     assert images == ["xi_x", "xi_x*T_y", "z"]
+
+
+def test_exceptional_divide_raises_when_xi_does_not_divide():
+    cx = make_charts(R3, W3, FULL1)[0]
+    x, y, z = (R3.var(name) for name in R3.names)
+    assert str(exceptional_divide(x * z + y * z**2, cx)) == str(
+        parse_poly("z + T_y*z^2", cx.ring)
+    )
+    with pytest.raises(TheoremCheckError):
+        exceptional_divide(z, cx)
 
 
 def test_make_charts_requires_a_moving_coordinate():
@@ -264,7 +276,7 @@ def test_shifted_pullback_matches_substitution_and_long_division(case):
     pieces = isotypic_decompose(p, weights, center)
     for chart in make_charts(ring, weights, center):
         for q, moving in [(p, False)] + [(gp.part, any(gp.weight)) for gp in pieces]:
-            pulled = q.subs(chart.subst_images, chart.ring)
+            pulled = q.subs(chart_images(chart), chart.ring)
             same = chart.shifted_pullback(q, 0)
             assert list(same.terms.items()) == list(pulled.terms.items())
             assert chart.pullback(q) == pulled

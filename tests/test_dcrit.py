@@ -253,7 +253,7 @@ def test_manual_correction_matrix_passes_and_lifts_to_both_charts():
         assert [[str(e) for e in row] for row in Bhat] == expected[chart.name]
         hat = blowup_local_model(model, center, chart)
         gbar_hat = blowup_section(g_model, chart)
-        h_hat = h.subs(list(chart.subst_images), chart.ring)
+        h_hat = chart.pullback(h)
         Ahat = lift_morphism_to_blowup(A, model, chart)
         rep = verify_omega_equivalence(hat, gbar_hat, A=Ahat, B=Bhat, hint=h_hat)
         assert rep.passed

@@ -6,6 +6,7 @@ import functools
 from fractions import Fraction
 
 import pytest
+from chart_glue import chart_images
 from hypothesis import given, settings, strategies as st
 
 from equiblow import (
@@ -75,20 +76,6 @@ def test_action_pairing_matches_const_times_var(shape):
             assert items(entry) == items(ring.const(w) * ring.var(name))
 
 
-def images_by_arithmetic(chart):
-    ring = chart.ring
-    xi = ring.var(chart.exceptional)
-    out = []
-    for i, name in enumerate(chart.parent_ring.names):
-        if i == chart.pivot:
-            out.append(xi)
-        elif i in chart.moving:
-            out.append(xi * ring.var("T_" + name))
-        else:
-            out.append(ring.var(name))
-    return out
-
-
 def pullback_by_arithmetic(p, images, target):
     total = target.zero()
     for m, c in p.terms.items():
@@ -128,8 +115,9 @@ def test_chart_images_and_pullback_match_the_arithmetic(case):
         return  # nothing moves, so there is no atlas
     p = Poly(ring, terms)
     for chart in make_charts(ring, weights, center):
-        expected = images_by_arithmetic(chart)
-        assert [items(im) for im in chart.subst_images] == [items(im) for im in expected]
+        expected = chart_images(chart)
+        pulled_vars = [chart.pullback(v) for v in map(ring.var, ring.names)]
+        assert [items(im) for im in pulled_vars] == [items(im) for im in expected]
         assert items(chart.pullback(p)) == items(
             pullback_by_arithmetic(p, expected, chart.ring)
         )
