@@ -13,10 +13,10 @@ from fractions import Fraction
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import (
     Budget,
-    GroebnerBasis,
     Ideal,
     buchberger,
     eliminate,
+    ideal_equal,
     lift_certificate,
     normal_form,
 )
@@ -711,13 +711,13 @@ def blowup_local_model(
 def section_coincides(
     model: LocalModel,
     chart: BlowupChart,
-    gb: GroebnerBasis,
+    raw: Ideal,
     budget: Budget | None = None,
 ) -> bool:
     """Does the blowup section on this chart cut exactly the intrinsic
-    ideal whose reduced Groebner basis is ``gb``?"""
+    chart ideal ``raw``?"""
     sec = Ideal(chart.ring, blowup_section(model, chart))
-    return buchberger(sec, DEGREVLEX, budget).basis == gb.basis
+    return ideal_equal(sec, raw, budget=budget)
 
 
 def embedding_independence_check(
@@ -767,9 +767,6 @@ def embedding_independence_check(
         carried = Ideal(
             cs.ring, [g.rename_ring(cs.ring) for g in dropped.generators]
         )
-        if (
-            buchberger(carried, DEGREVLEX, budget).basis
-            != buchberger(ideal_small, DEGREVLEX, budget).basis
-        ):
+        if not ideal_equal(carried, ideal_small, budget=budget):
             return False
     return True

@@ -96,6 +96,32 @@ def _stage_dict(stage) -> dict:
     }
 
 
+def _chart_entries(built: BuiltModel, charts, budget, prefix: str = "") -> list:
+    """Per chart, in order: its report entry, whether the blowup section
+    cuts the intrinsic ideal (None without a section), and the reduced
+    basis of the intrinsic ideal."""
+    out = []
+    for chart in charts:
+        raw = intrinsic_ideal(built.ideal, chart, budget)
+        gb = buchberger(raw, DEGREVLEX, budget)
+        checks = {"xi": True}
+        coinc = None
+        if built.model is not None:
+            coinc = section_coincides(built.model, chart, raw, budget)
+            checks["coinc"] = coinc
+        unstable = unstable_ideal(chart) if chart.center.dim == 1 else None
+        entry = rpt.chart_entry(
+            prefix + chart.name,
+            chart.ring.names,
+            chart.weights.rows,
+            ideal_gb=rpt.gb_strings(gb),
+            unstable_gb=rpt.ideal_strings(unstable) if unstable is not None else None,
+            checks=checks,
+        )
+        out.append((entry, coinc, gb))
+    return out
+
+
 def cmd_blowup(args) -> tuple[dict, int]:
     built = build_model(load_model_file(args.file))
     budget = _parse_budget(args)
@@ -110,40 +136,20 @@ def cmd_blowup(args) -> tuple[dict, int]:
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
     if not charts:
         raise ModelFileError(f"no chart named {args.chart!r}")
+    # coincidence is judged on the whole atlas, even under --chart
+    judged = atlas if built.model is not None else charts
     coinc = []
     # chart bases that equal the blowup section's, for the --full tree
     section_bases = {}
-    unit_charts = []
-    for chart in atlas:
-        # coincidence is judged on the whole atlas, even under --chart
-        if chart not in charts and built.model is None:
-            continue
-        raw = intrinsic_ideal(built.ideal, chart, budget)
-        gb = buchberger(raw, DEGREVLEX, budget)
-        checks = {"xi": True}
-        if built.model is not None:
-            coinc.append(section_coincides(built.model, chart, gb, budget))
-            checks["coinc"] = coinc[-1]
-            if coinc[-1]:
-                section_bases[chart.name] = gb
-        if chart not in charts:
-            continue
-        unstable = unstable_ideal(chart) if center.dim == 1 else None
-        if contains_one(gb):
-            unit_charts.append(chart.name)
-        charts_out.append(
-            rpt.chart_entry(
-                chart.name,
-                chart.ring.names,
-                chart.weights.rows,
-                ideal_gb=rpt.gb_strings(gb),
-                unstable_gb=(
-                    rpt.ideal_strings(unstable) if unstable is not None else None
-                ),
-                checks=checks,
-            )
-        )
-    ledger["u_hat_empty"] = len(unit_charts) == len(charts) and bool(charts)
+    shown_bases = []
+    for chart, (entry, ok, gb) in zip(judged, _chart_entries(built, judged, budget)):
+        coinc.append(ok)
+        if ok:
+            section_bases[chart.name] = gb
+        if chart in charts:
+            charts_out.append(entry)
+            shown_bases.append(gb)
+    ledger["u_hat_empty"] = all(contains_one(gb) for gb in shown_bases)
     if built.model is not None:
         ledger["coinc_all"] = all(coinc)
     if args.full:
@@ -354,28 +360,11 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     pipeline = ["e1.kb", "e2.kb", "conic.kb", "square.kb", "fat.kb"]
     for fname in pipeline:
         built = build_model(load_model_file(str(CORPUS_DIR / fname)))
-        center = Subtorus.full(built.weights.k)
-        coinc = []
-        for chart in make_charts(built.ring, built.weights, center):
-            raw = intrinsic_ideal(built.ideal, chart, budget)
-            gb = buchberger(raw, DEGREVLEX, budget)
-            unstable = unstable_ideal(chart)
-            entry_checks = {"xi": True}
-            if built.model is not None:
-                coinc.append(section_coincides(built.model, chart, gb, budget))
-                entry_checks["coinc"] = coinc[-1]
-            charts_out.append(
-                rpt.chart_entry(
-                    f"{fname}:{chart.name}",
-                    chart.ring.names,
-                    chart.weights.rows,
-                    ideal_gb=rpt.gb_strings(gb),
-                    unstable_gb=rpt.ideal_strings(unstable),
-                    checks=entry_checks,
-                )
-            )
+        atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
+        rows = _chart_entries(built, atlas, budget, prefix=f"{fname}:")
+        charts_out += [entry for entry, _, _ in rows]
         if built.model is not None:
-            check(f"coinc:{fname}", all(coinc))
+            check(f"coinc:{fname}", all(ok for _, ok, _ in rows))
 
     trivial = build_model(load_model_file(str(CORPUS_DIR / "trivial.kb")))
     check("dense:trivial.kb", action_is_trivial(trivial.weights))

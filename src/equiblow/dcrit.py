@@ -86,7 +86,17 @@ class FourTermComplexAtPoint:
     __slots__ = ("point", "m0", "m1", "m2", "k", "n", "r", "divisor")
 
     def __init__(self, point, m0, m1, m2, k, n, r, divisor):
+        """Both compositions m1·m0 and m2·m1 must vanish, or
+        ``TheoremCheckError`` is raised."""
         self.point = tuple(point)
+        if r and k and not _is_zero_matrix(mat_mul(m1, m0)):
+            raise TheoremCheckError(
+                f"middle map does not kill the action column at {self.point}"
+            )
+        if r and k and not _is_zero_matrix(mat_mul(m2, m1)):
+            raise TheoremCheckError(
+                f"twisted cofactor does not kill the middle map at {self.point}"
+            )
         self.m0 = tuple(tuple(row) for row in m0)
         self.m1 = tuple(tuple(row) for row in m1)
         self.m2 = tuple(tuple(row) for row in m2)
@@ -149,14 +159,7 @@ def four_term_at(
         twisted.append(row)
     m2 = _eval_matrix(twisted, point)
 
-    if r and k and not _is_zero_matrix(mat_mul(m1, m0)):
-        raise TheoremCheckError(
-            f"middle map does not kill the action column at {point}"
-        )
-    if r and k and not _is_zero_matrix(mat_mul(m2, m1)):
-        raise TheoremCheckError(
-            f"twisted cofactor does not kill the middle map at {point}"
-        )
+    K = FourTermComplexAtPoint(point, m0, m1, m2, k, n, r, model.divisor)
     if model.potential is not None:
         cols = [i for i in range(n) if ring.names[i] != model.base_param]
         for bi, i in enumerate(cols):
@@ -165,22 +168,16 @@ def four_term_at(
                     raise TheoremCheckError(
                         f"second-derivative matrix is not symmetric at {point}"
                     )
-    return FourTermComplexAtPoint(point, m0, m1, m2, k, n, r, model.divisor)
+    return K
 
 
 def cohomology_dims(K: FourTermComplexAtPoint) -> tuple[int, int, int, int]:
-    """Exact cohomology dimensions of the evaluated complex.
+    """Exact cohomology dimensions of the evaluated complex, whose
+    compositions its constructor has checked.
 
-    Re-verifies the compositions and the Euler identity
-    h0 - h1 + h2 - h3 = r - n before reporting.
+    Verifies the Euler identity h0 - h1 + h2 - h3 = r - n before
+    reporting.
     """
-    if K.r and K.k:
-        if not _is_zero_matrix(mat_mul(K.m1, K.m0)) or not _is_zero_matrix(
-            mat_mul(K.m2, K.m1)
-        ):
-            raise TheoremCheckError(
-                "composition identities fail; the complex data is corrupted"
-            )
     r0 = rank([list(row) for row in K.m0]) if K.k else 0
     r1 = rank([list(row) for row in K.m1]) if K.r else 0
     r2 = rank([list(row) for row in K.m2]) if (K.k and K.r) else 0

@@ -26,10 +26,6 @@ Mono = tuple  # exponent vector, length == number of ring variables
 # monomial helpers
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
-
-
 def mono_div(a: Mono, b: Mono) -> Mono | None:
     """a / b, or None when b does not divide a."""
     out = []
@@ -385,17 +381,13 @@ class Poly:
         """Substitute images[i] for the i-th ring variable.
 
         All images must live in ``target``.  Powers are cached per
-        variable so repeated exponents do not recompute products.  When
-        every image is a single term, each term maps to a single term,
-        and the result is summed term by term in the same order.
+        variable so repeated exponents do not recompute products.
         """
         if len(images) != self.ring.n:
             raise ValueError("need one image per ring variable")
         for im in images:
             if im.ring is not target and im.ring != target:
                 raise ValueError("image outside the target ring")
-        if all(len(im.terms) == 1 for im in images):
-            return self._subs_monomial(images, target)
         pow_cache: list[dict[int, Poly]] = [dict() for _ in range(self.ring.n)]
 
         def power(i: int, e: int) -> Poly:
@@ -412,29 +404,6 @@ class Poly:
                     term = term * power(i, e)
             total = total + term
         return total
-
-    def _subs_monomial(self, images: Sequence["Poly"], target: Ring) -> "Poly":
-        # image i is cs[i] * x^us[i]: us[i] holds the nonzero (index, exponent)
-        # pairs, and cs[i] is None for a coefficient of 1
-        us, cs = [], []
-        for im in images:
-            (u, c), = im.terms.items()
-            us.append([(k, x) for k, x in enumerate(u) if x])
-            cs.append(None if c == 1 else c)
-        n = target.n
-
-        def images():
-            for m, c in self.terms.items():
-                mono = [0] * n
-                for i, e in enumerate(m):
-                    if e:
-                        if cs[i] is not None:
-                            c = c * cs[i] ** e
-                        for k, x in us[i]:
-                            mono[k] += x * e
-                yield tuple(mono), c
-
-        return Poly._collect(target, images())
 
     def rename_ring(self, target: Ring) -> "Poly":
         """Carry the polynomial into a ring with the same variable names.

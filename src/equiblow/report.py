@@ -34,7 +34,6 @@ def chart_entry(
     ideal_gb=None,
     unstable_gb=None,
     checks=None,
-    verdicts=None,
 ) -> dict:
     entry = {
         "name": name,
@@ -47,8 +46,6 @@ def chart_entry(
         entry["unstable_gb"] = list(unstable_gb)
     if checks is not None:
         entry["checks"] = checks
-    if verdicts is not None:
-        entry["verdicts"] = verdicts
     return entry
 
 

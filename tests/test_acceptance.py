@@ -98,7 +98,7 @@ def test_criterion_01_intrinsic_ideal_matches_blowup_section():
         center = Subtorus.full(model.weights.k)
         results = {
             chart.name: section_coincides(
-                model, chart, buchberger(intrinsic_ideal(model.ideal, chart))
+                model, chart, intrinsic_ideal(model.ideal, chart)
             )
             for chart in make_charts(model.ring, model.weights, center)
         }

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from equiblow import (
+    FourTermComplexAtPoint,
     PreconditionError,
     Ring,
     SmallExtension,
     Subtorus,
+    TheoremCheckError,
     WeightMatrix,
     blowup_local_model,
     blowup_section,
@@ -97,6 +99,19 @@ def test_complex_compositions_vanish_at_many_points():
         K = four_term_at(model, pt)
         h = cohomology_dims(K)
         assert h[0] - h[1] + h[2] - h[3] == model.bundle.rank - model.ring.n
+
+
+def test_complex_constructor_rejects_nonvanishing_compositions():
+    # the square model's matrices at (1, 0), then each composition broken
+    m0 = ((F(1),), (F(0),))
+    m1 = ((F(0), F(0)), (F(0), F(1)))
+    m2 = ((F(1), F(0)),)
+    K = FourTermComplexAtPoint((F(1), F(0)), m0, m1, m2, 1, 2, 2, {})
+    assert cohomology_dims(K) == (0, 0, 0, 0)
+    with pytest.raises(TheoremCheckError, match="twisted cofactor does not kill"):
+        FourTermComplexAtPoint((F(1), F(0)), m0, m1, ((F(0), F(1)),), 1, 2, 2, {})
+    with pytest.raises(TheoremCheckError, match="middle map does not kill"):
+        FourTermComplexAtPoint((F(1), F(1)), ((F(1),), (F(1),)), m1, m2, 1, 2, 2, {})
 
 
 def test_derivative_matrix_is_the_jacobian():

@@ -104,6 +104,33 @@ def test_ideal_equal_shuffle_invariance_100_instances():
         assert ideal_equal(I, J)
 
 
+def test_ideal_equal_on_one_generator_set_computes_no_basis(monkeypatch):
+    from equiblow import groebner
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no basis is needed for one generator set")
+
+    x, y = R2.gens()
+    monkeypatch.setattr(groebner, "buchberger", fail)
+    assert ideal_equal(Ideal(R2, [x, y * y - x]), Ideal(R2, [y * y - x, x, x]))
+
+
+def test_ideal_equal_compares_bases_of_different_generator_sets(monkeypatch):
+    from equiblow import groebner
+
+    calls = []
+    original = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    x, y = R2.gens()
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert ideal_equal(Ideal(R2, [x, y]), Ideal(R2, [x + y, x - y]))
+    assert len(calls) == 2
+
+
 def test_random_bases_satisfy_buchberger_criterion():
     rng = random.Random(5040)
     for _ in range(40):
