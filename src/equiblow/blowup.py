@@ -412,7 +412,8 @@ def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:
 
 
 def poly_mat_mul(A, B, ring: Ring):
-    """Product of two polynomial matrices given as row tuples."""
+    """Product of two polynomial matrices given as row tuples.  Products
+    with a zero factor are skipped, which leaves every sum as it was."""
     rows = len(A)
     inner = len(B)
     cols = len(B[0]) if inner else 0
@@ -422,7 +423,9 @@ def poly_mat_mul(A, B, ring: Ring):
         for j in range(cols):
             acc = ring.zero()
             for t in range(inner):
-                acc = acc + A[i][t] * B[t][j]
+                a, b = A[i][t], B[t][j]
+                if a.terms and b.terms:
+                    acc = acc + a * b
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

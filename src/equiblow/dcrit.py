@@ -40,10 +40,21 @@ def dcritical_chart(
     ring = f.ring
     if weights.k and weights.n != ring.n:
         raise ValueError("weight matrix width must match the ring")
-    if reynolds(f, weights, Subtorus.full(weights.k)) != f:
-        raise PreconditionError(f"potential is not invariant: {f}")
+    _require_invariant(f, weights)
     if base_param is not None and base_param not in ring.index:
         raise ValueError(f"base parameter {base_param!r} is not a ring variable")
+    return _dcritical_model(f, weights, base_param)
+
+
+def _require_invariant(f: Poly, weights: WeightMatrix):
+    if reynolds(f, weights, Subtorus.full(weights.k)) != f:
+        raise PreconditionError(f"potential is not invariant: {f}")
+
+
+def _dcritical_model(f: Poly, weights: WeightMatrix, base_param: str | None):
+    """The model of ``dcritical_chart`` without its input checks, for a
+    caller that has made them."""
+    ring = f.ring
     frame_idx = [i for i in range(ring.n) if ring.names[i] != base_param]
     labels = ["d" + ring.names[i] for i in frame_idx]
     frame_weights = [weights.column(i) for i in frame_idx]
@@ -113,6 +124,39 @@ def _eval_matrix(rows, point):
     return [[e.evaluate(point) for e in row] for row in rows]
 
 
+def _jacobian_at(section, point):
+    """``derivative_matrix(section)`` evaluated at ``point``, read off the
+    terms.  A term with a zero coordinate of exponent 2 or more, or with
+    two zero coordinates, has no partial that is nonzero there; with one
+    zero coordinate of exponent 1 only the partial along it survives."""
+    n = len(point)
+    rows = []
+    for comp in section:
+        row = [Fraction(0)] * n
+        for m, c in comp.terms.items():
+            hit = -1  # the zero coordinate of the support, if any
+            rest = c  # the term without that coordinate, at the point
+            for i, e in enumerate(m):
+                if not e:
+                    continue
+                x = point[i]
+                if x:
+                    rest *= x if e == 1 else x**e
+                elif e == 1 and hit < 0:
+                    hit = i
+                else:
+                    break
+            else:
+                if hit >= 0:
+                    row[hit] += rest
+                else:
+                    for i, e in enumerate(m):
+                        if e:
+                            row[i] += rest * e / point[i]
+        rows.append(row)
+    return rows
+
+
 def _is_zero_matrix(M) -> bool:
     return all(all(x == 0 for x in row) for row in M)
 
@@ -139,7 +183,7 @@ def four_term_at(
     m0 = [
         [model.weights.rows[a][i] * point[i] for a in range(k)] for i in range(n)
     ]
-    m1 = _eval_matrix(derivative_matrix(model.section, ring), point)
+    m1 = _jacobian_at(model.section, point)
     h = model.divisor_equation()
     twisted = []
     for a in range(k):
@@ -231,10 +275,6 @@ def _series_trim(c, order):
     return c + (Fraction(0),) * (order + 1 - len(c))
 
 
-def _series_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _series_mul(a, b, order):
     out = [Fraction(0)] * (order + 1)
     for i, x in enumerate(a):
@@ -247,26 +287,43 @@ def _series_mul(a, b, order):
     return tuple(out)
 
 
-def _series_eval(p: Poly, series, order):
-    one = (Fraction(1),) + (Fraction(0),) * order
-    total = (Fraction(0),) * (order + 1)
-    cache = [dict() for _ in series]
+def _series_powers(series, order):
+    """Truncated powers of coordinate series, built on first use and shared
+    by every polynomial evaluated along them: ``power(i, e)`` is the e-th
+    power of series i, or None when that series is identically zero."""
+    cache = [{1: c} if any(c) else None for c in series]
 
     def power(i, e):
-        if e not in cache[i]:
-            if e == 1:
-                cache[i][e] = series[i]
-            else:
-                cache[i][e] = _series_mul(power(i, e - 1), series[i], order)
-        return cache[i][e]
+        known = cache[i]
+        if known is None:
+            return None
+        if e not in known:
+            known[e] = _series_mul(power(i, e - 1), known[1], order)
+        return known[e]
 
+    return power
+
+
+def _series_eval(p: Poly, power, order):
+    """Truncated series of p along the coordinate series behind ``power``
+    (a ``_series_powers`` result).  Terms that contain a coordinate with a
+    zero series are skipped."""
+    total = [Fraction(0)] * (order + 1)
     for m, c in p.terms.items():
-        term = tuple(c * x for x in one)
+        term = None
         for i, e in enumerate(m):
             if e:
-                term = _series_mul(term, power(i, e), order)
-        total = _series_add(total, term)
-    return total
+                pw = power(i, e)
+                if pw is None:
+                    break
+                term = pw if term is None else _series_mul(term, pw, order)
+        else:
+            if term is None:
+                total[0] += c
+            else:
+                for d, x in enumerate(term):
+                    total[d] += c * x
+    return tuple(total)
 
 
 class SmallExtension:
@@ -323,8 +380,8 @@ def _extension_residual(model: LocalModel, ext: SmallExtension):
     if len(ext.series) != ring.n:
         raise PreconditionError("series count must match the ambient ring")
     order = ext.m
-    lifted = [_series_trim(c, order) for c in ext.series]
-    values = [_series_eval(comp, lifted, order) for comp in model.section]
+    power = _series_powers([_series_trim(c, order) for c in ext.series], order)
+    values = [_series_eval(comp, power, order) for comp in model.section]
     for b, v in enumerate(values):
         for d in range(ext.m):
             if v[d] != 0:
@@ -468,7 +525,10 @@ def verify_omega_equivalence(
         ideal_a = saturate(ideal_a, hint, budget)
         ideal_b = saturate(ideal_b, hint, budget)
     gb = buchberger(ideal_a, DEGREVLEX, budget)
-    same_ideal = gb.basis == buchberger(ideal_b, DEGREVLEX, budget).basis
+    # the rule of ideal_equal, keeping ideal_a's basis for the squared ideal
+    same_ideal = set(ideal_a.generators) == set(ideal_b.generators) or (
+        gb.basis == buchberger(ideal_b, DEGREVLEX, budget).basis
+    )
     if not same_ideal:
         witnesses.append("same_ideal: the two sections cut different ideals")
 
@@ -609,8 +669,7 @@ def construct_equivalence(
     if g.ring != ring:
         raise PreconditionError("potentials must live in one ring")
     model = dcritical_chart(f, weights)
-    if reynolds(g, weights, Subtorus.full(weights.k)) != g:
-        raise PreconditionError(f"potential is not invariant: {g}")
+    _require_invariant(g, weights)
     omega = model.section
     omega_bar = tuple(g.derivative(i) for i in range(ring.n))
 

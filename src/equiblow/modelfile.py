@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .blowup import EquivariantBundle, LocalModel
-from .dcrit import dcritical_chart
+from .dcrit import _dcritical_model, _require_invariant
 from .errors import ModelFileError, PolyParseError, PreconditionError
 from .groebner import Ideal
 from .poly import Poly, Ring, parse_poly
@@ -281,19 +281,54 @@ class BuiltModel:
 
     ``model`` is present for potential files and for explicit
     section-plus-frame files; ideal-only inputs work at the ideal level.
-    ``against`` holds the file's section when it accompanies a potential,
-    as the comparison section for equivalence checks.
+    For a potential file, ``model`` and ``ideal`` are built on first read
+    and then kept.  ``against`` holds the file's section when it
+    accompanies a potential, as the comparison section for equivalence
+    checks.
     """
 
-    __slots__ = ("ring", "weights", "ideal", "model", "against", "source")
+    __slots__ = (
+        "ring",
+        "weights",
+        "_ideal",
+        "_model",
+        "against",
+        "source",
+        "_potential",
+    )
 
     def __init__(self, ring, weights, ideal, model, against, source):
         self.ring = ring
         self.weights = weights
-        self.ideal = ideal
-        self.model = model
+        self._ideal = ideal
+        self._model = model
         self.against = against
         self.source = source
+        self._potential = None
+
+    @classmethod
+    def _of_potential(cls, ring, weights, f, against, source):
+        """Defer the d-critical model of a potential ``build_model`` has
+        checked."""
+        built = cls(ring, weights, None, None, against, source)
+        built._potential = f
+        return built
+
+    def _build(self):
+        f = self._potential
+        if f is not None:
+            model = _dcritical_model(f, self.weights, self.source.base_parameter)
+            self._model, self._ideal, self._potential = model, model.ideal, None
+
+    @property
+    def model(self):
+        self._build()
+        return self._model
+
+    @property
+    def ideal(self):
+        self._build()
+        return self._ideal
 
 
 def build_model(mf: ModelFile) -> BuiltModel:
@@ -303,18 +338,19 @@ def build_model(mf: ModelFile) -> BuiltModel:
         if mf.potential is not None:
             f = parse_poly(mf.potential, ring)
             try:
-                model = dcritical_chart(f, weights, base_param=mf.base_parameter)
+                _require_invariant(f, weights)
             except PreconditionError:
-                # the one precondition of a d-critical chart: f is invariant
+                # the one precondition of a d-critical chart the file can break
                 raise ModelFileError("potential is not invariant") from None
             against = None
             if mf.section is not None:
-                if len(mf.section) != model.bundle.rank:
+                # one frame per coordinate but the base parameter
+                if len(mf.section) != ring.n - (mf.base_parameter is not None):
                     raise ModelFileError(
                         "comparison section must match the frame count"
                     )
                 against = tuple(parse_poly(s, ring) for s in mf.section)
-            return BuiltModel(ring, weights, model.ideal, model, against, mf)
+            return BuiltModel._of_potential(ring, weights, f, against, mf)
         gens = tuple(parse_poly(s, ring) for s in mf.ideal)
         ideal = Ideal(ring, gens)
         model = None

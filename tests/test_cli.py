@@ -188,8 +188,118 @@ def test_build_model_checks_invariance_once(monkeypatch):
             monkeypatch.setattr(module, "reynolds", counted)
     for name in ("e2.kb", "square.kb", "family.kb"):
         calls.clear()
-        modelfile.build_model(modelfile.load_model_file(str(CORPUS / name)))
+        built = modelfile.build_model(modelfile.load_model_file(str(CORPUS / name)))
         assert len(calls) == 1, name
+        # the model is built on first read, without a second check
+        assert built.model is built.model and built.ideal.generators
+        assert len(calls) == 1, name
+
+
+# each file breaks one check of build_model, or two to pin their order,
+# next to test_non_invariant_potential_is_exit_2; the messages are the
+# ones the eagerly built model gave
+MODEL_FILE_ERRORS = {
+    "skew-and-short": (
+        'potential = "x^2*y"\nsection = ["x"]\n',
+        "error: potential is not invariant\n",
+    ),
+    "short": (
+        'potential = "x*y"\nsection = ["x"]\n',
+        "error: comparison section must match the frame count\n",
+    ),
+    "short-and-bad": (
+        'potential = "x*y"\nsection = ["x^"]\n',
+        "error: comparison section must match the frame count\n",
+    ),
+    "base-parameter-frames": (
+        'potential = "x*y*t"\nbase_parameter = t\nsection = ["y*t", "x*t", "x*y"]\n',
+        "error: comparison section must match the frame count\n",
+    ),
+    "bad-potential": (
+        'potential = "x*y +"\n',
+        "error: bad polynomial: expected a term, found '' (at position 5)\n",
+    ),
+    "bad-potential-and-short": (
+        'potential = "x*(y"\nsection = ["x"]\n',
+        "error: bad polynomial: expected ), found '' (at position 4)\n",
+    ),
+    "bad-section": (
+        'potential = "x*y"\nsection = ["y", "x^", "t"]\n',
+        "error: bad polynomial: expected int, found '' (at position 2)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_FILE_ERRORS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crit",),
+        ("semistable", "--chart", "chart_x", "--point=0,0,0"),
+        ("obstruction", "--point=0,0,0"),
+    ],
+)
+def test_model_file_errors_do_not_wait_for_the_model(capsys, tmp_path, case, argv):
+    body, expected = MODEL_FILE_ERRORS[case]
+    src = tmp_path / f"{case}.kb"
+    src.write_text("variables = [x, y, t]\nweights = [[1, -1, 0]]\n" + body)
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_base_parameter_section_has_one_frame_fewer(capsys, tmp_path):
+    src = tmp_path / "family.kb"
+    src.write_text(
+        "variables = [x, y, t]\nweights = [[1, -1, 0]]\n"
+        'potential = "x*y*t"\nbase_parameter = t\nsection = ["y*t", "x*t"]\n'
+    )
+    assert report(capsys, "crit", str(src))["ledger"]["passed"] is True
+
+
+def test_semistable_builds_no_model(capsys, monkeypatch, tmp_path):
+    from equiblow import blowup, dcrit, modelfile, poly
+    from equiblow.blowup import make_charts
+    from equiblow.desing import action_is_trivial
+    from equiblow.torus import Subtorus
+
+    entered = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            entered.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    paths = sorted(CORPUS.glob("*.kb")) + sorted(write_bench_models(tmp_path).glob("*.kb"))
+    runs = []
+    for path in paths:
+        mf = modelfile.load_model_file(str(path))
+        if mf.potential is None:
+            continue
+        built = modelfile.build_model(mf)
+        point = "--point=" + ",".join("1" for _ in range(built.ring.n))
+        if action_is_trivial(built.weights):
+            # refused after the model file is read: no atlas to judge in
+            runs.append((3, ("semistable", str(path), point)))
+            continue
+        charts = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
+        for chart in charts:
+            runs.append((0, ("semistable", str(path), "--chart", chart.name, point)))
+    assert len(runs) >= 20
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] != "equiblow":
+            continue
+        for name, original in (
+            ("dcritical_chart", dcrit.dcritical_chart),
+            ("action_pairing", blowup.action_pairing),
+        ):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(poly.Poly, "derivative", counted("derivative", poly.Poly.derivative))
+    for code, argv in runs:
+        assert run(capsys, *argv)[0] == code, argv
+    assert entered == []
 
 
 def test_precondition_violation_is_exit_3(capsys, tmp_path):
@@ -318,7 +428,8 @@ def count_buchberger(monkeypatch):
 def test_chart_bases_are_computed_once(capsys, monkeypatch):
     calls = count_buchberger(monkeypatch)
     report(capsys, "corpus")
-    assert len(calls) == 29
+    # omega-verify takes one basis when both sections have one generator set
+    assert len(calls) == 28
     calls.clear()
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     # one basis per chart for the report; the section check needs none,
