@@ -184,23 +184,27 @@ def four_term_at(
         [model.weights.rows[a][i] * point[i] for a in range(k)] for i in range(n)
     ]
     m1 = _jacobian_at(model.section, point)
-    h = model.divisor_equation()
-    twisted = []
-    for a in range(k):
-        row = []
-        for b in range(r):
-            e = model.cofactor[a][b]
-            if e.is_zero():
-                row.append(ring.zero())
-                continue
-            q = divide_exact(e, h)
-            if q is None:
-                raise PreconditionError(
-                    "cofactor entry is not divisible by the divisor equation: "
-                    f"{e}"
-                )
-            row.append(q)
-        twisted.append(row)
+    # with no divisor (every d-critical model) the equation is h = 1 and
+    # the cofactor is its own twist
+    twisted = model.cofactor
+    if model.divisor:
+        h = model.divisor_equation()
+        twisted = []
+        for a in range(k):
+            row = []
+            for b in range(r):
+                e = model.cofactor[a][b]
+                if e.is_zero():
+                    row.append(ring.zero())
+                    continue
+                q = divide_exact(e, h)
+                if q is None:
+                    raise PreconditionError(
+                        "cofactor entry is not divisible by the divisor equation: "
+                        f"{e}"
+                    )
+                row.append(q)
+            twisted.append(row)
     m2 = _eval_matrix(twisted, point)
 
     K = FourTermComplexAtPoint(point, m0, m1, m2, k, n, r, model.divisor)

@@ -177,12 +177,20 @@ def _reduce_tracked(
                 r - br.term_mul(quot, coeff) for r, br in zip(rep, b.rep)
             )
     reduced = Poly._make(ring, out_terms)
-    if reduced.total_degree() > budget.max_degree:
-        raise BudgetExceededError(
-            f"reduction produced degree {reduced.total_degree()} "
-            f"(cap {budget.max_degree})"
-        )
+    _check_degree(reduced.total_degree(), budget)
     return _Tracked(reduced, rep, sugar)
+
+
+def _check_degree(degree: int, budget: Budget) -> None:
+    if degree > budget.max_degree:
+        raise BudgetExceededError(
+            f"reduction produced degree {degree} (cap {budget.max_degree})"
+        )
+
+
+def _check_size(size: int, budget: Budget) -> None:
+    if size > budget.max_basis:
+        raise BudgetExceededError(f"basis size exceeded the cap of {budget.max_basis}")
 
 
 def buchberger(
@@ -197,7 +205,9 @@ def buchberger(
     element, exact quotients over the original generators (used by lift
     certificates).  Sugar-strategy pair selection with the coprime and
     chain criteria keeps the pair queue short; the budget caps basis
-    size and the degree of any new basis element.
+    size and the degree of any new basis element.  An ideal generated by
+    monomials needs no pairs: its reduced basis is read off the minimal
+    generators.
     """
     budget = budget or DEFAULT_BUDGET
     ring = ideal.ring
@@ -205,6 +215,8 @@ def buchberger(
     if not gens:
         gb = GroebnerBasis(ring, order, ())
         return (gb, {}) if _tracked else gb
+    if not _tracked and all(len(g.terms) == 1 for g in gens):
+        return _monomial_basis(ring, order, gens, budget)
 
     def unit_rep(i: int) -> tuple[Poly, ...] | None:
         if not _tracked:
@@ -218,10 +230,7 @@ def buchberger(
         )
         if not item.poly.is_zero():
             basis.append(item)
-        if len(basis) > budget.max_basis:
-            raise BudgetExceededError(
-                f"basis size exceeded the cap of {budget.max_basis}"
-            )
+        _check_size(len(basis), budget)
 
     # each pair is pushed once under (sugar, order key of the lcm, i, j);
     # the keys never change, so the heap yields the pairs in that order
@@ -279,10 +288,7 @@ def buchberger(
             continue
         basis.append(item)
         lms.append(item.poly.leading_monomial(order))
-        if len(basis) > budget.max_basis:
-            raise BudgetExceededError(
-                f"basis size exceeded the cap of {budget.max_basis}"
-            )
+        _check_size(len(basis), budget)
         push_pairs(len(basis) - 1)
 
     return _finalize(ring, order, basis, _tracked, budget)
@@ -326,6 +332,35 @@ def _finalize(
         reps = {b.poly: b.rep for b in final}
         return gb, reps
     return gb
+
+
+def _monomial_basis(
+    ring: Ring, order: MonomialOrder, gens: Sequence[Poly], budget: Budget
+) -> GroebnerBasis:
+    """Reduced basis of an ideal generated by monomials: its minimal
+    generators, made monic and sorted.
+
+    Every S-polynomial of two monomials is zero, so the general loop only
+    reduces each generator against the ones kept before it and then
+    drops the kept ones that a later one divides.  This is that scan,
+    with the same budget checks in the same order, so it raises the same
+    errors; no pair, reduction or Fraction arithmetic is needed.
+    """
+    kept: list[Mono] = []
+    for g in gens:
+        (m,) = g.terms
+        if any(mono_divides(k, m) for k in kept):
+            continue
+        _check_degree(mono_degree(m), budget)
+        kept.append(m)
+        _check_size(len(kept), budget)
+    minimal = [
+        m for i, m in enumerate(kept) if not any(mono_divides(k, m) for k in kept[i + 1 :])
+    ]
+    minimal.sort(key=order.key)
+    return GroebnerBasis(
+        ring, order, tuple(Poly._make(ring, {m: Fraction(1)}) for m in minimal)
+    )
 
 
 # ---------------------------------------------------------------------------

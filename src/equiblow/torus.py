@@ -10,7 +10,8 @@ Because the action is diagonal, a point's stabilizer, the closedness
 of its orbit and the vanishing of a monomial on it depend only on its
 coordinate support.  The blowup-center scan therefore works support by
 support: everything but one emptiness test (is some point of V(I)
-supported exactly there?) is read off the support itself.
+supported exactly there?) is read off the support itself, and for a
+monomial ideal that test is too.
 """
 from __future__ import annotations
 
@@ -206,17 +207,42 @@ def orbit_is_closed(support: Iterable[int], weights: WeightMatrix) -> bool:
     return linalg.zero_in_relative_interior([weights.column(i) for i in support])
 
 
+def _monomial_variables(ideal) -> list[set[int]] | None:
+    """The variables of each generator when every generator is a
+    monomial, else None."""
+    if any(len(g.terms) != 1 for g in ideal.generators):
+        return None
+    return [{i for m in g.terms for i, e in enumerate(m) if e} for g in ideal.generators]
+
+
+def _realized_on(variables: list[set[int]], support: Iterable[int]) -> bool:
+    """Whether some point of V(I) has exactly the support S, for a
+    monomial ideal I given by its generators' variables.
+
+    On the points with support exactly S a monomial vanishes iff one of
+    its variables lies outside S, so such points lie in V(I) iff every
+    generator has a variable outside S.  No generator: always realized;
+    a constant generator: never.
+    """
+    return all(v.difference(support) for v in variables)
+
+
 def support_is_realized(
     support: Sequence[int], ideal, budget: groebner.Budget | None = None
 ) -> bool:
     """Whether some point of V(I) has exactly the given coordinate support.
 
-    Such a point is a zero of I and of the off-support coordinates at
-    which the product of the support's coordinates is invertible, so one
-    Rabinowitsch basis decides it: in the ring with one adjoined variable
-    t, the ideal generated by I, the off-support variables and
-    ``1 - t * prod_{i in S} x_i`` contains 1 exactly when no point does.
+    A monomial ideal is decided by its generators' variables alone.
+    Otherwise such a point is a zero of I and of the off-support
+    coordinates at which the product of the support's coordinates is
+    invertible, so one Rabinowitsch basis decides it: in the ring with
+    one adjoined variable t, the ideal generated by I, the off-support
+    variables and ``1 - t * prod_{i in S} x_i`` contains 1 exactly when
+    no point does.
     """
+    variables = _monomial_variables(ideal)
+    if variables is not None:
+        return _realized_on(variables, support)
     ring = ideal.ring
     support = set(support)
     big = ring.adjoin_front([groebner._fresh_name(ring, "t")])
@@ -294,8 +320,9 @@ def enumerate_blowup_centers(
     only) excludes S when every generator has such a variable; one
     without generators vanishes everywhere and so excludes every center.
     That test is read off S and runs first.  A support that passes it
-    costs one emptiness basis, under ``budget``, to check that a point
-    of V(I) realizes it.  Subtori acting trivially on the ambient space
+    must be realized by a point of V(I): for a monomial ideal I the same
+    rule decides that, otherwise it costs one emptiness basis, under
+    ``budget``.  Subtori acting trivially on the ambient space
     are excluded: blowing up along the whole space is the degenerate
     case handled by the caller.
 
@@ -304,21 +331,16 @@ def enumerate_blowup_centers(
     """
     unstable_vars = None
     if unstable is not None:
-        if any(len(g.terms) != 1 for g in unstable.generators):
+        unstable_vars = _monomial_variables(unstable)
+        if unstable_vars is None:
             raise PreconditionError("unstable ideal must be generated by monomials")
-        unstable_vars = [
-            {i for m in g.terms for i, e in enumerate(m) if e}
-            for g in unstable.generators
-        ]
     found: dict = {}
     for support, R in _closed_orbit_supports(weights, ideal.ring.n, max_vars):
         if R.cochar in found:
             continue
         if not fixed_locus(weights, R):
             continue  # acts trivially on the ambient space
-        if unstable_vars is not None and all(
-            v.difference(support) for v in unstable_vars
-        ):
+        if unstable_vars is not None and _realized_on(unstable_vars, support):
             continue  # every point with this support is unstable
         if not support_is_realized(support, ideal, budget):
             continue

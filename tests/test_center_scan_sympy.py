@@ -1,7 +1,8 @@
 """The center scan against sympy, an implementation that shares no code.
 
 ``enumerate_blowup_centers`` reads the unstable exclusion off the
-coordinate support and decides realization with one emptiness basis.
+coordinate support and decides realization with one emptiness basis,
+or, for a monomial ideal, off the support too.
 The reference below keeps the semantics those shortcuts replace and
 answers both questions with ``sympy.groebner``:
 
@@ -34,6 +35,7 @@ from equiblow import (  # noqa: E402
     intrinsic_ideal,
     make_charts,
     parse_poly,
+    support_is_realized,
     unstable_ideal,
 )
 from equiblow.torus import _closed_orbit_supports, monomial_weight  # noqa: E402
@@ -53,6 +55,14 @@ def _is_unit_ideal(polys, gens) -> bool:
     return list(sympy.groebner(polys, *gens, order="grevlex").exprs) == [1]
 
 
+def _rabinowitsch(ideal: Ideal, support, xs, t) -> list:
+    """I, the off-support coordinates and ``1 - t * prod_{i in S} x_i``."""
+    system = [_to_sympy(g, xs) for g in ideal.generators]
+    system += [xs[i] for i in range(ideal.ring.n) if i not in support]
+    system.append(1 - t * sympy.Mul(*[xs[i] for i in support]))
+    return system
+
+
 def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> list:
     ring = ideal.ring
     xs = sympy.symbols(ring.names)
@@ -63,9 +73,7 @@ def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> list:
             continue
         if all(not any(R.restrict(weights.column(i))) for i in range(ring.n)):
             continue  # acts trivially on the ambient space
-        system = [_to_sympy(g, xs) for g in ideal.generators]
-        system += [xs[i] for i in range(ring.n) if i not in support]
-        system.append(1 - t * sympy.Mul(*[xs[i] for i in support]))
+        system = _rabinowitsch(ideal, support, xs, t)
         if _is_unit_ideal(system, (t, *xs)):
             continue  # no point of V(I) has this support
         if unstable is not None and all(
@@ -80,21 +88,23 @@ def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> list:
 @st.composite
 def rank_one_models(draw):
     """Rank-1 weights in [-2, 2] on 2-4 coordinates, not all zero, an
-    ideal of one to three weight-homogeneous monomials or binomials, and
-    for each coordinate up to two squarefree monomials: the unstable
-    ideal drawn for the chart with that pivot."""
+    ideal of one to three weight-homogeneous monomials or binomials (or,
+    for a third of the draws, of monomials only), and for each
+    coordinate up to two squarefree monomials: the unstable ideal drawn
+    for the chart with that pivot."""
     n = draw(st.integers(2, 4))
     weights = WeightMatrix(
         [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))]
     )
     ring = Ring([f"x{i}" for i in range(n)])
     monos = list(itertools.product(range(3), repeat=n))
+    monomial = draw(st.integers(0, 2)) == 0
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         a = draw(st.sampled_from(monos))
         w = monomial_weight(a, weights)
         partners = [b for b in monos if b != a and monomial_weight(b, weights) == w]
-        if partners and draw(st.booleans()):
+        if partners and not monomial and draw(st.booleans()):
             b = draw(st.sampled_from(partners))
             gens.append(Poly(ring, {a: 1, b: draw(st.sampled_from([1, -1, 2]))}))
         else:
@@ -114,8 +124,11 @@ def _model(weights, gens, drawn):
 
 
 # the origin is not on x0*x1 = 1, so the full torus is no center there,
-# though other supports are realized
+# though other supports are realized; the empty ideal realizes every
+# support and the unit ideal none
 @example(_model((1, -1), ["x0*x1 - 1"], [[], []]))
+@example(_model((1, -1, 0), [], [[(0, 0, 1)], []]))
+@example(_model((1, -1, 0), ["1"], [[], []]))
 @example(_model((1, -1, 0), ["x0*x1 - 1", "x2"], [[(0, 0, 1)], [(1, 0, 0)]]))
 @given(rank_one_models())
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -134,3 +147,40 @@ def test_center_scan_matches_sympy_on_full_torus_charts(model):
             assert enumerate_blowup_centers(
                 chart.weights, raw, unstable
             ) == _reference_centers(chart.weights, raw, unstable)
+
+
+R2 = Ring(["x0", "x1"])
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to four monomials of degree at most 2 in 1-4 coordinates, with
+    coefficients 1, -1 or 2, sometimes with the constant 1."""
+    n = draw(st.integers(1, 4))
+    ring = Ring([f"x{i}" for i in range(n)])
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    terms = st.builds(lambda m, c: Poly(ring, {m: c}), mono, st.sampled_from([1, -1, 2]))
+    gens = draw(st.lists(terms, max_size=4))
+    if draw(st.integers(0, 4)) == 0:
+        gens.append(ring.one())
+    return Ideal(ring, gens)
+
+
+@example(Ideal(Ring(["x0", "x1", "x2"]), []))
+@example(Ideal(R2, [parse_poly("x0*x1", R2), R2.one()]))
+@given(monomial_ideals())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_monomial_support_realization_matches_sympy(ideal):
+    # monomial ideals are decided off the supports, with no emptiness
+    # basis; every support, closed orbit or not, must agree with sympy
+    ring = ideal.ring
+    xs = sympy.symbols(ring.names)
+    t = sympy.Dummy("t")
+    for size in range(ring.n + 1):
+        for support in itertools.combinations(range(ring.n), size):
+            expected = not _is_unit_ideal(_rabinowitsch(ideal, support, xs, t), (t, *xs))
+            assert support_is_realized(support, ideal) == expected
+    weights = WeightMatrix([[(-1) ** i for i in range(ring.n)]])
+    assert enumerate_blowup_centers(weights, ideal) == _reference_centers(
+        weights, ideal, None
+    )

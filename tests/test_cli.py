@@ -434,9 +434,9 @@ def test_chart_bases_are_computed_once(capsys, monkeypatch):
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     # one basis per chart for the report; the section check needs none,
     # since the section has the intrinsic ideal's generators; the tree
-    # reuses the chart bases, and the center scan then costs one
-    # emptiness basis per surviving support
-    assert len(calls) == 3
+    # reuses the chart bases, and the center scan needs no emptiness
+    # basis, since the chart ideals are monomial
+    assert len(calls) == 2
 
 
 def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatch):
@@ -458,7 +458,7 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
     monkeypatch.setattr(poly, "_long_divide", counted("long", poly._long_divide))
     calls = count_buchberger(monkeypatch)
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
-    assert (entered, len(calls)) == ([], 3)
+    assert (entered, len(calls)) == ([], 2)
     calls.clear()
     report(capsys, "fiber-check", str(CORPUS / "family.kb"), "--at=3/2")
     assert (entered, len(calls)) == ([], 0)

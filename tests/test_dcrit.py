@@ -8,6 +8,7 @@ import pytest
 
 from equiblow import (
     FourTermComplexAtPoint,
+    LocalModel,
     PreconditionError,
     Ring,
     SmallExtension,
@@ -89,6 +90,37 @@ def test_complex_on_transported_model_uses_twisted_cofactor():
     K = four_term_at(hat, (F(0), F(1), F(0)))
     assert K.m2 == ((F(1), F(-1), F(0)),)
     assert cohomology_dims(K) == (0, 1, 1, 0)
+
+
+def test_complex_on_dcritical_model_divides_nothing(monkeypatch):
+    # a d-critical model has no divisor, so its cofactor is already twisted
+    from equiblow import dcrit
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no division by h = 1")
+
+    monkeypatch.setattr(dcrit, "divide_exact", fail)
+    K = four_term_at(xyz_model(), (F(1), F(0), F(0)))
+    assert K.m2 == ((F(1), F(0), F(0)),)
+
+
+def test_complex_refuses_a_cofactor_the_divisor_does_not_divide():
+    model = xyz_model()
+    center = Subtorus.full(1)
+    chart = make_charts(R3, W3, center)[0]
+    hat = blowup_local_model(model, center, chart)
+    xi, t_y, z = hat.ring.gens()
+    broken = LocalModel(
+        hat.ring,
+        hat.weights,
+        hat.bundle,
+        hat.section,
+        divisor=hat.divisor,
+        cofactor=((xi, -xi * xi * t_y, hat.ring.zero()),),
+        potential=hat.potential,
+    )
+    with pytest.raises(PreconditionError, match="not divisible by the divisor"):
+        four_term_at(broken, (F(0), F(1), F(0)))
 
 
 def test_complex_compositions_vanish_at_many_points():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiblow import (
     Budget,
@@ -239,3 +240,45 @@ def test_budget_caps_the_tail_reduction_of_finalisation(monkeypatch):
 def test_zero_generators_are_dropped():
     I = Ideal(R2, [R2.zero(), parse_poly("x", R2), R2.zero()])
     assert len(I.generators) == 1
+
+
+@st.composite
+def monomial_ideals(draw):
+    """One to four variables, up to six one-term generators with
+    coefficients 1, -1, 2 or -1/3, some repeated, sometimes the constant 1,
+    under one of the three orders and a budget small enough to raise."""
+    n = draw(st.integers(1, 4))
+    ring = Ring([f"v{i}" for i in range(n)])
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+    gens = draw(st.lists(st.builds(lambda m, c: Poly(ring, {m: c}), mono, coeff), max_size=6))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    if draw(st.integers(0, 4)) == 0:
+        gens.insert(draw(st.integers(0, len(gens))), ring.one())
+    gens = draw(st.permutations(gens))
+    order = draw(st.sampled_from([DEGREVLEX, LEX, block_order(1)]))
+    budget = draw(
+        st.none() | st.builds(Budget, st.integers(0, 4), st.integers(0, 8))
+    )
+    return Ideal(ring, gens), order, budget
+
+
+def _basis_or_error(ideal, order, budget, tracked):
+    try:
+        gb = buchberger(ideal, order, budget, _tracked=tracked)
+    except BudgetExceededError as exc:
+        return str(exc)
+    gb = gb[0] if tracked else gb
+    return [(str(p), p.terms) for p in gb.basis]
+
+
+@given(monomial_ideals())
+@settings(max_examples=300, deadline=None)
+def test_monomial_bases_equal_the_general_engine(case):
+    # the certificate-tracking engine always runs the pair loop; reduced
+    # bases and budget errors must agree with the minimal-generator path
+    ideal, order, budget = case
+    assert _basis_or_error(ideal, order, budget, False) == _basis_or_error(
+        ideal, order, budget, True
+    )

@@ -202,9 +202,27 @@ def test_enumerate_blowup_centers_on_three_axes():
 
 
 def test_center_scan_runs_under_the_callers_budget():
-    I = Ideal(R3, [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)])
-    with pytest.raises(BudgetExceededError):
+    # a non-monomial ideal costs one emptiness basis per surviving support
+    I = Ideal(R3, [parse_poly("x*y - z^2", R3)])
+    assert [c.is_full() for c in enumerate_blowup_centers(W1, I)] == [True]
+    with pytest.raises(BudgetExceededError, match="basis size exceeded the cap of 1"):
         enumerate_blowup_centers(W1, I, budget=Budget(max_basis=1))
+
+
+def test_center_scan_on_a_monomial_ideal_computes_no_basis(monkeypatch):
+    from equiblow import groebner
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a monomial ideal is decided by its supports")
+
+    monkeypatch.setattr(groebner, "buchberger", fail)
+    I = Ideal(R3, [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)])
+    tight = Budget(max_basis=1)
+    assert [c.is_full() for c in enumerate_blowup_centers(W1, I, budget=tight)] == [True]
+    # no generator: every support is realized; a constant: none is
+    assert support_is_realized((0, 2), Ideal(R3, []), tight)
+    assert not support_is_realized((), Ideal(R3, [R3.const(3)]), tight)
+    assert enumerate_blowup_centers(W1, Ideal(R3, [R3.one()]), budget=tight) == []
 
 
 def test_center_scan_reads_unstable_monomials_off_the_support():
