@@ -69,12 +69,20 @@ def _parse_budget(args) -> Budget | None:
     return Budget(max_basis=value, max_degree=value)
 
 
+# a coordinate spelled as a plain integer, which int() parses faster than
+# Fraction's string parser would; every other spelling goes to Fraction
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_point(text: str, n: int):
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != n:
         raise ModelFileError(f"point needs {n} coordinates, got {len(parts)}")
     try:
-        return tuple(Fraction(s) for s in parts)
+        return tuple(
+            Fraction(int(s)) if _INTEGER.fullmatch(s) else Fraction(s)
+            for s in parts
+        )
     except (ValueError, ZeroDivisionError):
         raise ModelFileError(f"bad point {text!r}") from None
 
@@ -457,8 +465,11 @@ def cmd_corpus(args) -> tuple[dict, int]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process; parse_args returns a fresh namespace per call
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its map from command name to subparser.
+
+    Built once per process; parsing returns a fresh namespace per call.
+    """
     p = argparse.ArgumentParser(
         prog="equiblow",
         description=(
@@ -517,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus", help="run every bundled example")
     common(sp)
-    return p
+    return p, sub.choices
 
 
 _DISPATCH = {
@@ -537,6 +548,22 @@ _SIGNED_OPTIONS = ("--point", "--direction", "--at")
 _NEGATIVE = re.compile(r"-[0-9.]")
 
 
+def _parse_words(words: list[str]) -> argparse.Namespace:
+    """Parse with the named command's subparser directly, skipping the
+    top-level pass that would hand it every word after the command.
+    When the first word is no command or words are left over, the
+    top-level parser parses them all, so usage, help and every error
+    message stay those of the full parse."""
+    parser, commands = _build_parser()
+    sub = commands.get(words[0]) if words else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(words[1:])
+        if not extra:
+            args.command = words[0]
+            return args
+    return parser.parse_args(words)
+
+
 def main(argv=None) -> int:
     # argparse takes "-1,0,0" for a flag, so glue such a value to its option
     words: list[str] = []
@@ -545,7 +572,7 @@ def main(argv=None) -> int:
             words[-1] += "=" + word
         else:
             words.append(word)
-    args = _build_parser().parse_args(words)
+    args = _parse_words(words)
     try:
         report, code = _DISPATCH[args.command](args)
     except (ModelFileError, PolyParseError) as e:

@@ -20,7 +20,6 @@ from .torus import (
     isotypic_decompose,
     orbit_is_closed,
     poly_weight,
-    reynolds,
     stabilizer_subtorus,
 )
 
@@ -47,7 +46,9 @@ def dcritical_chart(
 
 
 def _require_invariant(f: Poly, weights: WeightMatrix):
-    if reynolds(f, weights, Subtorus.full(weights.k)) != f:
+    # invariant iff every term has weight zero, so the Reynolds
+    # projection would return f itself
+    if poly_weight(f, weights) != (0,) * weights.k:
         raise PreconditionError(f"potential is not invariant: {f}")
 
 

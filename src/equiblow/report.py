@@ -5,8 +5,8 @@ charts sorted by name, rationals printed exactly, and nothing
 time-dependent, so two runs on one input are byte-identical.
 """
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 VERSION = "0.1.0"
 
@@ -60,4 +60,57 @@ def assemble(model: str, command: str, charts: list, ledger: dict) -> dict:
 
 
 def render(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+    newline.  A report holds only dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else raises TypeError.  Written
+    here because ``json.dumps`` with an indent runs its pure-Python
+    encoder, which is slower than this writer."""
+    out: list[str] = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list[str], newline: str):
+    """Append the JSON of ``value`` to ``out``; ``newline`` is a line
+    break plus the indent of the line the value starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(
+            f"report values cannot be of type {type(value).__name__}"
+        )

@@ -258,6 +258,13 @@ def support_is_realized(
     return not groebner.contains_one(gb)
 
 
+def _check_scan_size(n: int, max_vars: int):
+    if n > max_vars:
+        raise BudgetExceededError(
+            f"support scan over {n} coordinates exceeds the {max_vars}-variable cap"
+        )
+
+
 def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
     """Every coordinate support of a closed orbit whose stabilizer is
     nontrivial, with that stabilizer.  A point's stabilizer depends only on
@@ -273,10 +280,7 @@ def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
     stores that lattice in canonical Hermite form.  Every support is
     still yielded, in the same order.
     """
-    if n > max_vars:
-        raise BudgetExceededError(
-            f"support scan over {n} coordinates exceeds the {max_vars}-variable cap"
-        )
+    _check_scan_size(n, max_vars)
     cols = weights.columns()
     by_columns: dict[frozenset, Subtorus | None] = {}
     for size in range(n + 1):
@@ -298,10 +302,24 @@ def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[
     Unlike ``enumerate_blowup_centers`` this keeps trivially-acting
     subtori and ignores any ideal: the list serves structural checks that
     quantify over all closed-orbit points.
+
+    Closedness and the stabilizer depend only on the set of distinct
+    nonzero weight columns of a support (see ``_closed_orbit_supports``),
+    so the scan runs over the subsets of those columns, each represented
+    by the first coordinate carrying it, rather than over every support.
     """
+    _check_scan_size(weights.n, max_vars)
+    first: dict[tuple[int, ...], int] = {}
+    for i, col in enumerate(weights.columns()):
+        if any(col):
+            first.setdefault(col, i)
     found: dict = {}
-    for _, R in _closed_orbit_supports(weights, weights.n, max_vars):
-        found.setdefault(R.cochar, R)
+    for size in range(len(first) + 1):
+        for support in itertools.combinations(first.values(), size):
+            if orbit_is_closed(support, weights):
+                R = stabilizer_subtorus(support, weights)
+                if not R.is_trivial():
+                    found.setdefault(R.cochar, R)
     return sorted(found.values(), key=lambda R: R.sort_key())
 
 

@@ -3,9 +3,11 @@ determinism."""
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bench_models import write_bench_models
 from equiblow import TheoremCheckError, cli
@@ -174,18 +176,21 @@ def test_non_invariant_potential_is_exit_2(capsys, tmp_path, argv):
 
 
 def test_build_model_checks_invariance_once(monkeypatch):
-    from equiblow import modelfile, torus
+    from equiblow import dcrit, modelfile
 
     calls = []
-    original = torus.reynolds
+    original = dcrit._require_invariant
 
     def counted(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "equiblow" and getattr(module, "reynolds", None) is original:
-            monkeypatch.setattr(module, "reynolds", counted)
+        if (
+            name.split(".")[0] == "equiblow"
+            and getattr(module, "_require_invariant", None) is original
+        ):
+            monkeypatch.setattr(module, "_require_invariant", counted)
     for name in ("e2.kb", "square.kb", "family.kb"):
         calls.clear()
         built = modelfile.build_model(modelfile.load_model_file(str(CORPUS / name)))
@@ -502,3 +507,136 @@ def test_crit_solves_one_lp_per_weight_column_set(
     write_bench_models(tmp_path)
     report(capsys, "crit", str(tmp_path / name), f"--point={point}")
     assert len(calls) == count
+
+
+def full_parse(words):
+    """The reference parse: the top-level parser, which hands the words
+    after the command to the command's subparser."""
+    parser, _ = cli._build_parser()
+    return parser.parse_args(words)
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = ("exit", e.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def argv_battery(tmp_path):
+    c = lambda name: str(CORPUS / name)  # noqa: E731
+    e2, square = c("e2.kb"), c("square.kb")
+    report_path = str(tmp_path / "out.json")
+    return [
+        [],
+        ["-h"],
+        ["--help"],
+        ["-h", "crit"],
+        ["nope"],
+        ["nope", e2],
+        ["--budget", "2", "crit", square],
+        ["corpus"],
+        ["corpus", "--budget=50"],
+        ["corpus", "extra"],
+        ["blowup", e2],
+        ["blowup", e2, "--chart", "chart_y"],
+        ["blowup", e2, "--ch=chart_x", "--json", report_path],
+        ["blowup", c("e1.kb"), "--full", "--budget", "40"],
+        ["blowup", c("e1.kb"), "--fu"],
+        ["blowup", e2, "-h"],
+        ["blowup", e2, "--h"],
+        ["blowup"],
+        ["blowup", e2, "extra"],
+        ["blowup", e2, "--nope"],
+        ["blowup", e2, "--budget", "x"],
+        ["blowup", e2, "--budget"],
+        ["crit", square],
+        ["crit", c("fat.kb")],
+        ["crit", square, "--point", "1,0"],
+        ["crit", square, "--point=1,0"],
+        ["crit", square, "--poi", "-1,0"],
+        ["crit", square, "--point", "-1,0"],
+        ["crit", square, "--point=-1/2,0", "--js", report_path],
+        ["crit", square, "--point"],
+        ["crit", square, "--point", "1,0", "--point", "0,0"],
+        ["crit", "--point", "0,0", square],
+        ["crit", "--", square],
+        ["crit", square, "--", "extra"],
+        ["crit", square, "-"],
+        ["crit", "-h"],
+        ["crit", square, "--point", "1"],
+        ["crit", square, "--point", "a,b"],
+        ["semistable", e2, "--chart", "chart_x", "--point", "0,1,0"],
+        ["semistable", e2, "--cha", "chart_x", "--poi=-1,0,0"],
+        ["semistable", e2, "--chart", "chart_x", "--point", "-1,0,0"],
+        ["semistable", e2, "--chart", "chart_z", "--point", "0,1,0"],
+        ["semistable", e2, "--c", "chart_x"],
+        ["semistable", e2, "--chart", "chart_x"],
+        ["obstruction", square],
+        ["obstruction", square, "--point", "0,0", "--direction", "-1,0"],
+        ["obstruction", square, "--dir=1,0", "--ext-order", "3"],
+        ["obstruction", square, "--ext", "x"],
+        ["obstruction", square, "--e", "2"],
+        ["obstruction", square, "--budget", "-1"],
+        ["omega-verify", c("square_pair.kb")],
+        ["omega-verify", c("square_pair.kb"), "--bud", "50"],
+        ["omega-verify", square],
+        ["fiber-check", c("family.kb")],
+        ["fiber-check", c("family.kb"), "--at", "-2"],
+        ["fiber-check", c("family.kb"), "--at=-1/2"],
+        ["fiber-check", c("family.kb"), "--a", "1"],
+        ["fiber-check", c("family.kb"), "--at", "1/0"],
+        ["independence", c("e1aux.kb"), "--aux", "u"],
+        ["independence", c("e1aux.kb"), "--au=u"],
+        ["independence", c("e1aux.kb")],
+        ["independence", c("e1aux.kb"), "--aux", "w"],
+        ["independence", c("e1aux.kb"), "--aux", "u", "--budget", "x"],
+    ]
+
+
+def test_argv_battery_matches_the_full_parse(capsys, monkeypatch, tmp_path):
+    codes = set()
+    for argv in argv_battery(tmp_path):
+        got = outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_words", full_parse)
+            want = outcome(capsys, argv)
+        assert got == want, argv
+        codes.add(got[0])
+    # reports, error exits, help and argparse errors are all covered
+    assert {0, 2, 3, ("exit", 0), ("exit", 2)} <= codes
+
+
+INTEGER_PARTS = st.from_regex(r"[+-]?0*[0-9]{1,6}", fullmatch=True)
+OTHER_PARTS = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+    st.from_regex(r"[+-]?[0-9]{1,3}/[+-]?[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(["1/0", "0/0", "-", "--1", "1_000", "١٢", "inf", "nan", "1/2/3", " "]),
+    st.text(alphabet="0123456789-+./eE_ x", max_size=6),
+)
+
+
+def reference_part(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return "error"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(INTEGER_PARTS, OTHER_PARTS), min_size=1, max_size=4))
+def test_parse_point_matches_the_fraction_parser(parts):
+    from equiblow.errors import ModelFileError
+
+    text = ",".join(parts)
+    want = [reference_part(s.strip()) for s in text.split(",")]
+    try:
+        got = cli._parse_point(text, len(want))
+    except ModelFileError as e:
+        assert "error" in want
+        assert str(e) == f"bad point {text!r}"
+    else:
+        assert list(got) == want
+        assert all(type(x) is Fraction for x in got)

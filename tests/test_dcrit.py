@@ -5,10 +5,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from equiblow import (
     FourTermComplexAtPoint,
     LocalModel,
+    Poly,
     PreconditionError,
     Ring,
     SmallExtension,
@@ -29,8 +31,10 @@ from equiblow import (
     parse_poly,
     phi_ck_at_point,
     reduced_obstruction_dim,
+    reynolds,
     verify_omega_equivalence,
 )
+from equiblow.dcrit import _require_invariant
 
 R1 = Ring(["x"])
 R2 = Ring(["x", "y"])
@@ -47,6 +51,33 @@ def square_model():
 
 def xyz_model():
     return dcritical_chart(parse_poly("x*y*z", R3), W3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.integers(min_value=-1, max_value=1)] * 3), max_size=2
+    ),
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+        max_size=5,
+    ),
+)
+@example([], {(1, 0, 0): 1})
+@example([(1, -1, 0)], {})
+@example([(1, -1, 0)], {(1, 1, 0): 1, (0, 0, 2): -1})
+@example([(1, -1, 0)], {(1, 1, 0): 1, (1, 0, 0): -1})
+@example([(1, -1, 0), (0, 1, -1)], {(2, 0, 0): 1})
+def test_invariance_check_agrees_with_the_reynolds_projection(rows, terms):
+    weights = WeightMatrix(rows)
+    f = Poly(R3, terms)
+    if reynolds(f, weights, Subtorus.full(weights.k)) == f:
+        _require_invariant(f, weights)
+    else:
+        with pytest.raises(PreconditionError) as info:
+            _require_invariant(f, weights)
+        assert str(info.value) == f"potential is not invariant: {f}"
 
 
 # ---------------------------------------------------------------------------

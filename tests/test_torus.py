@@ -295,3 +295,29 @@ def test_zero_and_repeated_columns_change_neither_test(W, data):
         grown = support + (W.n,)
         assert orbit_is_closed(grown, wider) == orbit_is_closed(support, W)
         assert stabilizer_subtorus(grown, wider) == stabilizer_subtorus(support, W)
+
+
+@st.composite
+def weight_matrices(draw):
+    """Rank 1 to 3, 0 to 7 coordinates, entries in [-2, 2]; columns are
+    drawn from a short list plus the zero column, so repeats are common."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    column = st.tuples(*[st.integers(min_value=-2, max_value=2)] * k)
+    pool = draw(st.lists(column, min_size=1, max_size=4)) + [(0,) * k]
+    cols = draw(st.lists(st.sampled_from(pool), max_size=7))
+    return WeightMatrix([[c[a] for c in cols] for a in range(k)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(weight_matrices(), st.one_of(st.just(16), st.integers(min_value=0, max_value=7)))
+def test_closed_orbit_stabilizers_match_the_support_scan(W, max_vars):
+    if W.n > max_vars:
+        with pytest.raises(BudgetExceededError) as want:
+            list(_closed_orbit_supports(W, W.n, max_vars))
+        with pytest.raises(BudgetExceededError) as got:
+            closed_orbit_stabilizers(W, max_vars)
+        assert str(got.value) == str(want.value)
+        return
+    by_cochar = {R.cochar: R for _, R in _closed_orbit_supports(W, W.n, max_vars)}
+    want = sorted(by_cochar.values(), key=lambda R: R.sort_key())
+    assert closed_orbit_stabilizers(W, max_vars) == want
