@@ -543,7 +543,8 @@ _DISPATCH = {
 }
 
 
-# options whose value may start with a minus sign, as in "--point -1,0,0"
+# options whose value may start with a minus sign, as in "--point -1,0,0";
+# argparse also takes their unique prefixes, as in "--poi -1,0,0"
 _SIGNED_OPTIONS = ("--point", "--direction", "--at")
 _NEGATIVE = re.compile(r"-[0-9.]")
 
@@ -568,7 +569,12 @@ def main(argv=None) -> int:
     # argparse takes "-1,0,0" for a flag, so glue such a value to its option
     words: list[str] = []
     for word in sys.argv[1:] if argv is None else argv:
-        if words and words[-1] in _SIGNED_OPTIONS and _NEGATIVE.match(word):
+        if (
+            words
+            and _NEGATIVE.match(word)
+            and len(words[-1]) > 2
+            and any(o.startswith(words[-1]) for o in _SIGNED_OPTIONS)
+        ):
             words[-1] += "=" + word
         else:
             words.append(word)

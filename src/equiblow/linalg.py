@@ -296,8 +296,10 @@ def primitive(v) -> tuple[int, ...]:
 # exact LP feasibility (fraction-free phase-one simplex, Bland's rule)
 
 
-def _phase_one(A: list[list[int]], b: list[int]) -> bool:
-    """Feasibility of {x >= 0 : A x = b} for integer A and b.
+def _phase_one(A: list[list[int]], b: list[int]) -> list[int] | None:
+    """Decide {x >= 0 : A x = b} for integer A and b: None when it is
+    feasible, else a Farkas certificate, an integer y with y A >= 0 and
+    y b < 0.
 
     The tableau is kept integer-preserving (Edmonds, Bareiss): every
     row, the cost row included, is the rational tableau times d, the
@@ -306,6 +308,10 @@ def _phase_one(A: list[list[int]], b: list[int]) -> bool:
     (p*x - f*y) // d, an exact division.  Pivots are positive, so d > 0
     and the signs and cross-multiplied ratios of the integer tableau
     are those of the rational one: Bland's rule makes the same pivots.
+    At the optimum the dual of the sign-adjusted rows is read off the
+    artificial columns, whose reduced cost is d (1 - dual); an infeasible
+    system has positive optimum, and the negated dual, with the signs
+    undone, is the certificate.
     """
     m = len(A)
     n = len(A[0]) if A else 0
@@ -325,7 +331,12 @@ def _phase_one(A: list[list[int]], b: list[int]) -> bool:
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
-            return cost[-1] == 0
+            if cost[-1] == 0:
+                return None
+            return [
+                cost[n + i] - d if b[i] >= 0 else d - cost[n + i]
+                for i in range(m)
+            ]
         leave = None
         for i in range(m):
             a = T[i][enter]
@@ -361,18 +372,32 @@ def lp_feasible(A_eq, b_eq, lower) -> bool:
     lo = [index(x) for x in lower]
     A = [[index(x) for x in row] for row in A_eq]
     b = [index(bi) - sum(a * l for a, l in zip(row, lo)) for bi, row in zip(b_eq, A)]
-    return _phase_one(A, b)
+    return _phase_one(A, b) is None
+
+
+def separating_direction(vectors: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """None when 0 is a convex combination of the nonempty integer
+    vectors, else a primitive integer lambda with lambda . v > 0 for
+    every v (Gordan's alternative).
+
+    The certificate (y, c) of the hull system {sum x_v v = 0,
+    sum x_v = 1, x >= 0} has y . v + c >= 0 for every v and c < 0, so
+    y itself separates.
+    """
+    vs = [tuple(int(x) for x in v) for v in vectors]
+    if not vs:
+        raise ValueError("no vectors to separate from 0")
+    d = len(vs[0])
+    A = [[v[i] for v in vs] for i in range(d)]
+    A.append([1] * len(vs))
+    certificate = _phase_one(A, [0] * d + [1])
+    return None if certificate is None else primitive(certificate[:d])
 
 
 def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> bool:
     """Is 0 a convex combination of the given integer vectors?"""
     vs = [tuple(int(x) for x in v) for v in vectors]
-    if not vs:
-        return False
-    d = len(vs[0])
-    A = [[v[i] for v in vs] for i in range(d)]
-    A.append([1] * len(vs))
-    return lp_feasible(A, [0] * d + [1], [0] * len(vs))
+    return bool(vs) and separating_direction(vs) is None
 
 
 def zero_in_relative_interior(vectors: Sequence[Sequence[int]]) -> bool:

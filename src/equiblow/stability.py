@@ -1,19 +1,20 @@
 """Instability analysis on blowup charts.
 
-Two pointwise rules, applied with strict precedence: a point on the
-exceptional locus is judged by the convex-hull test on its fiber support,
-while a point off it is unstable exactly when some one-parameter flow
-drags its orbit into the exceptional-unstable set.  For a rank-one torus
-the unstable set has a clean coordinate-subspace closure, exposed as an
-ideal; higher ranks get pointwise verdicts only.
+One rule for every point and every torus rank: the torus acts
+diagonally, so a chart point is unstable exactly when 0 lies outside the
+convex hull of the center-restricted fiber weights of its fiber support
+(the pivot and the moving coordinates with T_i != 0), on the exceptional
+locus and off it.  An unstable verdict carries the hull LP's separating
+direction and the limit of the point under it.  For a rank-one torus the
+unstable set has a clean coordinate-subspace closure, exposed as an
+ideal.
 """
 
-import functools
 from fractions import Fraction
 
-from .errors import PreconditionError, TheoremCheckError
+from .errors import PreconditionError
 from .groebner import Ideal
-from .linalg import primitive, zero_in_convex_hull
+from .linalg import separating_direction, zero_in_convex_hull
 from .blowup import BlowupChart
 from .torus import WeightMatrix
 
@@ -45,29 +46,6 @@ class StabilityVerdict:
             f"StabilityVerdict(unstable, direction={self.direction}, "
             f"limit={self.limit}, chart={self.chart})"
         )
-
-
-class SemistableLocus:
-    """Constructible description of the semistable part of a chart: the
-    scheme ideal minus the vanishing set of the unstable ideal."""
-
-    __slots__ = ("chart", "scheme", "unstable")
-
-    def __init__(self, chart, scheme: Ideal, unstable: Ideal):
-        self.chart = chart
-        self.scheme = scheme
-        self.unstable = unstable
-
-    def contains_point(self, point) -> bool:
-        point = tuple(Fraction(x) for x in point)
-        if any(not g.evaluate(point) == 0 for g in self.scheme.generators):
-            return False
-        # V(unstable) is excluded; an empty generator list cuts everything
-        return not all(g.evaluate(point) == 0 for g in self.unstable.generators)
-
-    def __repr__(self):
-        name = self.chart.name if self.chart is not None else None
-        return f"SemistableLocus(chart={name})"
 
 
 def hm_fiber_semistable(support, fiber_weights) -> bool:
@@ -112,70 +90,6 @@ def one_ps_limit(point, lam, weights: WeightMatrix):
     return tuple(
         Fraction(0) if pairings[i] > 0 else point[i] for i in range(len(point))
     )
-
-
-def _angular_key():
-    def half(v):
-        x, y = v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha - hb
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return functools.cmp_to_key(cmp)
-
-
-def candidate_directions(columns) -> list[tuple[int, ...]]:
-    """Finite set of one-parameter directions sufficient for limit search.
-
-    Flow behavior only changes across the hyperplanes orthogonal to the
-    weight columns, so for rank one the two signs suffice and for rank
-    two the wall rays together with sums of angularly adjacent rays hit
-    every cone of the refined fan.  Higher ranks are out of scope.
-    """
-    columns = [tuple(int(x) for x in c) for c in columns]
-    if not columns:
-        raise PreconditionError("no weight columns to build directions from")
-    d = len(columns[0])
-    if d == 0:
-        return []
-    if d == 1:
-        return [(1,), (-1,)]
-    if d != 2:
-        raise PreconditionError(
-            "unsupported: one-parameter direction search is implemented for "
-            "torus rank at most two"
-        )
-    rays = set()
-    for w in columns:
-        if w == (0, 0):
-            continue
-        r = primitive((-w[1], w[0]))
-        rays.add(r)
-        rays.add((-r[0], -r[1]))
-    if not rays:
-        return [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    ordered = sorted(rays, key=_angular_key())
-    out = list(ordered)
-    if len(ordered) == 2:
-        # collinear columns: the two rays sum to zero, so add the normals
-        # to their line, which point along the columns
-        a, b = ordered[0]
-        out += [(-b, a), (b, -a)]
-    m = len(ordered)
-    for i in range(m):
-        a = ordered[i]
-        b = ordered[(i + 1) % m]
-        s = (a[0] + b[0], a[1] + b[1])
-        if s != (0, 0):
-            s = primitive(s)
-            if s not in rays:
-                out.append(s)
-    return out
 
 
 def _restricted_weights(chart: BlowupChart, ambient: bool) -> WeightMatrix:
@@ -226,10 +140,13 @@ def _fiber_support(point, chart: BlowupChart) -> list[int]:
 def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
     """Stability verdict for a rational point of a blowup chart.
 
-    On the exceptional locus the fiber convex-hull rule decides; off it
-    the candidate one-parameter flows are searched across every atlas
-    chart containing the point, looking for a limit inside the
-    exceptional-unstable set.
+    The action is diagonal, so the point is unstable exactly when 0 lies
+    outside the convex hull of the center-restricted fiber weights of its
+    fiber support, on the exceptional locus and off it alike.  The
+    witness is the separating direction lambda of the hull LP, and the
+    limit is taken on the first atlas chart whose pivot minimises
+    lambda . w over the support: there every ratio coordinate pairs
+    non-negatively with lambda and the exceptional coordinate positively.
     """
     point = tuple(Fraction(x) for x in point)
     if len(point) != chart.ring.n:
@@ -239,50 +156,20 @@ def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
     elif all(c.name != chart.name for c in atlas):
         atlas = [chart] + list(atlas)
     fiber = _restricted_weights(chart, ambient=True)
-    exc_pos = chart.pivot
-
-    if point[exc_pos] == 0:
-        support = _fiber_support(point, chart)
-        weights = [fiber.column(i) for i in range(fiber.n)]
-        if hm_fiber_semistable(support, weights):
-            return StabilityVerdict(True)
-        direction = None
-        for lam in candidate_directions([fiber.column(i) for i in support]):
-            pair = [
-                sum(lam[a] * fiber.column(i)[a] for a in range(len(lam)))
-                for i in support
-            ]
-            if all(x > 0 for x in pair):
-                direction = lam
-                break
-        if direction is None:
-            raise TheoremCheckError(
-                "no separating direction found for a hull-unstable fiber point"
-            )
-        for other in atlas:
-            carried = point_to_chart(point, chart, other)
-            if carried is None:
-                continue
-            limit = one_ps_limit(carried, direction, _restricted_weights(other, False))
-            if limit is not None:
-                return StabilityVerdict(False, direction, limit, other.name)
-        return StabilityVerdict(False, direction, None, chart.name)
-
+    support = _fiber_support(point, chart)
+    direction = separating_direction([fiber.column(i) for i in support])
+    if direction is None:
+        return StabilityVerdict(True)
+    pairing = {
+        i: sum(a * b for a, b in zip(direction, fiber.column(i))) for i in support
+    }
+    lowest = min(pairing.values())
     for other in atlas:
-        carried = point_to_chart(point, chart, other)
-        if carried is None:
-            continue
-        chart_w = _restricted_weights(other, ambient=False)
-        fiber_w = _restricted_weights(other, ambient=True)
-        weights = [fiber_w.column(i) for i in range(fiber_w.n)]
-        for lam in candidate_directions(chart_w.columns()):
-            limit = one_ps_limit(carried, lam, chart_w)
-            if limit is None or limit[other.pivot] != 0:
-                continue
-            support = _fiber_support(limit, other)
-            if not hm_fiber_semistable(support, weights):
-                return StabilityVerdict(False, lam, limit, other.name)
-    return StabilityVerdict(True)
+        if pairing.get(other.pivot) == lowest:
+            carried = point_to_chart(point, chart, other)
+            limit = one_ps_limit(carried, direction, _restricted_weights(other, False))
+            return StabilityVerdict(False, direction, limit, other.name)
+    return StabilityVerdict(False, direction, None, chart.name)
 
 
 def unstable_ideal(chart: BlowupChart) -> Ideal:
@@ -310,18 +197,3 @@ def unstable_ideal(chart: BlowupChart) -> Ideal:
         ],
     )
 
-
-def semistable_locus(
-    scheme_ideal: Ideal, chart: BlowupChart | None = None
-) -> SemistableLocus:
-    """Pair a chart ideal with its unstable ideal.
-
-    Without a chart (a trivially-acting stage) nothing is unstable and
-    the excluded locus is empty.
-    """
-    if chart is None:
-        ring = scheme_ideal.ring
-        return SemistableLocus(None, scheme_ideal, Ideal(ring, [ring.one()]))
-    if scheme_ideal.ring != chart.ring:
-        raise PreconditionError("scheme ideal does not live in the chart ring")
-    return SemistableLocus(chart, scheme_ideal, unstable_ideal(chart))

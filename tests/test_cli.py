@@ -80,6 +80,23 @@ def test_semistable_point_verdicts(capsys):
     assert rep["ledger"]["direction"] == [1]
 
 
+def test_semistable_answers_on_a_rank_three_quiver_model(capsys, tmp_path):
+    src = tmp_path / "quiver.kb"
+    src.write_text(
+        "variables = [a0, a1, a2, a3, a4, a5]\n"
+        "weights = [[1, 0, -1, 0, -1, 0], [-1, -1, 0, 1, 0, 1], [0, 1, 0, -1, 1, 0]]\n"
+        'potential = "2*a0*a3*a4"\n'
+    )
+    rep = report(
+        capsys, "semistable", str(src), "--chart", "chart_a0", "--point=0,0,0,0,0,0"
+    )
+    ledger = rep["ledger"]
+    assert ledger["semistable"] is False
+    # the fiber support is the pivot a0 alone, of weight (1, -1, 0)
+    assert ledger["direction"][0] - ledger["direction"][1] > 0
+    assert ledger["limit_chart"] == "chart_a0"
+
+
 def test_obstruction_subcommand_cubic(capsys, tmp_path):
     src = tmp_path / "cubic.kb"
     src.write_text(
@@ -400,14 +417,16 @@ def test_blowup_full_with_one_sign_weights_completes(capsys, tmp_path):
 
 
 def test_negative_values_parse_after_a_space(capsys):
-    e2 = str(CORPUS / "e2.kb")
-    for argv, flag, value in (
-        (["semistable", e2, "--chart", "chart_x"], "--point", "-1,0,0"),
-        (["obstruction", str(CORPUS / "square.kb")], "--direction", "-1,0"),
-        (["fiber-check", str(CORPUS / "family.kb")], "--at", "-1/2"),
+    e2, square = str(CORPUS / "e2.kb"), str(CORPUS / "square.kb")
+    for argv, flag, prefix, value in (
+        (["semistable", e2, "--chart", "chart_x"], "--point", "--poi", "-1,0,0"),
+        (["crit", square], "--point", "--poi", "-1,0"),
+        (["obstruction", square], "--direction", "--dir", "-1,0"),
+        (["fiber-check", str(CORPUS / "family.kb")], "--at", "--a", "-2"),
     ):
-        spaced = report(capsys, *argv, flag, value)
-        assert spaced == report(capsys, *argv, f"{flag}={value}")
+        glued = report(capsys, *argv, f"{flag}={value}")
+        assert report(capsys, *argv, flag, value) == glued
+        assert report(capsys, *argv, prefix, value) == glued
 
 
 def count_buchberger(monkeypatch):

@@ -22,6 +22,7 @@ from equiblow.linalg import (
     left_kernel_basis,
     lp_feasible,
     primitive,
+    separating_direction,
     smith_diagonal,
     transpose,
 )
@@ -300,6 +301,10 @@ def test_convex_position_predicates_match_sympy_and_the_fraction_simplex(vs):
     in_relint = zero_in_relative_interior(vs)
     assert in_hull == hull(vs) == fraction_hull(vs)
     assert in_relint == relint(vs) == fraction_relint(vs)
+    lam = separating_direction(vs)
+    assert lam is None if in_hull else primitive(lam) == lam and all(
+        sum(a * b for a, b in zip(lam, v)) > 0 for v in vs
+    )
 
 
 @given(
@@ -317,6 +322,14 @@ def test_convex_position_predicates_match_sympy_and_the_fraction_simplex(vs):
 def test_lp_feasible_matches_the_fraction_simplex(system):
     A, b, lower = system
     assert lp_feasible(A, b, lower) == fraction_lp_feasible(A, b, lower)
+    # an infeasible system carries a Farkas certificate: y A >= 0, y b < 0
+    rhs = [bi - sum(a * l for a, l in zip(row, lower)) for bi, row in zip(b, A)]
+    y = linalg._phase_one(A, rhs)
+    assert (y is None) == lp_feasible(A, b, lower)
+    assert y is None or (
+        all(sum(yi * row[j] for yi, row in zip(y, A)) >= 0 for j in range(len(A[0])))
+        and sum(yi * bi for yi, bi in zip(y, rhs)) < 0
+    )
 
 
 def mixed_matrices():

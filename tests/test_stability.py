@@ -5,21 +5,19 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from equiblow import (
-    Ideal,
     PreconditionError,
     Ring,
     Subtorus,
     WeightMatrix,
     hm_fiber_semistable,
     make_charts,
-    parse_poly,
     point_semistable,
-    semistable_locus,
     unstable_ideal,
 )
-from equiblow.stability import candidate_directions
+from equiblow.stability import one_ps_limit, point_to_chart
 
 R3 = Ring(["x", "y", "z"])
 W3 = WeightMatrix([(1, -1, 0)])
@@ -105,27 +103,52 @@ def test_unstable_witness_direction_actually_flows_to_zero():
             assert s * w > 0
 
 
-def test_semistable_locus_pairs_scheme_and_unstable():
-    cx = atlas3()[0]
-    scheme = Ideal(cx.ring, [parse_poly("z", cx.ring)])
-    loc = semistable_locus(scheme, cx)
-    assert loc.chart is cx
-    assert sorted(str(p) for p in loc.unstable.generators) == ["T_y"]
-
-
-def test_semistable_locus_without_chart_excludes_nothing():
-    scheme = Ideal(R3, [parse_poly("z", R3)])
-    loc = semistable_locus(scheme)
-    assert loc.chart is None
-    assert [str(p) for p in loc.unstable.generators] == ["1"]
-
-
-def test_collinear_columns_give_directions_along_their_line():
-    assert (1, 0) in candidate_directions([(1, 0)])
-    assert (-1, 0) in candidate_directions([(2, 0), (-1, 0)])
+def test_rank_two_origin_flows_to_itself_on_chart_x():
     ring = Ring(["x", "y", "z", "w"])
     weights = WeightMatrix([(1, -1, 0, 0), (0, 0, 1, -1)])
     charts = make_charts(ring, weights, Subtorus.full(2))
     verdict = point_semistable((0, 0, 0, 0), charts[0], charts)
     assert not verdict.semistable
-    assert verdict.direction == (1, 0)
+    # the fiber support is the pivot x alone, of weight (1, 0)
+    assert verdict.direction[0] > 0
+    assert verdict.limit == (Fraction(0),) * 4
+    assert verdict.chart == "chart_x"
+
+
+@st.composite
+def chart_points(draw):
+    """A full-torus atlas of rank 1-3 with fiber weights in {-1, 0, 1},
+    one of its charts, and a point of that chart."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    rows = [draw(st.tuples(*[st.sampled_from((-1, 0, 1))] * n)) for _ in range(k)]
+    assume(any(any(r) for r in rows))
+    charts = make_charts(Ring([f"x{i}" for i in range(n)]), WeightMatrix(rows), Subtorus.full(k))
+    chart = draw(st.sampled_from(charts))
+    point = draw(st.tuples(*[st.sampled_from((0, 0, 1, -1, 2))] * n))
+    return rows, charts, chart, point
+
+
+@given(chart_points())
+@settings(max_examples=150, deadline=None)
+def test_point_verdicts_match_the_cochar_box_at_every_rank(case):
+    rows, charts, chart, point = case
+    column = lambda i: tuple(r[i] for r in rows)  # noqa: E731
+    moving = [i for i in range(len(point)) if any(column(i))]
+    support = [i for i in moving if i == chart.pivot or point[i] != 0]
+    verdict = point_semistable(point, chart, charts)
+    # fiber weights lie in {-1, 0, 1}, so each minor of a vertex of the
+    # normalized cone is at most 2 and Cramer's rule bounds it by 6
+    assert verdict.semistable == (
+        not strict_destabilizer_exists([column(i) for i in support], bound=6)
+    )
+    if verdict.semistable:
+        return
+    lam = verdict.direction
+    pairing = {i: sum(a * b for a, b in zip(lam, column(i))) for i in support}
+    assert min(pairing.values()) > 0
+    (target,) = [c for c in charts if c.name == verdict.chart]
+    assert pairing[target.pivot] == min(pairing.values())
+    carried = point_to_chart(point, chart, target)
+    assert verdict.limit is not None
+    assert verdict.limit == one_ps_limit(carried, lam, target.weights)
