@@ -94,9 +94,7 @@ def _stage_dict(stage) -> dict:
             {
                 "name": co.chart.name,
                 "ideal_gb": rpt.gb_strings(co.gb),
-                "unstable_gb": (
-                    rpt.ideal_strings(co.unstable) if co.unstable is not None else None
-                ),
+                "unstable_gb": rpt.ideal_strings(co.unstable),
                 "substages": [_stage_dict(s) for s in co.substages],
             }
             for co in stage.charts
@@ -117,13 +115,12 @@ def _chart_entries(built: BuiltModel, charts, budget, prefix: str = "") -> list:
         if built.model is not None:
             coinc = section_coincides(built.model, chart, raw, budget)
             checks["coinc"] = coinc
-        unstable = unstable_ideal(chart) if chart.center.dim == 1 else None
         entry = rpt.chart_entry(
             prefix + chart.name,
             chart.ring.names,
             chart.weights.rows,
             ideal_gb=rpt.gb_strings(gb),
-            unstable_gb=rpt.ideal_strings(unstable) if unstable is not None else None,
+            unstable_gb=rpt.ideal_strings(unstable_ideal(chart)),
             checks=checks,
         )
         out.append((entry, coinc, gb))

@@ -1,6 +1,7 @@
 """Iterated Kirwan blowups: blow up the largest-dimensional stabilizer,
-attach unstable ideals, and recurse chart by chart until every residual
-stabilizer of a semistable point is trivial.
+attach each chart's unstable ideal (for a center of any dimension), and
+recurse chart by chart, scanning only centers with semistable points,
+until every residual stabilizer of a semistable point is trivial.
 
 The driver never re-discovers a center it just blew up; that descent is a
 theorem and its failure raises loudly.
@@ -17,7 +18,8 @@ from .torus import Subtorus, WeightMatrix, enumerate_blowup_centers
 class ChartOutcome:
     """One chart of one blowup stage: the intrinsic ideal (with its
     reduced basis), the transported model when the center is the full
-    torus, the attached unstable ideal, and deeper stages."""
+    torus, the chart's unstable ideal, which the center scan below it
+    excludes, and deeper stages."""
 
     __slots__ = ("chart", "ideal", "gb", "model", "unstable", "substages")
 
@@ -132,7 +134,7 @@ def _descend(
             raw = intrinsic_ideal(ideal, chart, budget)
         if gb is None:
             gb = buchberger(raw, DEGREVLEX, budget)
-        chart_unstable = unstable_ideal(chart) if center.dim == 1 else None
+        chart_unstable = unstable_ideal(chart)
         next_centers = enumerate_blowup_centers(
             chart.weights, raw, chart_unstable, max_vars, budget
         )

@@ -27,26 +27,15 @@ def ideal_strings(ideal) -> list[str]:
     return sorted(str(p) for p in ideal.generators)
 
 
-def chart_entry(
-    name: str,
-    variables,
-    weights,
-    ideal_gb=None,
-    unstable_gb=None,
-    checks=None,
-) -> dict:
-    entry = {
+def chart_entry(name: str, variables, weights, ideal_gb, unstable_gb, checks) -> dict:
+    return {
         "name": name,
         "vars": list(variables),
         "weights": [list(row) for row in weights],
+        "ideal_gb": list(ideal_gb),
+        "unstable_gb": list(unstable_gb),
+        "checks": checks,
     }
-    if ideal_gb is not None:
-        entry["ideal_gb"] = list(ideal_gb)
-    if unstable_gb is not None:
-        entry["unstable_gb"] = list(unstable_gb)
-    if checks is not None:
-        entry["checks"] = checks
-    return entry
 
 
 def assemble(model: str, command: str, charts: list, ledger: dict) -> dict:

@@ -5,11 +5,12 @@ diagonally, so a chart point is unstable exactly when 0 lies outside the
 convex hull of the center-restricted fiber weights of its fiber support
 (the pivot and the moving coordinates with T_i != 0), on the exceptional
 locus and off it.  An unstable verdict carries the hull LP's separating
-direction and the limit of the point under it.  For a rank-one torus the
-unstable set has a clean coordinate-subspace closure, exposed as an
-ideal.
+direction and the limit of the point under it.  The same rule gives the
+unstable locus of a chart, a union of coordinate subspaces exposed as a
+squarefree monomial ideal.
 """
 
+import itertools
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -173,27 +174,31 @@ def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
 
 
 def unstable_ideal(chart: BlowupChart) -> Ideal:
-    """Ideal of the closure of the unstable set of a rank-one chart.
+    """Ideal of the unstable locus of a chart, for a center of any
+    dimension.
 
-    One flow direction drives points into the exceptional-unstable set:
-    its basin is cut by the ratio coordinates of opposite weight sign to
-    the pivot.  The other direction contributes nothing, since no flow
-    can reach the exceptional locus against the pivot's sign.  The
-    exceptional-unstable set itself lies inside that basin closure.
+    A point's verdict depends only on its fiber support, and a smaller
+    support of an unstable one is unstable too, so the locus is a union
+    of coordinate subspaces.  Its ideal is generated by the squarefree
+    monomials T^tau over the minimal sets tau of ratio coordinates with
+    {pivot} + tau semistable; by Caratheodory |tau| <= center dim + 1.
+    Without generators the ideal is zero: the whole chart is unstable.
     """
-    if chart.center.dim != 1:
-        raise PreconditionError("unsupported: use point_semistable above rank one")
     ring = chart.ring
-    fiber = _restricted_weights(chart, ambient=True)
-    w = [fiber.column(i)[0] for i in range(fiber.n)]
-    wk = w[chart.pivot]
+    fiber = _restricted_weights(chart, ambient=True).columns()
+    ratios = [i for i in chart.moving if i != chart.pivot]
+    minimal: list[set[int]] = []
+    for size in range(1, chart.center.dim + 2):
+        for tau in itertools.combinations(ratios, size):
+            if not any(m.issubset(tau) for m in minimal) and hm_fiber_semistable(
+                (chart.pivot,) + tau, fiber
+            ):
+                minimal.append(set(tau))
     names = chart.parent_ring.names
-    return Ideal(
-        ring,
-        [
-            ring.var("T_" + names[i])
-            for i in chart.moving
-            if i != chart.pivot and w[i] * wk < 0
-        ],
-    )
-
+    generators = []
+    for tau in minimal:
+        g = ring.one()
+        for i in sorted(tau):
+            g = g * ring.var("T_" + names[i])
+        generators.append(g)
+    return Ideal(ring, generators)

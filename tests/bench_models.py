@@ -1,4 +1,5 @@
-"""The three bench models of ROADMAP's baseline section, as model-file text."""
+"""The bench models of ``perfbench/models`` as model-file text: the three
+of ROADMAP's baseline section and the rank-2 model ``rank2.kb``."""
 
 BENCH_MODELS = {
     "heavy.kb": (
@@ -15,6 +16,11 @@ BENCH_MODELS = {
         "variables = [x1, x2, y1, y2, z]\n"
         "weights = [[1, 1, -1, -1, 0]]\n"
         'potential = "x1*y1*z + x2*y2*z^2 + x1*x2*y1*y2"\n'
+    ),
+    "rank2.kb": (
+        "variables = [x, y, z, w]\n"
+        "weights = [[1, -1, 0, 0], [0, 0, 1, -1]]\n"
+        'potential = "x*y*z*w + x^2*y^2 + z^2*w^2"\n'
     ),
 }
 

@@ -1,7 +1,12 @@
 """Iterated blowup driver: stage discovery, chart outcomes, descent of
 the stabilizer set, and the trivial-action early exit."""
 
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiblow import (
     Budget,
@@ -12,6 +17,7 @@ from equiblow import (
     parse_poly,
     partial_desingularization,
 )
+from equiblow import cli
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -73,3 +79,53 @@ def test_every_center_scan_gets_the_callers_budget(monkeypatch):
     # the scan of the model and one scan per chart of the first stage
     assert len(seen) == 3
     assert all(b is budget for b in seen)
+
+
+@st.composite
+def ext_quiver_models(draw):
+    """An Ext-quiver local model as model-file text, with its torus rank:
+    at most 6 arrows a_j between 2-4 vertices, arrow weights e_t - e_s
+    with vertex 0 dropped (the diagonal acts trivially), and a potential
+    of 1-3 oriented cycles of length 2-4, each invariant because its
+    weights sum to zero."""
+    vertices = draw(st.integers(2, 4))
+    vertex = st.integers(0, vertices - 1)
+    arrows, terms = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        walk = draw(st.lists(vertex, min_size=2, max_size=4))
+        steps = list(zip(walk, walk[1:] + walk[:1]))
+        new = [e for e in dict.fromkeys(steps) if e not in arrows]
+        if len(arrows) + len(new) > 6:
+            continue
+        arrows += new
+        monomial = "*".join(f"a{arrows.index(e)}" for e in steps)
+        terms.append(f"{draw(st.integers(1, 3))}*{monomial}")
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=6 - len(arrows)))
+    arrows += extra
+    rows = [[int(t == v) - int(s == v) for s, t in arrows] for v in range(1, vertices)]
+    names = ", ".join(f"a{j}" for j in range(len(arrows)))
+    text = f'variables = [{names}]\nweights = {rows}\npotential = "{" + ".join(terms)}"\n'
+    return text, len(rows)
+
+
+def tree_depth(stages) -> int:
+    return max(
+        (1 + max((tree_depth(co["substages"]) for co in s["charts"]), default=0)
+         for s in stages),
+        default=0,
+    )
+
+
+@given(ext_quiver_models())
+@settings(max_examples=100, deadline=None)
+def test_kirwan_loop_on_ext_quivers_never_fails_a_theorem_check(tmp_path_factory, case):
+    text, rank = case
+    path = tmp_path_factory.mktemp("quiver") / "quiver.kb"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["blowup", str(path), "--full", "--budget", "12"])
+    assert code in (0, 3, 4), (text, err.getvalue())
+    if code == 0:
+        stages = json.loads(out.getvalue())["ledger"]["stages"]
+        assert tree_depth(stages) <= rank, text

@@ -6,9 +6,10 @@ paths and the heap pair queue landed; ``POINT_GOLDEN`` (point queries on
 corpus and bench models, many points with zero coordinates) before the
 closed-orbit scan solved each weight-column set once; ``KIRWAN_GOLDEN``
 (the Kirwan loop on the bench models) before chart atlases and models
-were built directly.  A change that
-alters any report fails here, and the digest to compare against is the
-one below, not a fresh recording.
+were built directly, except ``rank2.kb``, recorded when unstable ideals
+were first attached above rank one (before that the loop exited 5 on
+it).  A change that alters any report fails here, and the digest to
+compare against is the one below, not a fresh recording.
 """
 
 import contextlib
@@ -62,6 +63,7 @@ KIRWAN_GOLDEN = {
     "blowup heavy.kb --full": (0, "2997b510111dc7e373d138d5131910a8a57ce4ea8ca9e5c62742dcae7f34205e"),
     "blowup quiver3.kb --full": (0, "335e4515259fcb074690fd00cd6d59d0cc4c79fc36ae823c85d2f58befd1db44"),
     "blowup conifold.kb --full": (0, "a785f6ded1b6bb50d0c28cbeb21fdac8725f419e28faf49d7640978050b010db"),
+    "blowup rank2.kb --full": (0, "68a6bda79fbe13b28bbe7694e6ce70128ceb4015eb0bd430c737a13f84174f7b"),
 }
 
 

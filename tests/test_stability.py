@@ -65,12 +65,18 @@ def test_unstable_ideal_three_axes_charts():
     assert sorted(str(p) for p in unstable_ideal(cy).generators) == ["T_x"]
 
 
-def test_unstable_ideal_needs_rank_one_center():
+def test_unstable_ideal_of_rank_two_atlases():
     R4 = Ring(["x", "y", "z", "w"])
     W = WeightMatrix([(1, -1, 0, 0), (0, 0, 1, -1)])
-    chart = make_charts(R4, W, Subtorus.full(2))[0]
-    with pytest.raises(PreconditionError):
-        unstable_ideal(chart)
+    charts = {c.name: c for c in make_charts(R4, W, Subtorus.full(2))}
+    gens = lambda c: sorted(str(p) for p in unstable_ideal(c).generators)  # noqa: E731
+    assert gens(charts["chart_x"]) == ["T_y", "T_z*T_w"]
+    assert gens(charts["chart_w"]) == ["T_x*T_y", "T_z"]
+    # every fiber weight lies in one open half-plane: each chart is
+    # wholly unstable, so its ideal has no generators
+    onesign = make_charts(R3, WeightMatrix([(1, 1, 0), (0, 1, 1)]), Subtorus.full(2))
+    assert len(onesign) == 3
+    assert all(unstable_ideal(c).generators == () for c in onesign)
 
 
 def test_point_verdicts_on_the_exceptional_locus():
@@ -142,6 +148,8 @@ def test_point_verdicts_match_the_cochar_box_at_every_rank(case):
     assert verdict.semistable == (
         not strict_destabilizer_exists([column(i) for i in support], bound=6)
     )
+    vanishes = all(g.evaluate(point) == 0 for g in unstable_ideal(chart).generators)
+    assert vanishes == (not verdict.semistable)
     if verdict.semistable:
         return
     lam = verdict.direction
