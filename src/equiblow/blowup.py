@@ -26,8 +26,9 @@ from .torus import (
     WeightMatrix,
     closed_orbit_stabilizers,
     fixed_locus,
-    isotypic_decompose,
+    isotypic_pieces,
     poly_weight,
+    restricted_columns,
 )
 
 
@@ -188,6 +189,13 @@ class BlowupChart:
     the moving exponents.  Multiplying or dividing by xi shifts that sum,
     so pullback, exceptional division and the xi twist are one routine,
     ``shifted_pullback``, that copies coefficients as they are.
+
+    Every chart of one atlas shares the parent's int weight columns
+    (``columns``), the same columns restricted to the center
+    (``restricted``) and the moving coordinates, the ones whose
+    restricted column is nonzero.  ``make_charts`` computes them once;
+    the chart weights, the isotypic split of ``intrinsic_ideal`` and the
+    fiber weights of ``stability`` are all read off them.
     """
 
     __slots__ = (
@@ -199,6 +207,8 @@ class BlowupChart:
         "ring",
         "weights",
         "exceptional",
+        "columns",
+        "restricted",
         "moving",
         "fixed",
     )
@@ -209,10 +219,12 @@ class BlowupChart:
         parent_weights: WeightMatrix,
         center: Subtorus,
         pivot: int,
+        columns: list[tuple[int, ...]],
+        restricted: list[tuple[int, ...]],
         moving: tuple[int, ...],
     ):
-        """``moving`` is ``fixed_locus(parent_weights, center)``, which
-        the whole atlas shares."""
+        """``columns``, ``restricted`` and ``moving`` are the atlas-wide
+        data that ``make_charts`` computes once."""
         if parent_weights.k and parent_weights.n != parent_ring.n:
             raise ValueError("weight matrix width must match the ring")
         if pivot not in moving:
@@ -220,9 +232,9 @@ class BlowupChart:
                 f"pivot coordinate {parent_ring.names[pivot]!r} is not moving "
                 "under the center subtorus"
             )
+        name = "chart_" + parent_ring.names[pivot]
         # x_k -> xi_k, moving x_i -> xi_k·T_i, fixed x_i -> x_i, and
         # chart variable i keeps position i
-        columns = parent_weights.columns()
         pivot_w = columns[pivot]
         names, cols = [], []
         for i, nm in enumerate(parent_ring.names):
@@ -235,15 +247,22 @@ class BlowupChart:
             else:
                 names.append(nm)
             cols.append(w)
-        ring = Ring(names)
+        if len(set(names)) != len(names):
+            clash = next(nm for nm in names if names.count(nm) > 1)
+            raise PreconditionError(
+                f"coordinate {clash!r} of {name} clashes with a model "
+                "variable of the same name"
+            )
         self.parent_ring = parent_ring
         self.parent_weights = parent_weights
         self.center = center
         self.pivot = pivot
-        self.name = "chart_" + parent_ring.names[pivot]
-        self.ring = ring
+        self.name = name
+        self.ring = Ring(names)
         self.weights = parent_weights.with_columns(cols)
         self.exceptional = "xi_" + parent_ring.names[pivot]
+        self.columns = columns
+        self.restricted = restricted
         self.moving = moving
         self.fixed = tuple(i for i in range(parent_ring.n) if i not in moving)
 
@@ -286,12 +305,20 @@ def make_charts(
 ) -> list[BlowupChart]:
     """The chart atlas of the blowup along the center's fixed locus.
 
-    One chart per moving coordinate, in coordinate order.
+    One chart per moving coordinate, in coordinate order.  The weight
+    columns are restricted to the center once, here, and every chart
+    shares them.  A chart coordinate named like a model variable raises
+    ``PreconditionError``.
     """
-    moving = fixed_locus(weights, center)
+    columns = weights.columns()
+    restricted = restricted_columns(weights, center)
+    moving = tuple(i for i, r in enumerate(restricted) if any(r))
     if not moving:
         raise PreconditionError("center equals ambient; blowup empty")
-    return [BlowupChart(ring, weights, center, i, moving) for i in moving]
+    return [
+        BlowupChart(ring, weights, center, i, columns, restricted, moving)
+        for i in moving
+    ]
 
 
 def exceptional_divide(p: Poly, chart: BlowupChart) -> Poly:
@@ -318,19 +345,20 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
 
     Requires the ideal invariant under the center subtorus, verified by
     reducing every isotypic piece of every generator to normal form.
-    Each piece is homogeneous by construction and carries its restricted
-    weight, which says whether it is moving.
+    The pieces are split off the atlas's restricted columns; each is
+    homogeneous by construction and carries its restricted weight, which
+    says whether it is moving.
     Returns the ideal of the images; callers that compare it take its
     reduced Groebner basis once.
     """
     if ideal.ring != chart.parent_ring:
         raise PreconditionError("ideal does not live in the chart's parent ring")
-    W, R = chart.parent_weights, chart.center
+    restricted, dim = chart.restricted, chart.center.dim
     parent_gb = None
     gens: list[Poly] = []
     seen = set()
     for g in ideal.generators:
-        pieces = isotypic_decompose(g, W, R)
+        pieces = isotypic_pieces(g, restricted, dim)
         if len(pieces) > 1:
             if parent_gb is None:
                 parent_gb = buchberger(ideal, DEGREVLEX, budget)
@@ -356,7 +384,7 @@ def blowup_bundle(bundle: EquivariantBundle, chart: BlowupChart) -> EquivariantB
     """Bundle on the chart: fixed frame elements pulled back unchanged,
     moving ones replaced by xi·(pullback), weights shifted accordingly."""
     R = chart.center
-    pivot_w = chart.parent_weights.column(chart.pivot)
+    pivot_w = chart.columns[chart.pivot]
     labels, weights = [], []
     for lab, v in zip(bundle.labels, bundle.weights):
         if any(R.restrict(v)):

@@ -9,7 +9,7 @@ silently truncating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Sequence

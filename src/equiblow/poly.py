@@ -444,9 +444,12 @@ class Poly:
         )
 
     def __hash__(self):
+        """Keyed on the ring and the set of monomials, not the
+        coefficients: equal polynomials have equal supports, so this is
+        consistent with ``__eq__``, and no ``Fraction`` is hashed."""
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.ring, tuple(sorted(self.terms.items()))))
+            h = hash((self.ring, frozenset(self.terms)))
             _set_hash(self, h)
         return h
 

@@ -93,17 +93,19 @@ def one_ps_limit(point, lam, weights: WeightMatrix):
     )
 
 
-def _restricted_weights(chart: BlowupChart, ambient: bool) -> WeightMatrix:
-    base = chart.parent_weights if ambient else chart.weights
-    rows = []
-    for c in chart.center.cochar:
-        rows.append(
-            tuple(
-                sum(c[a] * base.rows[a][i] for a in range(base.k))
-                for i in range(base.n)
-            )
-        )
-    return WeightMatrix(rows)
+def _restricted_chart_weights(chart: BlowupChart) -> WeightMatrix:
+    """The chart's own weights restricted to the center, read off the
+    atlas's restricted columns: a ratio coordinate T_i carries
+    r_i - r_pivot, every other coordinate keeps r_i."""
+    r = chart.restricted
+    pivot_r = r[chart.pivot]
+    cols = [
+        tuple(a - b for a, b in zip(r[i], pivot_r))
+        if i in chart.moving and i != chart.pivot
+        else r[i]
+        for i in range(len(r))
+    ]
+    return WeightMatrix([[c[a] for c in cols] for a in range(chart.center.dim)])
 
 
 def point_to_chart(point, source: BlowupChart, target: BlowupChart):
@@ -156,19 +158,17 @@ def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
         atlas = [chart]
     elif all(c.name != chart.name for c in atlas):
         atlas = [chart] + list(atlas)
-    fiber = _restricted_weights(chart, ambient=True)
+    fiber = chart.restricted
     support = _fiber_support(point, chart)
-    direction = separating_direction([fiber.column(i) for i in support])
+    direction = separating_direction([fiber[i] for i in support])
     if direction is None:
         return StabilityVerdict(True)
-    pairing = {
-        i: sum(a * b for a, b in zip(direction, fiber.column(i))) for i in support
-    }
+    pairing = {i: sum(a * b for a, b in zip(direction, fiber[i])) for i in support}
     lowest = min(pairing.values())
     for other in atlas:
         if pairing.get(other.pivot) == lowest:
             carried = point_to_chart(point, chart, other)
-            limit = one_ps_limit(carried, direction, _restricted_weights(other, False))
+            limit = one_ps_limit(carried, direction, _restricted_chart_weights(other))
             return StabilityVerdict(False, direction, limit, other.name)
     return StabilityVerdict(False, direction, None, chart.name)
 
@@ -185,7 +185,7 @@ def unstable_ideal(chart: BlowupChart) -> Ideal:
     Without generators the ideal is zero: the whole chart is unstable.
     """
     ring = chart.ring
-    fiber = _restricted_weights(chart, ambient=True).columns()
+    fiber = chart.restricted
     ratios = [i for i in chart.moving if i != chart.pivot]
     minimal: list[set[int]] = []
     for size in range(1, chart.center.dim + 2):

@@ -11,13 +11,15 @@ of its orbit and the vanishing of a monomial on it depend only on its
 coordinate support.  The blowup-center scan therefore works support by
 support: everything but one emptiness test (is some point of V(I)
 supported exactly there?) is read off the support itself, and for a
-monomial ideal that test is too.
+monomial ideal that test is too.  Only supports whose weight columns
+have rank below k have a nontrivial stabilizer, so the scans grow
+those alone.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import groebner, linalg
@@ -32,7 +34,7 @@ class WeightMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -54,10 +56,7 @@ class WeightMatrix:
         return list(zip(*self.rows))
 
     def with_columns(self, cols: Sequence[Sequence[int]]) -> "WeightMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        return WeightMatrix(
-            tuple(tuple(c[a] for c in cols) for a in range(self.k))
-        )
+        return WeightMatrix([[c[a] for c in cols] for a in range(self.k)])
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ class Subtorus:
 
     def restrict(self, weight: Sequence[int]) -> tuple[int, ...]:
         """Pair a character (weight column) with the cocharacter basis."""
-        w = [int(x) for x in weight]
-        return tuple(sum(row[a] * w[a] for a in range(self.ambient_rank)) for row in self.cochar)
+        w = tuple(map(int, weight))
+        return tuple(sum(map(mul, row, w)) for row in self.cochar)
 
     def sort_key(self):
         return (-self.dim, self.cochar)
@@ -146,35 +145,54 @@ def poly_weight(p: Poly, weights: WeightMatrix) -> tuple[int, ...] | None:
     return w if w is not None else (0,) * weights.k
 
 
-def isotypic_decompose(p: Poly, weights: WeightMatrix, torus: Subtorus) -> list[GradedPiece]:
-    """Split p into isotypic parts under the subtorus, sorted by weight."""
+def restricted_columns(weights: WeightMatrix, torus: Subtorus) -> list[tuple[int, ...]]:
+    """Every weight column restricted to the subtorus, in coordinate order."""
+    return [torus.restrict(col) for col in weights.columns()]
+
+
+def isotypic_pieces(
+    p: Poly, restricted: Sequence[tuple[int, ...]], dim: int
+) -> list[GradedPiece]:
+    """Split p into isotypic parts, sorted by weight, given the weight
+    columns already restricted to a subtorus of dimension ``dim``.
+
+    A term's restricted weight is its exponent vector paired with each
+    row of the restricted matrix; each part keeps the terms in p's order.
+    """
+    rows = [[col[a] for col in restricted] for a in range(dim)]
     buckets: dict[tuple[int, ...], dict] = {}
     for m, c in p.terms.items():
-        w = torus.restrict(monomial_weight(m, weights))
-        buckets.setdefault(w, {})[m] = c
+        w = tuple([sum(map(mul, m, row)) for row in rows])
+        bucket = buckets.get(w)
+        if bucket is None:
+            buckets[w] = {m: c}
+        else:
+            bucket[m] = c
     return [
         GradedPiece(w, Poly._make(p.ring, terms))
         for w, terms in sorted(buckets.items())
     ]
 
 
+def isotypic_decompose(p: Poly, weights: WeightMatrix, torus: Subtorus) -> list[GradedPiece]:
+    """Split p into isotypic parts under the subtorus, sorted by weight."""
+    return isotypic_pieces(p, restricted_columns(weights, torus), torus.dim)
+
+
 def reynolds(p: Poly, weights: WeightMatrix, torus: Subtorus) -> Poly:
     """Projection onto the weight-zero isotypic piece (Reynolds operator)."""
     zero = (0,) * torus.dim
-    kept = {
-        m: c
-        for m, c in p.terms.items()
-        if torus.restrict(monomial_weight(m, weights)) == zero
-    }
-    return Poly._make(p.ring, kept)
+    for gp in isotypic_decompose(p, weights, torus):
+        if gp.weight == zero:
+            return gp.part
+    return p.ring.zero()
 
 
 def fixed_locus(weights: WeightMatrix, torus: Subtorus) -> tuple[int, ...]:
     """Indices of the moving coordinates; their common zero set is the
     fixed locus of the subtorus."""
-    zero = (0,) * torus.dim
     return tuple(
-        i for i in range(weights.n) if torus.restrict(weights.column(i)) != zero
+        i for i, r in enumerate(restricted_columns(weights, torus)) if any(r)
     )
 
 
@@ -265,35 +283,86 @@ def _check_scan_size(n: int, max_vars: int):
         )
 
 
+def _echelon_extend(basis: tuple, col: tuple[int, ...]) -> tuple:
+    """An echelon basis of the span of ``basis`` and ``col``.
+
+    ``basis`` holds (pivot, vector) pairs, each vector zero at the
+    pivots before its own.  ``col`` is cleared at every pivot in integer
+    arithmetic; if anything is left, its primitive part joins the basis,
+    otherwise ``basis`` comes back as it is.
+    """
+    v = col
+    for pivot, b in basis:
+        if v[pivot]:
+            f, g = b[pivot], v[pivot]
+            v = [f * x - g * y for x, y in zip(v, b)]
+    if not any(v):
+        return basis
+    d = gcd(*v)
+    v = tuple(x // d for x in v)
+    return basis + ((next(i for i, x in enumerate(v) if x), v),)
+
+
+def _rank_deficient_supports(cols: list[tuple[int, ...]], candidates: Sequence[int], k: int):
+    """Every support drawn from ``candidates`` whose columns have rank
+    below k, by size and within a size in the order of
+    ``itertools.combinations``.
+
+    A support has a nontrivial stabilizer exactly when its columns have
+    rank below k, and the columns of a superset span at least as much.
+    So supports are grown level by level and only a rank-deficient one
+    is extended, by one later candidate at a time; its rank is carried
+    along as an echelon basis.  Every rank-deficient support arises from
+    its prefix, so none is missed.
+    """
+    if k == 0:
+        return
+    level = [((), (), 0)]  # support, echelon basis, next candidate position
+    while level:
+        grown = []
+        for support, basis, start in level:
+            yield support
+            for pos in range(start, len(candidates)):
+                j = candidates[pos]
+                wider = _echelon_extend(basis, cols[j])
+                if len(wider) < k:
+                    grown.append((support + (j,), wider, pos + 1))
+        level = grown
+
+
 def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
     """Every coordinate support of a closed orbit whose stabilizer is
     nontrivial, with that stabilizer.  A point's stabilizer depends only on
     its coordinate support, so the scan is exhaustive.
 
-    Closedness and the stabilizer depend only on the set of distinct
-    nonzero weight columns of the support, so the LP and the kernel are
-    solved once per such set and scan.  This is exact: a strictly
-    positive combination summing to zero can merge repeated columns or
-    split one column's coefficient among its copies, and a zero column
-    takes any positive coefficient without changing the sum; the
-    stabilizer is the left kernel of the same columns, and ``Subtorus``
-    stores that lattice in canonical Hermite form.  Every support is
-    still yielded, in the same order.
+    The stabilizer is nontrivial exactly when the support's columns have
+    rank below k, so the scan grows only rank-deficient supports (see
+    ``_rank_deficient_supports``): a full-rank support and each of its
+    supersets are never visited.  Closedness and the stabilizer depend
+    only on the set of distinct nonzero weight columns of the support,
+    so the closed-orbit LP and the kernel run once per such set among
+    the rank-deficient supports.  This is exact: a strictly positive
+    combination summing to zero can merge repeated columns or split one
+    column's coefficient among its copies, and a zero column takes any
+    positive coefficient without changing the sum; the stabilizer is
+    the left kernel of the same columns, and ``Subtorus`` stores that
+    lattice in canonical Hermite form.  Every support the full scan
+    would yield is still yielded, in the same order.
     """
     _check_scan_size(n, max_vars)
     cols = weights.columns()
     by_columns: dict[frozenset, Subtorus | None] = {}
-    for size in range(n + 1):
-        for support in itertools.combinations(range(n), size):
-            key = frozenset(cols[i] for i in support if any(cols[i]))
-            if key not in by_columns:
-                R = None
-                if orbit_is_closed(support, weights):
-                    R = stabilizer_subtorus(support, weights)
-                by_columns[key] = None if R is None or R.is_trivial() else R
-            R = by_columns[key]
-            if R is not None:
-                yield support, R
+    for support in _rank_deficient_supports(cols, range(n), weights.k):
+        key = frozenset(cols[i] for i in support if any(cols[i]))
+        if key not in by_columns:
+            by_columns[key] = (
+                stabilizer_subtorus(support, weights)
+                if orbit_is_closed(support, weights)
+                else None
+            )
+        R = by_columns[key]
+        if R is not None:
+            yield support, R
 
 
 def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[Subtorus]:
@@ -306,20 +375,21 @@ def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[
     Closedness and the stabilizer depend only on the set of distinct
     nonzero weight columns of a support (see ``_closed_orbit_supports``),
     so the scan runs over the subsets of those columns, each represented
-    by the first coordinate carrying it, rather than over every support.
+    by the first coordinate carrying it.  It grows only the subsets of
+    rank below k, the ones with a nontrivial stabilizer, so the LP and
+    the kernel run on those alone.
     """
     _check_scan_size(weights.n, max_vars)
+    cols = weights.columns()
     first: dict[tuple[int, ...], int] = {}
-    for i, col in enumerate(weights.columns()):
+    for i, col in enumerate(cols):
         if any(col):
             first.setdefault(col, i)
     found: dict = {}
-    for size in range(len(first) + 1):
-        for support in itertools.combinations(first.values(), size):
-            if orbit_is_closed(support, weights):
-                R = stabilizer_subtorus(support, weights)
-                if not R.is_trivial():
-                    found.setdefault(R.cochar, R)
+    for support in _rank_deficient_supports(cols, list(first.values()), weights.k):
+        if orbit_is_closed(support, weights):
+            R = stabilizer_subtorus(support, weights)
+            found.setdefault(R.cochar, R)
     return sorted(found.values(), key=lambda R: R.sort_key())
 
 
@@ -332,7 +402,8 @@ def enumerate_blowup_centers(
 ) -> list[Subtorus]:
     """Nontrivial stabilizer subtori of closed-orbit points of V(I).
 
-    Scans every coordinate support S whose orbit is closed.  On the
+    Scans every coordinate support S whose orbit is closed and whose
+    stabilizer is nontrivial (see ``_closed_orbit_supports``).  On the
     points with support exactly S a monomial vanishes iff one of its
     variables lies outside S, so an unstable ideal (monomial generators
     only) excludes S when every generator has such a variable; one

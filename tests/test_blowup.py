@@ -35,7 +35,8 @@ from equiblow import (
 from equiblow.blowup import exceptional_divide
 from equiblow.errors import TheoremCheckError
 from equiblow.poly import DEGREVLEX, Poly, _long_divide
-from equiblow.torus import fixed_locus, isotypic_decompose
+from equiblow.stability import _restricted_chart_weights
+from equiblow.torus import fixed_locus, isotypic_decompose, isotypic_pieces, monomial_weight
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -283,3 +284,58 @@ def test_shifted_pullback_matches_substitution_and_long_division(case):
             assert divided == _long_divide(pulled, chart.xi, DEGREVLEX)
             if moving:
                 assert divided is not None
+
+
+# ---------------------------------------------------------------------------
+# the atlas's shared restricted columns against per-term restriction
+
+
+@st.composite
+def atlas_cases(draw):
+    """A rank 1 to 3 weight matrix, a center of any dimension from 1 to
+    k (the full torus or a proper subtorus) with a moving coordinate,
+    and a polynomial."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    weight = st.tuples(*[st.integers(min_value=-2, max_value=2)] * k)
+    cols = draw(st.lists(weight, min_size=n, max_size=n))
+    weights = WeightMatrix([[c[a] for c in cols] for a in range(k)])
+    dim = draw(st.integers(min_value=1, max_value=k))
+    if dim == k and draw(st.booleans()):
+        center = Subtorus.full(k)
+    else:
+        rows = draw(st.lists(weight, min_size=dim, max_size=dim))
+        try:
+            center = Subtorus(rows, k)
+        except PreconditionError:
+            assume(False)
+        assume(center.dim == dim)
+    assume(fixed_locus(weights, center))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            max_size=8,
+        )
+    )
+    ring = Ring(("x", "y", "z", "w")[:n])
+    return ring, weights, center, Poly(ring, terms)
+
+
+@given(atlas_cases())
+@settings(max_examples=150, deadline=None)
+def test_atlas_columns_split_like_per_term_restriction(case):
+    ring, weights, center, p = case
+    reference: dict = {}
+    for m, c in p.terms.items():
+        w = center.restrict(monomial_weight(m, weights))
+        reference.setdefault(w, {})[m] = c
+    want = [(w, list(t.items())) for w, t in sorted(reference.items())]
+    for chart in make_charts(ring, weights, center):
+        assert chart.restricted == [center.restrict(c) for c in weights.columns()]
+        assert chart.moving == fixed_locus(weights, center)
+        pieces = isotypic_pieces(p, chart.restricted, center.dim)
+        assert [(gp.weight, list(gp.part.terms.items())) for gp in pieces] == want
+        # the limit weights of stability, read off the same columns
+        own = _restricted_chart_weights(chart)
+        assert own.columns() == [center.restrict(c) for c in chart.weights.columns()]

@@ -332,6 +332,30 @@ def test_precondition_violation_is_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semistable", "--chart", "chart_x", "--point=0,1,0"],
+        ["blowup"],
+        ["blowup", "--full"],
+    ],
+)
+def test_chart_coordinate_named_like_a_variable_is_exit_3(capsys, tmp_path, argv):
+    # chart_x renames y to T_y, which the file already uses for a fixed
+    # coordinate
+    src = tmp_path / "clash.kb"
+    src.write_text(
+        'variables = [x, y, T_y]\nweights = [[1, -1, 0]]\npotential = "x*y*T_y"\n'
+    )
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "precondition: coordinate 'T_y' of chart_x clashes with a model "
+        "variable of the same name\n"
+    )
+
+
 def test_theorem_failure_is_exit_5(capsys, monkeypatch):
     def explode(*a, **kw):
         raise TheoremCheckError("synthetic failure for the exit-code contract")
@@ -503,16 +527,20 @@ def test_bench_model_trees_compute_exact_basis_counts(
 @pytest.mark.parametrize(
     "name, point, count",
     [
-        ("heavy.kb", "0,0,0,0,0,0", 15),
-        ("quiver3.kb", "0,0,0,0,0,0", 3),
-        ("conifold.kb", "0,0,0,0,0", 3),
+        ("heavy.kb", "0,0,0,0,0,0", 0),
+        ("quiver3.kb", "0,0,0,0,0,0", 0),
+        ("conifold.kb", "0,0,0,0,0", 0),
+        ("rank2.kb", "0,0,0,0", 6),
     ],
 )
-def test_crit_solves_one_lp_per_weight_column_set(
+def test_crit_solves_lps_only_on_rank_deficient_column_sets(
     capsys, monkeypatch, tmp_path, name, point, count
 ):
     # one closed-orbit LP per nonempty set of distinct nonzero weight
-    # columns: heavy has 4 such columns, quiver3 and conifold 2 each
+    # columns of rank below k.  On a rank-1 model every such set has
+    # rank 1, so only the empty support is scanned and it needs no LP.
+    # rank2.kb has the columns (1,0), (-1,0), (0,1), (0,-1): four
+    # singletons and the two opposite pairs have rank 1.
     from equiblow import linalg
 
     calls = []

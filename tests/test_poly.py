@@ -101,6 +101,16 @@ def test_parse_rejects_trailing_garbage():
     assert e.value.position is not None
 
 
+@given(polys(), st.randoms(use_true_random=False))
+def test_equal_polys_built_in_different_term_orders_hash_equal(p, rnd):
+    items = list(p.terms.items())
+    rnd.shuffle(items)
+    q = Poly(R3, dict(items))
+    assert q == p
+    assert hash(q) == hash(p)
+    assert len({p, q, p + R3.zero()}) == 1
+
+
 def test_subs_composition():
     target = Ring(["s", "t"])
     s, t = target.gens()

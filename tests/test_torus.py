@@ -2,6 +2,7 @@
 closed orbits, and the enumeration of blowup centers."""
 
 import itertools
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from equiblow import (
     stabilizer_subtorus,
     support_is_realized,
 )
+from equiblow import linalg, torus
 from equiblow.torus import _closed_orbit_supports, monomial_weight
 
 R3 = Ring(["x", "y", "z"])
@@ -249,9 +251,9 @@ def test_closed_orbit_stabilizers_lists_the_full_torus():
 
 @st.composite
 def weight_matrices_with_repeats(draw):
-    """Rank 1 or 2, at most 6 coordinates, entries in [-2, 2], and at
+    """Rank 1 to 3, at most 6 coordinates, entries in [-2, 2], and at
     least one column that repeats another or is zero."""
-    k = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([1, 2, 3]))
     column = st.tuples(*[st.integers(min_value=-2, max_value=2)] * k)
     base = draw(st.lists(column, min_size=1, max_size=4))
     extra = draw(
@@ -282,6 +284,39 @@ def closed_orbit_supports_by_brute_force(W):
 def test_closed_orbit_scan_matches_the_per_support_scan(W):
     got = [(support, R.cochar) for support, R in _closed_orbit_supports(W, W.n, 16)]
     assert got == closed_orbit_supports_by_brute_force(W)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_matrices_with_repeats())
+def test_scans_solve_closed_orbit_lps_only_below_full_rank(W):
+    # a support of rank k has a trivial stabilizer, and so has every
+    # superset, so neither scan may ask whether its orbit is closed
+    seen = []
+
+    def recorded(support, weights):
+        seen.append(tuple(support))
+        return orbit_is_closed(support, weights)
+
+    with unittest.mock.patch.object(torus, "orbit_is_closed", recorded):
+        list(_closed_orbit_supports(W, W.n, 16))
+        closed_orbit_stabilizers(W)
+    assert seen
+    for support in seen:
+        assert linalg.rank([W.column(i) for i in support]) < W.k
+
+
+def test_a_rank_one_scan_visits_only_the_empty_support():
+    seen = []
+
+    def recorded(support, weights):
+        seen.append(tuple(support))
+        return orbit_is_closed(support, weights)
+
+    W = WeightMatrix([(1, -1, 2, -2)])
+    with unittest.mock.patch.object(torus, "orbit_is_closed", recorded):
+        assert list(_closed_orbit_supports(W, W.n, 16)) == [((), T1)]
+        assert closed_orbit_stabilizers(W) == [T1]
+    assert seen == [(), ()]
 
 
 @settings(max_examples=80, deadline=None)
