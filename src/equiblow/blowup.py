@@ -380,35 +380,27 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
     return Ideal(chart.ring, gens)
 
 
-def blowup_bundle(bundle: EquivariantBundle, chart: BlowupChart) -> EquivariantBundle:
-    """Bundle on the chart: fixed frame elements pulled back unchanged,
-    moving ones replaced by xi·(pullback), weights shifted accordingly."""
-    R = chart.center
-    pivot_w = chart.columns[chart.pivot]
-    labels, weights = [], []
-    for lab, v in zip(bundle.labels, bundle.weights):
-        if any(R.restrict(v)):
-            labels.append("xi*" + lab)
-            weights.append(tuple(a + b for a, b in zip(v, pivot_w)))
-        else:
-            labels.append(lab)
-            weights.append(v)
-    return EquivariantBundle(labels, weights, bundle.twist)
+class BlowupSection(tuple):
+    """The blowup section on one chart.  ``frame_moving`` flags the frame
+    elements that move under the chart's center, decided here alone: their
+    components were divided by xi, and ``transport_model`` twists them."""
+
+    def __new__(cls, components, frame_moving: tuple[bool, ...]):
+        self = super().__new__(cls, components)
+        self.frame_moving = frame_moving
+        return self
 
 
-def _frame_moving(bundle: EquivariantBundle, center: Subtorus) -> list[bool]:
-    return [bool(any(center.restrict(v))) for v in bundle.weights]
-
-
-def blowup_section(model: LocalModel, chart: BlowupChart) -> tuple[Poly, ...]:
+def blowup_section(model: LocalModel, chart: BlowupChart) -> BlowupSection:
     """Section of the blowup bundle: components on fixed frame elements
     pull back, components on moving ones pull back and divide by xi.
 
     Divisibility is guaranteed for an invariant section (a moving frame
     pairs with a moving component); failure is a theorem check.
     """
+    moving = tuple(any(chart.center.restrict(v)) for v in model.bundle.weights)
     comps = []
-    for mov, comp in zip(_frame_moving(model.bundle, chart.center), model.section):
+    for mov, comp in zip(moving, model.section):
         q = chart.shifted_pullback(comp, -1 if mov else 0)
         if q is None:
             raise TheoremCheckError(
@@ -416,7 +408,7 @@ def blowup_section(model: LocalModel, chart: BlowupChart) -> tuple[Poly, ...]:
                 f"exceptional coordinate {chart.exceptional}: {comp}"
             )
         comps.append(q)
-    return tuple(comps)
+    return BlowupSection(comps, moving)
 
 
 def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:
@@ -659,14 +651,8 @@ def blowup_local_model(
     chart: BlowupChart,
     budget: Budget | None = None,
 ) -> LocalModel:
-    """Transport a weak local model to one blowup chart.
-
-    The bundle gains a xi twist on moving frames, the section divides
-    accordingly, the divisor picks up the exceptional locus twice, and the
-    cofactor and its factorization witness are rebuilt so the transported
-    model passes the structural checks again.  A torus of rank zero means
-    no blowup: the model comes back unchanged.
-    """
+    """Transport a weak local model to one blowup chart (see
+    ``transport_model``); a torus of rank zero leaves it unchanged."""
     if model.weights.k == 0 or center.dim == 0:
         return model
     if not center.is_full():
@@ -676,6 +662,20 @@ def blowup_local_model(
         )
     if chart.parent_ring != model.ring or chart.center != center:
         raise PreconditionError("chart does not belong to this model and center")
+    return transport_model(model, blowup_section(model, chart), chart, budget)
+
+
+def transport_model(
+    model: LocalModel,
+    section: BlowupSection,
+    chart: BlowupChart,
+    budget: Budget | None = None,
+) -> LocalModel:
+    """The weak local model on a chart of the full-torus blowup, given
+    its blowup section there.  The bundle gains a xi twist on the
+    section's moving frames, the divisor picks up the exceptional locus
+    twice, and the cofactor and its factorization witness are rebuilt so
+    the transported model passes the structural checks again."""
     alpha = model.sigma_lift
     if alpha is None:
         alpha = _synthesize_sigma_lift(model, budget)
@@ -683,19 +683,19 @@ def blowup_local_model(
         raise PreconditionError(
             "no factorization witness for the action pairing; supply sigma_lift"
         )
-    ring = chart.ring
-    xi = chart.xi
-    moving_frames = _frame_moving(model.bundle, center)
-
-    bundle0 = blowup_bundle(model.bundle, chart)
-    bundle = EquivariantBundle(bundle0.labels, bundle0.weights, bundle0.twist + 2)
-    section = blowup_section(model, chart)
+    ring, xi, moving = chart.ring, chart.xi, section.frame_moving
+    pivot_w = chart.columns[chart.pivot]
+    labels, weights = [], []
+    for mov, lab, v in zip(moving, model.bundle.labels, model.bundle.weights):
+        labels.append("xi*" + lab if mov else lab)
+        weights.append(tuple(a + b for a, b in zip(v, pivot_w)) if mov else v)
+    bundle = EquivariantBundle(labels, weights, model.bundle.twist + 2)
     divisor = pullback_divisor(model.divisor, chart)
     divisor[chart.exceptional] = divisor.get(chart.exceptional, 0) + 2
 
     cofactor = tuple(
         tuple(
-            chart.shifted_pullback(e, 1 if moving_frames[b] else 0)
+            chart.shifted_pullback(e, 1 if moving[b] else 0)
             for b, e in enumerate(row)
         )
         for row in model.cofactor
@@ -706,7 +706,7 @@ def blowup_local_model(
     raw = poly_mat_mul(pulled_alpha, cleared, ring)
     lift_rows = []
     for b in range(model.bundle.rank):
-        if moving_frames[b]:
+        if moving[b]:
             row = []
             for e in raw[b]:
                 q = divide_exact(e, xi) if not e.is_zero() else ring.zero()
@@ -755,15 +755,14 @@ def embedding_independence_check(
     small: LocalModel,
     big: LocalModel,
     aux,
-    center: Subtorus | None = None,
     budget: Budget | None = None,
 ) -> bool:
     """Intrinsic ideals do not depend on the equivariant embedding.
 
     The big model must present the same locus inside the small ambient
-    extended by auxiliary coordinates fixed by the center.  Chart by
-    chart, eliminating the auxiliary variables from the big intrinsic
-    ideal must recover the small one exactly.
+    extended by auxiliary coordinates fixed by the torus.  On every chart
+    of the full-torus blowup, eliminating the auxiliary variables from
+    the big intrinsic ideal must recover the small one exactly.
     """
     aux = tuple(str(a) for a in aux)
     small_names = set(small.ring.names)
@@ -778,9 +777,7 @@ def embedding_independence_check(
         wb = big.weights.column(big.ring.index[name])
         if wa != wb:
             raise PreconditionError(f"weight of shared coordinate {name!r} differs")
-    k = small.weights.k
-    if center is None:
-        center = Subtorus.full(k)
+    center = Subtorus.full(small.weights.k)
     for a in aux:
         if any(center.restrict(big.weights.column(big.ring.index[a]))):
             raise PreconditionError(

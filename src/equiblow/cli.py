@@ -19,9 +19,7 @@ from .blowup import (
     LocalModel,
     check_weak_local_model,
     embedding_independence_check,
-    intrinsic_ideal,
     make_charts,
-    section_coincides,
 )
 from .dcrit import (
     SmallExtension,
@@ -33,7 +31,7 @@ from .dcrit import (
     obstruction_assignment,
     verify_omega_equivalence,
 )
-from .desing import action_is_trivial, partial_desingularization
+from .desing import action_is_trivial, blowup_tree
 from .errors import (
     BudgetExceededError,
     ModelFileError,
@@ -42,10 +40,10 @@ from .errors import (
     TheoremCheckError,
 )
 from .family import fiber_blowup_commutes
-from .groebner import Budget, Ideal, buchberger, contains_one, eliminate
+from .groebner import Budget, Ideal, contains_one, eliminate
 from .modelfile import BuiltModel, build_model, load_model_file, parse_hint
-from .poly import DEGREVLEX, Ring, parse_poly
-from .stability import point_semistable, unstable_ideal
+from .poly import Ring, parse_poly
+from .stability import point_semistable
 from .torus import Subtorus, WeightMatrix
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -102,70 +100,50 @@ def _stage_dict(stage) -> dict:
     }
 
 
-def _chart_entries(built: BuiltModel, charts, budget, prefix: str = "") -> list:
-    """Per chart, in order: its report entry, whether the blowup section
-    cuts the intrinsic ideal (None without a section), and the reduced
-    basis of the intrinsic ideal."""
-    out = []
-    for chart in charts:
-        raw = intrinsic_ideal(built.ideal, chart, budget)
-        gb = buchberger(raw, DEGREVLEX, budget)
-        checks = {"xi": True}
-        coinc = None
-        if built.model is not None:
-            coinc = section_coincides(built.model, chart, raw, budget)
-            checks["coinc"] = coinc
-        entry = rpt.chart_entry(
-            prefix + chart.name,
-            chart.ring.names,
-            chart.weights.rows,
-            ideal_gb=rpt.gb_strings(gb),
-            unstable_gb=rpt.ideal_strings(unstable_ideal(chart)),
-            checks=checks,
-        )
-        out.append((entry, coinc, gb))
-    return out
+def _chart_entry(outcome, coincides, prefix: str = "") -> dict:
+    """The report entry of a stage-0 chart; ``coincides`` is None without a model."""
+    chart = outcome.chart
+    checks = {"xi": True}
+    if coincides is not None:
+        checks["coinc"] = coincides
+    return rpt.chart_entry(
+        prefix + chart.name,
+        chart.ring.names,
+        chart.weights.rows,
+        ideal_gb=rpt.gb_strings(outcome.gb),
+        unstable_gb=rpt.ideal_strings(outcome.unstable),
+        checks=checks,
+    )
 
 
 def cmd_blowup(args) -> tuple[dict, int]:
     built = build_model(load_model_file(args.file))
     budget = _parse_budget(args)
     ledger: dict = {}
-    charts_out: list[dict] = []
     if action_is_trivial(built.weights):
         ledger["dense"] = True
         ledger["stages"] = []
-        return rpt.assemble(Path(args.file).name, "blowup", charts_out, ledger), 0
-    center = Subtorus.full(built.weights.k)
-    atlas = make_charts(built.ring, built.weights, center)
+        return rpt.assemble(Path(args.file).name, "blowup", [], ledger), 0
+    atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
     if not charts:
         raise ModelFileError(f"no chart named {args.chart!r}")
     # coincidence is judged on the whole atlas, even under --chart
     judged = atlas if built.model is not None else charts
-    coinc = []
-    # chart bases that equal the blowup section's, for the --full tree
-    section_bases = {}
-    shown_bases = []
-    for chart, (entry, ok, gb) in zip(judged, _chart_entries(built, judged, budget)):
-        coinc.append(ok)
-        if ok:
-            section_bases[chart.name] = gb
-        if chart in charts:
-            charts_out.append(entry)
-            shown_bases.append(gb)
-    ledger["u_hat_empty"] = all(contains_one(gb) for gb in shown_bases)
+    stage, coincides, tree = blowup_tree(
+        built.ideal, built.model, judged, budget, args.full and built.model is not None
+    )
+    shown = [(o, ok) for o, ok in zip(stage.charts, coincides) if o.chart in charts]
+    charts_out = [_chart_entry(o, ok) for o, ok in shown]
+    ledger["u_hat_empty"] = all(contains_one(o.gb) for o, _ in shown)
     if built.model is not None:
-        ledger["coinc_all"] = all(coinc)
+        ledger["coinc_all"] = all(coincides)
     if args.full:
         if built.model is None:
             raise PreconditionError(
                 "--full requires a model with a section (potential or "
                 "section file)"
             )
-        tree = partial_desingularization(
-            built.model, budget, chart_bases=section_bases
-        )
         ledger["dense"] = tree.dense
         ledger["stages"] = [_stage_dict(s) for s in tree.stages]
     return rpt.assemble(Path(args.file).name, "blowup", charts_out, ledger), 0
@@ -366,10 +344,15 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     for fname in pipeline:
         built = build_model(load_model_file(str(CORPUS_DIR / fname)))
         atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
-        rows = _chart_entries(built, atlas, budget, prefix=f"{fname}:")
-        charts_out += [entry for entry, _, _ in rows]
+        stage, coincides, _ = blowup_tree(built.ideal, built.model, atlas, budget)
+        if fname == "e2.kb":
+            e2 = stage.charts
+        charts_out += [
+            _chart_entry(o, ok, prefix=f"{fname}:")
+            for o, ok in zip(stage.charts, coincides)
+        ]
         if built.model is not None:
-            check(f"coinc:{fname}", all(ok for _, ok, _ in rows))
+            check(f"coinc:{fname}", all(coincides))
 
     trivial = build_model(load_model_file(str(CORPUS_DIR / "trivial.kb")))
     check("dense:trivial.kb", action_is_trivial(trivial.weights))
@@ -428,12 +411,9 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     )
 
     # stability verdicts on the blown-up three-axes model
-    e2 = build_model(load_model_file(str(CORPUS_DIR / "e2.kb")))
-    center = Subtorus.full(1)
-    chs = make_charts(e2.ring, e2.weights, center)
+    chs = [o.chart for o in e2]
     chart_x = chs[0]
-    unst = unstable_ideal(chart_x)
-    check("unstable:e2:chart_x", rpt.ideal_strings(unst) == ["T_y"])
+    check("unstable:e2:chart_x", rpt.ideal_strings(e2[0].unstable) == ["T_y"])
     check(
         "semistable:e2:(0,1,0)",
         point_semistable((0, 1, 0), chart_x, chs).semistable,

@@ -113,10 +113,9 @@ def check_fixed_locus_flat(model: LocalModel) -> bool:
 def fiber_blowup_commutes(
     model: LocalModel,
     c,
-    center: Subtorus | None = None,
     budget: Budget | None = None,
 ) -> dict[str, bool]:
-    """Chart-by-chart commutation of intrinsic blowup with specialization.
+    """Chart-by-chart commutation of intrinsic full-torus blowup with fibers.
 
     Route one forms the intrinsic chart ideal of the family and then sets
     the parameter; route two specializes first and blows up the fiber.
@@ -125,8 +124,7 @@ def fiber_blowup_commutes(
     """
     t = _base_index(model)
     c = Fraction(c)
-    if center is None:
-        center = Subtorus.full(model.weights.k)
+    center = Subtorus.full(model.weights.k)
     fiber = specialize(model, c)
     family_charts = make_charts(model.ring, model.weights, center)
     fiber_charts = make_charts(fiber.ring, fiber.weights, center)

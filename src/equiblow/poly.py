@@ -585,9 +585,10 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     """Parse polynomial text over the given ring's variables.
 
     The rationals and variable powers of a product multiply into one
-    term; only parenthesised groups go through ``Poly`` arithmetic.  The
-    terms come out in the order that left-to-right ``Poly`` arithmetic
-    on the same text gives them.
+    term; only parenthesised groups go through ``Poly`` arithmetic.  Each
+    term may open with one sign, after a binary ``+`` or ``-`` too, as in
+    ``x + -1*y``.  The terms come out in the order that left-to-right
+    ``Poly`` arithmetic on the same text gives them.
     """
     toks = _lex(text)
     index = ring.index
@@ -660,11 +661,13 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         # the products are summed into one dict, as p + q and p - q would
         nonlocal i
         out: dict = {}
-        kind = toks[i][0]
-        negate = kind == "-"
-        if negate or kind == "+":
-            i += 1
+        negate = False
         while True:
+            # one sign may open each term, as in "-x" and "x + -1*y"
+            kind = toks[i][0]
+            if kind == "-" or kind == "+":
+                negate = negate != (kind == "-")
+                i += 1
             for m, c in parse_product().items():
                 if negate:
                     c = -c

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bench_models import write_bench_models
-from equiblow import TheoremCheckError, cli
+from equiblow import TheoremCheckError, cli, groebner
 
 CORPUS = Path(cli.__file__).parent / "corpus"
 
@@ -139,6 +139,21 @@ def test_bad_basepoint_rational_is_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "zero denominator" in err
+
+
+def test_a_sign_after_a_binary_operator_reads_like_a_minus(capsys, tmp_path):
+    # "+ -3*..." is how a generator that prints each coefficient with its
+    # own sign writes a negative term
+    texts = {"signed": "x*y + -1/2*x^2*y^2", "plain": "x*y - 1/2*x^2*y^2"}
+    reports = {}
+    for name, potential in texts.items():
+        src = tmp_path / name / "model.kb"
+        src.parent.mkdir()
+        src.write_text(
+            f'variables = [x, y]\nweights = [[1, -1]]\npotential = "{potential}"\n'
+        )
+        reports[name] = report(capsys, "blowup", str(src), "--full")
+    assert reports["signed"] == reports["plain"]
 
 
 def test_budget_flag_exhaustion_is_exit_4(capsys):
@@ -357,10 +372,13 @@ def test_chart_coordinate_named_like_a_variable_is_exit_3(capsys, tmp_path, argv
 
 
 def test_theorem_failure_is_exit_5(capsys, monkeypatch):
+    from equiblow import desing
+
     def explode(*a, **kw):
         raise TheoremCheckError("synthetic failure for the exit-code contract")
 
-    monkeypatch.setattr(cli, "section_coincides", explode)
+    # the section-coincidence check of stage 0
+    monkeypatch.setattr(desing, "ideal_equal", explode)
     code, _, err = run(capsys, "blowup", str(CORPUS / "e2.kb"))
     assert code == 5
     assert "THEOREM" in err
@@ -417,10 +435,13 @@ def test_corpus_checks_all_pass(capsys):
 
 
 def test_corpus_failure_is_exit_1(capsys, monkeypatch):
-    def fail_coinc(model, chart, gb, budget=None):
+    from equiblow import desing
+
+    def fail_coinc(section_ideal, intrinsic, budget=None):
         return False
 
-    monkeypatch.setattr(cli, "section_coincides", fail_coinc)
+    # the section-coincidence check of stage 0
+    monkeypatch.setattr(desing, "ideal_equal", fail_coinc)
     code, out, _ = run(capsys, "corpus")
     assert code == 1
     rep = json.loads(out)
@@ -453,28 +474,24 @@ def test_negative_values_parse_after_a_space(capsys):
         assert report(capsys, *argv, prefix, value) == glued
 
 
-def count_buchberger(monkeypatch):
-    """Count Groebner basis computations, wrapping the function in every
-    equiblow module that binds it."""
-    from equiblow import groebner
-
-    original = groebner.buchberger
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name``, wrapping it in every equiblow
+    module that binds it."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "equiblow":
-            continue
-        if getattr(module, "buchberger", None) is original:
-            monkeypatch.setattr(module, "buchberger", counted)
+    for key, bound in list(sys.modules.items()):
+        if key.split(".")[0] == "equiblow" and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
     return calls
 
 
 def test_chart_bases_are_computed_once(capsys, monkeypatch):
-    calls = count_buchberger(monkeypatch)
+    calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "corpus")
     # omega-verify takes one basis when both sections have one generator set
     assert len(calls) == 28
@@ -485,6 +502,42 @@ def test_chart_bases_are_computed_once(capsys, monkeypatch):
     # reuses the chart bases, and the center scan needs no emptiness
     # basis, since the chart ideals are monomial
     assert len(calls) == 2
+
+
+def reported_stages(stages):
+    """Every stage of a reported tree, depth first."""
+    for stage in stages:
+        yield stage
+        for chart in stage["charts"]:
+            yield from reported_stages(chart["substages"])
+
+
+@pytest.mark.parametrize(
+    "name, full", [("e2.kb", False), ("e2.kb", True), ("heavy.kb", True), ("rank2.kb", True)]
+)
+def test_stage_zero_is_built_once_for_plain_and_full_blowups(
+    capsys, monkeypatch, tmp_path, name, full
+):
+    # stage 0 builds its atlas once and judges each chart once; the tree
+    # continues from those charts, so every stage costs one atlas and
+    # every chart one section and one unstable ideal
+    from equiblow import blowup, stability
+
+    path = CORPUS / name
+    if not path.exists():
+        path = write_bench_models(tmp_path) / name
+    atlases = count_calls(monkeypatch, blowup, "make_charts")
+    sections = count_calls(monkeypatch, blowup, "blowup_section")
+    unstable = count_calls(monkeypatch, stability, "unstable_ideal")
+    rep = report(capsys, "blowup", str(path), *(["--full"] if full else []))
+    if full:
+        tree = list(reported_stages(rep["ledger"]["stages"]))
+        charts = sum(len(stage["charts"]) for stage in tree)
+        assert len(atlases) == len(tree)
+    else:
+        charts = len(rep["charts"])
+        assert len(atlases) == 1
+    assert len(sections) == len(unstable) == charts
 
 
 def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatch):
@@ -504,7 +557,7 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
 
     monkeypatch.setattr(poly.Poly, "subs", counted("subs", poly.Poly.subs))
     monkeypatch.setattr(poly, "_long_divide", counted("long", poly._long_divide))
-    calls = count_buchberger(monkeypatch)
+    calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     assert (entered, len(calls)) == ([], 2)
     calls.clear()
@@ -519,7 +572,7 @@ def test_bench_model_trees_compute_exact_basis_counts(
     capsys, monkeypatch, tmp_path, name, count
 ):
     write_bench_models(tmp_path)
-    calls = count_buchberger(monkeypatch)
+    calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "blowup", str(tmp_path / name), "--full")
     assert len(calls) == count
 

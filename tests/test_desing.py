@@ -18,6 +18,7 @@ from equiblow import (
     partial_desingularization,
 )
 from equiblow import cli
+from equiblow.desing import blowup_tree
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -46,6 +47,7 @@ def test_three_axes_single_stage_with_unstable_data():
     assert sorted(str(p) for p in ox.unstable.generators) == ["T_y"]
     assert ox.model is not None
     assert ox.model.divisor == {"xi_x": 2}
+    assert type(ox.model.section) is tuple
     assert ox.substages == ()
 
 
@@ -53,6 +55,14 @@ def test_trivial_action_is_reported_dense():
     model = dcritical_chart(parse_poly("x^2 + y^3", R2), WeightMatrix([(0, 0)]))
     tree = partial_desingularization(model)
     assert tree.dense
+    assert tree.stages == ()
+
+
+def test_rank_zero_model_has_no_stage():
+    # no torus acts, so there is no center and no atlas to build
+    model = dcritical_chart(parse_poly("1/3*x^3", Ring(["x"])), WeightMatrix([]))
+    tree = partial_desingularization(model)
+    assert not tree.dense
     assert tree.stages == ()
 
 
@@ -122,10 +132,36 @@ def test_kirwan_loop_on_ext_quivers_never_fails_a_theorem_check(tmp_path_factory
     text, rank = case
     path = tmp_path_factory.mktemp("quiver") / "quiver.kb"
     path.write_text(text)
+    trees = []
+
+    def kept(*args, **kwargs):
+        built = blowup_tree(*args, **kwargs)
+        trees.append(built[2])
+        return built
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["blowup", str(path), "--full", "--budget", "12"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "blowup_tree", kept)
+            code = cli.main(["blowup", str(path), "--full", "--budget", "12"])
     assert code in (0, 3, 4), (text, err.getvalue())
     if code == 0:
         stages = json.loads(out.getvalue())["ledger"]["stages"]
         assert tree_depth(stages) <= rank, text
+        # every node's path extends its parent's by one stage and chart;
+        # a trivial action builds no tree
+        paths = []
+
+        def walk(stages, parent, depth):
+            for stage in stages:
+                for node in stage.charts:
+                    assert node.parent is parent
+                    prefix = "" if parent is None else parent.path + "/"
+                    assert node.path == f"{prefix}stage{depth - 1}/{node.chart.name}"
+                    assert len(node.path.split("/")) == 2 * depth, node.path
+                    paths.append(node.path)
+                    walk(node.substages, node, depth + 1)
+
+        for tree in trees:
+            walk(tree.stages, None, 1)
+        assert len(set(paths)) == len(paths), paths

@@ -10,6 +10,7 @@ from chart_glue import chart_images
 from hypothesis import given, settings, strategies as st
 
 from equiblow import (
+    PolyParseError,
     Ring,
     Subtorus,
     WeightMatrix,
@@ -215,3 +216,29 @@ def test_parse_poly_groups_powers_rationals_and_signs():
         + RING.const(4) ** 0 * w
     )
     assert items(parse_poly(text, RING)) == items(expected)
+
+
+def signed_texts():
+    """Texts with a sign after a binary operator, each beside the same
+    sum written as left-to-right Poly arithmetic."""
+    x, y, z, w = (RING.var(nm) for nm in NAMES)
+    one, two_thirds = RING.const(1), RING.const(Fraction(2, 3))
+    return [
+        ("x + -1*y", x + -(one * y)),
+        ("x - -y + +z", x - -y + z),
+        ("y*x - -2/3*(x + w)^2 + -x", y * x - -(two_thirds * (x + w) ** 2) + -x),
+        ("-z + -z*(w - +x) - -z", -z + -(z * (w - x)) - -z),
+    ]
+
+
+def test_parse_poly_takes_a_sign_after_a_binary_operator():
+    for text, expected in signed_texts():
+        assert items(parse_poly(text, RING)) == items(expected), text
+
+
+@pytest.mark.parametrize(
+    "text, message", [("x^-1", "negative exponent"), ("x + - -y", "expected a term")]
+)
+def test_parse_poly_rejects_a_negative_exponent_and_a_second_sign(text, message):
+    with pytest.raises(PolyParseError, match=message):
+        parse_poly(text, RING)
