@@ -17,7 +17,6 @@ from .groebner import (
     buchberger,
     eliminate,
     ideal_equal,
-    lift_certificate,
     normal_form,
 )
 from .poly import DEGREVLEX, Poly, Ring, divide_exact
@@ -47,6 +46,10 @@ def action_pairing(ring: Ring, weights: WeightMatrix) -> tuple[tuple[Poly, ...],
         )
         for row in weights.rows
     )
+
+
+def zero_matrix(ring: Ring, rows: int, cols: int):
+    return tuple(tuple(ring.zero() for _ in range(cols)) for _ in range(rows))
 
 
 class EquivariantBundle:
@@ -132,7 +135,7 @@ class LocalModel:
             if int(mult) <= 0:
                 raise ValueError("divisor multiplicities must be positive")
         if cofactor is None:
-            cofactor = tuple(tuple(ring.zero() for _ in range(bundle.rank)) for _ in range(k))
+            cofactor = zero_matrix(ring, k, bundle.rank)
         cofactor = tuple(tuple(row) for row in cofactor)
         if len(cofactor) != k or any(len(row) != bundle.rank for row in cofactor):
             raise ValueError("cofactor must be a (torus rank) x (bundle rank) matrix")
@@ -391,6 +394,12 @@ class BlowupSection(tuple):
         return self
 
 
+def frame_moving(model: LocalModel, chart: BlowupChart) -> tuple[bool, ...]:
+    """Per frame element of the model's bundle, whether it moves under the
+    chart's center."""
+    return tuple(any(chart.center.restrict(v)) for v in model.bundle.weights)
+
+
 def blowup_section(model: LocalModel, chart: BlowupChart) -> BlowupSection:
     """Section of the blowup bundle: components on fixed frame elements
     pull back, components on moving ones pull back and divide by xi.
@@ -398,7 +407,7 @@ def blowup_section(model: LocalModel, chart: BlowupChart) -> BlowupSection:
     Divisibility is guaranteed for an invariant section (a moving frame
     pairs with a moving component); failure is a theorem check.
     """
-    moving = tuple(any(chart.center.restrict(v)) for v in model.bundle.weights)
+    moving = frame_moving(model, chart)
     comps = []
     for mov, comp in zip(moving, model.section):
         q = chart.shifted_pullback(comp, -1 if mov else 0)
@@ -455,8 +464,10 @@ def _cleared_form_transform(chart: BlowupChart):
     """Parent-by-chart matrix carrying xi^2·(inverse transpose Jacobian) of
     the chart substitution.  All entries are polynomial: the substitution
     degenerates only along the exceptional locus, and clearing by xi^2
-    absorbs the denominator together with one extra xi used by the
-    sigma-lift transport."""
+    absorbs the denominator together with one extra xi.  Both lifts to a
+    chart go through it (``cleared_lift``): the factorization witness of
+    ``transport_model`` and the correction matrices of
+    ``dcrit.lift_morphism_to_blowup``."""
     ring = chart.ring
     n = chart.parent_ring.n
     xi = chart.xi
@@ -474,43 +485,41 @@ def _cleared_form_transform(chart: BlowupChart):
     return tuple(tuple(r) for r in rows)
 
 
-def _synthesize_sigma_lift(model: LocalModel, budget: Budget | None = None):
-    """Factorization witness alpha with cofactor·alpha = h_D·pairing.
+def cleared_lift(rows, chart: BlowupChart, powers, what: str):
+    """Carry frame-indexed rows of parent forms to the chart: pull each
+    row back, multiply by ``_cleared_form_transform`` and divide row b
+    by xi^powers[b].  A quotient that is not exact is a theorem check,
+    reported as ``what`` not divisible by the exceptional coordinate."""
+    pulled = tuple(tuple(chart.pullback(e) for e in row) for row in rows)
+    raw = poly_mat_mul(pulled, _cleared_form_transform(chart), chart.ring)
+    out = []
+    for power, row in zip(powers, raw):
+        if power:
+            d = chart.xi**power
+            quotients = []
+            for e in row:
+                q = divide_exact(e, d)
+                if q is None:
+                    raise TheoremCheckError(
+                        f"{what} is not divisible by the exceptional "
+                        f"coordinate: {e}"
+                    )
+                quotients.append(q)
+            row = tuple(quotients)
+        out.append(row)
+    return tuple(out)
 
-    The identity works for an untwisted model whose cofactor is the action
-    pairing itself (a d-critical chart).  For a rank-one torus the columns
-    are single ideal-membership lifts.  Returns None when no witness can
-    be derived.
-    """
-    ring = model.ring
-    k = model.weights.k
-    r = model.bundle.rank
-    n = ring.n
-    sigma = action_pairing(ring, model.weights)
-    if not model.divisor and r == n and model.cofactor == sigma:
-        return tuple(
-            tuple(ring.one() if i == b else ring.zero() for i in range(n))
-            for b in range(r)
-        )
-    if k != 1:
-        return None
+
+def twisted_cofactor(model: LocalModel):
+    """The cofactor in the divisor-twisted frame: every entry divided by
+    the divisor equation h_D, None where h_D does not divide it.  A model
+    with no divisor (h_D = 1, every d-critical model) is its own twist."""
+    if not model.divisor:
+        return model.cofactor
     h = model.divisor_equation()
-    row = model.cofactor[0]
-    nonzero = [b for b in range(r) if not row[b].is_zero()]
-    gens = Ideal(ring, [row[b] for b in nonzero])
-    alpha = [[ring.zero() for _ in range(n)] for _ in range(r)]
-    for i in range(n):
-        target = h * sigma[0][i]
-        if target.is_zero():
-            continue
-        if not nonzero:
-            return None
-        cert = lift_certificate(target, gens, budget)
-        if cert is None:
-            return None
-        for pos, b in enumerate(nonzero):
-            alpha[b][i] = cert[pos]
-    return tuple(tuple(row) for row in alpha)
+    return tuple(
+        tuple(divide_exact(e, h) for e in row) for row in model.cofactor
+    )
 
 
 class WeakModelReport:
@@ -540,11 +549,12 @@ class WeakModelReport:
         return f"WeakModelReport({flags})"
 
 
-def check_weak_local_model(
-    model: LocalModel, budget: Budget | None = None, max_vars: int = 16
-) -> WeakModelReport:
+def check_weak_local_model(model: LocalModel) -> WeakModelReport:
     """Verify the weak local-model conditions symbolically.
 
+    The factorization witness is ``model.sigma_lift``; a model without
+    one passes that condition only when the action pairing vanishes
+    (torus rank 0, or every weight 0), with the zero matrix as witness.
     Returns a report, never raises on a failing condition; every failure
     carries a polynomial witness.
     """
@@ -582,19 +592,17 @@ def check_weak_local_model(
     # condition: h_D divides the cofactor and the twisted pairing factors
     factorization = True
     h = model.divisor_equation()
-    if not h.is_constant():
-        for a in range(k):
-            for b in range(r):
-                e = model.cofactor[a][b]
-                if not e.is_zero() and divide_exact(e, h) is None:
-                    factorization = False
-                    witnesses.append(
-                        f"factorization: cofactor entry ({a},{b}) not divisible "
-                        f"by the divisor equation {h}: {e}"
-                    )
+    for a, row in enumerate(twisted_cofactor(model)):
+        for b, q in enumerate(row):
+            if q is None:
+                factorization = False
+                witnesses.append(
+                    f"factorization: cofactor entry ({a},{b}) not divisible "
+                    f"by the divisor equation {h}: {model.cofactor[a][b]}"
+                )
     alpha = model.sigma_lift
-    if alpha is None:
-        alpha = _synthesize_sigma_lift(model, budget)
+    if alpha is None and not any(any(row) for row in W.rows):
+        alpha = zero_matrix(ring, r, ring.n)
     if alpha is None:
         factorization = False
         witnesses.append(
@@ -617,7 +625,7 @@ def check_weak_local_model(
     # condition: on each closed-orbit fixed locus, stabilizer directions
     # pair to zero
     fixed_projection = True
-    for R in closed_orbit_stabilizers(W, max_vars):
+    for R in closed_orbit_stabilizers(W):
         moving = fixed_locus(W, R)
         for b in range(r):
             # setting the moving coordinates to zero keeps the terms free of them
@@ -646,10 +654,7 @@ def check_weak_local_model(
 
 
 def blowup_local_model(
-    model: LocalModel,
-    center: Subtorus,
-    chart: BlowupChart,
-    budget: Budget | None = None,
+    model: LocalModel, center: Subtorus, chart: BlowupChart
 ) -> LocalModel:
     """Transport a weak local model to one blowup chart (see
     ``transport_model``); a torus of rank zero leaves it unchanged."""
@@ -662,28 +667,27 @@ def blowup_local_model(
         )
     if chart.parent_ring != model.ring or chart.center != center:
         raise PreconditionError("chart does not belong to this model and center")
-    return transport_model(model, blowup_section(model, chart), chart, budget)
+    return transport_model(model, blowup_section(model, chart), chart)
 
 
 def transport_model(
-    model: LocalModel,
-    section: BlowupSection,
-    chart: BlowupChart,
-    budget: Budget | None = None,
+    model: LocalModel, section: BlowupSection, chart: BlowupChart
 ) -> LocalModel:
     """The weak local model on a chart of the full-torus blowup, given
     its blowup section there.  The bundle gains a xi twist on the
     section's moving frames, the divisor picks up the exceptional locus
     twice, and the cofactor and its factorization witness are rebuilt so
-    the transported model passes the structural checks again."""
+    the transported model passes the structural checks again.  Only a
+    model with a witness can be transported: a potential's d-critical
+    model has one, a section file has none."""
     alpha = model.sigma_lift
     if alpha is None:
-        alpha = _synthesize_sigma_lift(model, budget)
-    if alpha is None:
         raise PreconditionError(
-            "no factorization witness for the action pairing; supply sigma_lift"
+            "a section file carries no factorization witness for the action "
+            "pairing; a Kirwan tree that starts at the full torus needs a "
+            "potential file"
         )
-    ring, xi, moving = chart.ring, chart.xi, section.frame_moving
+    ring, moving = chart.ring, section.frame_moving
     pivot_w = chart.columns[chart.pivot]
     labels, weights = [], []
     for mov, lab, v in zip(moving, model.bundle.labels, model.bundle.weights):
@@ -700,25 +704,9 @@ def transport_model(
         )
         for row in model.cofactor
     )
-
-    pulled_alpha = tuple(tuple(chart.pullback(e) for e in row) for row in alpha)
-    cleared = _cleared_form_transform(chart)
-    raw = poly_mat_mul(pulled_alpha, cleared, ring)
-    lift_rows = []
-    for b in range(model.bundle.rank):
-        if moving[b]:
-            row = []
-            for e in raw[b]:
-                q = divide_exact(e, xi) if not e.is_zero() else ring.zero()
-                if q is None:
-                    raise TheoremCheckError(
-                        "transported factorization witness is not divisible by "
-                        f"the exceptional coordinate: {e}"
-                    )
-                row.append(q)
-            lift_rows.append(tuple(row))
-        else:
-            lift_rows.append(raw[b])
+    lift = cleared_lift(
+        alpha, chart, [int(m) for m in moving], "transported factorization witness"
+    )
     out = LocalModel(
         ring,
         chart.weights,
@@ -726,11 +714,11 @@ def transport_model(
         section,
         divisor,
         cofactor,
-        sigma_lift=tuple(lift_rows),
+        sigma_lift=lift,
         potential=None,
         base_param=model.base_param,
     )
-    report = check_weak_local_model(out, budget)
+    report = check_weak_local_model(out)
     if not report.passed:
         raise TheoremCheckError(
             "transported local model failed its structural checks: "

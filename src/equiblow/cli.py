@@ -154,7 +154,7 @@ def cmd_crit(args) -> tuple[dict, int]:
     budget = _parse_budget(args)
     if built.model is None:
         raise PreconditionError("crit requires a potential or section model")
-    wm = check_weak_local_model(built.model, budget)
+    wm = check_weak_local_model(built.model)
     ledger = {
         "factorization": wm.factorization,
         "composite_zero": wm.composite_zero,

@@ -9,7 +9,16 @@ and obstruction classes live in explicit cokernel coordinates.
 import warnings
 from fractions import Fraction
 
-from .blowup import EquivariantBundle, LocalModel, action_pairing, poly_mat_mul
+from .blowup import (
+    EquivariantBundle,
+    LocalModel,
+    action_pairing,
+    cleared_lift,
+    frame_moving,
+    poly_mat_mul,
+    twisted_cofactor,
+    zero_matrix,
+)
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import Budget, Ideal, buchberger, lift_certificate, normal_form, saturate
 from .linalg import coker_projection, mat_mul, rank, solve
@@ -101,11 +110,11 @@ class FourTermComplexAtPoint:
         """Both compositions m1·m0 and m2·m1 must vanish, or
         ``TheoremCheckError`` is raised."""
         self.point = tuple(point)
-        if r and k and not _is_zero_matrix(mat_mul(m1, m0)):
+        if r and k and not _iszero_matrix(mat_mul(m1, m0)):
             raise TheoremCheckError(
                 f"middle map does not kill the action column at {self.point}"
             )
-        if r and k and not _is_zero_matrix(mat_mul(m2, m1)):
+        if r and k and not _iszero_matrix(mat_mul(m2, m1)):
             raise TheoremCheckError(
                 f"twisted cofactor does not kill the middle map at {self.point}"
             )
@@ -158,7 +167,7 @@ def _jacobian_at(section, point):
     return rows
 
 
-def _is_zero_matrix(M) -> bool:
+def _iszero_matrix(M) -> bool:
     return all(all(x == 0 for x in row) for row in M)
 
 
@@ -185,27 +194,15 @@ def four_term_at(
         [model.weights.rows[a][i] * point[i] for a in range(k)] for i in range(n)
     ]
     m1 = _jacobian_at(model.section, point)
-    # with no divisor (every d-critical model) the equation is h = 1 and
-    # the cofactor is its own twist
-    twisted = model.cofactor
+    twisted = twisted_cofactor(model)
     if model.divisor:
-        h = model.divisor_equation()
-        twisted = []
-        for a in range(k):
-            row = []
-            for b in range(r):
-                e = model.cofactor[a][b]
-                if e.is_zero():
-                    row.append(ring.zero())
-                    continue
-                q = divide_exact(e, h)
+        for row, twisted_row in zip(model.cofactor, twisted):
+            for e, q in zip(row, twisted_row):
                 if q is None:
                     raise PreconditionError(
                         "cofactor entry is not divisible by the divisor equation: "
                         f"{e}"
                     )
-                row.append(q)
-            twisted.append(row)
     m2 = _eval_matrix(twisted, point)
 
     K = FourTermComplexAtPoint(point, m0, m1, m2, k, n, r, model.divisor)
@@ -477,10 +474,6 @@ class OmegaEquivalenceReport:
         )
 
 
-def _zero_matrix(ring: Ring, rows: int, cols: int):
-    return tuple(tuple(ring.zero() for _ in range(cols)) for _ in range(rows))
-
-
 def verify_omega_equivalence(
     model: LocalModel,
     omega_bar,
@@ -513,9 +506,9 @@ def verify_omega_equivalence(
         if hint.evaluate(tuple(Fraction(x) for x in basepoint)) == 0:
             raise PreconditionError("hint polynomial vanishes at the basepoint")
     if A is None:
-        A = _zero_matrix(ring, n, r)
+        A = zero_matrix(ring, n, r)
     if B is None:
-        B = _zero_matrix(ring, n, r)
+        B = zero_matrix(ring, n, r)
     A = tuple(tuple(row) for row in A)
     B = tuple(tuple(row) for row in B)
     if len(A) != n or any(len(row) != r for row in A):
@@ -569,25 +562,32 @@ def verify_omega_equivalence(
             )
 
     equivariant = True
-    W = model.weights
     for label, M in (("A", A), ("B", B)):
-        for i in range(n):
-            for c in range(r):
-                e = M[i][c]
-                if e.is_zero():
-                    continue
-                expected = tuple(
-                    model.bundle.weights[c][a] + W.rows[a][i] for a in range(W.k)
-                )
-                if poly_weight(e, W) != expected:
-                    equivariant = False
-                    witnesses.append(
-                        f"equivariant: entry {label}[{i}][{c}] = {e} is not of "
-                        f"weight {expected}"
-                    )
+        for i, c, e, expected in _off_weight_entries(M, model):
+            equivariant = False
+            witnesses.append(
+                f"equivariant: entry {label}[{i}][{c}] = {e} is not of "
+                f"weight {expected}"
+            )
     return OmegaEquivalenceReport(
         same_ideal, identity_forward, identity_backward, equivariant, witnesses
     )
+
+
+def _off_weight_entries(M, model: LocalModel):
+    """(i, c, entry, expected weight) for each nonzero entry of the
+    n x rank correction matrix M that is not of the weight of frame c
+    plus coordinate i, the equivariant weight of a tangent-valued map."""
+    W = model.weights
+    for i, row in enumerate(M):
+        for c, e in enumerate(row):
+            if e.is_zero():
+                continue
+            expected = tuple(
+                model.bundle.weights[c][a] + W.rows[a][i] for a in range(W.k)
+            )
+            if poly_weight(e, W) != expected:
+                yield i, c, e, expected
 
 
 def _detect_unit_cofactor(omega, omega_bar, ring: Ring):
@@ -681,7 +681,7 @@ def construct_equivalence(
     unit = _detect_unit_cofactor(omega, omega_bar, ring)
     hint = unit if unit is not None else ring.one()
 
-    zero = _zero_matrix(ring, ring.n, ring.n)
+    zero = zero_matrix(ring, ring.n, ring.n)
     candidates = [(zero, zero)]
     fwd = _assemble_correction(f - g, omega_bar, weights, budget)
     bwd = _assemble_correction(g - f, omega, weights, budget)
@@ -703,71 +703,31 @@ def construct_equivalence(
     )
 
 
-def lift_morphism_to_blowup(A, model: LocalModel, chart, budget: Budget | None = None):
+def lift_morphism_to_blowup(A, model: LocalModel, chart):
     """Carry a tangent-valued correction matrix to a blowup chart.
 
-    Columns over moving frames keep the exceptional twist; the tangent
-    side transforms by the inverse Jacobian of the chart substitution,
-    cleared by the exceptional coordinate.  Equivariance of the input is
-    required and the output stays polynomial.
+    The correction is n x rank, so its transpose has one row of parent
+    forms per frame element, and ``blowup.cleared_lift`` carries those
+    rows as it does the factorization witness of ``transport_model``:
+    the cleared matrix holds xi^2 times the inverse transpose Jacobian,
+    so each row is divided by xi^2 on a fixed frame and by xi on a
+    moving one, whose xi twist keeps the other xi.
+    Equivariance of the input is required and the output stays
+    polynomial.
     """
-    ring = model.ring
-    n = ring.n
+    n = model.ring.n
     r = model.bundle.rank
     A = tuple(tuple(row) for row in A)
     if len(A) != n or any(len(row) != r for row in A):
         raise PreconditionError("correction matrix must be n x rank")
-    W = model.weights
-    for i in range(n):
-        for c in range(r):
-            e = A[i][c]
-            if e.is_zero():
-                continue
-            expected = tuple(
-                model.bundle.weights[c][a] + W.rows[a][i] for a in range(W.k)
-            )
-            if poly_weight(e, W) != expected:
-                raise PreconditionError(
-                    f"correction entry ({i},{c}) = {e} is not equivariant"
-                )
-    cring = chart.ring
-    xi = chart.xi
-    moving_frames = [
-        bool(any(chart.center.restrict(v))) for v in model.bundle.weights
-    ]
-    pulled = [[chart.pullback(A[i][c]) for c in range(r)] for i in range(n)]
-    # rows of xi times the inverse Jacobian, indexed by chart coordinates
-    out = [[cring.zero() for _ in range(r)] for _ in range(n)]
-    names = chart.parent_ring.names
-    for c in range(r):
-        col = [pulled[i][c] for i in range(n)]
-        transformed = [cring.zero()] * n
-        for j in range(n):
-            if j == chart.pivot:
-                transformed[j] = xi * col[chart.pivot]
-            elif j in chart.moving:
-                transformed[j] = col[j] - cring.var("T_" + names[j]) * col[chart.pivot]
-            else:
-                transformed[j] = xi * col[j]
-        # the frame twist contributes xi^{0 or 1}, the inverse Jacobian 1/xi
-        if moving_frames[c]:
-            out_col = transformed
-        else:
-            out_col = []
-            for e in transformed:
-                if e.is_zero():
-                    out_col.append(e)
-                    continue
-                q = divide_exact(e, xi)
-                if q is None:
-                    raise TheoremCheckError(
-                        "lifted correction is not divisible by the exceptional "
-                        f"coordinate: {e}"
-                    )
-                out_col.append(q)
-        for j in range(n):
-            out[j][c] = out_col[j]
-    return tuple(tuple(row) for row in out)
+    bad = next(_off_weight_entries(A, model), None)
+    if bad is not None:
+        i, c, e, _ = bad
+        raise PreconditionError(f"correction entry ({i},{c}) = {e} is not equivariant")
+    powers = [1 if m else 2 for m in frame_moving(model, chart)]
+    rows = tuple(tuple(A[i][c] for i in range(n)) for c in range(r))
+    lifted = cleared_lift(rows, chart, powers, "lifted correction")
+    return tuple(tuple(lifted[c][j] for c in range(r)) for j in range(n))
 
 
 class CokernelComparison:

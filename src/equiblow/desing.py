@@ -136,7 +136,7 @@ def _grow(model, stage0, budget, max_depth, max_vars):
 
     def continued():
         for outcome, section, same in stage0():
-            chart_model = transport_model(model, section, outcome.chart, budget)
+            chart_model = transport_model(model, section, outcome.chart)
             sec = chart_model.ideal
             gb = outcome.gb if same else buchberger(sec, DEGREVLEX, budget)
             yield ChartOutcome(outcome.chart, sec, gb, chart_model, outcome.unstable)

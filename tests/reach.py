@@ -1,0 +1,199 @@
+"""Line-reach sweep: which statements of `equiblow` no command line reaches.
+
+    python3 tests/reach.py
+
+Runs, in one process under a `sys.settrace` line tracer:
+- every operation of every `perfbench` workload for seeds 1 and 2;
+- `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
+  `omega-verify` and `fiber-check` on every corpus and bench model file.
+
+Then, per module of `src/equiblow`, it prints the statements no run
+reached (as line ranges) and the functions no run entered, and last the
+totals.  Standard library only; pytest does not collect this file (no
+`test_` prefix).
+
+A statement is one `ast.stmt` node, docstrings and `global`/`nonlocal`
+excepted.  A simple statement is reached when a line event fires on one
+of its lines; a compound one (`if`, `for`, `def`, ...) when one fires on
+its header lines or one of its direct children is reached.
+"""
+
+import ast
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PACKAGE = SRC / "equiblow"
+SEEDS = (1, 2)
+PER_FILE = (
+    [],
+    ["--full"],
+    ["--full", "--budget", "3"],
+)
+
+
+def command_lines() -> list[list[str]]:
+    """Distinct argv lists of the sweep, in run order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    out, seen = [], set()
+
+    def add(argv):
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            out.append(argv)
+
+    for seed in SEEDS:
+        for name in workloads.WORKLOADS:
+            for op in workloads.build(name, seed, ROOT):
+                add(op.argv)
+    files = sorted((PACKAGE / "corpus").glob("*.kb")) + sorted(
+        (ROOT / "perfbench" / "models").glob("*.kb")
+    )
+    for path in files:
+        rel = str(path.relative_to(ROOT))
+        for extra in PER_FILE:
+            add(["blowup", rel, *extra])
+        for cmd in ("crit", "omega-verify", "fiber-check"):
+            add([cmd, rel])
+    return out
+
+
+def _trace(hits: set, entered: set):
+    prefix = str(PACKAGE)
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(prefix):
+            return None
+        entered.add((code.co_filename, code.co_firstlineno))
+        hits.add((code.co_filename, frame.f_lineno))
+        return local
+
+    return tracer
+
+
+def _is_docstring(node) -> bool:
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def _children(node):
+    for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+        for child in getattr(node, field, ()) or ():
+            if isinstance(child, (ast.ExceptHandler, getattr(ast, "match_case", ()))):
+                yield from child.body
+            elif isinstance(child, ast.stmt):
+                yield child
+
+
+def _header(node):
+    """First and last line of a statement's own code."""
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+    kids = list(_children(node))
+    if not kids:
+        return first, node.end_lineno
+    return first, max(first, kids[0].lineno - 1)
+
+
+def module_report(path: Path, lines: set, entered: set):
+    """(statement count, unreached statement line numbers, names of
+    functions never entered) of one module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    total, missed = 0, []
+
+    def reached(node) -> bool:
+        nonlocal total
+        kids = [k for k in _children(node) if _counted(k)]
+        got = [reached(k) for k in kids]  # visit every child
+        first, last = _header(node)
+        hit = any(ln in lines for ln in range(first, last + 1))
+        if kids and not hit:
+            hit = any(got)
+        total += 1
+        if not hit:
+            missed.append(node.lineno)
+        return hit
+
+    def _counted(node) -> bool:
+        return not _is_docstring(node) and not isinstance(node, (ast.Global, ast.Nonlocal))
+
+    for node in tree.body:
+        if _counted(node):
+            reached(node)
+    never = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if first not in entered:
+                never.append(f"{node.name} (line {node.lineno})")
+    return total, sorted(missed), never
+
+
+def _ranges(numbers):
+    out, start, prev = [], None, None
+    for n in numbers:
+        if start is None:
+            start = prev = n
+        elif n == prev + 1:
+            prev = n
+        else:
+            out.append(f"{start}" if start == prev else f"{start}-{prev}")
+            start = prev = n
+    if start is not None:
+        out.append(f"{start}" if start == prev else f"{start}-{prev}")
+    return ", ".join(out)
+
+
+def main() -> int:
+    os.chdir(ROOT)
+    argvs = command_lines()
+    hits: set = set()
+    entered: set = set()
+    sys.path.insert(0, str(SRC))
+    sys.settrace(_trace(hits, entered))
+    try:
+        from equiblow import cli
+
+        codes: dict = {}
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = cli.main(argv)
+            codes[code] = codes.get(code, 0) + 1
+    finally:
+        sys.settrace(None)
+    print(f"{len(argvs)} command lines, exit codes {dict(sorted(codes.items()))}")
+    grand_total = grand_missed = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = str(path)
+        lines = {ln for f, ln in hits if f == name}
+        firsts = {ln for f, ln in entered if f == name}
+        total, missed, never = module_report(path, lines, firsts)
+        grand_total += total
+        grand_missed += len(missed)
+        print(f"\n{path.name}: {len(missed)} of {total} statements unreached")
+        if missed:
+            print(f"  lines: {_ranges(missed)}")
+        for fn in never:
+            print(f"  never entered: {fn}")
+    print(f"\ntotal: {grand_missed} of {grand_total} statements unreached")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -371,6 +371,75 @@ def test_chart_coordinate_named_like_a_variable_is_exit_3(capsys, tmp_path, argv
     )
 
 
+# section files: an ideal with a section and frame weights, no potential;
+# the value says whether the action pairing vanishes
+SECTION_FILES = {
+    "rank0-one-frame": (
+        'variables = [x, y]\nweights = []\nideal = ["x*y"]\nsection = ["x*y"]\n'
+        "frame_weights = [[]]\n",
+        True,
+    ),
+    "rank0-n-frames": (
+        'variables = [x, y]\nweights = []\nideal = ["y", "x"]\n'
+        'section = ["y", "x"]\nframe_weights = [[], []]\n',
+        True,
+    ),
+    "zero-rank2-one-frame": (
+        'variables = [x, y]\nweights = [[0, 0], [0, 0]]\nideal = ["x*y"]\n'
+        'section = ["x*y"]\nframe_weights = [[0, 0]]\n',
+        True,
+    ),
+    "zero-rank2-n-frames": (
+        'variables = [x, y]\nweights = [[0, 0], [0, 0]]\nideal = ["y", "x"]\n'
+        'section = ["y", "x"]\nframe_weights = [[0, 0], [0, 0]]\n',
+        True,
+    ),
+    "rank1": (
+        'variables = [x, y]\nweights = [[1, -1]]\nideal = ["y", "x"]\n'
+        'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n',
+        False,
+    ),
+    "rank2": (
+        "variables = [x, y, z]\nweights = [[1, -1, 0], [0, 1, -1]]\n"
+        'ideal = ["y*z", "x*z", "x*y"]\nsection = ["y*z", "x*z", "x*y"]\n'
+        "frame_weights = [[1, 0], [-1, 1], [0, -1]]\n",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_FILES))
+def test_section_file_factorization_verdicts(capsys, tmp_path, name):
+    # a section file carries no factorization witness: the condition holds
+    # exactly when the action pairing vanishes, with the zero witness
+    text, vanishing = SECTION_FILES[name]
+    src = tmp_path / "section.kb"
+    src.write_text(text)
+    ledger = report(capsys, "crit", str(src))["ledger"]
+    assert ledger["factorization"] is vanishing
+    assert ledger["composite_zero"] and ledger["fixed_projection"]
+    assert ledger["witnesses"] == (
+        [] if vanishing
+        else ["factorization: no witness available and none could be derived"]
+    )
+
+
+@pytest.mark.parametrize("name", ["rank1", "rank2"])
+def test_full_blowup_of_a_section_file_asks_for_a_potential_file(
+    capsys, tmp_path, name
+):
+    src = tmp_path / "section.kb"
+    src.write_text(SECTION_FILES[name][0])
+    code, out, err = run(capsys, "blowup", str(src), "--full")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "precondition: a section file carries no factorization witness for "
+        "the action pairing; a Kirwan tree that starts at the full torus "
+        "needs a potential file\n"
+    )
+
+
 def test_theorem_failure_is_exit_5(capsys, monkeypatch):
     from equiblow import desing
 

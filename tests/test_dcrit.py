@@ -337,6 +337,33 @@ def test_manual_correction_matrix_passes_and_lifts_to_both_charts():
         assert rep.passed
 
 
+def test_correction_on_a_fixed_frame_lifts_to_both_charts():
+    # frame dz of x*y*z is fixed by the torus: its column is divided by
+    # xi^2 after the cleared transform, the moving columns by xi
+    model = xyz_model()
+    p = lambda s: parse_poly(s, R3)
+    A = (
+        (p("x^2"), p("0"), p("x")),
+        (p("z"), p("y^2*z"), p("y*z")),
+        (p("0"), p("y"), p("x*y + z^2")),
+    )
+    expected = {
+        "chart_x": [
+            ["xi_x^3", "0", "xi_x"],
+            ["-xi_x^2*T_y + z", "xi_x^2*T_y^2*z", "T_y*z - T_y"],
+            ["0", "xi_x^2*T_y", "xi_x^2*T_y + z^2"],
+        ],
+        "chart_y": [
+            ["T_x^2*xi_y^2 - T_x*z", "-T_x*xi_y^2*z", "-T_x*z + T_x"],
+            ["xi_y*z", "xi_y^3*z", "xi_y*z"],
+            ["0", "xi_y^2", "T_x*xi_y^2 + z^2"],
+        ],
+    }
+    for chart in make_charts(R3, W3, Subtorus.full(1)):
+        Ahat = lift_morphism_to_blowup(A, model, chart)
+        assert [[str(e) for e in row] for row in Ahat] == expected[chart.name]
+
+
 def test_construct_equivalence_refuses_unrelated_sections():
     f = parse_poly("x*y", R2)
     g = parse_poly("x^2*y^2", R2)
