@@ -727,18 +727,6 @@ def transport_model(
     return out
 
 
-def section_coincides(
-    model: LocalModel,
-    chart: BlowupChart,
-    raw: Ideal,
-    budget: Budget | None = None,
-) -> bool:
-    """Does the blowup section on this chart cut exactly the intrinsic
-    chart ideal ``raw``?"""
-    sec = Ideal(chart.ring, blowup_section(model, chart))
-    return ideal_equal(sec, raw, budget=budget)
-
-
 def embedding_independence_check(
     small: LocalModel,
     big: LocalModel,

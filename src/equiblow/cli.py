@@ -85,33 +85,37 @@ def _parse_point(text: str, n: int):
         raise ModelFileError(f"bad point {text!r}") from None
 
 
-def _stage_dict(stage) -> dict:
-    return {
-        "center": [list(r) for r in stage.center.cochar],
+def _stages(nodes) -> list[dict]:
+    """The report's list of stages below a node: the one stage of
+    ``nodes``, all along one center, or none when ``nodes`` is empty."""
+    if not nodes:
+        return []
+    return [{
+        "center": [list(r) for r in nodes[0].chart.center.cochar],
         "charts": [
             {
-                "name": co.chart.name,
-                "ideal_gb": rpt.gb_strings(co.gb),
-                "unstable_gb": rpt.ideal_strings(co.unstable),
-                "substages": [_stage_dict(s) for s in co.substages],
+                "name": node.chart.name,
+                "ideal_gb": rpt.gb_strings(node.gb),
+                "unstable_gb": rpt.ideal_strings(node.unstable),
+                "substages": _stages(node.children),
             }
-            for co in stage.charts
+            for node in nodes
         ],
-    }
+    }]
 
 
-def _chart_entry(outcome, coincides, prefix: str = "") -> dict:
-    """The report entry of a stage-0 chart; ``coincides`` is None without a model."""
-    chart = outcome.chart
+def _chart_entry(node, prefix: str = "") -> dict:
+    """The report entry of a stage-0 node."""
+    chart = node.chart
     checks = {"xi": True}
-    if coincides is not None:
-        checks["coinc"] = coincides
+    if node.coincides is not None:
+        checks["coinc"] = node.coincides
     return rpt.chart_entry(
         prefix + chart.name,
         chart.ring.names,
         chart.weights.rows,
-        ideal_gb=rpt.gb_strings(outcome.gb),
-        unstable_gb=rpt.ideal_strings(outcome.unstable),
+        ideal_gb=rpt.gb_strings(node.gb),
+        unstable_gb=rpt.ideal_strings(node.unstable),
         checks=checks,
     )
 
@@ -130,28 +134,28 @@ def cmd_blowup(args) -> tuple[dict, int]:
         raise ModelFileError(f"no chart named {args.chart!r}")
     # coincidence is judged on the whole atlas, even under --chart
     judged = atlas if built.model is not None else charts
-    stage, coincides, tree = blowup_tree(
+    nodes, first = blowup_tree(
         built.ideal, built.model, judged, budget, args.full and built.model is not None
     )
-    shown = [(o, ok) for o, ok in zip(stage.charts, coincides) if o.chart in charts]
-    charts_out = [_chart_entry(o, ok) for o, ok in shown]
-    ledger["u_hat_empty"] = all(contains_one(o.gb) for o, _ in shown)
+    shown = [node for node in nodes if node.chart in charts]
+    charts_out = [_chart_entry(node) for node in shown]
+    ledger["u_hat_empty"] = all(contains_one(node.gb) for node in shown)
     if built.model is not None:
-        ledger["coinc_all"] = all(coincides)
+        ledger["coinc_all"] = all(node.coincides for node in nodes)
     if args.full:
         if built.model is None:
             raise PreconditionError(
                 "--full requires a model with a section (potential or "
                 "section file)"
             )
-        ledger["dense"] = tree.dense
-        ledger["stages"] = [_stage_dict(s) for s in tree.stages]
+        ledger["dense"] = False
+        ledger["stages"] = _stages(first)
     return rpt.assemble(Path(args.file).name, "blowup", charts_out, ledger), 0
 
 
 def cmd_crit(args) -> tuple[dict, int]:
     built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
+    _parse_budget(args)  # validated, though no step of crit reads a budget
     if built.model is None:
         raise PreconditionError("crit requires a potential or section model")
     wm = check_weak_local_model(built.model)
@@ -164,7 +168,7 @@ def cmd_crit(args) -> tuple[dict, int]:
     }
     if args.point is not None:
         point = _parse_point(args.point, built.ring.n)
-        K = four_term_at(built.model, point, budget)
+        K = four_term_at(built.model, point)
         h = cohomology_dims(K)
         ledger["point"] = rpt.point_str(point)
         ledger["cohomology_dims"] = list(h)
@@ -206,7 +210,7 @@ def cmd_semistable(args) -> tuple[dict, int]:
 
 def cmd_obstruction(args) -> tuple[dict, int]:
     built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
+    _parse_budget(args)  # validated, though no step of obstruction reads a budget
     if built.model is None:
         raise PreconditionError("obstruction requires a potential model")
     n = built.ring.n
@@ -224,7 +228,7 @@ def cmd_obstruction(args) -> tuple[dict, int]:
     ext = SmallExtension(
         args.ext_order, [(point[i], direction[i]) for i in range(n)]
     )
-    data = lifting_data(built.model, ext, budget)
+    data = lifting_data(built.model, ext)
     ob = obstruction_assignment(built.model, ext, data=data)
     lifted = find_lift(built.model, ext, data=data)
     if ob.liftable != (lifted is not None):
@@ -344,15 +348,12 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     for fname in pipeline:
         built = build_model(load_model_file(str(CORPUS_DIR / fname)))
         atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
-        stage, coincides, _ = blowup_tree(built.ideal, built.model, atlas, budget)
+        nodes, _ = blowup_tree(built.ideal, built.model, atlas, budget)
         if fname == "e2.kb":
-            e2 = stage.charts
-        charts_out += [
-            _chart_entry(o, ok, prefix=f"{fname}:")
-            for o, ok in zip(stage.charts, coincides)
-        ]
+            e2 = nodes
+        charts_out += [_chart_entry(node, prefix=f"{fname}:") for node in nodes]
         if built.model is not None:
-            check(f"coinc:{fname}", all(coincides))
+            check(f"coinc:{fname}", all(node.coincides for node in nodes))
 
     trivial = build_model(load_model_file(str(CORPUS_DIR / "trivial.kb")))
     check("dense:trivial.kb", action_is_trivial(trivial.weights))
@@ -380,12 +381,12 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     ring2 = Ring(["x", "y"])
     w2 = WeightMatrix([(1, -1)])
     square = dcritical_chart(parse_poly("1/2*x^2*y^2", ring2), w2)
-    dims_a = cohomology_dims(four_term_at(square, (1, 0), budget))
-    dims_b = cohomology_dims(four_term_at(square, (0, 0), budget))
+    dims_a = cohomology_dims(four_term_at(square, (1, 0)))
+    dims_b = cohomology_dims(four_term_at(square, (0, 0)))
     ring3 = Ring(["x", "y", "z"])
     w3 = WeightMatrix([(1, -1, 0)])
     xyz = dcritical_chart(parse_poly("x*y*z", ring3), w3)
-    dims_c = cohomology_dims(four_term_at(xyz, (1, 0, 0), budget))
+    dims_c = cohomology_dims(four_term_at(xyz, (1, 0, 0)))
     check("dims:square:(1,0)", dims_a == (0, 0, 0, 0))
     check("dims:square:origin", dims_b == (1, 2, 2, 1))
     check("dims:xyz:(1,0,0)", dims_c == (0, 0, 0, 0))
@@ -395,7 +396,7 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     w0 = WeightMatrix([])
     cubic = dcritical_chart(parse_poly("1/3*x^3", ring1), w0)
     ext = SmallExtension(2, [(0, 1)])
-    data = lifting_data(cubic, ext, budget)
+    data = lifting_data(cubic, ext)
     ob = obstruction_assignment(cubic, ext, data=data)
     check(
         "obstruction:cubic",
@@ -403,7 +404,7 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     )
     quad = dcritical_chart(parse_poly("1/2*x^2", ring1), w0)
     ext0 = SmallExtension(2, [(0, 0)])
-    data0 = lifting_data(quad, ext0, budget)
+    data0 = lifting_data(quad, ext0)
     ob0 = obstruction_assignment(quad, ext0, data=data0)
     check(
         "obstruction:quadratic",

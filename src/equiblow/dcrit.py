@@ -171,9 +171,7 @@ def _iszero_matrix(M) -> bool:
     return all(all(x == 0 for x in row) for row in M)
 
 
-def four_term_at(
-    model: LocalModel, point, budget: Budget | None = None
-) -> FourTermComplexAtPoint:
+def four_term_at(model: LocalModel, point) -> FourTermComplexAtPoint:
     """Evaluate the four-term complex of a local model at a point of its
     zero locus, verifying the two composition identities and, for a
     d-critical model, the symmetry of the middle map."""
@@ -236,9 +234,7 @@ def cohomology_dims(K: FourTermComplexAtPoint) -> tuple[int, int, int, int]:
     return (h0, h1, h2, h3)
 
 
-def reduced_obstruction_dim(
-    model: LocalModel, point, budget: Budget | None = None
-) -> int:
+def reduced_obstruction_dim(model: LocalModel, point) -> int:
     """Dimension of the reduced obstruction fiber at a finite-stabilizer
     point: the h2 of the four-term complex there.
 
@@ -262,7 +258,7 @@ def reduced_obstruction_dim(
                 "are formal here",
                 stacklevel=2,
             )
-    K = four_term_at(model, point, budget)
+    K = four_term_at(model, point)
     return cohomology_dims(K)[2]
 
 
@@ -394,14 +390,14 @@ def _extension_residual(model: LocalModel, ext: SmallExtension):
     return [v[order] for v in values]
 
 
-def lifting_data(model: LocalModel, ext: SmallExtension, budget: Budget | None = None):
+def lifting_data(model: LocalModel, ext: SmallExtension):
     """The top residual of the extension and the four-term complex at its
     basepoint: the data both the obstruction class and the lift search read."""
-    return _extension_residual(model, ext), four_term_at(model, ext.basepoint, budget)
+    return _extension_residual(model, ext), four_term_at(model, ext.basepoint)
 
 
 def obstruction_assignment(
-    model: LocalModel, ext: SmallExtension, budget: Budget | None = None, data=None
+    model: LocalModel, ext: SmallExtension, data=None
 ) -> ObstructionAssignment:
     """Obstruction class of the lifting problem across one more order.
 
@@ -410,7 +406,7 @@ def obstruction_assignment(
     class vanishes exactly when a lift exists.  ``data`` is a
     ``lifting_data`` result already in hand.
     """
-    top, K = data if data is not None else lifting_data(model, ext, budget)
+    top, K = data if data is not None else lifting_data(model, ext)
     dim, project = coker_projection([list(row) for row in K.m1], model.bundle.rank)
     vector = project(top)
     return ObstructionAssignment(vector, dim, all(x == 0 for x in vector), ext.m)
@@ -792,8 +788,8 @@ def phi_ck_at_point(
             + "; ".join(report.witnesses)
         )
 
-    Ks = four_term_at(small, point, budget)
-    Kb = four_term_at(big, big_point, budget)
+    Ks = four_term_at(small, point)
+    Kb = four_term_at(big, big_point)
     dim_s, project_s = coker_projection(
         [list(row) for row in Ks.m1], small.bundle.rank
     )

@@ -3,44 +3,46 @@ the blowup along the full torus.  The tree blows up the largest
 stabilizer, attaches each chart's unstable ideal, and recurses chart by
 chart over centers with semistable points until every residual
 stabilizer of a semistable point is trivial; when its first center is
-the full torus, it continues from stage 0.
+the full torus, stage 0 is its first stage.
 
 The driver never re-discovers a center it just blew up; that descent is a
 theorem and its failure raises loudly.
 """
 
-from .blowup import (
-    LocalModel,
-    blowup_section,
-    intrinsic_ideal,
-    make_charts,
-    transport_model,
-)
-from .errors import BudgetExceededError, TheoremCheckError
-from .groebner import Budget, Ideal, buchberger, ideal_equal
+from .blowup import blowup_section, intrinsic_ideal, make_charts, transport_model
+from .errors import BudgetExceededError, PreconditionError, TheoremCheckError
+from .groebner import Ideal, buchberger, ideal_equal
 from .poly import DEGREVLEX
 from .stability import unstable_ideal
-from .torus import Subtorus, WeightMatrix, enumerate_blowup_centers
+from .torus import WeightMatrix, enumerate_blowup_centers
+
+# stages a tree may stack before the loop is taken for a runaway one
+MAX_DEPTH = 4
 
 
 class ChartOutcome:
-    """One chart of one blowup stage: the chart ideal (with its reduced
-    basis), the transported model when a tree's center is the full torus,
-    the unstable ideal, which the center scan below excludes, and deeper
-    stages.  ``parent`` is the outcome blown up to reach this one (None at
-    stage 0); ``path`` reads like ``stage0/chart_x/stage1/chart_T_y``."""
+    """One node of the Kirwan tree: a chart of one blowup stage, its
+    intrinsic ideal with the reduced basis, and its unstable ideal, which
+    the center scan below excludes.  ``coincides`` says whether the
+    model's blowup section cuts the intrinsic ideal (None without a
+    model); ``model`` is the transported model once the tree continues
+    from a stage-0 node; ``children`` is the next stage, all along one
+    center.  ``parent`` is the node blown up to reach this one (None at
+    the first stage); ``path`` reads like ``stage0/chart_x/stage1/chart_T_y``."""
 
     __slots__ = (
-        "chart", "ideal", "gb", "model", "unstable", "substages", "parent", "path"
+        "chart", "ideal", "gb", "unstable", "coincides", "model", "children",
+        "parent", "path",
     )
 
-    def __init__(self, chart, ideal, gb, model, unstable, parent=None):
+    def __init__(self, chart, ideal, gb, unstable, coincides, parent):
         self.chart = chart
         self.ideal = ideal
         self.gb = gb
-        self.model = model
         self.unstable = unstable
-        self.substages = ()
+        self.coincides = coincides
+        self.model = None
+        self.children = ()
         self.parent = parent
         prefix = "" if parent is None else parent.path + "/"
         self.path = f"{prefix}stage{prefix.count('/') // 2}/{chart.name}"
@@ -49,74 +51,33 @@ class ChartOutcome:
         return f"ChartOutcome({self.path})"
 
 
-class Stage:
-    """One blowup step: the center and the outcome on each chart."""
-
-    __slots__ = ("center", "charts")
-
-    def __init__(self, center, charts):
-        self.center = center
-        self.charts = tuple(charts)
-
-    def __repr__(self):
-        return (
-            f"Stage(center_dim={self.center.dim}, "
-            f"charts={[c.chart.name for c in self.charts]})"
-        )
-
-
-class Desingularization:
-    """Stage tree of the iterated blowup, with the degenerate-density flag
-    for a trivial action (the blowup of everything is empty)."""
-
-    __slots__ = ("stages", "dense")
-
-    def __init__(self, stages, dense):
-        self.stages = tuple(stages)
-        self.dense = bool(dense)
-
-    def __repr__(self):
-        return f"Desingularization(stages={len(self.stages)}, dense={self.dense})"
-
-
 def action_is_trivial(weights: WeightMatrix) -> bool:
     """A torus of positive rank whose weights all vanish: every point is
     fixed, and the blowup of everything is empty."""
     return weights.k > 0 and not any(any(row) for row in weights.rows)
 
 
-def blowup_tree(
-    ideal, model, charts, budget=None, full=False, max_depth=4, max_vars=16
-):
-    """Stage 0 of ``ideal`` on ``charts`` of the full-torus atlas, per
-    chart whether the model's blowup section cuts the intrinsic ideal
-    (None without a model), and with ``full`` the tree (all charts)."""
-    rows = list(_outcomes(ideal, model, charts, budget))
-    tree = _grow(model, lambda: rows, budget, max_depth, max_vars) if full else None
-    return Stage(charts[0].center, [r[0] for r in rows]), [r[2] for r in rows], tree
+def blowup_tree(ideal, model, charts, budget=None, full=False):
+    """The stage-0 nodes of ``ideal`` on ``charts`` of the full-torus
+    atlas, each judged against the model's blowup section, and with
+    ``full`` the first stage of the model's tree (empty when no center
+    has a semistable point).  When that stage's center is the full torus
+    it is these very nodes, each given its transported model and its
+    children."""
+    rows = list(_stage(ideal, charts, budget, model=model))
+    nodes = [node for node, _ in rows]
+    if not full:
+        return nodes, ()
+    centers = enumerate_blowup_centers(model.weights, model.ideal, None, budget=budget)
+    args = (model.weights, model.ideal, centers, budget, MAX_DEPTH, None)
+    if centers and centers[0].is_full():
+        return nodes, _descend(*args, rows, model)
+    return nodes, _descend(*args)
 
 
-def partial_desingularization(
-    model: LocalModel,
-    budget: Budget | None = None,
-    max_depth: int = 4,
-    max_vars: int = 16,
-) -> Desingularization:
-    """Run the blowup loop on a local model until no semistable point has
-    a nontrivial stabilizer, returning the full stage tree."""
-    if action_is_trivial(model.weights):
-        return Desingularization((), dense=True)
-
-    def stage0():
-        atlas = make_charts(model.ring, model.weights, Subtorus.full(model.weights.k))
-        return _outcomes(model.ideal, model, atlas, budget)
-
-    return _grow(model, stage0, budget, max_depth, max_vars)
-
-
-def _outcomes(ideal, model, charts, budget, parent=None):
-    """Chart by chart: the intrinsic outcome, the model's blowup section,
-    and whether it cuts the intrinsic ideal (both None without a model)."""
+def _stage(ideal, charts, budget, parent=None, model=None):
+    """Chart by chart, the node of ``ideal`` and the model's blowup
+    section there (None without a model)."""
     for chart in charts:
         raw = intrinsic_ideal(ideal, chart, budget)
         gb = buchberger(raw, DEGREVLEX, budget)
@@ -124,50 +85,34 @@ def _outcomes(ideal, model, charts, budget, parent=None):
         if model is not None:
             section = blowup_section(model, chart)
             same = ideal_equal(Ideal(chart.ring, section), raw, budget=budget)
-        outcome = ChartOutcome(chart, raw, gb, None, unstable_ideal(chart), parent)
-        yield outcome, section, same
+        yield ChartOutcome(chart, raw, gb, unstable_ideal(chart), same, parent), section
 
 
-def _grow(model, stage0, budget, max_depth, max_vars):
-    """The tree of ``model``.  A full first center continues from the
-    rows of ``stage0()``, built only then: each chart follows the
-    transported section, with the intrinsic basis where the two coincide.
-    No deeper stage has the full torus as center (the descent check)."""
-
-    def continued():
-        for outcome, section, same in stage0():
-            chart_model = transport_model(model, section, outcome.chart)
-            sec = chart_model.ideal
-            gb = outcome.gb if same else buchberger(sec, DEGREVLEX, budget)
-            yield ChartOutcome(outcome.chart, sec, gb, chart_model, outcome.unstable)
-
-    centers = enumerate_blowup_centers(
-        model.weights, model.ideal, None, max_vars, budget
-    )
-    nodes = continued() if centers and centers[0].is_full() else None
-    stages = _descend(
-        model.weights, model.ideal, centers, budget, max_depth, max_vars, None, nodes
-    )
-    return Desingularization(stages, dense=False)
-
-
-def _descend(weights, ideal, centers, budget, depth_left, max_vars, parent, nodes=None):
-    """The stage along ``centers[0]`` below ``parent``, each chart grown
-    to its subtree; ``nodes`` yields the stage's outcomes if known, else
-    they are the intrinsic ones."""
+def _descend(weights, ideal, centers, budget, depth_left, parent, rows=None, model=None):
+    """The stage along ``centers[0]`` below ``parent``, each node grown
+    to its subtree.  ``rows`` are the stage-0 nodes with their sections
+    when the stage is stage 0: each node then carries ``model`` to its
+    chart, and its subtree grows from the transported section's ideal."""
     if not centers:
         return ()
     if depth_left <= 0:
         raise BudgetExceededError("blowup recursion depth exhausted")
     center = centers[0]
-    if nodes is None:
-        charts = make_charts(ideal.ring, weights, center)
-        nodes = (row[0] for row in _outcomes(ideal, None, charts, budget, parent))
+    if rows is None:
+        rows = _stage(ideal, make_charts(ideal.ring, weights, center), budget, parent)
     out = []
-    for node in nodes:
-        chart = node.chart
+    for node, section in rows:
+        chart, node_ideal = node.chart, node.ideal
+        if model is not None:
+            node.model = transport_model(model, section, chart)
+            if not node.coincides:
+                raise PreconditionError(
+                    f"the blowup section on {chart.name} does not cut the "
+                    "intrinsic chart ideal: the model does not present this ideal"
+                )
+            node_ideal = node.model.ideal
         next_centers = enumerate_blowup_centers(
-            chart.weights, node.ideal, node.unstable, max_vars, budget
+            chart.weights, node_ideal, node.unstable, budget=budget
         )
         for R in next_centers:
             if R.cochar == center.cochar:
@@ -175,9 +120,8 @@ def _descend(weights, ideal, centers, budget, depth_left, max_vars, parent, node
                     f"center re-discovered on chart {chart.name}: the "
                     "stabilizer set did not descend"
                 )
-        node.substages = _descend(
-            chart.weights, node.ideal, next_centers, budget,
-            depth_left - 1, max_vars, node,
+        node.children = _descend(
+            chart.weights, node_ideal, next_centers, budget, depth_left - 1, node
         )
         out.append(node)
-    return (Stage(center, out),)
+    return tuple(out)

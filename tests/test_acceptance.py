@@ -26,6 +26,7 @@ from equiblow import (
     WeightMatrix,
     blowup_local_model,
     blowup_section,
+    blowup_tree,
     buchberger,
     cli,
     cohomology_dims,
@@ -45,9 +46,7 @@ from equiblow import (
     obstruction_assignment,
     orbit_is_closed,
     parse_poly,
-    partial_desingularization,
     point_semistable,
-    section_coincides,
     specialize,
     unstable_ideal,
     verify_omega_equivalence,
@@ -96,12 +95,9 @@ def test_criterion_01_intrinsic_ideal_matches_blowup_section():
     checked = 0
     for name, model in ambient_models():
         center = Subtorus.full(model.weights.k)
-        results = {
-            chart.name: section_coincides(
-                model, chart, intrinsic_ideal(model.ideal, chart)
-            )
-            for chart in make_charts(model.ring, model.weights, center)
-        }
+        atlas = make_charts(model.ring, model.weights, center)
+        nodes, _ = blowup_tree(model.ideal, model, atlas)
+        results = {node.chart.name: node.coincides for node in nodes}
         assert results, name
         assert all(results.values()), (name, results)
         checked += 1
@@ -249,16 +245,17 @@ def locus_points(model, want=20):
     return pts
 
 
-def walk_outcomes(desi):
+def walk_nodes(model):
+    """Every node of the model's Kirwan tree with its depth, depth first."""
+    atlas = make_charts(model.ring, model.weights, Subtorus.full(model.weights.k))
     out = []
 
-    def rec(depth, stages):
-        for stage in stages:
-            for oc in stage.charts:
-                out.append((depth, oc))
-                rec(depth + 1, oc.substages)
+    def rec(depth, stage):
+        for node in stage:
+            out.append((depth, node))
+            rec(depth + 1, node.children)
 
-    rec(1, desi.stages)
+    rec(1, blowup_tree(model.ideal, model, atlas, full=True)[1])
     return out
 
 
@@ -275,7 +272,7 @@ def test_criterion_04_complex_compositions_vanish_at_sampled_points():
         for p in pts:
             four_term_at(model, p)  # raises if a composition is nonzero
         total += len(pts)
-        for depth, oc in walk_outcomes(partial_desingularization(model)):
+        for depth, oc in walk_nodes(model):
             stage_pts = locus_points(oc.model)
             if not stage_pts:
                 # nothing to sample only when the stage locus is empty

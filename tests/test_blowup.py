@@ -19,6 +19,7 @@ from equiblow import (
     action_pairing,
     blowup_local_model,
     blowup_section,
+    blowup_tree,
     buchberger,
     build_model,
     check_weak_local_model,
@@ -30,7 +31,6 @@ from equiblow import (
     load_model_file,
     make_charts,
     parse_poly,
-    section_coincides,
 )
 from equiblow.blowup import exceptional_divide
 from equiblow.errors import TheoremCheckError
@@ -165,10 +165,8 @@ def test_blowup_section_divides_moving_components_once():
 
 def test_verify_coinc_on_the_square_model():
     model = dcritical_chart(parse_poly("1/2*x^2*y^2", R2), W2)
-    verdicts = {
-        chart.name: section_coincides(model, chart, intrinsic_ideal(model.ideal, chart))
-        for chart in make_charts(R2, W2, FULL1)
-    }
+    nodes, _ = blowup_tree(model.ideal, model, make_charts(R2, W2, FULL1))
+    verdicts = {node.chart.name: node.coincides for node in nodes}
     assert verdicts == {"chart_x": True, "chart_y": True}
 
 

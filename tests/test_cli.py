@@ -609,6 +609,28 @@ def test_stage_zero_is_built_once_for_plain_and_full_blowups(
     assert len(sections) == len(unstable) == charts
 
 
+@pytest.mark.parametrize(
+    "name, nodes", [("e2.kb", 2), ("heavy.kb", 6), ("rank2.kb", 4), ("quiver3.kb", 4)]
+)
+def test_full_blowup_builds_one_node_per_tree_chart(
+    capsys, monkeypatch, tmp_path, name, nodes
+):
+    # the first center is the full torus on each, so the tree's first
+    # stage is stage 0 itself: no chart gets a second node
+    from equiblow import desing
+
+    path = CORPUS / name
+    if not path.exists():
+        path = write_bench_models(tmp_path) / name
+    built = count_calls(monkeypatch, desing, "ChartOutcome")
+    rep = report(capsys, "blowup", str(path), "--full")
+    tree = list(reported_stages(rep["ledger"]["stages"]))
+    assert sorted(c["name"] for c in tree[0]["charts"]) == sorted(
+        c["name"] for c in rep["charts"]
+    )
+    assert len(built) == sum(len(stage["charts"]) for stage in tree) == nodes
+
+
 def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatch):
     # chart pullbacks, exceptional division, the xi twist and fiber
     # specialization are exponent maps, and every divisor on these runs
