@@ -728,17 +728,20 @@ def transport_model(
 
 
 def embedding_independence_check(
-    small: LocalModel,
-    big: LocalModel,
+    small: Ideal,
+    big: Ideal,
+    weights: WeightMatrix,
     aux,
     budget: Budget | None = None,
 ) -> bool:
     """Intrinsic ideals do not depend on the equivariant embedding.
 
-    The big model must present the same locus inside the small ambient
-    extended by auxiliary coordinates fixed by the torus.  On every chart
-    of the full-torus blowup, eliminating the auxiliary variables from
-    the big intrinsic ideal must recover the small one exactly.
+    ``big`` must present the same locus as ``small`` inside the small
+    ambient extended by auxiliary coordinates fixed by the torus.
+    ``weights`` are the big ambient's; the small ambient's are read off
+    them by name.  On every chart of the full-torus blowup, eliminating
+    the auxiliary variables from the big intrinsic ideal must recover
+    the small one exactly.
     """
     aux = tuple(str(a) for a in aux)
     small_names = set(small.ring.names)
@@ -746,28 +749,24 @@ def embedding_independence_check(
         raise PreconditionError(
             "big ambient must be the small ambient plus the auxiliary coordinates"
         )
-    if small.weights.k != big.weights.k:
-        raise PreconditionError("torus ranks differ between the two models")
-    for name in small.ring.names:
-        wa = small.weights.column(small.ring.index[name])
-        wb = big.weights.column(big.ring.index[name])
-        if wa != wb:
-            raise PreconditionError(f"weight of shared coordinate {name!r} differs")
-    center = Subtorus.full(small.weights.k)
+    index = big.ring.index
+    center = Subtorus.full(weights.k)
     for a in aux:
-        if any(center.restrict(big.weights.column(big.ring.index[a]))):
+        if any(center.restrict(weights.column(index[a]))):
             raise PreconditionError(
                 f"auxiliary coordinate {a!r} must be fixed by the center"
             )
-    charts_small = make_charts(small.ring, small.weights, center)
-    charts_big = make_charts(big.ring, big.weights, center)
-    by_pivot = {c.parent_ring.names[c.pivot]: c for c in charts_big}
-    if set(by_pivot) != {c.parent_ring.names[c.pivot] for c in charts_small}:
-        raise PreconditionError("chart atlases of the two models do not match")
+    small_weights = weights.with_columns(
+        [weights.column(index[name]) for name in small.ring.names]
+    )
+    charts_small = make_charts(small.ring, small_weights, center)
+    by_pivot = {
+        c.parent_ring.names[c.pivot]: c for c in make_charts(big.ring, weights, center)
+    }
     for cs in charts_small:
         cb = by_pivot[cs.parent_ring.names[cs.pivot]]
-        ideal_small = intrinsic_ideal(small.ideal, cs, budget)
-        dropped = eliminate(intrinsic_ideal(big.ideal, cb, budget), aux, budget)
+        ideal_small = intrinsic_ideal(small, cs, budget)
+        dropped = eliminate(intrinsic_ideal(big, cb, budget), aux, budget)
         carried = Ideal(
             cs.ring, [g.rename_ring(cs.ring) for g in dropped.generators]
         )

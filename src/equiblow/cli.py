@@ -14,13 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import report as rpt
-from .blowup import (
-    EquivariantBundle,
-    LocalModel,
-    check_weak_local_model,
-    embedding_independence_check,
-    make_charts,
-)
+from .blowup import check_weak_local_model, embedding_independence_check, make_charts
 from .dcrit import (
     SmallExtension,
     cohomology_dims,
@@ -40,7 +34,7 @@ from .errors import (
     TheoremCheckError,
 )
 from .family import fiber_blowup_commutes
-from .groebner import Budget, Ideal, contains_one, eliminate
+from .groebner import Budget, contains_one, eliminate
 from .modelfile import BuiltModel, build_model, load_model_file, parse_hint
 from .poly import Ring, parse_poly
 from .stability import point_semistable
@@ -120,14 +114,12 @@ def _chart_entry(node, prefix: str = "") -> dict:
     )
 
 
-def cmd_blowup(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
+def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:
     ledger: dict = {}
     if action_is_trivial(built.weights):
         ledger["dense"] = True
         ledger["stages"] = []
-        return rpt.assemble(Path(args.file).name, "blowup", [], ledger), 0
+        return [], ledger, 0
     atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
     if not charts:
@@ -150,12 +142,10 @@ def cmd_blowup(args) -> tuple[dict, int]:
             )
         ledger["dense"] = False
         ledger["stages"] = _stages(first)
-    return rpt.assemble(Path(args.file).name, "blowup", charts_out, ledger), 0
+    return charts_out, ledger, 0
 
 
-def cmd_crit(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    _parse_budget(args)  # validated, though no step of crit reads a budget
+def cmd_crit(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
         raise PreconditionError("crit requires a potential or section model")
     wm = check_weak_local_model(built.model)
@@ -173,11 +163,10 @@ def cmd_crit(args) -> tuple[dict, int]:
         ledger["point"] = rpt.point_str(point)
         ledger["cohomology_dims"] = list(h)
         ledger["reduced_obstruction_dim"] = h[2]
-    return rpt.assemble(Path(args.file).name, "crit", [], ledger), 0
+    return [], ledger, 0
 
 
-def cmd_semistable(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
+def cmd_semistable(args, built, budget) -> tuple[list, dict, int]:
     center = Subtorus.full(built.weights.k)
     charts = make_charts(built.ring, built.weights, center)
     by_name = {c.name: c for c in charts}
@@ -205,12 +194,10 @@ def cmd_semistable(args) -> tuple[dict, int]:
         if verdict.limit is not None:
             ledger["limit"] = rpt.point_str(verdict.limit)
             ledger["limit_chart"] = verdict.chart
-    return rpt.assemble(Path(args.file).name, "semistable", [], ledger), 0
+    return [], ledger, 0
 
 
-def cmd_obstruction(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    _parse_budget(args)  # validated, though no step of obstruction reads a budget
+def cmd_obstruction(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
         raise PreconditionError("obstruction requires a potential model")
     n = built.ring.n
@@ -242,12 +229,10 @@ def cmd_obstruction(args) -> tuple[dict, int]:
         "coker_dim": ob.coker_dim,
         "liftable": ob.liftable,
     }
-    return rpt.assemble(Path(args.file).name, "obstruction", [], ledger), 0
+    return [], ledger, 0
 
 
-def cmd_omega_verify(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
+def cmd_omega_verify(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None or built.against is None:
         raise ModelFileError(
             "omega-verify needs a potential file with a comparison 'section'"
@@ -269,12 +254,10 @@ def cmd_omega_verify(args) -> tuple[dict, int]:
         "witnesses": list(rep.witnesses),
         "corrections": "zero",
     }
-    return rpt.assemble(Path(args.file).name, "omega-verify", [], ledger), 0
+    return [], ledger, 0
 
 
-def cmd_fiber_check(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
+def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
         raise PreconditionError("fiber-check requires a potential model")
     try:
@@ -287,40 +270,17 @@ def cmd_fiber_check(args) -> tuple[dict, int]:
         "charts": {name: ok for name, ok in sorted(results.items())},
         "commutes": all(results.values()),
     }
-    return rpt.assemble(Path(args.file).name, "fiber-check", [], ledger), 0
-
-
-def _ideal_as_model(ring: Ring, weights: WeightMatrix, ideal: Ideal) -> LocalModel:
-    """Wrap bare ideal data in the model shape expected by the
-    embedding-independence verifier; the bundle is a placeholder."""
-    gens = tuple(ideal.generators) or (ring.zero(),)
-    labels = [f"e{i}" for i in range(len(gens))]
-    frame_weights = [(0,) * weights.k for _ in gens]
-    return LocalModel(
-        ring, weights, EquivariantBundle(labels, frame_weights), gens
-    )
+    return [], ledger, 0
 
 
 def _independent(built: BuiltModel, aux, budget) -> bool:
-    """Eliminate the auxiliary coordinates to get the small model, then
+    """Eliminate the auxiliary coordinates to get the small ideal, then
     check that its intrinsic chart ideals match the model's."""
-    small_ring = built.ring.without(aux)
-    keep = [built.ring.index[nm] for nm in small_ring.names]
-    small_weights = WeightMatrix(
-        [tuple(row[i] for i in keep) for row in built.weights.rows]
-    )
-    dropped = eliminate(built.ideal, aux, budget)
-    small_ideal = Ideal(
-        small_ring, [g.rename_ring(small_ring) for g in dropped.generators]
-    )
-    small = _ideal_as_model(small_ring, small_weights, small_ideal)
-    big = _ideal_as_model(built.ring, built.weights, built.ideal)
-    return embedding_independence_check(small, big, aux, budget=budget)
+    small = eliminate(built.ideal, aux, budget)
+    return embedding_independence_check(small, built.ideal, built.weights, aux, budget)
 
 
-def cmd_independence(args) -> tuple[dict, int]:
-    built = build_model(load_model_file(args.file))
-    budget = _parse_budget(args)
+def cmd_independence(args, built, budget) -> tuple[list, dict, int]:
     aux = tuple(s.strip() for s in args.aux.split(",") if s.strip())
     if not aux:
         raise ModelFileError("--aux needs at least one variable name")
@@ -328,7 +288,7 @@ def cmd_independence(args) -> tuple[dict, int]:
         if a not in built.ring.index:
             raise ModelFileError(f"auxiliary variable {a!r} is not in the model")
     ledger = {"aux": list(aux), "independent": _independent(built, aux, budget)}
-    return rpt.assemble(Path(args.file).name, "independence", [], ledger), 0
+    return [], ledger, 0
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +390,11 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     return charts_out, checks
 
 
-def cmd_corpus(args) -> tuple[dict, int]:
-    budget = _parse_budget(args)
+def cmd_corpus(args, built, budget) -> tuple[list, dict, int]:
     charts_out, checks = _corpus_checks(budget)
     failed = [c["name"] for c in checks if not c["passed"]]
     ledger = {"checks": checks, "failed": failed}
-    code = 0 if not failed else 1
-    return rpt.assemble("corpus", "corpus", charts_out, ledger), code
+    return charts_out, ledger, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +467,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return p, sub.choices
 
 
+# each command takes the parsed arguments, the built model (None for
+# corpus) and the validated budget, and returns its report's chart
+# entries, its ledger and the exit code
 _DISPATCH = {
     "blowup": cmd_blowup,
     "crit": cmd_crit,
@@ -558,7 +519,13 @@ def main(argv=None) -> int:
             words.append(word)
     args = _parse_words(words)
     try:
-        report, code = _DISPATCH[args.command](args)
+        # the model file's errors come before the budget's
+        if args.command == "corpus":
+            name, built = "corpus", None
+        else:
+            name, built = Path(args.file).name, build_model(load_model_file(args.file))
+        budget = _parse_budget(args)
+        charts, ledger, code = _DISPATCH[args.command](args, built, budget)
     except (ModelFileError, PolyParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -571,7 +538,7 @@ def main(argv=None) -> int:
     except TheoremCheckError as e:
         print(f"THEOREM CHECK FAILED: {e}", file=sys.stderr)
         return 5
-    text = rpt.render(report)
+    text = rpt.render(rpt.assemble(name, args.command, charts, ledger))
     if args.json:
         Path(args.json).write_text(text, encoding="utf-8")
     sys.stdout.write(text)

@@ -60,16 +60,16 @@ def action_is_trivial(weights: WeightMatrix) -> bool:
 def blowup_tree(ideal, model, charts, budget=None, full=False):
     """The stage-0 nodes of ``ideal`` on ``charts`` of the full-torus
     atlas, each judged against the model's blowup section, and with
-    ``full`` the first stage of the model's tree (empty when no center
-    has a semistable point).  When that stage's center is the full torus
-    it is these very nodes, each given its transported model and its
-    children."""
+    ``full`` the first stage of the tree of ``ideal`` (empty when no
+    center has a semistable point).  When that stage's center is the
+    full torus it is these very nodes, each given its transported model
+    and its children."""
     rows = list(_stage(ideal, charts, budget, model=model))
     nodes = [node for node, _ in rows]
     if not full:
         return nodes, ()
-    centers = enumerate_blowup_centers(model.weights, model.ideal, None, budget=budget)
-    args = (model.weights, model.ideal, centers, budget, MAX_DEPTH, None)
+    centers = enumerate_blowup_centers(model.weights, ideal, None, budget=budget)
+    args = (model.weights, ideal, centers, budget, MAX_DEPTH, None)
     if centers and centers[0].is_full():
         return nodes, _descend(*args, rows, model)
     return nodes, _descend(*args)

@@ -3,8 +3,8 @@
 Rational kernels, solutions and cokernels via Gaussian elimination on
 Fractions; ranks and the convex-position tests that GIT stability needs
 by integer-preserving (Bareiss) elimination, so their entries stay
-plain ints; Hermite and Smith reduction for integer lattices.  No
-floating point anywhere.
+plain ints; Hermite reduction for integer lattices.  No floating point
+anywhere.
 """
 from __future__ import annotations
 
@@ -224,62 +224,6 @@ def left_kernel_basis(M) -> list[list[int]]:
     if not kernel:
         return []
     return hermite_rows(kernel)
-
-
-def smith_diagonal(M) -> list[int]:
-    """Elementary divisors of an integer matrix (non-negative)."""
-    A = _int_rows(M)
-    if not A or not A[0]:
-        return []
-    m, n = len(A), len(A[0])
-    diag = []
-    top = 0
-    while top < min(m, n):
-        if all(A[i][j] == 0 for i in range(top, m) for j in range(top, n)):
-            break
-        while True:
-            i0, j0 = min(
-                (
-                    (i, j)
-                    for i in range(top, m)
-                    for j in range(top, n)
-                    if A[i][j] != 0
-                ),
-                key=lambda ij: (abs(A[ij[0]][ij[1]]), ij),
-            )
-            A[top], A[i0] = A[i0], A[top]
-            for row in A:
-                row[top], row[j0] = row[j0], row[top]
-            p = A[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                q = A[i][top] // p
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[top])]
-                if A[i][top]:
-                    dirty = True
-            for j in range(top + 1, n):
-                q = A[top][j] // p
-                if q:
-                    for i in range(m):
-                        A[i][j] -= q * A[i][top]
-                if A[top][j]:
-                    dirty = True
-            if not dirty:
-                break
-        diag.append(abs(A[top][top]))
-        top += 1
-    # enforce the divisibility chain d1 | d2 | ... via gcd/lcm exchanges
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    return diag
 
 
 def primitive(v) -> tuple[int, ...]:

@@ -282,7 +282,8 @@ class BuiltModel:
     ``model`` is present for potential files and for explicit
     section-plus-frame files; ideal-only inputs work at the ideal level.
     For a potential file, ``model`` and ``ideal`` are built on first read
-    and then kept.  ``against`` holds the file's section when it
+    and then kept; a section file keeps its own ``ideal``, the locus its
+    section must cut.  ``against`` holds the file's section when it
     accompanies a potential, as the comparison section for equivalence
     checks.
     """
@@ -372,7 +373,6 @@ def build_model(mf: ModelFile) -> BuiltModel:
                 divisor=dict(mf.divisor),
                 base_param=mf.base_parameter,
             )
-            ideal = model.ideal
         return BuiltModel(ring, weights, ideal, model, None, mf)
     except PolyParseError as e:
         raise ModelFileError(f"bad polynomial: {e}") from None

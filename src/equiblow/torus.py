@@ -77,12 +77,16 @@ class Subtorus:
             if len(row) != ambient_rank:
                 raise ValueError("cocharacter length does not match ambient rank")
         reduced = linalg.hermite_rows(raw) if raw else []
-        if reduced:
-            divisors = linalg.smith_diagonal(reduced)
-            if any(d != 1 for d in divisors):
-                raise PreconditionError(
-                    "cocharacter rows generate a non-saturated sublattice"
-                )
+        # the rows span a saturated lattice exactly when the gcd of their
+        # maximal minors, the product of the pivots of the Hermite form of
+        # their transpose, is 1
+        if reduced and any(
+            next(x for x in row if x) != 1
+            for row in linalg.hermite_rows(linalg.transpose(reduced))
+        ):
+            raise PreconditionError(
+                "cocharacter rows generate a non-saturated sublattice"
+            )
         object.__setattr__(self, "cochar", tuple(tuple(r) for r in reduced))
         object.__setattr__(self, "ambient_rank", int(ambient_rank))
 

@@ -5,7 +5,9 @@
 Runs, in one process under a `sys.settrace` line tracer:
 - every operation of every `perfbench` workload for seeds 1 and 2;
 - `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
-  `omega-verify` and `fiber-check` on every corpus and bench model file.
+  `omega-verify` and `fiber-check` on every corpus and bench model file,
+  and on one section file written to a temporary directory;
+- every subcommand once with `--budget 0`.
 
 Then, per module of `src/equiblow`, it prints the statements no run
 reached (as line ranges) and the functions no run entered, and last the
@@ -23,6 +25,7 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,10 +37,27 @@ PER_FILE = (
     ["--full"],
     ["--full", "--budget", "3"],
 )
+# a section-plus-frame file, whose ideal is not its section's
+SECTION_FILE = (
+    'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
+    'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
+)
+# one command line per subcommand, to which `--budget 0` is appended
+EVERY_SUBCOMMAND = (
+    ["blowup", "src/equiblow/corpus/e2.kb"],
+    ["crit", "src/equiblow/corpus/e2.kb"],
+    ["semistable", "src/equiblow/corpus/e2.kb", "--chart", "chart_x", "--point=0,1,0"],
+    ["obstruction", "src/equiblow/corpus/e2.kb"],
+    ["omega-verify", "src/equiblow/corpus/square_pair.kb"],
+    ["fiber-check", "src/equiblow/corpus/family.kb"],
+    ["independence", "src/equiblow/corpus/e1aux.kb", "--aux", "u"],
+    ["corpus"],
+)
 
 
-def command_lines() -> list[list[str]]:
-    """Distinct argv lists of the sweep, in run order."""
+def command_lines(scratch: Path) -> list[list[str]]:
+    """Distinct argv lists of the sweep, in run order; the section file
+    is written into the directory ``scratch``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -52,15 +72,18 @@ def command_lines() -> list[list[str]]:
         for name in workloads.WORKLOADS:
             for op in workloads.build(name, seed, ROOT):
                 add(op.argv)
+    section = scratch / "section.kb"
+    section.write_text(SECTION_FILE)
     files = sorted((PACKAGE / "corpus").glob("*.kb")) + sorted(
         (ROOT / "perfbench" / "models").glob("*.kb")
     )
-    for path in files:
-        rel = str(path.relative_to(ROOT))
+    for rel in [str(path.relative_to(ROOT)) for path in files] + [str(section)]:
         for extra in PER_FILE:
             add(["blowup", rel, *extra])
         for cmd in ("crit", "omega-verify", "fiber-check"):
             add([cmd, rel])
+    for argv in EVERY_SUBCOMMAND:
+        add([*argv, "--budget", "0"])
     return out
 
 
@@ -160,7 +183,13 @@ def _ranges(numbers):
 
 def main() -> int:
     os.chdir(ROOT)
-    argvs = command_lines()
+    with tempfile.TemporaryDirectory() as scratch:
+        return _sweep(command_lines(Path(scratch)))
+
+
+def _sweep(argvs) -> int:
+    """Run every argv of ``argvs`` under the line tracer, then print the
+    unreached statements."""
     hits: set = set()
     entered: set = set()
     sys.path.insert(0, str(SRC))

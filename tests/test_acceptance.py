@@ -198,7 +198,9 @@ def test_criterion_03_intrinsic_ideal_is_embedding_independent():
             EquivariantBundle(labels, frame_weights),
             section,
         )
-        assert embedding_independence_check(small, big, ("u",)), text
+        assert embedding_independence_check(
+            small.ideal, big.ideal, wide_weights, ("u",)
+        ), text
     _pass(3, "elimination recovers the small intrinsic ideal, all charts")
 
 

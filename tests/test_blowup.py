@@ -181,7 +181,7 @@ def test_embedding_independence_with_one_auxiliary_coordinate():
         bundle,
         (parse_poly("y", wide), parse_poly("x", wide), parse_poly("u", wide)),
     )
-    assert embedding_independence_check(small, big, ("u",))
+    assert embedding_independence_check(small.ideal, big.ideal, wideW, ("u",))
 
 
 def test_embedding_independence_detects_a_real_difference():
@@ -196,7 +196,22 @@ def test_embedding_independence_detects_a_real_difference():
         bundle,
         (parse_poly("y*u", wide), parse_poly("x*u", wide)),
     )
-    assert not embedding_independence_check(small, big, ("u",))
+    assert not embedding_independence_check(small.ideal, big.ideal, wideW, ("u",))
+
+
+@pytest.mark.parametrize("names", [["x", "y", "v"], ["x"], ["x", "y", "u"]])
+def test_embedding_independence_needs_the_big_ring_minus_the_auxiliaries(names):
+    # the small ring must be the big ring without the auxiliary names
+    wide = Ring(["x", "y", "u"])
+    wideW = WeightMatrix([(1, -1, 0)])
+    small = Ring(names)
+    with pytest.raises(PreconditionError, match="big ambient must be"):
+        embedding_independence_check(
+            Ideal(small, [small.var("x")]),
+            Ideal(wide, [wide.var("x"), wide.var("u")]),
+            wideW,
+            ("u",),
+        )
 
 
 def test_intrinsic_ideal_equals_blowup_section_ideal_per_chart():

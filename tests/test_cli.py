@@ -174,6 +174,32 @@ def test_bad_budget_env_is_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+EVERY_SUBCOMMAND = {
+    "blowup": ("e2.kb",),
+    "crit": ("e2.kb",),
+    "semistable": ("e2.kb", "--chart", "chart_x", "--point=0,1,0"),
+    "obstruction": ("e2.kb",),
+    "omega-verify": ("square_pair.kb",),
+    "fiber-check": ("family.kb",),
+    "independence": ("e1aux.kb", "--aux", "u"),
+    "corpus": (),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_SUBCOMMAND))
+def test_every_subcommand_rejects_an_invalid_budget(capsys, monkeypatch, command):
+    argv = [
+        str(CORPUS / w) if w.endswith(".kb") else w for w in EVERY_SUBCOMMAND[command]
+    ]
+    assert run(capsys, command, *argv, "--budget", "0") == (
+        2, "", "error: budget must be a positive integer\n"
+    )
+    monkeypatch.setenv("EQUIBLOW_BUDGET", "x")
+    assert run(capsys, command, *argv) == (
+        2, "", "error: EQUIBLOW_BUDGET must be an integer, got 'x'\n"
+    )
+
+
 def test_budget_hit_in_finalisation_is_exit_4(capsys, tmp_path):
     # eliminating u, v tail-reduces v^2 + u*y^2 to degree 5 in the last
     # step of the basis computation; the cap of 4 holds there too
@@ -438,6 +464,22 @@ def test_full_blowup_of_a_section_file_asks_for_a_potential_file(
         "the action pairing; a Kirwan tree that starts at the full torus "
         "needs a potential file\n"
     )
+
+
+def test_a_section_file_keeps_its_own_ideal(capsys, tmp_path):
+    # the file's ideal is not its section's: blowup reports the file's
+    # ideal on each chart, and the section does not cut it there
+    src = tmp_path / "own.kb"
+    src.write_text(
+        'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
+        'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
+    )
+    rep = report(capsys, "blowup", str(src))
+    assert [(c["name"], c["ideal_gb"], c["checks"]["coinc"]) for c in rep["charts"]] == [
+        ("chart_x", ["xi_x^4*T_y^2 + 1"], False),
+        ("chart_y", ["T_x^2*xi_y^4 + 1"], False),
+    ]
+    assert rep["ledger"]["coinc_all"] is False
 
 
 def test_theorem_failure_is_exit_5(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Exact rational linear algebra and the convex-position predicates."""
 
+import importlib.util
 import itertools
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from equiblow import (
+    PreconditionError,
+    Subtorus,
     coker_projection,
     mat_mul,
     mat_vec,
@@ -23,7 +26,6 @@ from equiblow.linalg import (
     lp_feasible,
     primitive,
     separating_direction,
-    smith_diagonal,
     transpose,
 )
 
@@ -88,13 +90,33 @@ def test_left_kernel_is_integral_and_kills_rows():
         assert all(x == 0 for x in mat_vec(transpose(M), v))
 
 
-def test_smith_diagonal_divisibility_chain():
-    M = [[2, 0, 0], [0, 6, 0], [0, 0, 4]]
-    assert smith_diagonal(M) == [2, 2, 12]
-    nonsquare = smith_diagonal([[2, 4], [6, 8], [10, 12]])
-    nonzero = [x for x in nonsquare if x]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
+@st.composite
+def _cocharacter_rows(draw):
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    return k, draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=d, max_size=d)
+    )
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="needs sympy")
+@settings(max_examples=150, deadline=None)
+@given(_cocharacter_rows())
+def test_subtorus_saturation_matches_the_invariant_factors(case):
+    # the rows span a saturated lattice exactly when every nonzero
+    # invariant factor (Smith form diagonal entry) is 1
+    import sympy
+    from sympy.matrices.normalforms import invariant_factors
+
+    k, rows = case
+    factors = invariant_factors(sympy.Matrix(rows))
+    saturated = all(f == 1 for f in factors if f)
+    try:
+        Subtorus(rows, k)
+    except PreconditionError:
+        assert not saturated, rows
+    else:
+        assert saturated, rows
 
 
 def test_primitive_strips_content_but_keeps_direction():

@@ -8,7 +8,10 @@ closed-orbit scan solved each weight-column set once; ``KIRWAN_GOLDEN``
 (the Kirwan loop on the bench models) before chart atlases and models
 were built directly, except ``rank2.kb``, recorded when unstable ideals
 were first attached above rank one (before that the loop exited 5 on
-it).  A change that alters any report fails here, and the digest to
+it); ``FRAME_GOLDEN`` (the subcommands no other digest covers, and their
+error exits, as exit code and the SHA-256 of stdout and of stderr)
+before one command frame loaded, budgeted and reported every
+subcommand.  A change that alters any report fails here, and the digest to
 compare against is the one below, not a fresh recording.
 """
 
@@ -66,6 +69,21 @@ KIRWAN_GOLDEN = {
     "blowup rank2.kb --full": (0, "68a6bda79fbe13b28bbe7694e6ce70128ceb4015eb0bd430c737a13f84174f7b"),
 }
 
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+FRAME_GOLDEN = {
+    "independence e1aux.kb --aux u": (0, "61f541578a082fd242b1f8423eb925f50a192f054625841101c8a24337c667d1", EMPTY),
+    "independence e2aux.kb --aux u": (0, "6e887bd20e5bdf7ff59b54a9fbab6f14378aa7dced24b51f0880fa1885304880", EMPTY),
+    "fiber-check family.kb --at 0": (0, "bdfbecf1af179839cec7f31a3f7e2ed7c19abb472f5e09eb817a5e841f79891a", EMPTY),
+    "fiber-check family.kb --at 1": (0, "7242c63c22d694f6a2e61a49b19b6ff5bec771af1e1fb9011af5f971be32efdc", EMPTY),
+    "fiber-check family.kb --at -2": (0, "a6ce37e8704c4a7656c14a5cb37a7697f488025b53c890571b5bae5dd37f963b", EMPTY),
+    "omega-verify square_pair.kb": (0, "4baad25087267371b0830c797b49b4cb41f83e24fdbfa9b6334e79c33c18f955", EMPTY),
+    "omega-verify square.kb": (2, EMPTY, "dc2e1ebcdc78d86a1caf540234479ad51ea7002462cb629e77aad5a4f98feedb"),
+    "independence e1aux.kb --aux w": (2, EMPTY, "fff51313e17ca6ae7520aeeaebab931c3e8ccf2716401f8dedda14a2015da10f"),
+    "blowup fat.kb --full": (3, EMPTY, "9a9a8fc98aae49eae4e299f0bbacff76140669281f2e96ebb8a7d9d2a9db1dc8"),
+    "independence e2aux.kb --aux u --budget 1": (4, EMPTY, "12224acb9eb27daa0f5d0323c42e8a511507cb909ec3cf2611f12c5eb05d2e99"),
+}
+
 
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
@@ -73,6 +91,11 @@ def bench_dir(tmp_path_factory):
 
 
 def _run(case: str, bench_dir=None) -> tuple[int, str]:
+    code, out, _ = _run_with_stderr(case, bench_dir)
+    return code, out
+
+
+def _run_with_stderr(case: str, bench_dir=None) -> tuple[int, str, str]:
     argv = [
         str((bench_dir if w in BENCH_MODELS else cli.CORPUS_DIR) / w)
         if w.endswith(".kb")
@@ -82,7 +105,11 @@ def _run(case: str, bench_dir=None) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, _sha(out.getvalue()), _sha(err.getvalue())
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_every_corpus_file_has_a_plain_blowup_digest():
@@ -104,3 +131,8 @@ def test_point_query_digest_is_unchanged(case, bench_dir):
 @pytest.mark.parametrize("case", sorted(KIRWAN_GOLDEN))
 def test_kirwan_loop_digest_is_unchanged(case, bench_dir):
     assert _run(case, bench_dir) == KIRWAN_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_GOLDEN))
+def test_frame_digest_is_unchanged(case):
+    assert _run_with_stderr(case) == FRAME_GOLDEN[case]
