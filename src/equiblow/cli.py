@@ -120,26 +120,23 @@ def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:
         ledger["dense"] = True
         ledger["stages"] = []
         return [], ledger, 0
+    if args.full and built.model is None:
+        raise PreconditionError(
+            "--full requires a model with a section (potential or section file)"
+        )
     atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
     if not charts:
         raise ModelFileError(f"no chart named {args.chart!r}")
     # coincidence is judged on the whole atlas, even under --chart
     judged = atlas if built.model is not None else charts
-    nodes, first = blowup_tree(
-        built.ideal, built.model, judged, budget, args.full and built.model is not None
-    )
+    nodes, first = blowup_tree(built.ideal, built.model, judged, budget, args.full)
     shown = [node for node in nodes if node.chart in charts]
     charts_out = [_chart_entry(node) for node in shown]
     ledger["u_hat_empty"] = all(contains_one(node.gb) for node in shown)
     if built.model is not None:
         ledger["coinc_all"] = all(node.coincides for node in nodes)
     if args.full:
-        if built.model is None:
-            raise PreconditionError(
-                "--full requires a model with a section (potential or "
-                "section file)"
-            )
         ledger["dense"] = False
         ledger["stages"] = _stages(first)
     return charts_out, ledger, 0

@@ -24,9 +24,8 @@ from .groebner import Budget, Ideal, buchberger, lift_certificate, normal_form, 
 from .linalg import coker_projection, mat_mul, rank, solve
 from .poly import DEGREVLEX, Poly, Ring, divide_exact
 from .torus import (
-    Subtorus,
     WeightMatrix,
-    isotypic_decompose,
+    isotypic_pieces,
     orbit_is_closed,
     poly_weight,
     stabilizer_subtorus,
@@ -104,9 +103,9 @@ class FourTermComplexAtPoint:
     entries are the exact quotients by the divisor equation.
     """
 
-    __slots__ = ("point", "m0", "m1", "m2", "k", "n", "r", "divisor")
+    __slots__ = ("point", "m0", "m1", "m2", "k", "n", "r")
 
-    def __init__(self, point, m0, m1, m2, k, n, r, divisor):
+    def __init__(self, point, m0, m1, m2, k, n, r):
         """Both compositions m1·m0 and m2·m1 must vanish, or
         ``TheoremCheckError`` is raised."""
         self.point = tuple(point)
@@ -124,7 +123,6 @@ class FourTermComplexAtPoint:
         self.k = k
         self.n = n
         self.r = r
-        self.divisor = dict(divisor)
 
     def __repr__(self):
         return f"FourTermComplexAtPoint(point={self.point})"
@@ -203,7 +201,7 @@ def four_term_at(model: LocalModel, point) -> FourTermComplexAtPoint:
                     )
     m2 = _eval_matrix(twisted, point)
 
-    K = FourTermComplexAtPoint(point, m0, m1, m2, k, n, r, model.divisor)
+    K = FourTermComplexAtPoint(point, m0, m1, m2, k, n, r)
     if model.potential is not None:
         cols = [i for i in range(n) if ring.names[i] != model.base_param]
         for bi, i in enumerate(cols):
@@ -355,13 +353,12 @@ class ObstructionAssignment:
     """Obstruction class of a small extension in cokernel coordinates,
     along with its dimension count and the liftability verdict."""
 
-    __slots__ = ("vector", "coker_dim", "liftable", "order")
+    __slots__ = ("vector", "coker_dim", "liftable")
 
-    def __init__(self, vector, coker_dim, liftable, order):
+    def __init__(self, vector, coker_dim, liftable):
         self.vector = tuple(vector)
         self.coker_dim = int(coker_dim)
         self.liftable = bool(liftable)
-        self.order = int(order)
 
     def __repr__(self):
         return (
@@ -409,7 +406,7 @@ def obstruction_assignment(
     top, K = data if data is not None else lifting_data(model, ext)
     dim, project = coker_projection([list(row) for row in K.m1], model.bundle.rank)
     vector = project(top)
-    return ObstructionAssignment(vector, dim, all(x == 0 for x in vector), ext.m)
+    return ObstructionAssignment(vector, dim, all(x == 0 for x in vector))
 
 
 def find_lift(model: LocalModel, ext: SmallExtension, data=None):
@@ -634,6 +631,7 @@ def _assemble_correction(diff: Poly, partials, weights: WeightMatrix, budget):
         else:
             M[i][j] = M[i][j] + c
             M[j][i] = M[j][i] + c
+    columns = weights.columns()
     out = []
     for i in range(n):
         row = []
@@ -641,20 +639,13 @@ def _assemble_correction(diff: Poly, partials, weights: WeightMatrix, budget):
             target = tuple(
                 weights.rows[a][i] + weights.rows[a][j] for a in range(weights.k)
             )
-            keep = ring.zero()
-            for piece in _isotypic(M[i][j], weights):
-                if piece[0] == target:
-                    keep = keep + piece[1]
-            row.append(keep)
+            # at most one piece carries the target weight
+            pieces = isotypic_pieces(M[i][j], columns, weights.k)
+            row.append(
+                next((gp.part for gp in pieces if gp.weight == target), ring.zero())
+            )
         out.append(tuple(row))
     return tuple(out)
-
-
-def _isotypic(p: Poly, weights: WeightMatrix):
-    return [
-        (gp.weight, gp.part)
-        for gp in isotypic_decompose(p, weights, Subtorus.full(weights.k))
-    ]
 
 
 def construct_equivalence(
@@ -758,7 +749,7 @@ def phi_ck_at_point(
     """
     ring_s = small.ring
     ring_b = big.ring
-    aux = [nm for nm in ring_b.names if nm not in ring_s.index]
+    aux = [i for i, nm in enumerate(ring_b.names) if nm not in ring_s.index]
     if set(ring_s.names) - set(ring_b.names):
         raise PreconditionError("small ambient must embed into the big one")
     shared_frames = []
@@ -773,14 +764,12 @@ def phi_ck_at_point(
         point[ring_s.index[nm]] if nm in ring_s.index else Fraction(0)
         for nm in ring_b.names
     )
-    zero_aux = [
-        ring_b.var(nm) if nm in ring_s.index else ring_b.zero()
-        for nm in ring_b.names
-    ]
     restricted = []
     for pos in shared_frames:
-        comp = big.section[pos].subs(zero_aux, ring_b).rename_ring(ring_s)
-        restricted.append(comp)
+        # setting the auxiliary coordinates to zero keeps the terms free of them
+        terms = big.section[pos].terms
+        kept = {m: c for m, c in terms.items() if not any(m[i] for i in aux)}
+        restricted.append(Poly._make(ring_b, kept).rename_ring(ring_s))
     report = verify_omega_equivalence(small, restricted, budget=budget)
     if not report.passed:
         raise PreconditionError(

@@ -63,11 +63,19 @@ def blowup_tree(ideal, model, charts, budget=None, full=False):
     ``full`` the first stage of the tree of ``ideal`` (empty when no
     center has a semistable point).  When that stage's center is the
     full torus it is these very nodes, each given its transported model
-    and its children."""
+    and its children.  A ``full`` tree is refused before any center scan
+    when the model's blowup section does not cut the intrinsic ideal of
+    some stage-0 node."""
     rows = list(_stage(ideal, charts, budget, model=model))
     nodes = [node for node, _ in rows]
     if not full:
         return nodes, ()
+    for node in nodes:
+        if not node.coincides:
+            raise PreconditionError(
+                f"the blowup section on {node.chart.name} does not cut the "
+                "intrinsic chart ideal: the model does not present this ideal"
+            )
     centers = enumerate_blowup_centers(model.weights, ideal, None, budget=budget)
     args = (model.weights, ideal, centers, budget, MAX_DEPTH, None)
     if centers and centers[0].is_full():
@@ -105,11 +113,6 @@ def _descend(weights, ideal, centers, budget, depth_left, parent, rows=None, mod
         chart, node_ideal = node.chart, node.ideal
         if model is not None:
             node.model = transport_model(model, section, chart)
-            if not node.coincides:
-                raise PreconditionError(
-                    f"the blowup section on {chart.name} does not cut the "
-                    "intrinsic chart ideal: the model does not present this ideal"
-                )
             node_ideal = node.model.ideal
         next_centers = enumerate_blowup_centers(
             chart.weights, node_ideal, node.unstable, budget=budget

@@ -12,7 +12,7 @@ from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
 from .errors import PreconditionError
 from .groebner import Budget, Ideal, ideal_equal
 from .poly import Poly, Ring
-from .torus import Subtorus, WeightMatrix, fixed_locus
+from .torus import Subtorus, WeightMatrix
 
 
 def _base_index(model: LocalModel) -> int:
@@ -96,18 +96,6 @@ def specialize(model: LocalModel, c) -> LocalModel:
         potential=potential,
         base_param=None,
     )
-
-
-def check_fixed_locus_flat(model: LocalModel) -> bool:
-    """The fixed locus of a valid family is the vanishing of the moving
-    coordinates times the base line, hence flat over the base.
-
-    The certificate is syntactic: coordinates are weight vectors, so the
-    fixed locus is a coordinate subspace and the base direction is never
-    among the cut coordinates.
-    """
-    t = _base_index(model)
-    return t not in fixed_locus(model.weights, Subtorus.full(model.weights.k))
 
 
 def fiber_blowup_commutes(

@@ -32,10 +32,6 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     return tuple(out)
 
 
-def mat_vec(A: Mat, v: Sequence) -> Vec:
-    return tuple(sum((row[i] * Fraction(v[i]) for i in range(len(v))), Fraction(0)) for row in A)
-
-
 def transpose(A: Mat) -> Mat:
     if not A:
         return ()
@@ -95,23 +91,6 @@ def rank(A: Mat) -> int:
         if r == m:
             break
     return rk
-
-
-def nullspace(A: Mat) -> list[Vec]:
-    """Basis of {v : A v = 0}, deterministic (one vector per free column)."""
-    if not A:
-        return []
-    n = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(A: Mat, b: Sequence) -> Vec | None:

@@ -377,34 +377,6 @@ class Poly:
                 total += val
         return total
 
-    def subs(self, images: Sequence["Poly"], target: Ring) -> "Poly":
-        """Substitute images[i] for the i-th ring variable.
-
-        All images must live in ``target``.  Powers are cached per
-        variable so repeated exponents do not recompute products.
-        """
-        if len(images) != self.ring.n:
-            raise ValueError("need one image per ring variable")
-        for im in images:
-            if im.ring is not target and im.ring != target:
-                raise ValueError("image outside the target ring")
-        pow_cache: list[dict[int, Poly]] = [dict() for _ in range(self.ring.n)]
-
-        def power(i: int, e: int) -> Poly:
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = images[i] ** e
-            return cache[e]
-
-        total = target.zero()
-        for m, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
-
     def rename_ring(self, target: Ring) -> "Poly":
         """Carry the polynomial into a ring with the same variable names.
 

@@ -54,17 +54,12 @@ def hm_fiber_semistable(support, fiber_weights) -> bool:
 
     The point is described by the set of its nonzero homogeneous
     coordinates; it is semistable exactly when 0 lies in the convex hull
-    of the corresponding weights.  Weights may be integers (rank one) or
-    integer tuples.
+    of the corresponding weight tuples.
     """
     support = sorted(set(int(i) for i in support))
     if not support:
         raise PreconditionError("a projective point has nonempty support")
-    vectors = []
-    for i in support:
-        w = fiber_weights[i]
-        vectors.append((int(w),) if isinstance(w, int) else tuple(int(x) for x in w))
-    return zero_in_convex_hull(vectors)
+    return zero_in_convex_hull([fiber_weights[i] for i in support])
 
 
 def one_ps_limit(point, lam, weights: WeightMatrix):
@@ -140,7 +135,7 @@ def _fiber_support(point, chart: BlowupChart) -> list[int]:
     return sorted(support)
 
 
-def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
+def point_semistable(point, chart: BlowupChart, atlas) -> StabilityVerdict:
     """Stability verdict for a rational point of a blowup chart.
 
     The action is diagonal, so the point is unstable exactly when 0 lies
@@ -150,14 +145,11 @@ def point_semistable(point, chart: BlowupChart, atlas=None) -> StabilityVerdict:
     limit is taken on the first atlas chart whose pivot minimises
     lambda . w over the support: there every ratio coordinate pairs
     non-negatively with lambda and the exceptional coordinate positively.
+    ``atlas`` is every chart of the center, ``chart`` among them.
     """
     point = tuple(Fraction(x) for x in point)
     if len(point) != chart.ring.n:
         raise ValueError("point length must match the chart")
-    if atlas is None:
-        atlas = [chart]
-    elif all(c.name != chart.name for c in atlas):
-        atlas = [chart] + list(atlas)
     fiber = chart.restricted
     support = _fiber_support(point, chart)
     direction = separating_direction([fiber[i] for i in support])

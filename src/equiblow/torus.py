@@ -178,20 +178,6 @@ def isotypic_pieces(
     ]
 
 
-def isotypic_decompose(p: Poly, weights: WeightMatrix, torus: Subtorus) -> list[GradedPiece]:
-    """Split p into isotypic parts under the subtorus, sorted by weight."""
-    return isotypic_pieces(p, restricted_columns(weights, torus), torus.dim)
-
-
-def reynolds(p: Poly, weights: WeightMatrix, torus: Subtorus) -> Poly:
-    """Projection onto the weight-zero isotypic piece (Reynolds operator)."""
-    zero = (0,) * torus.dim
-    for gp in isotypic_decompose(p, weights, torus):
-        if gp.weight == zero:
-            return gp.part
-    return p.ring.zero()
-
-
 def fixed_locus(weights: WeightMatrix, torus: Subtorus) -> tuple[int, ...]:
     """Indices of the moving coordinates; their common zero set is the
     fixed locus of the subtorus."""

@@ -1,13 +1,26 @@
 """Test oracles for blowup charts, written out here on their own so
 they share nothing with how the package transports polynomials.
 
-``chart_images`` gives the chart map as one image per parent variable,
-for ``Poly.subs``.  ``charts_glue`` checks that chart ideals of one
-blowup agree on chart overlaps, through the transition map between two
-charts.
+``subs`` is the reference substitution, each term expanded with Poly
+arithmetic.  ``chart_images`` gives the chart map as one image per
+parent variable, for ``subs``.  ``charts_glue`` checks that chart ideals
+of one blowup agree on chart overlaps, through the transition map
+between two charts.
 """
 
 from equiblow import DEGREVLEX, Ideal, PreconditionError, ideal_equal, saturate
+
+
+def subs(p, images, target):
+    """Substitute images[i], a polynomial of ``target``, for the i-th
+    variable of p's ring: each term expanded with Poly arithmetic."""
+    total = target.zero()
+    for m, c in p.terms.items():
+        term = target.const(c)
+        for im, e in zip(images, m):
+            term = term * im**e
+        total = total + term
+    return total
 
 
 def chart_images(chart):

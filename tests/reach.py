@@ -10,8 +10,9 @@ Runs, in one process under a `sys.settrace` line tracer:
 - every subcommand once with `--budget 0`.
 
 Then, per module of `src/equiblow`, it prints the statements no run
-reached (as line ranges) and the functions no run entered, and last the
-totals.  Standard library only; pytest does not collect this file (no
+reached (as line ranges) and the functions no run entered, then the
+totals, and last the functions of `equiblow.__all__` that no run
+entered.  Standard library only; pytest does not collect this file (no
 `test_` prefix).
 
 A statement is one `ast.stmt` node, docstrings and `global`/`nonlocal`
@@ -22,6 +23,7 @@ its header lines or one of its direct children is reached.
 
 import ast
 import contextlib
+import inspect
 import io
 import os
 import sys
@@ -221,6 +223,16 @@ def _sweep(argvs) -> int:
         for fn in never:
             print(f"  never entered: {fn}")
     print(f"\ntotal: {grand_missed} of {grand_total} statements unreached")
+    import equiblow
+
+    unentered = []
+    for name in equiblow.__all__:
+        fn = getattr(equiblow, name)
+        if inspect.isfunction(fn):
+            code = fn.__code__
+            if (code.co_filename, code.co_firstlineno) not in entered:
+                unentered.append(name)
+    print(f"exports never entered: {', '.join(unentered)}")
     return 0
 
 

@@ -466,20 +466,52 @@ def test_full_blowup_of_a_section_file_asks_for_a_potential_file(
     )
 
 
+# a section file whose ideal is not its section's
+OWN_IDEAL_FILE = (
+    'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
+    'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
+)
+
+
 def test_a_section_file_keeps_its_own_ideal(capsys, tmp_path):
-    # the file's ideal is not its section's: blowup reports the file's
-    # ideal on each chart, and the section does not cut it there
+    # blowup reports the file's ideal on each chart, and the section does
+    # not cut it there
     src = tmp_path / "own.kb"
-    src.write_text(
-        'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
-        'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
-    )
+    src.write_text(OWN_IDEAL_FILE)
     rep = report(capsys, "blowup", str(src))
     assert [(c["name"], c["ideal_gb"], c["checks"]["coinc"]) for c in rep["charts"]] == [
         ("chart_x", ["xi_x^4*T_y^2 + 1"], False),
         ("chart_y", ["T_x^2*xi_y^4 + 1"], False),
     ]
     assert rep["ledger"]["coinc_all"] is False
+
+
+def test_full_blowup_refuses_a_section_that_does_not_cut_its_ideal(
+    capsys, tmp_path
+):
+    # the refusal comes from stage 0, before any center scan, so it holds
+    # whatever the first center; this file's tree has no stage at all
+    src = tmp_path / "own.kb"
+    src.write_text(OWN_IDEAL_FILE)
+    code, out, err = run(capsys, "blowup", str(src), "--full")
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition: the blowup section on chart_x does not cut the "
+        "intrinsic chart ideal: the model does not present this ideal\n"
+    )
+
+
+@pytest.mark.parametrize("budget", ["1", "2"])
+def test_full_blowup_without_a_section_is_refused_at_any_budget(capsys, budget):
+    # the request is invalid before stage 0 is built, so no budget is spent
+    code, out, err = run(
+        capsys, "blowup", str(CORPUS / "fat.kb"), "--full", "--budget", budget
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition: --full requires a model with a section (potential or "
+        "section file)\n"
+    )
 
 
 def test_theorem_failure_is_exit_5(capsys, monkeypatch):
@@ -675,8 +707,9 @@ def test_full_blowup_builds_one_node_per_tree_chart(
 
 def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatch):
     # chart pullbacks, exceptional division, the xi twist and fiber
-    # specialization are exponent maps, and every divisor on these runs
-    # is one term, so neither generic path is ever entered
+    # specialization are exponent maps (the package has no generic
+    # substitution), and every divisor on these runs is one term, so
+    # long division is never entered
     from equiblow import poly
 
     entered = []
@@ -688,7 +721,6 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
 
         return wrapper
 
-    monkeypatch.setattr(poly.Poly, "subs", counted("subs", poly.Poly.subs))
     monkeypatch.setattr(poly, "_long_divide", counted("long", poly._long_divide))
     calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")

@@ -12,8 +12,6 @@ from equiblow import (
     Subtorus,
     coker_projection,
     mat_mul,
-    mat_vec,
-    nullspace,
     rank,
     solve,
     zero_in_convex_hull,
@@ -30,6 +28,11 @@ from equiblow.linalg import (
 )
 
 
+def mat_vec(A, v):
+    """A times the column vector v, through ``mat_mul``."""
+    return tuple(row[0] for row in mat_mul(A, [(x,) for x in v]))
+
+
 def small_matrices(rows=3, cols=3):
     entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     return st.lists(
@@ -42,14 +45,6 @@ def test_rank_bounds_and_transpose_invariance(A):
     r = rank(A)
     assert 0 <= r <= 3
     assert rank(transpose(A)) == r
-
-
-@given(small_matrices())
-def test_nullspace_vectors_are_killed(A):
-    ns = nullspace(A)
-    for v in ns:
-        assert all(x == 0 for x in mat_vec(A, v))
-    assert len(ns) == 3 - rank(A)
 
 
 @given(small_matrices(), st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=3, max_size=3))

@@ -111,14 +111,6 @@ def test_equal_polys_built_in_different_term_orders_hash_equal(p, rnd):
     assert len({p, q, p + R3.zero()}) == 1
 
 
-def test_subs_composition():
-    target = Ring(["s", "t"])
-    s, t = target.gens()
-    images = [s + t, s * t, target.one()]
-    p = X * Y + Z**2
-    assert p.subs(images, target) == (s + t) * (s * t) + target.one()
-
-
 def test_rename_ring_preserves_terms():
     wide = Ring(["w", "x", "y", "z"])
     p = X * Y - R3.const(2) * Z
@@ -147,50 +139,20 @@ def test_evaluate_partial_point_length_guard():
 
 # -- fast paths ---------------------------------------------------------------
 
-T2 = Ring(["u", "v"])
 
-
-def single_terms(ring=T2):
-    # coefficients +-1 and small exponents make images collide and cancel
+def single_terms(ring):
+    # coefficients +-1 and small exponents make products collide and cancel
     coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
     return st.tuples(monos(ring.n, 2), coeff).map(lambda mc: Poly(ring, {mc[0]: mc[1]}))
-
-
-def subs_by_arithmetic(p, images, target):
-    """Reference substitution: each term expanded with Poly arithmetic."""
-    total = target.zero()
-    for m, c in p.terms.items():
-        term = target.const(c)
-        for im, e in zip(images, m):
-            term = term * im**e
-        total = total + term
-    return total
-
-
-@given(polys(), st.lists(single_terms(), min_size=3, max_size=3))
-def test_single_term_subs_matches_the_generic_path(p, images):
-    fast = p.subs(images, T2)
-    slow = subs_by_arithmetic(p, images, T2)
-    assert fast == slow
-    assert list(fast.terms) == list(slow.terms)
-
-
-def test_single_term_subs_cancels_colliding_terms():
-    u, v = T2.gens()
-    p = X * Y - Y * Z + X
-    # x*y and y*z both map to u*v and cancel; x maps to u
-    images = [u, v, u]
-    assert p.subs(images, T2) == u
-    assert list(p.subs(images, T2).terms) == [(1, 0)]
 
 
 def only_nonzero_fractions(p):
     return all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
-@given(polys(), polys(), st.lists(single_terms(R3), min_size=3, max_size=3))
+@given(polys(), polys())
 @settings(max_examples=60)
-def test_arithmetic_results_hold_only_nonzero_fractions(p, q, images):
+def test_arithmetic_results_hold_only_nonzero_fractions(p, q):
     built = [
         p + q,
         p - q,
@@ -204,8 +166,6 @@ def test_arithmetic_results_hold_only_nonzero_fractions(p, q, images):
         p**2,
         p.term_mul((1, 0, 2), Fraction(3, 4)),
         p.derivative(0),
-        p.subs(images, R3),
-        p.subs([X + Y, Y, Z], R3),
         divide_exact(p * Y, Y),
         divide_exact(p * Y * Fraction(-2, 3), Y * Fraction(-2, 3)),
         divide_exact(p * (X + Z), X + Z),

@@ -19,16 +19,19 @@ from equiblow import (
     WeightMatrix,
     closed_orbit_stabilizers,
     enumerate_blowup_centers,
-    isotypic_decompose,
     orbit_is_closed,
     parse_poly,
     poly_weight,
-    reynolds,
     stabilizer_subtorus,
     support_is_realized,
 )
 from equiblow import linalg, torus
-from equiblow.torus import _closed_orbit_supports, monomial_weight
+from equiblow.torus import (
+    _closed_orbit_supports,
+    isotypic_pieces,
+    monomial_weight,
+    restricted_columns,
+)
 
 R3 = Ring(["x", "y", "z"])
 W1 = WeightMatrix([(1, -1, 0)])
@@ -43,7 +46,7 @@ def test_poly_weight_detects_homogeneity():
 
 def test_isotypic_pieces_sum_back_and_are_homogeneous():
     p = parse_poly("x*y + x^2*y + z + x - 3*y", R3)
-    pieces = isotypic_decompose(p, W1, T1)
+    pieces = isotypic_pieces(p, restricted_columns(W1, T1), T1.dim)
     total = R3.zero()
     for gp in pieces:
         assert poly_weight(gp.part, W1) == gp.weight
@@ -79,22 +82,10 @@ def test_isotypic_pieces_match_per_term_restriction(rows, cochar, terms):
     for m, c in p.terms.items():
         w = torus.restrict(monomial_weight(m, weights))
         buckets.setdefault(w, {})[m] = c
-    pieces = isotypic_decompose(p, weights, torus)
+    pieces = isotypic_pieces(p, restricted_columns(weights, torus), torus.dim)
     assert [(gp.weight, list(gp.part.terms.items())) for gp in pieces] == [
         (w, list(t.items())) for w, t in sorted(buckets.items())
     ]
-    zero = (0,) * torus.dim
-    assert list(reynolds(p, weights, torus).terms.items()) == list(
-        buckets.get(zero, {}).items()
-    )
-
-
-def test_reynolds_is_the_weight_zero_piece_and_idempotent():
-    p = parse_poly("x*y + x^2*y + z + x", R3)
-    inv = reynolds(p, W1, T1)
-    assert inv == parse_poly("x*y + z", R3)
-    assert reynolds(inv, W1, T1) == inv
-    assert poly_weight(inv, W1) == (0,)
 
 
 def test_subtorus_rejects_non_saturated_lattice():
