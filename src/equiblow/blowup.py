@@ -609,12 +609,11 @@ def check_weak_local_model(model: LocalModel) -> WeakModelReport:
             "factorization: no witness available and none could be derived"
         )
     else:
-        sigma = action_pairing(ring, W)
         prod = poly_mat_mul(model.cofactor, alpha, ring)
         for a in range(k):
             for i in range(ring.n):
                 lhs = prod[a][i] if r else ring.zero()
-                rhs = h * sigma[a][i]
+                rhs = h.term_mul(ring.units[i], W.rows[a][i])
                 if lhs != rhs:
                     factorization = False
                     witnesses.append(

@@ -115,19 +115,23 @@ def _chart_entry(node, prefix: str = "") -> dict:
 
 
 def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:
-    ledger: dict = {}
-    if action_is_trivial(built.weights):
-        ledger["dense"] = True
-        ledger["stages"] = []
-        return [], ledger, 0
     if args.full and built.model is None:
         raise PreconditionError(
             "--full requires a model with a section (potential or section file)"
         )
-    atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
+    # a trivial action has no charts, so any --chart is unknown
+    trivial = action_is_trivial(built.weights)
+    atlas = [] if trivial else make_charts(
+        built.ring, built.weights, Subtorus.full(built.weights.k)
+    )
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
-    if not charts:
+    if args.chart is not None and not charts:
         raise ModelFileError(f"no chart named {args.chart!r}")
+    ledger: dict = {}
+    if trivial:
+        ledger["dense"] = True
+        ledger["stages"] = []
+        return [], ledger, 0
     # coincidence is judged on the whole atlas, even under --chart
     judged = atlas if built.model is not None else charts
     nodes, first = blowup_tree(built.ideal, built.model, judged, budget, args.full)

@@ -22,6 +22,7 @@ from .poly import (
     Poly,
     Ring,
     block_order,
+    divmod_multi,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -75,36 +76,6 @@ def contains_one(gb: GroebnerBasis) -> bool:
 
 # ---------------------------------------------------------------------------
 # division
-
-
-def divmod_multi(
-    p: Poly, divisors: Sequence[Poly], order: MonomialOrder
-) -> tuple[list[Poly], Poly]:
-    """Multivariate division: p = sum(q_i * divisors_i) + r.
-
-    No monomial of r is divisible by any divisor's leading monomial.
-    The quotients make the identity exact, which lift certificates
-    re-check by expansion.
-    """
-    ring = p.ring
-    quotients: list[dict] = [{} for _ in divisors]
-    lead = [(d.leading_monomial(order), d.leading_coefficient(order)) for d in divisors]
-    r_terms: dict = {}
-    work = dict(p.terms)
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, lc) in enumerate(lead):
-            quot = mono_div(m, lm)
-            if quot is not None:
-                coeff = c / lc
-                quotients[i][quot] = coeff
-                sub_scaled(work, divisors[i].terms, quot, coeff, lm)
-                break
-        else:
-            r_terms[m] = c
-    return [Poly._make(ring, q) for q in quotients], Poly._make(ring, r_terms)
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:

@@ -317,12 +317,6 @@ def separating_direction(vectors: Sequence[Sequence[int]]) -> tuple[int, ...] | 
     return None if certificate is None else primitive(certificate[:d])
 
 
-def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> bool:
-    """Is 0 a convex combination of the given integer vectors?"""
-    vs = [tuple(int(x) for x in v) for v in vectors]
-    return bool(vs) and separating_direction(vs) is None
-
-
 def zero_in_relative_interior(vectors: Sequence[Sequence[int]]) -> bool:
     """Is 0 a strictly positive convex combination of the vectors?
 

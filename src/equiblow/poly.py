@@ -6,11 +6,12 @@ variable), and a polynomial stores a map monomial -> nonzero Fraction.
 All arithmetic is exact; nothing here ever touches floating point.
 
 ``Poly(ring, terms)`` coerces every coefficient to ``Fraction`` and
-drops zeros.  The arithmetic here and the division loops in ``groebner``
-build their results with ``Poly._make(ring, terms)`` instead, which
-skips both steps.  Its invariant: the dict it is given holds only
-nonzero ``Fraction`` coefficients, and it becomes the polynomial's own
-``terms`` without a copy, so the caller must not touch it afterwards.
+drops zeros.  The arithmetic and the division loop here and the
+reduction loop in ``groebner`` build their results with
+``Poly._make(ring, terms)`` instead, which skips both steps.  Its
+invariant: the dict it is given holds only nonzero ``Fraction``
+coefficients, and it becomes the polynomial's own ``terms`` without a
+copy, so the caller must not touch it afterwards.
 """
 from __future__ import annotations
 
@@ -467,19 +468,51 @@ def sub_scaled(work: dict, terms: Mapping[Mono, Fraction], quot: Mono, c: Fracti
             work[t] = -(cc * c)
 
 
-def divide_exact(p: Poly, d: Poly, order: MonomialOrder = DEGREVLEX) -> Poly | None:
+def divmod_multi(
+    p: Poly, divisors: Sequence[Poly], order: MonomialOrder
+) -> tuple[list[Poly], Poly]:
+    """Multivariate division: p = sum(q_i * divisors_i) + r.
+
+    No monomial of r is divisible by any divisor's leading monomial.
+    The quotients make the identity exact, which lift certificates
+    re-check by expansion.
+    """
+    ring = p.ring
+    quotients: list[dict] = [{} for _ in divisors]
+    lead = [(d.leading_monomial(order), d.leading_coefficient(order)) for d in divisors]
+    r_terms: dict = {}
+    work = dict(p.terms)
+    key = order.key
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for i, (lm, lc) in enumerate(lead):
+            quot = mono_div(m, lm)
+            if quot is not None:
+                coeff = c / lc
+                quotients[i][quot] = coeff
+                sub_scaled(work, divisors[i].terms, quot, coeff, lm)
+                break
+        else:
+            r_terms[m] = c
+    return [Poly._make(ring, q) for q in quotients], Poly._make(ring, r_terms)
+
+
+def divide_exact(p: Poly, d: Poly) -> Poly | None:
     """Exact quotient p / d, or None when d does not divide p.
 
     A one-term divisor c·x^u divides term by term: each exponent drops
     by u and each coefficient is divided by c, or copied when c is 1.
     Distinct monomials keep distinct quotients, so nothing sums, and the
     quotient is None as soon as one term lacks x^u.  Any other divisor
-    goes through long division in ``order``.
+    goes through ``divmod_multi``: d divides p exactly when the
+    remainder is zero.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if len(d.terms) != 1:
-        return _long_divide(p, d, order)
+        (q,), r = divmod_multi(p, [d], DEGREVLEX)
+        return q if r.is_zero() else None
     ((u, lc),) = d.terms.items()
     unit = lc == 1
     q: dict = {}
@@ -488,24 +521,6 @@ def divide_exact(p: Poly, d: Poly, order: MonomialOrder = DEGREVLEX) -> Poly | N
         if quot is None:
             return None
         q[quot] = c if unit else c / lc
-    return Poly._make(p.ring, q)
-
-
-def _long_divide(p: Poly, d: Poly, order: MonomialOrder) -> Poly | None:
-    """Long division of p by d in ``order``: exact quotient or None."""
-    lm = d.leading_monomial(order)
-    lc = d.leading_coefficient(order)
-    q: dict = {}
-    r = dict(p.terms)
-    key = order.key
-    while r:
-        m = max(r, key=key)
-        quot = mono_div(m, lm)
-        if quot is None:
-            return None
-        c = r.pop(m) / lc
-        q[quot] = c
-        sub_scaled(r, d.terms, quot, c, lm)
     return Poly._make(p.ring, q)
 
 

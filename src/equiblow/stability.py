@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .groebner import Ideal
-from .linalg import separating_direction, zero_in_convex_hull
+from .linalg import separating_direction
 from .blowup import BlowupChart
-from .torus import WeightMatrix
+from .torus import WeightMatrix, restricted_columns
 
 
 class StabilityVerdict:
@@ -59,7 +59,7 @@ def hm_fiber_semistable(support, fiber_weights) -> bool:
     support = sorted(set(int(i) for i in support))
     if not support:
         raise PreconditionError("a projective point has nonempty support")
-    return zero_in_convex_hull([fiber_weights[i] for i in support])
+    return separating_direction([fiber_weights[i] for i in support]) is None
 
 
 def one_ps_limit(point, lam, weights: WeightMatrix):
@@ -86,21 +86,6 @@ def one_ps_limit(point, lam, weights: WeightMatrix):
     return tuple(
         Fraction(0) if pairings[i] > 0 else point[i] for i in range(len(point))
     )
-
-
-def _restricted_chart_weights(chart: BlowupChart) -> WeightMatrix:
-    """The chart's own weights restricted to the center, read off the
-    atlas's restricted columns: a ratio coordinate T_i carries
-    r_i - r_pivot, every other coordinate keeps r_i."""
-    r = chart.restricted
-    pivot_r = r[chart.pivot]
-    cols = [
-        tuple(a - b for a, b in zip(r[i], pivot_r))
-        if i in chart.moving and i != chart.pivot
-        else r[i]
-        for i in range(len(r))
-    ]
-    return WeightMatrix([[c[a] for c in cols] for a in range(chart.center.dim)])
 
 
 def point_to_chart(point, source: BlowupChart, target: BlowupChart):
@@ -160,7 +145,8 @@ def point_semistable(point, chart: BlowupChart, atlas) -> StabilityVerdict:
     for other in atlas:
         if pairing.get(other.pivot) == lowest:
             carried = point_to_chart(point, chart, other)
-            limit = one_ps_limit(carried, direction, _restricted_chart_weights(other))
+            limits = WeightMatrix(zip(*restricted_columns(other.weights, other.center)))
+            limit = one_ps_limit(carried, direction, limits)
             return StabilityVerdict(False, direction, limit, other.name)
     return StabilityVerdict(False, direction, None, chart.name)
 

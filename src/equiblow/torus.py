@@ -12,8 +12,8 @@ coordinate support.  The blowup-center scan therefore works support by
 support: everything but one emptiness test (is some point of V(I)
 supported exactly there?) is read off the support itself, and for a
 monomial ideal that test is too.  Only supports whose weight columns
-have rank below k have a nontrivial stabilizer, so the scans grow
-those alone.
+have rank below k have a nontrivial stabilizer, so the one scan,
+``_closed_orbit_supports``, grows those alone.
 """
 from __future__ import annotations
 
@@ -266,11 +266,8 @@ def support_is_realized(
     return not groebner.contains_one(gb)
 
 
-def _check_scan_size(n: int, max_vars: int):
-    if n > max_vars:
-        raise BudgetExceededError(
-            f"support scan over {n} coordinates exceeds the {max_vars}-variable cap"
-        )
+# the widest ambient space a support scan visits; a wider one raises
+MAX_SCAN_VARS = 16
 
 
 def _echelon_extend(basis: tuple, col: tuple[int, ...]) -> tuple:
@@ -320,10 +317,11 @@ def _rank_deficient_supports(cols: list[tuple[int, ...]], candidates: Sequence[i
         level = grown
 
 
-def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
-    """Every coordinate support of a closed orbit whose stabilizer is
-    nontrivial, with that stabilizer.  A point's stabilizer depends only on
-    its coordinate support, so the scan is exhaustive.
+def _closed_orbit_supports(weights: WeightMatrix, candidates: Sequence[int]):
+    """Every support drawn from ``candidates`` whose orbit is closed and
+    whose stabilizer is nontrivial, with that stabilizer.  A point's
+    stabilizer depends only on its coordinate support, so with every
+    coordinate as a candidate the scan is exhaustive.
 
     The stabilizer is nontrivial exactly when the support's columns have
     rank below k, so the scan grows only rank-deficient supports (see
@@ -337,12 +335,17 @@ def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
     positive coefficient without changing the sum; the stabilizer is
     the left kernel of the same columns, and ``Subtorus`` stores that
     lattice in canonical Hermite form.  Every support the full scan
-    would yield is still yielded, in the same order.
+    would yield is still yielded, in the same order.  A weight matrix
+    wider than ``MAX_SCAN_VARS`` raises ``BudgetExceededError``.
     """
-    _check_scan_size(n, max_vars)
+    if weights.n > MAX_SCAN_VARS:
+        raise BudgetExceededError(
+            f"support scan over {weights.n} coordinates exceeds the "
+            f"{MAX_SCAN_VARS}-variable cap"
+        )
     cols = weights.columns()
     by_columns: dict[frozenset, Subtorus | None] = {}
-    for support in _rank_deficient_supports(cols, range(n), weights.k):
+    for support in _rank_deficient_supports(cols, candidates, weights.k):
         key = frozenset(cols[i] for i in support if any(cols[i]))
         if key not in by_columns:
             by_columns[key] = (
@@ -355,7 +358,7 @@ def _closed_orbit_supports(weights: WeightMatrix, n: int, max_vars: int):
             yield support, R
 
 
-def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[Subtorus]:
+def closed_orbit_stabilizers(weights: WeightMatrix) -> list[Subtorus]:
     """Nontrivial subtori stabilizing some closed-orbit point of the ambient space.
 
     Unlike ``enumerate_blowup_centers`` this keeps trivially-acting
@@ -364,22 +367,14 @@ def closed_orbit_stabilizers(weights: WeightMatrix, max_vars: int = 16) -> list[
 
     Closedness and the stabilizer depend only on the set of distinct
     nonzero weight columns of a support (see ``_closed_orbit_supports``),
-    so the scan runs over the subsets of those columns, each represented
-    by the first coordinate carrying it.  It grows only the subsets of
-    rank below k, the ones with a nontrivial stabilizer, so the LP and
-    the kernel run on those alone.
+    so the scan's candidates are those columns, each represented by the
+    first coordinate carrying it.
     """
-    _check_scan_size(weights.n, max_vars)
-    cols = weights.columns()
     first: dict[tuple[int, ...], int] = {}
-    for i, col in enumerate(cols):
+    for i, col in enumerate(weights.columns()):
         if any(col):
             first.setdefault(col, i)
-    found: dict = {}
-    for support in _rank_deficient_supports(cols, list(first.values()), weights.k):
-        if orbit_is_closed(support, weights):
-            R = stabilizer_subtorus(support, weights)
-            found.setdefault(R.cochar, R)
+    found = {R.cochar: R for _, R in _closed_orbit_supports(weights, list(first.values()))}
     return sorted(found.values(), key=lambda R: R.sort_key())
 
 
@@ -387,7 +382,6 @@ def enumerate_blowup_centers(
     weights: WeightMatrix,
     ideal,
     unstable=None,
-    max_vars: int = 16,
     budget: groebner.Budget | None = None,
 ) -> list[Subtorus]:
     """Nontrivial stabilizer subtori of closed-orbit points of V(I).
@@ -414,7 +408,7 @@ def enumerate_blowup_centers(
         if unstable_vars is None:
             raise PreconditionError("unstable ideal must be generated by monomials")
     found: dict = {}
-    for support, R in _closed_orbit_supports(weights, ideal.ring.n, max_vars):
+    for support, R in _closed_orbit_supports(weights, range(weights.n)):
         if R.cochar in found:
             continue
         if not fixed_locus(weights, R):

@@ -68,7 +68,7 @@ def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> list:
     xs = sympy.symbols(ring.names)
     t, s = sympy.Dummy("t"), sympy.Dummy("s")
     found: dict = {}
-    for support, R in _closed_orbit_supports(weights, ring.n, 16):
+    for support, R in _closed_orbit_supports(weights, range(weights.n)):
         if R.cochar in found:
             continue
         if all(not any(R.restrict(weights.column(i))) for i in range(ring.n)):

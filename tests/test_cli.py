@@ -56,6 +56,25 @@ def test_blowup_trivial_action_reports_dense(capsys):
     assert rep["ledger"]["dense"] is True
 
 
+def test_blowup_trivial_action_has_no_chart_to_name(capsys):
+    code, out, err = run(
+        capsys, "blowup", str(CORPUS / "trivial.kb"), "--chart", "nope"
+    )
+    assert (code, out, err) == (2, "", "error: no chart named 'nope'\n")
+
+
+def test_full_blowup_of_a_trivial_ideal_file_is_refused(capsys, tmp_path):
+    src = tmp_path / "dense.kb"
+    src.write_text('variables = [x, y]\nweights = [[0, 0]]\nideal = ["x*y"]\n')
+    assert report(capsys, "blowup", str(src))["ledger"]["dense"] is True
+    code, out, err = run(capsys, "blowup", str(src), "--full")
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition: --full requires a model with a section (potential or "
+        "section file)\n"
+    )
+
+
 def test_blowup_full_runs_the_iterated_driver(capsys):
     rep = report(capsys, "blowup", str(CORPUS / "e1.kb"), "--full")
     assert rep["ledger"]["u_hat_empty"] is True
@@ -709,7 +728,8 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
     # chart pullbacks, exceptional division, the xi twist and fiber
     # specialization are exponent maps (the package has no generic
     # substitution), and every divisor on these runs is one term, so
-    # long division is never entered
+    # ``divide_exact`` never enters the multivariate division loop; the
+    # Groebner engine binds the loop under its own name, out of the patch
     from equiblow import poly
 
     entered = []
@@ -721,7 +741,7 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
 
         return wrapper
 
-    monkeypatch.setattr(poly, "_long_divide", counted("long", poly._long_divide))
+    monkeypatch.setattr(poly, "divmod_multi", counted("long", poly.divmod_multi))
     calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     assert (entered, len(calls)) == ([], 2)

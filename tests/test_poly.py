@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiblow import DEGREVLEX, LEX, Poly, PolyParseError, Ring, divide_exact, parse_poly
-from equiblow.poly import _long_divide, block_order
+from equiblow.poly import block_order, divmod_multi
 
 R3 = Ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -180,13 +180,20 @@ def test_division_by_zero_constant_raises():
     assert (X + Y) / Fraction(-2, 3) == X * Fraction(-3, 2) - Y * Fraction(3, 2)
 
 
+def long_divide(p, d):
+    """The multivariate division loop by d alone: the quotient when the
+    remainder is zero, else None."""
+    (q,), r = divmod_multi(p, [d], DEGREVLEX)
+    return q if r.is_zero() else None
+
+
 @given(polys(), single_terms(R3))
 @settings(max_examples=80)
 def test_one_term_division_matches_long_division(p, d):
-    # the long-division loop, called directly, is the reference
+    # the multivariate division loop, by d alone, is the reference
     for dividend in (p, p * d, p * d + p):
         fast = divide_exact(dividend, d)
-        slow = _long_divide(dividend, d, DEGREVLEX)
+        slow = long_divide(dividend, d)
         assert fast == slow
         if fast is not None:
             assert only_nonzero_fractions(fast)
@@ -198,7 +205,7 @@ def test_one_term_division_rejects_a_term_without_the_divisor():
     p = 6 * X**2 * Y - 3 * X * Y * Z
     assert divide_exact(p, d) == 2 * X - Z
     assert divide_exact(p + Y * Z, d) is None
-    assert _long_divide(p + Y * Z, d, DEGREVLEX) is None
+    assert long_divide(p + Y * Z, d) is None
 
 
 def test_leading_monomial_cache_follows_the_order_asked():

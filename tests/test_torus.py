@@ -273,7 +273,7 @@ def closed_orbit_supports_by_brute_force(W):
 @settings(max_examples=80, deadline=None)
 @given(weight_matrices_with_repeats())
 def test_closed_orbit_scan_matches_the_per_support_scan(W):
-    got = [(support, R.cochar) for support, R in _closed_orbit_supports(W, W.n, 16)]
+    got = [(support, R.cochar) for support, R in _closed_orbit_supports(W, range(W.n))]
     assert got == closed_orbit_supports_by_brute_force(W)
 
 
@@ -289,7 +289,7 @@ def test_scans_solve_closed_orbit_lps_only_below_full_rank(W):
         return orbit_is_closed(support, weights)
 
     with unittest.mock.patch.object(torus, "orbit_is_closed", recorded):
-        list(_closed_orbit_supports(W, W.n, 16))
+        list(_closed_orbit_supports(W, range(W.n)))
         closed_orbit_stabilizers(W)
     assert seen
     for support in seen:
@@ -305,7 +305,7 @@ def test_a_rank_one_scan_visits_only_the_empty_support():
 
     W = WeightMatrix([(1, -1, 2, -2)])
     with unittest.mock.patch.object(torus, "orbit_is_closed", recorded):
-        assert list(_closed_orbit_supports(W, W.n, 16)) == [((), T1)]
+        assert list(_closed_orbit_supports(W, range(W.n))) == [((), T1)]
         assert closed_orbit_stabilizers(W) == [T1]
     assert seen == [(), ()]
 
@@ -335,15 +335,25 @@ def weight_matrices(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(weight_matrices(), st.one_of(st.just(16), st.integers(min_value=0, max_value=7)))
-def test_closed_orbit_stabilizers_match_the_support_scan(W, max_vars):
-    if W.n > max_vars:
-        with pytest.raises(BudgetExceededError) as want:
-            list(_closed_orbit_supports(W, W.n, max_vars))
-        with pytest.raises(BudgetExceededError) as got:
-            closed_orbit_stabilizers(W, max_vars)
-        assert str(got.value) == str(want.value)
-        return
-    by_cochar = {R.cochar: R for _, R in _closed_orbit_supports(W, W.n, max_vars)}
+@given(weight_matrices())
+def test_closed_orbit_stabilizers_match_the_support_scan(W):
+    by_cochar = {R.cochar: R for _, R in _closed_orbit_supports(W, range(W.n))}
     want = sorted(by_cochar.values(), key=lambda R: R.sort_key())
-    assert closed_orbit_stabilizers(W, max_vars) == want
+    assert closed_orbit_stabilizers(W) == want
+
+
+def test_both_scans_refuse_one_coordinate_past_the_cap():
+    assert torus.MAX_SCAN_VARS == 16
+    for n in (16, 17):
+        W = WeightMatrix([[1, -1] * (n // 2) + [1] * (n % 2)])
+        everything = Ideal(Ring([f"x{i}" for i in range(n)]), [])
+        if n == 16:
+            assert closed_orbit_stabilizers(W) == [T1]
+            assert enumerate_blowup_centers(W, everything) == [T1]
+            continue
+        with pytest.raises(BudgetExceededError) as centers:
+            enumerate_blowup_centers(W, everything)
+        with pytest.raises(BudgetExceededError) as stabilizers:
+            closed_orbit_stabilizers(W)
+        want = "support scan over 17 coordinates exceeds the 16-variable cap"
+        assert str(centers.value) == str(stabilizers.value) == want
