@@ -8,7 +8,6 @@ equivariant bundles with their twisted sections, and the cofactor data
 that make a weak local model.
 """
 
-from fractions import Fraction
 
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import (
@@ -41,7 +40,7 @@ def action_pairing(ring: Ring, weights: WeightMatrix) -> tuple[tuple[Poly, ...],
     # each entry is the single term w·x_i, or zero for a zero weight
     return tuple(
         tuple(
-            Poly._make(ring, {u: Fraction(w)} if w else {})
+            Poly._make(ring, {u: w} if w else {})
             for u, w in zip(ring.units, row)
         )
         for row in weights.rows

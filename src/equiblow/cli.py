@@ -10,7 +10,6 @@ import functools
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import report as rpt
@@ -36,13 +35,18 @@ from .errors import (
 from .family import fiber_blowup_commutes
 from .groebner import Budget, contains_one, eliminate
 from .modelfile import BuiltModel, build_model, load_model_file, parse_hint
-from .poly import Ring, parse_poly
+from .poly import Ring, canon, parse_poly
 from .stability import point_semistable
 from .torus import Subtorus, WeightMatrix
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
+# Every subcommand validates the budget here.  `crit`, `semistable` and
+# `obstruction` never read it: their work is a fixed number of
+# evaluations, exact ranks and hull LPs sized by the model, and they
+# compute no Groebner basis (no buchberger, saturate, normal_form or
+# ideal_equal call), so there is nothing for it to bound.
 def _parse_budget(args) -> Budget | None:
     value = args.budget
     if value is None:
@@ -62,7 +66,7 @@ def _parse_budget(args) -> Budget | None:
 
 
 # a coordinate spelled as a plain integer, which int() parses faster than
-# Fraction's string parser would; every other spelling goes to Fraction
+# Fraction's string parser would; every other spelling goes through canon
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -72,7 +76,7 @@ def _parse_point(text: str, n: int):
         raise ModelFileError(f"point needs {n} coordinates, got {len(parts)}")
     try:
         return tuple(
-            Fraction(int(s)) if _INTEGER.fullmatch(s) else Fraction(s)
+            int(s) if _INTEGER.fullmatch(s) else canon(s)
             for s in parts
         )
     except (ValueError, ZeroDivisionError):
@@ -211,7 +215,7 @@ def cmd_obstruction(args, built, budget) -> tuple[list, dict, int]:
     direction = (
         _parse_point(args.direction, n)
         if args.direction is not None
-        else (Fraction(0),) * n
+        else (0,) * n
     )
     ext = SmallExtension(
         args.ext_order, [(point[i], direction[i]) for i in range(n)]
@@ -262,7 +266,7 @@ def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
         raise PreconditionError("fiber-check requires a potential model")
     try:
-        c = Fraction(args.at)
+        c = canon(args.at)
     except (ValueError, ZeroDivisionError):
         raise ModelFileError(f"bad fiber value {args.at!r}") from None
     results = fiber_blowup_commutes(built.model, c, budget=budget)

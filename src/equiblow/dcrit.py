@@ -7,7 +7,6 @@ and obstruction classes live in explicit cokernel coordinates.
 """
 
 import warnings
-from fractions import Fraction
 
 from .blowup import (
     EquivariantBundle,
@@ -22,7 +21,7 @@ from .blowup import (
 from .errors import PreconditionError, TheoremCheckError
 from .groebner import Budget, Ideal, buchberger, lift_certificate, normal_form, saturate
 from .linalg import coker_projection, mat_mul, rank, solve
-from .poly import DEGREVLEX, Poly, Ring, divide_exact
+from .poly import DEGREVLEX, Poly, Ring, canon, divide_exact, exact_div
 from .torus import (
     WeightMatrix,
     isotypic_pieces,
@@ -140,7 +139,7 @@ def _jacobian_at(section, point):
     n = len(point)
     rows = []
     for comp in section:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for m, c in comp.terms.items():
             hit = -1  # the zero coordinate of the support, if any
             rest = c  # the term without that coordinate, at the point
@@ -160,8 +159,8 @@ def _jacobian_at(section, point):
                 else:
                     for i, e in enumerate(m):
                         if e:
-                            row[i] += rest * e / point[i]
-        rows.append(row)
+                            row[i] += exact_div(rest * e, point[i])
+        rows.append(list(map(canon, row)))
     return rows
 
 
@@ -177,7 +176,7 @@ def four_term_at(model: LocalModel, point) -> FourTermComplexAtPoint:
     k = model.weights.k
     n = ring.n
     r = model.bundle.rank
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(canon, point))
     if len(point) != n:
         raise ValueError("point length must match the ambient ring")
     for comp in model.section:
@@ -187,7 +186,8 @@ def four_term_at(model: LocalModel, point) -> FourTermComplexAtPoint:
                 f"{comp.evaluate(point)}"
             )
     m0 = [
-        [model.weights.rows[a][i] * point[i] for a in range(k)] for i in range(n)
+        [canon(model.weights.rows[a][i] * point[i]) for a in range(k)]
+        for i in range(n)
     ]
     m1 = _jacobian_at(model.section, point)
     twisted = twisted_cofactor(model)
@@ -240,7 +240,7 @@ def reduced_obstruction_dim(model: LocalModel, point) -> int:
     flagged with a warning; a positive-dimensional stabilizer is refused
     since the reduced theory does not see it.
     """
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(canon, point))
     W = model.weights
     if W.k:
         support = [i for i in range(len(point)) if point[i] != 0]
@@ -265,14 +265,14 @@ def reduced_obstruction_dim(model: LocalModel, point) -> int:
 
 
 def _series_trim(c, order):
-    c = tuple(Fraction(x) for x in c)
+    c = tuple(map(canon, c))
     if len(c) > order + 1:
         c = c[: order + 1]
-    return c + (Fraction(0),) * (order + 1 - len(c))
+    return c + (0,) * (order + 1 - len(c))
 
 
 def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
+    out = [0] * (order + 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -280,7 +280,7 @@ def _series_mul(a, b, order):
             if i + j > order:
                 break
             out[i + j] += x * y
-    return tuple(out)
+    return tuple(map(canon, out))
 
 
 def _series_powers(series, order):
@@ -304,7 +304,7 @@ def _series_eval(p: Poly, power, order):
     """Truncated series of p along the coordinate series behind ``power``
     (a ``_series_powers`` result).  Terms that contain a coordinate with a
     zero series are skipped."""
-    total = [Fraction(0)] * (order + 1)
+    total = [0] * (order + 1)
     for m, c in p.terms.items():
         term = None
         for i, e in enumerate(m):
@@ -319,7 +319,7 @@ def _series_eval(p: Poly, power, order):
             else:
                 for d, x in enumerate(term):
                     total[d] += c * x
-    return tuple(total)
+    return tuple(map(canon, total))
 
 
 class SmallExtension:
@@ -496,7 +496,7 @@ def verify_omega_equivalence(
     if hint is None:
         hint = ring.one()
     if basepoint is not None:
-        if hint.evaluate(tuple(Fraction(x) for x in basepoint)) == 0:
+        if hint.evaluate(basepoint) == 0:
             raise PreconditionError("hint polynomial vanishes at the basepoint")
     if A is None:
         A = zero_matrix(ring, n, r)
@@ -757,11 +757,11 @@ def phi_ck_at_point(
         if lab not in big.bundle.labels:
             raise PreconditionError(f"frame {lab!r} missing from the big bundle")
         shared_frames.append(big.bundle.labels.index(lab))
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(canon, point))
     if len(point) != ring_s.n:
         raise ValueError("point length must match the small ambient")
     big_point = tuple(
-        point[ring_s.index[nm]] if nm in ring_s.index else Fraction(0)
+        point[ring_s.index[nm]] if nm in ring_s.index else 0
         for nm in ring_b.names
     )
     restricted = []
@@ -815,7 +815,7 @@ def phi_ck_at_point(
         rb = big.bundle.rank
         columns = []
         for b in range(rb):
-            e = [Fraction(1) if i == b else Fraction(0) for i in range(rb)]
+            e = [1 if i == b else 0 for i in range(rb)]
             columns.append(project_s(drop(e)))
         matrix = [[columns[j][i] for j in range(rb)] for i in range(dim_s)]
         if rank(matrix) != dim_s:

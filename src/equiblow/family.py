@@ -6,12 +6,10 @@ The base direction carries weight zero in every row, so the torus acts
 fiberwise and isotypic decomposition never mixes the parameter in.
 """
 
-from fractions import Fraction
-
 from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
 from .errors import PreconditionError
 from .groebner import Budget, Ideal, ideal_equal
-from .poly import Poly, Ring
+from .poly import Poly, Ring, canon
 from .torus import Subtorus, WeightMatrix
 
 
@@ -32,7 +30,7 @@ def _base_index(model: LocalModel) -> int:
     return t
 
 
-def _drop_var(source: Ring, name: str, c: Fraction):
+def _drop_var(source: Ring, name: str, c):
     """The map setting the variable ``name`` of ``source`` to c, into the
     ring without it.
 
@@ -43,7 +41,7 @@ def _drop_var(source: Ring, name: str, c: Fraction):
     """
     target = source.without((name,))
     t = source.index[name]
-    powers: dict[int, Fraction] = {}
+    powers: dict = {}
 
     def images(p: Poly):
         for m, cc in p.terms.items():
@@ -67,7 +65,7 @@ def specialize(model: LocalModel, c) -> LocalModel:
     """Fiber of a family at a base value: substitute the parameter and drop
     its coordinate and weight column."""
     t = _base_index(model)
-    c = Fraction(c)
+    c = canon(c)
     ring = model.ring
     target = ring.without((model.base_param,))
     rows = [row[:t] + row[t + 1 :] for row in model.weights.rows]
@@ -111,7 +109,7 @@ def fiber_blowup_commutes(
     componentwise when the model carries a factorization witness.
     """
     t = _base_index(model)
-    c = Fraction(c)
+    c = canon(c)
     center = Subtorus.full(model.weights.k)
     fiber = specialize(model, c)
     family_charts = make_charts(model.ring, model.weights, center)

@@ -10,7 +10,6 @@ silently truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -23,6 +22,7 @@ from .poly import (
     Ring,
     block_order,
     divmod_multi,
+    exact_div,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -95,8 +95,8 @@ def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     lcm = mono_lcm(lf, lg)
     uf = mono_div(lcm, lf)
     ug = mono_div(lcm, lg)
-    return f.term_mul(uf, Fraction(1) / f.leading_coefficient(order)) - g.term_mul(
-        ug, Fraction(1) / g.leading_coefficient(order)
+    return f.term_mul(uf, exact_div(1, f.leading_coefficient(order))) - g.term_mul(
+        ug, exact_div(1, g.leading_coefficient(order))
     )
 
 
@@ -110,7 +110,7 @@ class _Tracked:
         self.rep = rep
         self.sugar = sugar
 
-    def scaled(self, c: Fraction) -> "_Tracked":
+    def scaled(self, c) -> "_Tracked":
         rep = None if self.rep is None else tuple(r * c for r in self.rep)
         return _Tracked(self.poly * c, rep, self.sugar)
 
@@ -140,7 +140,7 @@ def _reduce_tracked(
         else:
             out_terms[m] = c
             continue
-        coeff = c / lc
+        coeff = exact_div(c, lc)
         sub_scaled(work, b.poly.terms, quot, coeff, lm)
         sugar = max(sugar, b.sugar + mono_degree(quot))
         if rep is not None:
@@ -248,8 +248,8 @@ def buchberger(
         if _tracked:
             ui = mono_div(lcm, li)
             uj = mono_div(lcm, lj)
-            ci = Fraction(1) / basis[i].poly.leading_coefficient(order)
-            cj = Fraction(1) / basis[j].poly.leading_coefficient(order)
+            ci = exact_div(1, basis[i].poly.leading_coefficient(order))
+            cj = exact_div(1, basis[j].poly.leading_coefficient(order))
             rep = tuple(
                 ri.term_mul(ui, ci) - rj.term_mul(uj, cj)
                 for ri, rj in zip(basis[i].rep, basis[j].rep)
@@ -295,7 +295,7 @@ def _finalize(
         if others:
             b = _reduce_tracked(b, others, order, budget)
         lc = b.poly.leading_coefficient(order)
-        final.append(b.scaled(Fraction(1) / lc))
+        final.append(b.scaled(exact_div(1, lc)))
 
     final.sort(key=lambda b: order.key(b.poly.leading_monomial(order)))
     gb = GroebnerBasis(ring, order, tuple(b.poly for b in final))
@@ -315,7 +315,7 @@ def _monomial_basis(
     reduces each generator against the ones kept before it and then
     drops the kept ones that a later one divides.  This is that scan,
     with the same budget checks in the same order, so it raises the same
-    errors; no pair, reduction or Fraction arithmetic is needed.
+    errors; no pair, reduction or coefficient arithmetic is needed.
     """
     kept: list[Mono] = []
     for g in gens:
@@ -330,7 +330,7 @@ def _monomial_basis(
     ]
     minimal.sort(key=order.key)
     return GroebnerBasis(
-        ring, order, tuple(Poly._make(ring, {m: Fraction(1)}) for m in minimal)
+        ring, order, tuple(Poly._make(ring, {m: 1}) for m in minimal)
     )
 
 

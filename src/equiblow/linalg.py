@@ -1,17 +1,20 @@
 """Exact linear algebra over Q and Z.
 
 Rational kernels, solutions and cokernels via Gaussian elimination on
-Fractions; ranks and the convex-position tests that GIT stability needs
-by integer-preserving (Bareiss) elimination, so their entries stay
-plain ints; Hermite reduction for integer lattices.  No floating point
+canonical scalars (an int when integral, else a Fraction with
+denominator > 1, as in ``poly``), dividing only through ``exact_div``;
+ranks and the convex-position tests that GIT stability needs by
+integer-preserving (Bareiss) elimination, so their entries stay plain
+ints; Hermite reduction for integer lattices.  No floating point
 anywhere.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 from typing import Callable, Sequence
+
+from .poly import canon, exact_div
 
 Vec = tuple
 Mat = tuple  # tuple of row tuples
@@ -23,12 +26,12 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     cols = len(B[0]) if B else 0
     out = []
     for a in A:
-        row = [Fraction(0)] * cols
+        row = [0] * cols
         for x, b in zip(a, B):
             if x:  # a zero entry adds nothing to the row
                 for j in range(cols):
                     row[j] += x * b[j]
-        out.append(tuple(row))
+        out.append(tuple(map(canon, row)))
     return tuple(out)
 
 
@@ -40,7 +43,7 @@ def transpose(A: Mat) -> Mat:
 
 def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in A]
+    rows = [list(map(canon, r)) for r in A]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots = []
@@ -51,11 +54,12 @@ def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pv != 1:
+            rows[r] = [exact_div(x, pv) for x in rows[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [canon(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -96,13 +100,13 @@ def rank(A: Mat) -> int:
 def solve(A: Mat, b: Sequence) -> Vec | None:
     """One exact solution of A x = b, or None when inconsistent."""
     if not A:
-        return () if all(Fraction(x) == 0 for x in b) else None
+        return () if all(canon(x) == 0 for x in b) else None
     n = len(A[0])
-    aug = tuple(tuple(row) + (Fraction(b[i]),) for i, row in enumerate(A))
+    aug = tuple(tuple(row) + (b[i],) for i, row in enumerate(A))
     R, pivots = rref(aug)
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for r, pc in enumerate(pivots):
         x[pc] = R[r][n]
     return tuple(x)
@@ -125,13 +129,13 @@ def coker_projection(A: Mat, rows: int) -> tuple[int, Callable[[Sequence], Vec]]
     free = [i for i in range(rows) if i not in pivots]
 
     def project(v: Sequence) -> Vec:
-        w = [Fraction(x) for x in v]
+        w = [canon(x) for x in v]
         for r, pc in enumerate(pivots):
             f = w[pc]
             if f != 0:
                 for j in range(rows):
                     w[j] -= f * R[r][j]
-        return tuple(w[i] for i in free)
+        return tuple(canon(w[i]) for i in free)
 
     return len(free), project
 

@@ -16,7 +16,7 @@ from .blowup import EquivariantBundle, LocalModel
 from .dcrit import _dcritical_model, _require_invariant
 from .errors import ModelFileError, PolyParseError, PreconditionError
 from .groebner import Ideal
-from .poly import Poly, Ring, parse_poly
+from .poly import Poly, Ring, canon, parse_poly
 from .torus import WeightMatrix
 
 _KEYS = {
@@ -171,9 +171,7 @@ class ModelFile:
                     "basepoint must list one rational per variable"
                 )
             try:
-                basepoint = tuple(
-                    x if isinstance(x, Fraction) else Fraction(x) for x in basepoint
-                )
+                basepoint = tuple(map(canon, basepoint))
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ModelFileError(
                     "basepoint must list one rational per variable"

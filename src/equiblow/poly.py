@@ -2,25 +2,63 @@
 
 Polynomials are immutable values: a ring is an ordered tuple of variable
 names, a monomial is a tuple of non-negative exponents (one per ring
-variable), and a polynomial stores a map monomial -> nonzero Fraction.
+variable), and a polynomial stores a map monomial -> nonzero scalar.
 All arithmetic is exact; nothing here ever touches floating point.
 
-``Poly(ring, terms)`` coerces every coefficient to ``Fraction`` and
-drops zeros.  The arithmetic and the division loop here and the
-reduction loop in ``groebner`` build their results with
-``Poly._make(ring, terms)`` instead, which skips both steps.  Its
-invariant: the dict it is given holds only nonzero ``Fraction``
-coefficients, and it becomes the polynomial's own ``terms`` without a
-copy, so the caller must not touch it afterwards.
+Every scalar is canonical: an ``int`` when the rational is integral, and
+a ``Fraction`` with denominator > 1 otherwise.  ``canon`` brings any
+rational to that form and ``exact_div`` divides into it, so integral
+values take the ``int`` arithmetic of the interpreter and never the far
+slower ``Fraction`` arithmetic.  The whole package keeps this rule: a
+result is never a float and never an integral ``Fraction``.
+
+``Poly(ring, terms)`` makes every coefficient canonical and drops
+zeros.  The arithmetic and the division loop here and the reduction
+loop in ``groebner`` build their results with ``Poly._make(ring,
+terms)`` instead, which skips both steps.  Its invariant: the dict it is
+given holds only nonzero canonical scalars, and it becomes the
+polynomial's own ``terms`` without a copy, so the caller must not touch
+it afterwards.  The arithmetic loops fold a sum or product that lands on
+an integral ``Fraction`` back to ``int`` inline, with one ``type(...) is
+int`` test when it is an int already, rather than through a ``canon``
+call per term.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from operator import add, neg
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Mono = tuple  # exponent vector, length == number of ring variables
+
+
+# ---------------------------------------------------------------------------
+# canonical scalars
+
+
+def canon(x):
+    """The canonical form of the rational x: an int when it is integral,
+    else a Fraction with denominator > 1.  Anything else ``Fraction``
+    accepts (a bool, a string such as "-3/4") is converted exactly; a
+    float raises ``TypeError``, so none ever enters a computation."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float, not an exact rational")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b):
+    """The canonical a / b of two rationals; never the float that ``/``
+    gives on two ints.  ``ZeroDivisionError`` when b is zero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +197,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
+        c = canon(c)
         if c == 0:
             return self.zero()
         return Poly._make(self, {(0,) * self.n: c})
@@ -193,10 +231,10 @@ class Poly:
 
     __slots__ = ("ring", "terms", "_hash", "_lead")
 
-    def __init__(self, ring: Ring, terms: Mapping[Mono, Fraction]):
+    def __init__(self, ring: Ring, terms: Mapping):
         clean = {}
         for m, c in terms.items():
-            c = Fraction(c)
+            c = canon(c)
             if c != 0:
                 clean[m] = c
         _set_ring(self, ring)
@@ -206,7 +244,8 @@ class Poly:
 
     @classmethod
     def _make(cls, ring: Ring, terms: dict) -> "Poly":
-        """Wrap ``terms`` as is; every value must be a nonzero Fraction."""
+        """Wrap ``terms`` as is; every value must be a nonzero canonical
+        scalar (an int, or a Fraction with denominator > 1)."""
         p = _new(cls)
         _set_ring(p, ring)
         _set_terms(p, terms)
@@ -216,21 +255,22 @@ class Poly:
 
     @classmethod
     def _collect(cls, ring: Ring, pairs) -> "Poly":
-        """Sum (monomial, nonzero Fraction) pairs into a polynomial.
+        """Sum (monomial, nonzero int or Fraction) pairs into a polynomial.
 
         Terms that land on one monomial add, and a zero sum is dropped;
-        the result keeps the order in which monomials first appear.
+        the result keeps the order in which monomials first appear.  An
+        integral Fraction, given or summed, is stored as its int.
         """
         out: dict = {}
         for m, c in pairs:
             if m in out:
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
+                c = out[m] + c
+                if not c:
                     del out[m]
-            else:
-                out[m] = c
+                    continue
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            out[m] = c
         return cls._make(ring, out)
 
     def __setattr__(self, *a):
@@ -244,8 +284,8 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.n, Fraction(0))
+    def constant_coefficient(self):
+        return self.terms.get((0,) * self.ring.n, 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -264,7 +304,7 @@ class Poly:
         _set_lead(self, (order, m))
         return m
 
-    def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
+    def leading_coefficient(self, order: MonomialOrder = DEGREVLEX):
         return self.terms[self.leading_monomial(order)]
 
     # -- arithmetic ---------------------------------------------------------
@@ -280,13 +320,13 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             if m in terms:
-                s = terms[m] + c
-                if s:
-                    terms[m] = s
-                else:
+                c += terms[m]
+                if not c:
                     del terms[m]
-            else:
-                terms[m] = c
+                    continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+            terms[m] = c
         return Poly._make(self.ring, terms)
 
     __radd__ = __add__
@@ -304,30 +344,37 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = canon(other)
             if c == 0:
                 return self.ring.zero()
-            return Poly._make(self.ring, {m: cc * c for m, cc in self.terms.items()})
+            scaled: dict = {}
+            for m, cc in self.terms.items():
+                cc *= c
+                if type(cc) is not int and cc.denominator == 1:
+                    cc = cc.numerator
+                scaled[m] = cc
+            return Poly._make(self.ring, scaled)
         self._check(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
+                s = c1 * c2
                 if m in out:
-                    s = out[m] + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
+                    s += out[m]
+                    if not s:
                         del out[m]
-                else:
-                    out[m] = c1 * c2
+                        continue
+                if type(s) is not int and s.denominator == 1:
+                    s = s.numerator
+                out[m] = s
         return Poly._make(self.ring, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # 1 / Fraction(0) raises ZeroDivisionError
-        return self * (1 / Fraction(other))
+        # exact_div(1, 0) raises ZeroDivisionError
+        return self * exact_div(1, canon(other))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -341,14 +388,18 @@ class Poly:
             e >>= 1
         return result
 
-    def term_mul(self, m: Mono, c: Fraction) -> "Poly":
+    def term_mul(self, m: Mono, c) -> "Poly":
         """Multiply by the single term c * x^m."""
-        c = Fraction(c)
+        c = canon(c)
         if c == 0:
             return self.ring.zero()
-        return Poly._make(
-            self.ring, {tuple(map(add, mm, m)): cc * c for mm, cc in self.terms.items()}
-        )
+        out: dict = {}
+        for mm, cc in self.terms.items():
+            cc *= c
+            if type(cc) is not int and cc.denominator == 1:
+                cc = cc.numerator
+            out[tuple(map(add, mm, m))] = cc
+        return Poly._make(self.ring, out)
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -359,14 +410,15 @@ class Poly:
             e = m[i]
             if e:
                 # distinct monomials keep distinct derivatives, so nothing sums
-                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = canon(c * e)
         return Poly._make(self.ring, out)
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def evaluate(self, point: Sequence):
+        """The canonical value at a rational point."""
         if len(point) != self.ring.n:
             raise ValueError("point length does not match ring")
-        pt = [v if isinstance(v, Fraction) else Fraction(v) for v in point]
-        total = Fraction(0)
+        pt = [canon(v) for v in point]
+        total = 0
         for m, c in self.terms.items():
             val = c
             for x, e in zip(pt, m):
@@ -376,7 +428,7 @@ class Poly:
                     val *= x if e == 1 else x**e
             else:
                 total += val
-        return total
+        return canon(total)
 
     def rename_ring(self, target: Ring) -> "Poly":
         """Carry the polynomial into a ring with the same variable names.
@@ -426,7 +478,7 @@ class Poly:
             _set_hash(self, h)
         return h
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple]:
         return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
 
     def __str__(self):
@@ -436,7 +488,7 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-_ONE = Fraction(1)
+_ONE = 1
 # Poly.__setattr__ refuses writes; the slot descriptors write past it,
 # and faster than object.__setattr__
 _new = object.__new__
@@ -446,26 +498,27 @@ _set_hash = Poly._hash.__set__
 _set_lead = Poly._lead.__set__
 
 
-def sub_scaled(work: dict, terms: Mapping[Mono, Fraction], quot: Mono, c: Fraction, skip: Mono):
+def sub_scaled(work: dict, terms: Mapping, quot: Mono, c, skip: Mono):
     """work -= c * x^quot * terms, in place, leaving out the term at ``skip``.
 
     A division step passes its divisor's leading monomial as ``skip``:
     that term cancels the one the caller has already taken out of
-    ``work``.  Zero sums are removed, so ``work`` keeps the ``_make``
-    invariant.
+    ``work``.  Zero sums are removed and integral ones stored as ints,
+    so ``work`` keeps the ``_make`` invariant.
     """
     for mm, cc in terms.items():
         if mm == skip:
             continue
         t = tuple(map(add, mm, quot))
+        v = -(cc * c)
         if t in work:
-            v = work[t] - cc * c
-            if v:
-                work[t] = v
-            else:
+            v += work[t]
+            if not v:
                 del work[t]
-        else:
-            work[t] = -(cc * c)
+                continue
+        if type(v) is not int and v.denominator == 1:
+            v = v.numerator
+        work[t] = v
 
 
 def divmod_multi(
@@ -489,7 +542,7 @@ def divmod_multi(
         for i, (lm, lc) in enumerate(lead):
             quot = mono_div(m, lm)
             if quot is not None:
-                coeff = c / lc
+                coeff = exact_div(c, lc)
                 quotients[i][quot] = coeff
                 sub_scaled(work, divisors[i].terms, quot, coeff, lm)
                 break
@@ -520,7 +573,7 @@ def divide_exact(p: Poly, d: Poly) -> Poly | None:
         quot = mono_div(m, u)
         if quot is None:
             return None
-        q[quot] = c if unit else c / lc
+        q[quot] = c if unit else exact_div(c, lc)
     return Poly._make(p.ring, q)
 
 
@@ -610,16 +663,16 @@ def parse_poly(text: str, ring: Ring) -> Poly:
             kind = tok[0]
             i += 1
             if kind == "int":
-                c = Fraction(int(tok[1]))
+                c = int(tok[1])
                 if toks[i][0] == "/":
                     i += 1
                     den_tok = expect("int")
                     den = int(den_tok[1])
                     if den == 0:
                         raise PolyParseError("zero denominator", den_tok[2])
-                    c /= den
+                    c = exact_div(c, den)
                 e = exponent()
-                coeff *= c if e is None else c**e
+                coeff = canon(coeff * (c if e is None else c**e))
             elif kind == "name":
                 v = index.get(tok[1])
                 if v is None:
@@ -659,13 +712,11 @@ def parse_poly(text: str, ring: Ring) -> Poly:
                 if negate:
                     c = -c
                 if m in out:
-                    s = out[m] + c
-                    if s:
-                        out[m] = s
-                    else:
+                    c += out[m]
+                    if not c:
                         del out[m]
-                else:
-                    out[m] = c
+                        continue
+                out[m] = canon(c)
             kind = toks[i][0]
             if kind != "+" and kind != "-":
                 return out

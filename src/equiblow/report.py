@@ -5,14 +5,16 @@ charts sorted by name, rationals printed exactly, and nothing
 time-dependent, so two runs on one input are byte-identical.
 """
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+
+from .poly import canon
 
 VERSION = "0.1.0"
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    """The exact text of a rational: "3", "-1/2"."""
+    return str(canon(x))
 
 
 def point_str(point) -> str:

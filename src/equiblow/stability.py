@@ -11,12 +11,12 @@ squarefree monomial ideal.
 """
 
 import itertools
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .groebner import Ideal
 from .linalg import separating_direction
 from .blowup import BlowupChart
+from .poly import canon, exact_div
 from .torus import WeightMatrix, restricted_columns
 
 
@@ -37,7 +37,7 @@ class StabilityVerdict:
             raise ValueError("unstable verdicts need a witness direction")
         self.semistable = semistable
         self.direction = None if direction is None else tuple(int(x) for x in direction)
-        self.limit = None if limit is None else tuple(Fraction(x) for x in limit)
+        self.limit = None if limit is None else tuple(map(canon, limit))
         self.chart = chart
 
     def __repr__(self):
@@ -70,7 +70,7 @@ def one_ps_limit(point, lam, weights: WeightMatrix):
     coordinates and kills positive ones.  Returns None when no limit
     exists.
     """
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(canon, point))
     lam = tuple(int(x) for x in lam)
     if len(lam) != weights.k:
         raise ValueError("direction length must match the torus rank")
@@ -84,7 +84,7 @@ def one_ps_limit(point, lam, weights: WeightMatrix):
         if mu < 0 and point[i] != 0:
             return None
     return tuple(
-        Fraction(0) if pairings[i] > 0 else point[i] for i in range(len(point))
+        0 if pairings[i] > 0 else point[i] for i in range(len(point))
     )
 
 
@@ -93,7 +93,7 @@ def point_to_chart(point, source: BlowupChart, target: BlowupChart):
     None when the point lies outside the overlap."""
     if source.parent_ring != target.parent_ring or source.center != target.center:
         raise PreconditionError("charts belong to different blowups")
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(canon, point))
     if source.pivot == target.pivot:
         return point
     t = point[target.pivot]
@@ -102,11 +102,11 @@ def point_to_chart(point, source: BlowupChart, target: BlowupChart):
     out = []
     for i in range(len(point)):
         if i == target.pivot:
-            out.append(point[source.pivot] * t)
+            out.append(canon(point[source.pivot] * t))
         elif i == source.pivot:
-            out.append(1 / t)
+            out.append(exact_div(1, t))
         elif i in source.moving:
-            out.append(point[i] / t)
+            out.append(exact_div(point[i], t))
         else:
             out.append(point[i])
     return tuple(out)
@@ -132,7 +132,7 @@ def point_semistable(point, chart: BlowupChart, atlas) -> StabilityVerdict:
     non-negatively with lambda and the exceptional coordinate positively.
     ``atlas`` is every chart of the center, ``chart`` among them.
     """
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(canon, point))
     if len(point) != chart.ring.n:
         raise ValueError("point length must match the chart")
     fiber = chart.restricted

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import groebner, linalg
 from .errors import BudgetExceededError, PreconditionError
-from .poly import Mono, Poly, Ring
+from .poly import Mono, Poly
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bench_models import write_bench_models
+from scalars import is_canonical_scalar
 from equiblow import TheoremCheckError, cli, groebner
 
 CORPUS = Path(cli.__file__).parent / "corpus"
@@ -924,4 +925,4 @@ def test_parse_point_matches_the_fraction_parser(parts):
         assert str(e) == f"bad point {text!r}"
     else:
         assert list(got) == want
-        assert all(type(x) is Fraction for x in got)
+        assert all(is_canonical_scalar(x) for x in got)

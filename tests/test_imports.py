@@ -1,0 +1,80 @@
+"""No unused imports in the package, checked with the standard library.
+
+A name that a module of ``src/equiblow`` imports at module level must be
+read somewhere in that module, or be listed in its ``__all__`` (the
+package ``__init__`` re-exports that way).  A name the module reads
+counts even when other modules import it from there too: ``groebner``
+imports ``divmod_multi`` for ``normal_form`` and ``lift_certificate``,
+which is a use, not a bare re-export.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import equiblow
+
+SRC = Path(equiblow.__file__).parent
+
+
+def _module_imports(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each name bound by an import at module level,
+    including imports inside a module-level ``if`` or ``try``."""
+    bound = {}
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, (ast.If, ast.Try)):
+                for part in ("body", "orelse", "finalbody"):
+                    visit(getattr(node, part, []))
+                for handler in getattr(node, "handlers", []):
+                    visit(handler.body)
+
+    visit(tree.body)
+    return bound
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, annotations written as strings too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        for field in ("annotation", "returns"):
+            text = getattr(node, field, None)
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                found |= _names_read(ast.parse(text.value, mode="eval"))
+    return found
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_level_import_is_read_or_exported(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _names_read(tree) | _exported(tree)
+    unused = {nm: line for nm, line in _module_imports(tree).items() if nm not in used}
+    assert unused == {}, f"{path.name} imports names it never reads: {unused}"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse(
+        "from fractions import Fraction\nimport re\nfrom typing import Sequence\n"
+        "def f(x: 'Sequence'):\n    return re.sub('a', 'b', x)\n"
+    )
+    read = _names_read(tree)
+    assert {nm for nm in _module_imports(tree) if nm not in read} == {"Fraction"}

@@ -16,7 +16,7 @@ from equiblow import (
     solve,
     zero_in_relative_interior,
 )
-from equiblow import linalg
+from equiblow import linalg, poly
 from equiblow.linalg import (
     hermite_rows,
     left_kernel_basis,
@@ -25,6 +25,7 @@ from equiblow.linalg import (
     separating_direction,
     transpose,
 )
+from scalars import is_canonical_scalar
 
 
 def mat_vec(A, v):
@@ -186,7 +187,7 @@ def test_mat_mul_matches_the_triple_loop_with_zero_rows(A, B, zero):
     B[1] = [Fraction(0)] * 2
     product = mat_mul(A, B)
     assert product == mat_mul_naively(A, B)
-    assert all(type(x) is Fraction for row in product for x in row)
+    assert all(is_canonical_scalar(x) for row in product for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,10 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("an integer kernel built a Fraction")
 
-    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    # linalg names no Fraction; it builds one only through poly's canon
+    # and exact_div, so patching poly's name covers every way in
+    assert not hasattr(linalg, "Fraction")
+    monkeypatch.setattr(poly, "Fraction", no_fraction)
     assert rank([[1, 2, 3], [2, 4, 6], [0, 1, -1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
     assert separating_direction([(1, -2), (-3, 1), (2, 2)]) is None

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from equiblow import DEGREVLEX, LEX, Poly, PolyParseError, Ring, divide_exact, parse_poly
 from equiblow.poly import block_order, divmod_multi
+from scalars import is_canonical_scalar
 
 R3 = Ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -146,13 +147,13 @@ def single_terms(ring):
     return st.tuples(monos(ring.n, 2), coeff).map(lambda mc: Poly(ring, {mc[0]: mc[1]}))
 
 
-def only_nonzero_fractions(p):
-    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+def only_nonzero_canonical(p):
+    return all(is_canonical_scalar(c) and c != 0 for c in p.terms.values())
 
 
 @given(polys(), polys())
 @settings(max_examples=60)
-def test_arithmetic_results_hold_only_nonzero_fractions(p, q):
+def test_arithmetic_results_hold_only_nonzero_canonical_scalars(p, q):
     built = [
         p + q,
         p - q,
@@ -171,7 +172,7 @@ def test_arithmetic_results_hold_only_nonzero_fractions(p, q):
         divide_exact(p * (X + Z), X + Z),
         p.rename_ring(Ring(["z", "x", "y", "w"])),
     ]
-    assert all(only_nonzero_fractions(r) for r in built)
+    assert all(only_nonzero_canonical(r) for r in built)
 
 
 def test_division_by_zero_constant_raises():
@@ -196,7 +197,7 @@ def test_one_term_division_matches_long_division(p, d):
         slow = long_divide(dividend, d)
         assert fast == slow
         if fast is not None:
-            assert only_nonzero_fractions(fast)
+            assert only_nonzero_canonical(fast)
     assert divide_exact(p * d, d) == p
 
 
@@ -251,13 +252,13 @@ def mixed_points(n=3):
 @given(polys(), mixed_points())
 def test_evaluate_matches_the_naive_sum(p, point):
     value = p.evaluate(point)
-    assert type(value) is Fraction
+    assert is_canonical_scalar(value)
     assert value == evaluate_naively(p, point)
 
 
-def test_evaluate_returns_a_fraction_when_every_term_vanishes():
+def test_evaluate_returns_a_canonical_zero_when_every_term_vanishes():
     p = parse_poly("x*y + x^2*z - 3*y*x", R3)
     for poly in (p, R3.zero()):
         value = poly.evaluate((0, 5, Fraction(1, 2)))
-        assert type(value) is Fraction
+        assert is_canonical_scalar(value)
         assert value == 0

@@ -3,7 +3,6 @@ closed orbits, and the enumeration of blowup centers."""
 
 import itertools
 import unittest.mock
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
