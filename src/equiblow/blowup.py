@@ -229,7 +229,8 @@ class BlowupChart:
         data that ``make_charts`` computes once."""
         if parent_weights.k and parent_weights.n != parent_ring.n:
             raise ValueError("weight matrix width must match the ring")
-        if pivot not in moving:
+        moving_set = set(moving)
+        if pivot not in moving_set:
             raise PreconditionError(
                 f"pivot coordinate {parent_ring.names[pivot]!r} is not moving "
                 "under the center subtorus"
@@ -237,18 +238,10 @@ class BlowupChart:
         name = "chart_" + parent_ring.names[pivot]
         # x_k -> xi_k, moving x_i -> xi_k·T_i, fixed x_i -> x_i, and
         # chart variable i keeps position i
-        pivot_w = columns[pivot]
-        names, cols = [], []
-        for i, nm in enumerate(parent_ring.names):
-            w = columns[i]
-            if i == pivot:
-                names.append("xi_" + nm)
-            elif i in moving:
-                names.append("T_" + nm)
-                w = tuple(a - b for a, b in zip(w, pivot_w))
-            else:
-                names.append(nm)
-            cols.append(w)
+        names = [
+            "xi_" + nm if i == pivot else "T_" + nm if i in moving_set else nm
+            for i, nm in enumerate(parent_ring.names)
+        ]
         if len(set(names)) != len(names):
             clash = next(nm for nm in names if names.count(nm) > 1)
             raise PreconditionError(
@@ -261,12 +254,19 @@ class BlowupChart:
         self.pivot = pivot
         self.name = name
         self.ring = Ring(names)
-        self.weights = parent_weights.with_columns(cols)
+        # w(T_i) = w_i - w_k in every row
+        ratios = moving_set - {pivot}
+        self.weights = WeightMatrix(
+            [
+                [w - row[pivot] if i in ratios else w for i, w in enumerate(row)]
+                for row in parent_weights.rows
+            ]
+        )
         self.exceptional = "xi_" + parent_ring.names[pivot]
         self.columns = columns
         self.restricted = restricted
         self.moving = moving
-        self.fixed = tuple(i for i in range(parent_ring.n) if i not in moving)
+        self.fixed = tuple(i for i in range(parent_ring.n) if i not in moving_set)
 
     @property
     def xi(self) -> Poly:
@@ -440,23 +440,12 @@ def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:
 
 
 def poly_mat_mul(A, B, ring: Ring):
-    """Product of two polynomial matrices given as row tuples.  Products
-    with a zero factor are skipped, which leaves every sum as it was."""
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero()
-            for t in range(inner):
-                a, b = A[i][t], B[t][j]
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """Product of two polynomial matrices given as row tuples."""
+    columns = tuple(zip(*B))
+    return tuple(
+        tuple(Poly._sum_of_products(ring, zip(row, col)) for col in columns)
+        for row in A
+    )
 
 
 def _cleared_form_transform(chart: BlowupChart):
@@ -579,9 +568,7 @@ def check_weak_local_model(model: LocalModel) -> WeakModelReport:
                 f"weight {w}, expected {expected}: {comp}"
             )
     for a in range(k):
-        acc = ring.zero()
-        for b in range(r):
-            acc = acc + model.cofactor[a][b] * model.section[b]
+        acc = Poly._sum_of_products(ring, zip(model.cofactor[a], model.section))
         if not acc.is_zero():
             composite_zero = False
             witnesses.append(
@@ -639,9 +626,7 @@ def check_weak_local_model(model: LocalModel) -> WeakModelReport:
                 for a in range(k)
             ]
             for c in R.cochar:
-                acc = ring.zero()
-                for a in range(k):
-                    acc = acc + ring.const(c[a]) * restricted[a]
+                acc = Poly._sum_of_products(ring, zip(map(ring.const, c), restricted))
                 if not acc.is_zero():
                     fixed_projection = False
                     witnesses.append(

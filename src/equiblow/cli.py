@@ -528,7 +528,8 @@ def main(argv=None) -> int:
         if args.command == "corpus":
             name, built = "corpus", None
         else:
-            name, built = Path(args.file).name, build_model(load_model_file(args.file))
+            name = os.path.basename(args.file)
+            built = build_model(load_model_file(args.file))
         budget = _parse_budget(args)
         charts, ledger, code = _DISPATCH[args.command](args, built, budget)
     except (ModelFileError, PolyParseError) as e:

@@ -128,7 +128,8 @@ class FourTermComplexAtPoint:
 
 
 def _eval_matrix(rows, point):
-    return [[e.evaluate(point) for e in row] for row in rows]
+    """The entries' values at a point of canonical coordinates."""
+    return [[e._at(point) for e in row] for row in rows]
 
 
 def _jacobian_at(section, point):
@@ -180,10 +181,11 @@ def four_term_at(model: LocalModel, point) -> FourTermComplexAtPoint:
     if len(point) != n:
         raise ValueError("point length must match the ambient ring")
     for comp in model.section:
-        if comp.evaluate(point) != 0:
+        value = comp._at(point)
+        if value != 0:
             raise PreconditionError(
                 f"point is not on the zero locus: component {comp} evaluates to "
-                f"{comp.evaluate(point)}"
+                f"{value}"
             )
     m0 = [
         [canon(model.weights.rows[a][i] * point[i]) for a in range(k)]

@@ -9,7 +9,6 @@ silently truncating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -30,25 +29,26 @@ from .poly import (
     mono_lcm,
     sub_scaled,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Caps for a single Groebner computation."""
 
-    max_basis: int = 2000
-    max_degree: int = 40
+    __slots__ = ("max_basis", "max_degree")
+
+    def __init__(self, max_basis: int = 2000, max_degree: int = 40):
+        object.__setattr__(self, "max_basis", max_basis)
+        object.__setattr__(self, "max_degree", max_degree)
 
 
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """A finitely generated ideal; zero generators are dropped on entry."""
 
-    ring: Ring
-    generators: tuple[Poly, ...]
+    __slots__ = ("ring", "generators")
 
     def __init__(self, ring: Ring, generators: Iterable[Poly]):
         gens = []
@@ -61,13 +61,15 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """A reduced Groebner basis: monic, interreduced, canonically sorted."""
 
-    ring: Ring
-    order: MonomialOrder
-    basis: tuple[Poly, ...]
+    __slots__ = ("ring", "order", "basis")
+
+    def __init__(self, ring: Ring, order: MonomialOrder, basis: tuple[Poly, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "basis", basis)
 
 
 def contains_one(gb: GroebnerBasis) -> bool:

@@ -188,77 +188,127 @@ class ModelFile:
 # text parsing
 
 
-# each pattern matches from a given offset and cannot fail; "\w" is
-# exactly ch.isalnum() or ch == "_"
-_BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")  # blanks and comments
-_LINE_BLANKS = re.compile(r"(?:[ \t\r]|#[^\n]*)*")  # the same within a line
-_KEY = re.compile(r"\w*")
-_BARE = re.compile(r"[^,\]# \t\r\n]*")  # an unquoted value
+# One pattern reads the whole file: each match is the blanks and ``#``
+# comments before a token, then the token.  A token is a quoted string
+# (its closing quote missing when the text ends first), "[", "]", ",",
+# or a bare value, which runs up to the next blank, comma, "]" or "#"
+# and is empty only at the end of the text.
+_TOKEN = re.compile(
+    r'([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)("[^"]*"?|[\[\],]|[^,\]# \t\r\n]*)'
+)
 
 
-def _scan_value(text: str, pos: int):
-    """The value starting at ``pos`` (after blanks) and the offset past it."""
-    pos = _BLANKS.match(text, pos).end()
-    ch = text[pos : pos + 1]
-    if ch == '"':
-        end = text.find('"', pos + 1)
-        if end < 0:
-            raise ModelFileError("unterminated string")
-        return text[pos + 1 : end], end + 1
-    if ch == "[":
-        items = []
-        pos = _BLANKS.match(text, pos + 1).end()
-        if text[pos : pos + 1] == "]":
-            return items, pos + 1
+def _word_prefix(tok: str) -> str:
+    """The leading characters of ``tok`` that may form a key: those with
+    ch.isalnum() or ch == "_", which are the characters "\\w" matches."""
+    if tok.isalnum():
+        return tok
+    for j, ch in enumerate(tok):
+        if not (ch.isalnum() or ch == "_"):
+            return tok[:j]
+    return tok
+
+
+def _atom(atom: str, start):
+    """A bare value: an int, a ``p/q`` rational, or else the text.
+    ``start()`` is its offset, for the error on a zero denominator."""
+    if (atom[1:] if atom[:1] == "-" else atom).isdecimal():
+        return int(atom)
+    num, slash, den = atom.partition("/")
+    if slash and (num[1:] if num[:1] == "-" else num).isdecimal() and den.isdecimal():
+        if not int(den):
+            raise ModelFileError(f"zero denominator in {atom!r} at offset {start()}")
+        return Fraction(int(num), int(den))
+    return atom
+
+
+def _read_entries(text: str) -> dict:
+    """The ``key = value`` entries of a model file, in file order; the
+    grammar is in README "Model files".
+
+    One loop walks the tokens, with the open lists of a value on a
+    stack, innermost last.  Offsets are summed up only for an error, or
+    for an "=" glued to the text after it ("x=[1]", "x =[1]"): that text
+    is read again from just past the "=", as a value of its own.
+    """
+    entries: dict = {}
+    stack: list[list] = []
+    toks = _TOKEN.findall(text)
+    it = iter(toks)
+    base = 0  # the offset toks starts at
+
+    def start(before=None):
+        # the offset of the token read last, or of the character at
+        # ``before`` in its blanks; ``it`` is used up after this
+        used = len(toks) - len(list(it)) - 1
+        offset = base + sum(len(b) + len(t) for b, t in toks[:used])
+        return offset + (len(toks[used][0]) if before is None else before)
+
+    while True:
+        blanks, tok = next(it)
+        if not tok:
+            return entries
+        key = _word_prefix(tok)
+        if not key:
+            raise ModelFileError(f"expected a key at offset {start()}")
+        if key in entries:
+            raise ModelFileError(f"duplicate key {key!r}")
+        eq = len(key)  # where the "=" must stand in tok
+        if eq == len(tok):
+            blanks, tok = next(it)
+            newline = blanks.find("\n")
+            if newline >= 0:
+                raise ModelFileError(
+                    f"expected '=' at offset {start(newline)}, found '\\n'"
+                )
+            eq = 0
+        if tok[eq : eq + 1] != "=":
+            offset = start() + eq
+            raise ModelFileError(
+                f"expected '=' at offset {offset}, found {tok[eq : eq + 1]!r}"
+            )
+        if len(tok) > eq + 1:
+            # a value glued to the "=": read on from just past it
+            base = start() + eq + 1
+            toks = _TOKEN.findall(text, base)
+            it = iter(toks)
+        blanks, tok = next(it)
         while True:
-            value, pos = _scan_value(text, pos)
-            items.append(value)
-            pos = _BLANKS.match(text, pos).end()
-            ch = text[pos : pos + 1]
-            if ch == ",":
-                pos = _BLANKS.match(text, pos + 1).end()
-                if text[pos : pos + 1] == "]":  # trailing comma
-                    return items, pos + 1
-                continue
-            if ch != "]":
-                raise ModelFileError(f"expected ']' at offset {pos}, found {ch!r}")
-            return items, pos + 1
-    start = pos
-    pos = _BARE.match(text, pos).end()
-    atom = text[start:pos]
-    if not atom:
-        raise ModelFileError(f"empty value at offset {start}")
-    neg = atom[1:] if atom.startswith("-") else atom
-    if neg.isdigit():
-        return int(atom), pos
-    if "/" in atom:
-        num, _, den = atom.partition("/")
-        numneg = num[1:] if num.startswith("-") else num
-        if numneg.isdigit() and den.isdigit():
-            if not int(den):
-                raise ModelFileError(f"zero denominator in {atom!r} at offset {start}")
-            return Fraction(int(num), int(den)), pos
-    return atom, pos
+            if tok == "[":
+                blanks, tok = next(it)
+                if tok != "]":
+                    stack.append([])
+                    continue
+                value = []
+            elif not tok or tok == "," or tok == "]":
+                raise ModelFileError(f"empty value at offset {start()}")
+            elif tok[0] == '"':
+                if len(tok) < 2 or tok[-1] != '"':
+                    raise ModelFileError("unterminated string")
+                value = tok[1:-1]
+            else:
+                value = _atom(tok, start)
+            # close each list the value completes
+            while stack:
+                stack[-1].append(value)
+                blanks, tok = next(it)
+                if tok == ",":
+                    blanks, tok = next(it)
+                    if tok != "]":  # else a trailing comma
+                        break
+                elif tok != "]":
+                    offset = start()
+                    raise ModelFileError(
+                        f"expected ']' at offset {offset}, found {tok[:1]!r}"
+                    )
+                value = stack.pop()
+            else:
+                entries[key] = value
+                break
 
 
 def parse_model_text(text: str) -> ModelFile:
-    entries: dict = {}
-    pos = _BLANKS.match(text).end()
-    while pos < len(text):
-        end = _KEY.match(text, pos).end()
-        key = text[pos:end]
-        if not key:
-            raise ModelFileError(f"expected a key at offset {pos}")
-        if key in entries:
-            raise ModelFileError(f"duplicate key {key!r}")
-        pos = _LINE_BLANKS.match(text, end).end()
-        if text[pos : pos + 1] != "=":
-            raise ModelFileError(
-                f"expected '=' at offset {pos}, found {text[pos : pos + 1]!r}"
-            )
-        entries[key], pos = _scan_value(text, pos + 1)
-        pos = _BLANKS.match(text, pos).end()
-    return ModelFile(entries)
+    return ModelFile(_read_entries(text))
 
 
 def load_model_file(path: str) -> ModelFile:

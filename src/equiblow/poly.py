@@ -273,6 +273,49 @@ class Poly:
             out[m] = c
         return cls._make(ring, out)
 
+    @classmethod
+    def _sum_of_products(cls, ring: Ring, pairs) -> "Poly":
+        """The sum of a * b over the pairs of polynomials, with the terms in
+        the order that ``acc = acc + a * b`` from the zero polynomial gives.
+
+        Each product is built in its own dict, as ``__mul__`` builds it,
+        and then added on, as ``__add__`` adds: a product's terms can
+        cancel and come back, which moves them to its end, before they
+        meet the sum.  A product with a one-term factor has distinct
+        monomials, and a product onto an empty sum is the sum itself, so
+        those go into the sum directly.
+        """
+        acc: dict = {}
+        for a, b in pairs:
+            at, bt = a.terms, b.terms
+            if not at or not bt:
+                continue
+            prod = acc if not acc or len(at) == 1 or len(bt) == 1 else {}
+            for m1, c1 in at.items():
+                for m2, c2 in bt.items():
+                    m = tuple(map(add, m1, m2))
+                    s = c1 * c2
+                    if m in prod:
+                        s += prod[m]
+                        if not s:
+                            del prod[m]
+                            continue
+                    if type(s) is not int and s.denominator == 1:
+                        s = s.numerator
+                    prod[m] = s
+            if prod is acc:
+                continue
+            for m, c in prod.items():
+                if m in acc:
+                    c += acc[m]
+                    if not c:
+                        del acc[m]
+                        continue
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                acc[m] = c
+        return cls._make(ring, acc)
+
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
@@ -313,8 +356,11 @@ class Poly:
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
+    # each operator tests ``type(other) is Poly`` first: the Fraction
+    # arm of isinstance goes through ABCMeta.__instancecheck__
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
         terms = dict(self.terms)
@@ -335,7 +381,7 @@ class Poly:
         return Poly._make(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         return self + (-other)
 
@@ -343,7 +389,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             c = canon(other)
             if c == 0:
                 return self.ring.zero()
@@ -417,11 +463,15 @@ class Poly:
         """The canonical value at a rational point."""
         if len(point) != self.ring.n:
             raise ValueError("point length does not match ring")
-        pt = [canon(v) for v in point]
+        return self._at([canon(v) for v in point])
+
+    def _at(self, point: Sequence):
+        """``evaluate`` at a point of the ring's length whose coordinates
+        are canonical already; neither is checked."""
         total = 0
         for m, c in self.terms.items():
             val = c
-            for x, e in zip(pt, m):
+            for x, e in zip(point, m):
                 if e:
                     if not x:
                         break  # the term vanishes
@@ -460,7 +510,7 @@ class Poly:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         return (
             isinstance(other, Poly)
@@ -594,7 +644,10 @@ _NAME_TAIL = re.compile(r"\w*")  # the characters ch.isalnum() or ch == "_"
 
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
-    """Tokens (kind, text, offset) of polynomial text, ending with "end"."""
+    """Tokens (kind, text, offset) of polynomial text, ending with "end".
+
+    An int is a run of the digits ``int`` reads (ch.isdecimal()); any
+    other digit, such as "²", is an unexpected character."""
     toks = []
     n = len(text)
     pos = 0
@@ -602,10 +655,10 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
         ch = text[pos]
         if ch.isspace():
             pos += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = pos
             pos += 1
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             toks.append(("int", text[start:pos], start))
         elif ch.isalpha() or ch == "_":

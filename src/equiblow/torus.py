@@ -17,7 +17,6 @@ have rank below k have a nontrivial stabilizer, so the one scan,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -25,13 +24,13 @@ from typing import Iterable, Sequence
 from . import groebner, linalg
 from .errors import BudgetExceededError, PreconditionError
 from .poly import Mono, Poly
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Record):
     """k x n integer weight matrix for a diagonal torus action."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(map(int, row)) for row in rows)
@@ -59,8 +58,7 @@ class WeightMatrix:
         return WeightMatrix([[c[a] for c in cols] for a in range(self.k)])
 
 
-@dataclass(frozen=True)
-class Subtorus:
+class Subtorus(Record):
     """A subtorus given by a saturated cocharacter sublattice.
 
     ``cochar`` holds d rows of length k in Hermite-canonical form; d is
@@ -68,8 +66,7 @@ class Subtorus:
     finite-index sublattice names a different group.
     """
 
-    cochar: tuple[tuple[int, ...], ...]
-    ambient_rank: int
+    __slots__ = ("cochar", "ambient_rank")
 
     def __init__(self, cochar: Iterable[Iterable[int]], ambient_rank: int):
         raw = [list(int(x) for x in row) for row in cochar]
@@ -118,12 +115,14 @@ class Subtorus:
         return (-self.dim, self.cochar)
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(Record):
     """One isotypic component: the restricted weight and the part."""
 
-    weight: tuple[int, ...]
-    part: Poly
+    __slots__ = ("weight", "part")
+
+    def __init__(self, weight: tuple[int, ...], part: Poly):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "part", part)
 
 
 def monomial_weight(m: Mono, weights: WeightMatrix) -> tuple[int, ...]:

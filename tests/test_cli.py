@@ -310,6 +310,15 @@ MODEL_FILE_ERRORS = {
         'potential = "x*y"\nsection = ["y", "x^", "t"]\n',
         "error: bad polynomial: expected int, found '' (at position 2)\n",
     ),
+    # a digit int() does not read is no digit of either reader
+    "superscript-in-potential": (
+        'potential = "²*x*y"\n',
+        "error: bad polynomial: unexpected character '²' (at position 0)\n",
+    ),
+    "superscript-in-basepoint": (
+        'potential = "x*y"\nbasepoint = [², 0, 0]\n',
+        "error: basepoint must list one rational per variable\n",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""No unused imports in the package, checked with the standard library.
+"""No unused imports in the package, checked with the standard library,
+and no heavy standard-library module imported at start-up.
 
 A name that a module of ``src/equiblow`` imports at module level must be
 read somewhere in that module, or be listed in its ``__all__`` (the
@@ -9,6 +10,8 @@ which is a use, not a bare re-export.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,21 @@ def test_the_check_sees_an_unused_import():
     )
     read = _names_read(tree)
     assert {nm for nm in _module_imports(tree) if nm not in read} == {"Fraction"}
+
+
+def test_the_cli_imports_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which cost the
+    # start-up of every command and which nothing in the package needs
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import equiblow.cli; "
+        "print(sorted(set(sys.modules) - before & set(sys.argv[2:])))"
+    )
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent), *heavy],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

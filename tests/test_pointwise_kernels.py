@@ -1,8 +1,9 @@
 """Pointwise kernels checked against the polynomial arithmetic they
 replace: the Jacobian at a point against derivative polynomials evaluated
-there, the series residual on a shared power table against one table per
-component, and the matrix product that skips zero factors against the
-full triple loop, term order included."""
+there, the evaluation at a canonical point against ``evaluate``, the
+series residual on a shared power table against one table per
+component, and the sums of products of the matrix product and the weak
+model check against ``acc = acc + a * b``, term order included."""
 
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 from equiblow import Ring, derivative_matrix, parse_poly
 from equiblow.blowup import poly_mat_mul
 from equiblow.dcrit import _jacobian_at, _series_eval, _series_mul, _series_powers
-from equiblow.poly import Poly
+from equiblow.poly import Poly, canon
 from scalars import is_canonical_scalar
 
 NAMES = ("x", "y", "z", "u", "v")
@@ -167,9 +168,13 @@ def matrix_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     ring = Ring(NAMES[:n])
     rows, inner, cols = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
-    # half the entries are zero, as in identity lifts and default corrections
+    # half the entries are zero, as in identity lifts and default
+    # corrections, and many have one term, as the section components of
+    # a monomial potential and the constants of the stabilizer sum
     entry = st.one_of(
-        st.just(ring.zero()), polys(n, max_exp=2, max_terms=3, min_terms=1)
+        st.just(ring.zero()),
+        polys(n, max_exp=2, max_terms=3, min_terms=1),
+        polys(n, max_exp=2, max_terms=1, min_terms=1),
     )
 
     def matrix(r, c):
@@ -178,11 +183,58 @@ def matrix_pairs(draw):
     return ring, matrix(rows, inner), matrix(inner, cols)
 
 
-@given(matrix_pairs())
-def test_poly_mat_mul_equals_the_full_triple_loop(case):
+def _naive_sum(pairs, ring):
+    acc = ring.zero()
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+@given(matrix_pairs(), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+def test_poly_mat_mul_equals_the_full_triple_loop(case, ints):
     ring, A, B = case
     got = poly_mat_mul(A, B, ring)
     want = _naive_mat_mul(A, B, ring)
     assert [[items(e) for e in row] for row in got] == [
         [items(e) for e in row] for row in want
     ]
+    # the two sums of check_weak_local_model: a cofactor row against the
+    # section, and integer multiples of the rows of the restricted cofactor
+    columns = list(zip(*B))
+    for row in A:
+        sums = [list(zip(row, col)) for col in columns]
+        sums.append(list(zip(map(ring.const, ints), row)))
+        for pairs in sums:
+            got = Poly._sum_of_products(ring, pairs)
+            assert items(got) == items(_naive_sum(pairs, ring))
+
+
+def test_a_product_that_cancels_into_the_sum_keeps_the_sum_order():
+    # (x + y)*(x + y) gives x*y twice.  Added term by term, the first
+    # cancels the sum's -x*y and the second lands last; added as the
+    # finished product, 2*x*y meets -x*y once and x*y stays first.
+    ring = Ring(NAMES[:2])
+    x, y = ring.gens()
+    pairs = [(ring.const(-1), x * y), (x + y, x + y)]
+    got = Poly._sum_of_products(ring, pairs)
+    assert items(got) == items(_naive_sum(pairs, ring))
+    assert list(got.terms) == [(1, 1), (2, 0), (0, 2)]
+
+
+# ---------------------------------------------------------------------------
+# evaluation at a canonical point
+
+
+@given(sections_and_points())
+def test_evaluation_at_a_canonical_point_equals_evaluate(case):
+    ring, section, point = case
+    canonical = [canon(x) for x in point]
+    for p in section:
+        got = p._at(canonical)
+        assert got == p.evaluate(point) and is_canonical_scalar(got)
+
+
+def test_evaluate_still_refuses_a_float():
+    p = parse_poly("x + 1", Ring(NAMES[:1]))
+    with pytest.raises(TypeError):
+        p.evaluate((0.5,))
