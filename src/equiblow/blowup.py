@@ -195,9 +195,10 @@ class BlowupChart:
     Every chart of one atlas shares the parent's int weight columns
     (``columns``), the same columns restricted to the center
     (``restricted``) and the moving coordinates, the ones whose
-    restricted column is nonzero.  ``make_charts`` computes them once;
-    the chart weights, the isotypic split of ``intrinsic_ideal`` and the
-    fiber weights of ``stability`` are all read off them.
+    restricted column is nonzero.  ``atlas_data`` computes them once,
+    and checks every chart's coordinate names; the chart weights, the
+    isotypic split of ``intrinsic_ideal`` and the fiber weights of
+    ``stability`` are all read off them.
     """
 
     __slots__ = (
@@ -226,7 +227,7 @@ class BlowupChart:
         moving: tuple[int, ...],
     ):
         """``columns``, ``restricted`` and ``moving`` are the atlas-wide
-        data that ``make_charts`` computes once."""
+        data that ``atlas_data`` computes, and name checks, once."""
         if parent_weights.k and parent_weights.n != parent_ring.n:
             raise ValueError("weight matrix width must match the ring")
         moving_set = set(moving)
@@ -235,25 +236,12 @@ class BlowupChart:
                 f"pivot coordinate {parent_ring.names[pivot]!r} is not moving "
                 "under the center subtorus"
             )
-        name = "chart_" + parent_ring.names[pivot]
-        # x_k -> xi_k, moving x_i -> xi_k·T_i, fixed x_i -> x_i, and
-        # chart variable i keeps position i
-        names = [
-            "xi_" + nm if i == pivot else "T_" + nm if i in moving_set else nm
-            for i, nm in enumerate(parent_ring.names)
-        ]
-        if len(set(names)) != len(names):
-            clash = next(nm for nm in names if names.count(nm) > 1)
-            raise PreconditionError(
-                f"coordinate {clash!r} of {name} clashes with a model "
-                "variable of the same name"
-            )
         self.parent_ring = parent_ring
         self.parent_weights = parent_weights
         self.center = center
         self.pivot = pivot
-        self.name = name
-        self.ring = Ring(names)
+        self.name = chart_name(parent_ring, pivot)
+        self.ring = Ring(_chart_names(parent_ring.names, pivot, moving_set))
         # w(T_i) = w_i - w_k in every row
         ratios = moving_set - {pivot}
         self.weights = WeightMatrix(
@@ -302,21 +290,63 @@ class BlowupChart:
         return f"BlowupChart({self.name}, vars={list(self.ring.names)})"
 
 
-def make_charts(
-    ring: Ring, weights: WeightMatrix, center: Subtorus
-) -> list[BlowupChart]:
-    """The chart atlas of the blowup along the center's fixed locus.
+def chart_name(ring: Ring, pivot: int) -> str:
+    """Name of the chart whose pivot is coordinate ``pivot`` of ``ring``."""
+    return "chart_" + ring.names[pivot]
 
-    One chart per moving coordinate, in coordinate order.  The weight
-    columns are restricted to the center once, here, and every chart
-    shares them.  A chart coordinate named like a model variable raises
-    ``PreconditionError``.
+
+def _chart_names(names, pivot: int, moving_set) -> list[str]:
+    """Coordinate names of one chart: x_k -> xi_k, moving x_i -> T_i
+    (x_i = xi_k·T_i), fixed x_i -> x_i; chart variable i keeps
+    position i."""
+    return [
+        "xi_" + nm if i == pivot else "T_" + nm if i in moving_set else nm
+        for i, nm in enumerate(names)
+    ]
+
+
+def atlas_data(ring: Ring, weights: WeightMatrix, center: Subtorus):
+    """``(columns, restricted, moving)`` shared by every chart of the
+    blowup along the center's fixed locus: the parent's int weight
+    columns, the same columns restricted to the center, and the moving
+    coordinates, in coordinate order, one per chart.
+
+    Raises ``PreconditionError`` when nothing moves, or when a chart
+    coordinate is named like a model variable; the error names the first
+    such chart in atlas order and its first clashing coordinate, so
+    building one chart of an atlas refuses what building all would.
     """
     columns = weights.columns()
     restricted = restricted_columns(weights, center)
     moving = tuple(i for i, r in enumerate(restricted) if any(r))
     if not moving:
         raise PreconditionError("center equals ambient; blowup empty")
+    names = ring.names
+    moving_set = set(moving)
+    # only a renamed coordinate, T_ or xi_, can take a fixed one's name
+    fixed = {nm for i, nm in enumerate(names) if i not in moving_set}
+    if any("T_" + names[i] in fixed or "xi_" + names[i] in fixed for i in moving):
+        for pivot in moving:
+            chart = _chart_names(names, pivot, moving_set)
+            clash = next((nm for nm in chart if chart.count(nm) > 1), None)
+            if clash is not None:
+                raise PreconditionError(
+                    f"coordinate {clash!r} of {chart_name(ring, pivot)} clashes "
+                    "with a model variable of the same name"
+                )
+    return columns, restricted, moving
+
+
+def make_charts(
+    ring: Ring, weights: WeightMatrix, center: Subtorus
+) -> list[BlowupChart]:
+    """The chart atlas of the blowup along the center's fixed locus.
+
+    One chart per moving coordinate, in coordinate order, all sharing
+    one ``atlas_data``.  A chart coordinate named like a model variable
+    raises ``PreconditionError``.
+    """
+    columns, restricted, moving = atlas_data(ring, weights, center)
     return [
         BlowupChart(ring, weights, center, i, columns, restricted, moving)
         for i in moving

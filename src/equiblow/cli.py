@@ -13,7 +13,14 @@ import sys
 from pathlib import Path
 
 from . import report as rpt
-from .blowup import check_weak_local_model, embedding_independence_check, make_charts
+from .blowup import (
+    BlowupChart,
+    atlas_data,
+    chart_name,
+    check_weak_local_model,
+    embedding_independence_check,
+    make_charts,
+)
 from .dcrit import (
     SmallExtension,
     cohomology_dims,
@@ -172,23 +179,25 @@ def cmd_crit(args, built, budget) -> tuple[list, dict, int]:
 
 
 def cmd_semistable(args, built, budget) -> tuple[list, dict, int]:
-    center = Subtorus.full(built.weights.k)
-    charts = make_charts(built.ring, built.weights, center)
-    by_name = {c.name: c for c in charts}
+    # the named chart alone is built; the whole atlas is only checked
+    ring, weights = built.ring, built.weights
+    center = Subtorus.full(weights.k)
+    columns, restricted, moving = atlas_data(ring, weights, center)
     if args.chart is None:
-        if len(charts) != 1:
+        if len(moving) != 1:
             raise ModelFileError(
                 "--chart is required when the atlas has several charts"
             )
-        chart = charts[0]
-    elif args.chart in by_name:
-        chart = by_name[args.chart]
+        pivot = moving[0]
     else:
-        raise ModelFileError(f"no chart named {args.chart!r}")
+        pivot = next((i for i in moving if chart_name(ring, i) == args.chart), None)
+        if pivot is None:
+            raise ModelFileError(f"no chart named {args.chart!r}")
+    chart = BlowupChart(ring, weights, center, pivot, columns, restricted, moving)
     if args.point is None:
         raise ModelFileError("--point is required")
     point = _parse_point(args.point, chart.ring.n)
-    verdict = point_semistable(point, chart, charts)
+    verdict = point_semistable(point, chart)
     ledger = {
         "chart": chart.name,
         "point": rpt.point_str(point),
@@ -377,20 +386,19 @@ def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
     )
 
     # stability verdicts on the blown-up three-axes model
-    chs = [o.chart for o in e2]
-    chart_x = chs[0]
+    chart_x = e2[0].chart
     check("unstable:e2:chart_x", rpt.ideal_strings(e2[0].unstable) == ["T_y"])
     check(
         "semistable:e2:(0,1,0)",
-        point_semistable((0, 1, 0), chart_x, chs).semistable,
+        point_semistable((0, 1, 0), chart_x).semistable,
     )
     check(
         "unstable-point:e2:(1,0,0)",
-        not point_semistable((1, 0, 0), chart_x, chs).semistable,
+        not point_semistable((1, 0, 0), chart_x).semistable,
     )
     check(
         "semistable:e2:(0,1,5)",
-        point_semistable((0, 1, 5), chart_x, chs).semistable,
+        point_semistable((0, 1, 5), chart_x).semistable,
     )
     return charts_out, checks
 
@@ -406,8 +414,12 @@ def cmd_corpus(args, built, budget) -> tuple[list, dict, int]:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its map from command name to subparser.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser and, per command name, the table that
+    ``_parse_words`` scans: the command's options by flag, its
+    positional arguments, the defaults of all its arguments, and its
+    required options.  The table holds the very actions that
+    ``add_argument`` returned, so each argument is declared once.
 
     Built once per process; parsing returns a fresh namespace per call.
     """
@@ -419,57 +431,76 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
+    declared: dict[str, list[argparse.Action]] = {}
 
-    def common(sp):
-        sp.add_argument("--json", metavar="PATH", help="write the JSON report here")
-        sp.add_argument(
+    def command(name, summary):
+        """The ``add_argument`` of a new subcommand, recording each action."""
+        sp = sub.add_parser(name, help=summary)
+        actions = declared[name] = []
+
+        def add(*flags, **kwargs):
+            actions.append(sp.add_argument(*flags, **kwargs))
+
+        return add
+
+    def common(add):
+        add("--json", metavar="PATH", help="write the JSON report here")
+        add(
             "--budget",
             type=int,
             metavar="N",
             help="cap Groebner basis size and degree at N",
         )
 
-    sp = sub.add_parser("blowup", help="charts, intrinsic ideals, stability")
-    sp.add_argument("file")
-    sp.add_argument("--chart", metavar="NAME")
-    sp.add_argument("--full", action="store_true", help="iterate to termination")
-    common(sp)
+    add = command("blowup", "charts, intrinsic ideals, stability")
+    add("file")
+    add("--chart", metavar="NAME")
+    add("--full", action="store_true", help="iterate to termination")
+    common(add)
 
-    sp = sub.add_parser("crit", help="critical-locus model and its checks")
-    sp.add_argument("file")
-    sp.add_argument("--point", metavar="a,b,c")
-    common(sp)
+    add = command("crit", "critical-locus model and its checks")
+    add("file")
+    add("--point", metavar="a,b,c")
+    common(add)
 
-    sp = sub.add_parser("semistable", help="judge one point of a blowup chart")
-    sp.add_argument("file")
-    sp.add_argument("--chart", metavar="NAME")
-    sp.add_argument("--point", metavar="a,b,c")
-    common(sp)
+    add = command("semistable", "judge one point of a blowup chart")
+    add("file")
+    add("--chart", metavar="NAME")
+    add("--point", metavar="a,b,c")
+    common(add)
 
-    sp = sub.add_parser("obstruction", help="obstruction class of a small extension")
-    sp.add_argument("file")
-    sp.add_argument("--point", metavar="a,b,c")
-    sp.add_argument("--direction", metavar="a,b,c")
-    sp.add_argument("--ext-order", type=int, default=2, metavar="m")
-    common(sp)
+    add = command("obstruction", "obstruction class of a small extension")
+    add("file")
+    add("--point", metavar="a,b,c")
+    add("--direction", metavar="a,b,c")
+    add("--ext-order", type=int, default=2, metavar="m")
+    common(add)
 
-    sp = sub.add_parser("omega-verify", help="section equivalence report")
-    sp.add_argument("file")
-    common(sp)
+    add = command("omega-verify", "section equivalence report")
+    add("file")
+    common(add)
 
-    sp = sub.add_parser("fiber-check", help="blowup commutes with the fiber")
-    sp.add_argument("file")
-    sp.add_argument("--at", default="0", metavar="c")
-    common(sp)
+    add = command("fiber-check", "blowup commutes with the fiber")
+    add("file")
+    add("--at", default="0", metavar="c")
+    common(add)
 
-    sp = sub.add_parser("independence", help="embedding independence of charts")
-    sp.add_argument("file")
-    sp.add_argument("--aux", required=True, metavar="u,v")
-    common(sp)
+    add = command("independence", "embedding independence of charts")
+    add("file")
+    add("--aux", required=True, metavar="u,v")
+    common(add)
 
-    sp = sub.add_parser("corpus", help="run every bundled example")
-    common(sp)
-    return p, sub.choices
+    add = command("corpus", "run every bundled example")
+    common(add)
+    return p, {
+        name: (
+            {flag: a for a in actions for flag in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            {a.dest: a.default for a in actions},
+            [a for a in actions if a.option_strings and a.required],
+        )
+        for name, actions in declared.items()
+    }
 
 
 # each command takes the parsed arguments, the built model (None for
@@ -493,18 +524,67 @@ _SIGNED_OPTIONS = ("--point", "--direction", "--at")
 _NEGATIVE = re.compile(r"-[0-9.]")
 
 
+def _scan(words: list[str], table: tuple) -> argparse.Namespace | None:
+    """The namespace of a well-formed command line, read in one pass over
+    its command's table, or None for any line that is not.
+
+    Well formed: exact long flags, each at most once; a ``store_true``
+    flag bare; any other flag as ``--flag=value`` or ``--flag value``
+    with a value that does not start with '-' and that the flag's
+    ``type`` accepts; every required flag; one word per positional
+    argument.  Such a line means the same to argparse: a flag's value
+    is converted by its ``type``, an absent argument takes its default.
+    """
+    flags, positionals, defaults, required = table
+    values = dict(defaults)
+    values["command"] = words[0]
+    seen = set()
+    given = []
+    i, n = 1, len(words)
+    while i < n:
+        word = words[i]
+        i += 1
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        action = flags.get(flag)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # store_true takes no value
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            if i == n or words[i].startswith("-"):
+                return None
+            value = words[i]
+            i += 1
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        values[action.dest] = value
+    if len(given) != len(positionals) or not seen.issuperset(required):
+        return None
+    for action, word in zip(positionals, given):
+        values[action.dest] = word
+    return argparse.Namespace(**values)
+
+
 def _parse_words(words: list[str]) -> argparse.Namespace:
-    """Parse with the named command's subparser directly, skipping the
-    top-level pass that would hand it every word after the command.
-    When the first word is no command or words are left over, the
-    top-level parser parses them all, so usage, help and every error
-    message stay those of the full parse."""
-    parser, commands = _build_parser()
-    sub = commands.get(words[0]) if words else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(words[1:])
-        if not extra:
-            args.command = words[0]
+    """Parse a well-formed command line (see ``_scan``) by one scan of
+    its command's table.  Every other line, and every line whose first
+    word is no command, goes to the top-level parser, so usage, help and
+    every error message are argparse's own."""
+    parser, tables = _build_parser()
+    table = tables.get(words[0]) if words else None
+    if table is not None:
+        args = _scan(words, table)
+        if args is not None:
             return args
     return parser.parse_args(words)
 

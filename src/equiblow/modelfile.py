@@ -381,7 +381,10 @@ class BuiltModel:
 
 
 def build_model(mf: ModelFile) -> BuiltModel:
-    ring = Ring(mf.variables)
+    try:
+        ring = Ring(mf.variables)
+    except ValueError as e:  # a bad or repeated variable name
+        raise ModelFileError(str(e)) from None
     weights = WeightMatrix(mf.weights)
     try:
         if mf.potential is not None:

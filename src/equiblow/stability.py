@@ -120,17 +120,18 @@ def _fiber_support(point, chart: BlowupChart) -> list[int]:
     return sorted(support)
 
 
-def point_semistable(point, chart: BlowupChart, atlas) -> StabilityVerdict:
+def point_semistable(point, chart: BlowupChart) -> StabilityVerdict:
     """Stability verdict for a rational point of a blowup chart.
 
     The action is diagonal, so the point is unstable exactly when 0 lies
     outside the convex hull of the center-restricted fiber weights of its
     fiber support, on the exceptional locus and off it alike.  The
     witness is the separating direction lambda of the hull LP, and the
-    limit is taken on the first atlas chart whose pivot minimises
-    lambda . w over the support: there every ratio coordinate pairs
-    non-negatively with lambda and the exceptional coordinate positively.
-    ``atlas`` is every chart of the center, ``chart`` among them.
+    limit is taken on the first chart of the atlas, in the order of
+    ``chart.moving``, whose pivot minimises lambda . w over the support:
+    there every ratio coordinate pairs non-negatively with lambda and the
+    exceptional coordinate positively.  That chart is built from
+    ``chart``'s atlas data only when it is not ``chart`` itself.
     """
     point = tuple(map(canon, point))
     if len(point) != chart.ring.n:
@@ -142,13 +143,16 @@ def point_semistable(point, chart: BlowupChart, atlas) -> StabilityVerdict:
         return StabilityVerdict(True)
     pairing = {i: sum(a * b for a, b in zip(direction, fiber[i])) for i in support}
     lowest = min(pairing.values())
-    for other in atlas:
-        if pairing.get(other.pivot) == lowest:
-            carried = point_to_chart(point, chart, other)
-            limits = WeightMatrix(zip(*restricted_columns(other.weights, other.center)))
-            limit = one_ps_limit(carried, direction, limits)
-            return StabilityVerdict(False, direction, limit, other.name)
-    return StabilityVerdict(False, direction, None, chart.name)
+    # the support lies in chart.moving, so some pivot attains the minimum
+    pivot = next(i for i in chart.moving if pairing.get(i) == lowest)
+    other = chart if pivot == chart.pivot else BlowupChart(
+        chart.parent_ring, chart.parent_weights, chart.center, pivot,
+        chart.columns, chart.restricted, chart.moving,
+    )
+    carried = point_to_chart(point, chart, other)
+    limits = WeightMatrix(zip(*restricted_columns(other.weights, other.center)))
+    limit = one_ps_limit(carried, direction, limits)
+    return StabilityVerdict(False, direction, limit, other.name)
 
 
 def unstable_ideal(chart: BlowupChart) -> Ideal:

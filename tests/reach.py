@@ -7,7 +7,10 @@ Runs, in one process under a `sys.settrace` line tracer:
 - `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
   `omega-verify` and `fiber-check` on every corpus and bench model file,
   and on one section file written to a temporary directory;
-- every subcommand once with `--budget 0`.
+- every subcommand once with `--budget 0`;
+- three lines that the table scan of `cli._parse_words` leaves to
+  argparse: one with flag prefixes, one with a repeated flag, one with
+  a value that starts with '-'.
 
 Then, per module of `src/equiblow`, it prints the statements no run
 reached (as line ranges) and the functions no run entered, then the
@@ -55,6 +58,12 @@ EVERY_SUBCOMMAND = (
     ["independence", "src/equiblow/corpus/e1aux.kb", "--aux", "u"],
     ["corpus"],
 )
+# well-formed lines take the table scan; these reach argparse
+ARGPARSE_LINES = (
+    ["semistable", "src/equiblow/corpus/e2.kb", "--cha", "chart_x", "--poi", "-1,0,0"],
+    ["crit", "src/equiblow/corpus/square.kb", "--point=1,0", "--point", "0,0"],
+    ["obstruction", "src/equiblow/corpus/square.kb", "--budget", "-1"],
+)
 
 
 def command_lines(scratch: Path) -> list[list[str]]:
@@ -86,6 +95,8 @@ def command_lines(scratch: Path) -> list[list[str]]:
             add([cmd, rel])
     for argv in EVERY_SUBCOMMAND:
         add([*argv, "--budget", "0"])
+    for argv in ARGPARSE_LINES:
+        add(list(argv))
     return out
 
 

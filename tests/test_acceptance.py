@@ -361,12 +361,12 @@ def test_criterion_06_exceptional_fiber_stability():
     atlas = make_charts(R3, W3, Subtorus.full(1))
     cx = atlas[0]
     assert sorted(str(p) for p in unstable_ideal(cx).generators) == ["T_y"]
-    v = point_semistable((0, 1, 0), cx, atlas)
+    v = point_semistable((0, 1, 0), cx)
     assert v.semistable
-    v = point_semistable((1, 0, 0), cx, atlas)
+    v = point_semistable((1, 0, 0), cx)
     assert not v.semistable
     assert v.direction == (1,)
-    v = point_semistable((0, 1, 5), cx, atlas)
+    v = point_semistable((0, 1, 5), cx)
     assert v.semistable
     agreements = 0
     for k in (1, 2):

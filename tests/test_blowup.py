@@ -83,6 +83,45 @@ def test_make_charts_requires_a_moving_coordinate():
         make_charts(R2, WeightMatrix([(0, 0)]), FULL1)
 
 
+# names that chart renaming (T_ for a ratio, xi_ for the pivot) can hit
+CLASHING_NAMES = ["x", "y", "z", "T_x", "T_y", "xi_x", "xi_y", "T_T_x", "xi_T_x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_atlas_refuses_a_clash_as_building_every_chart_would(data):
+    # reference: each chart's coordinate names, built in atlas order; the
+    # first chart with a repeated name is the one refused
+    n = data.draw(st.integers(1, 5))
+    names = data.draw(
+        st.lists(st.sampled_from(CLASHING_NAMES), min_size=n, max_size=n, unique=True)
+    )
+    row = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    assume(any(row))
+    moving = [i for i, w in enumerate(row) if w]
+    atlas, refused = [], None
+    for pivot in moving:
+        chart = [
+            "xi_" + nm if i == pivot else "T_" + nm if i in moving else nm
+            for i, nm in enumerate(names)
+        ]
+        clash = next((nm for nm in chart if chart.count(nm) > 1), None)
+        if clash is not None:
+            refused = (
+                f"coordinate {clash!r} of chart_{names[pivot]} clashes with a "
+                "model variable of the same name"
+            )
+            break
+        atlas.append(tuple(chart))
+    try:
+        charts = make_charts(Ring(names), WeightMatrix([row]), FULL1)
+    except PreconditionError as e:
+        assert str(e) == refused
+    else:
+        assert refused is None
+        assert [c.ring.names for c in charts] == atlas
+
+
 def test_intrinsic_ideal_three_axes():
     I = Ideal(
         R3,

@@ -1,13 +1,15 @@
 """Driver behavior: subcommand output shapes, exit codes, and report
 determinism."""
 
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bench_models import write_bench_models
 from scalars import is_canonical_scalar
@@ -280,8 +282,19 @@ def test_build_model_checks_invariance_once(monkeypatch):
 
 # each file breaks one check of build_model, or two to pin their order,
 # next to test_non_invariant_potential_is_exit_2; the messages are the
-# ones the eagerly built model gave
+# ones the eagerly built model gave.  A body without its own `variables`
+# follows MODEL_HEADER.
+MODEL_HEADER = "variables = [x, y, t]\nweights = [[1, -1, 0]]\n"
 MODEL_FILE_ERRORS = {
+    # the ring's own checks, before the bad potential
+    "bad-variable-name": (
+        'variables = [1x, y, t]\nweights = [[1, -1, 0]]\npotential = "x*("\n',
+        "error: bad variable name '1x'\n",
+    ),
+    "duplicate-variable-name": (
+        'variables = [x, x, t]\nweights = [[1, -1, 0]]\npotential = "x*("\n',
+        "error: duplicate variable name 'x'\n",
+    ),
     "skew-and-short": (
         'potential = "x^2*y"\nsection = ["x"]\n',
         "error: potential is not invariant\n",
@@ -334,7 +347,7 @@ MODEL_FILE_ERRORS = {
 def test_model_file_errors_do_not_wait_for_the_model(capsys, tmp_path, case, argv):
     body, expected = MODEL_FILE_ERRORS[case]
     src = tmp_path / f"{case}.kb"
-    src.write_text("variables = [x, y, t]\nweights = [[1, -1, 0]]\n" + body)
+    src.write_text(body if body.startswith("variables") else MODEL_HEADER + body)
     code, out, err = run(capsys, argv[0], str(src), *argv[1:])
     assert (code, out, err) == (2, "", expected)
 
@@ -394,6 +407,31 @@ def test_semistable_builds_no_model(capsys, monkeypatch, tmp_path):
     assert entered == []
 
 
+def test_semistable_builds_its_chart_and_at_most_the_limit_chart(
+    capsys, monkeypatch, tmp_path
+):
+    # heavy.kb has six charts; a verdict needs the named one, plus the
+    # chart of the limit when that is another one
+    from equiblow import blowup
+
+    path = str(write_bench_models(tmp_path) / "heavy.kb")
+    points = ["0,0,0,0,0,0"] + [
+        ",".join("1" if j == i else "0" for j in range(6)) for i in range(6)
+    ]
+    built = count_calls(monkeypatch, blowup, "BlowupChart")
+    seen = set()
+    for name in ("x1", "x2", "x3", "y1", "y2", "y3"):
+        for point in points:
+            built.clear()
+            ledger = report(
+                capsys, "semistable", path, "--chart", "chart_" + name, "--point=" + point
+            )["ledger"]
+            limit_chart = ledger.get("limit_chart", ledger["chart"])
+            assert len(built) == 1 + (limit_chart != ledger["chart"]) <= 2
+            seen.add(len(built))
+    assert seen == {1, 2}
+
+
 def test_precondition_violation_is_exit_3(capsys, tmp_path):
     # fiber-check on a file without a base parameter
     src = tmp_path / "nobase.kb"
@@ -406,6 +444,8 @@ def test_precondition_violation_is_exit_3(capsys, tmp_path):
     "argv",
     [
         ["semistable", "--chart", "chart_x", "--point=0,1,0"],
+        # chart_y itself has no clash, but the atlas is checked in order
+        ["semistable", "--chart", "chart_y", "--point=1,0,0"],
         ["blowup"],
         ["blowup", "--full"],
     ],
@@ -821,10 +861,50 @@ def outcome(capsys, argv):
 
 
 def argv_battery(tmp_path):
+    """(well-formed lines, other lines).  A well-formed line, once
+    ``main`` has glued a negative value to its option, names a command
+    and uses exact long flags, each once, values that do not start with
+    '-' and that the flag's type reads, every required flag and the
+    command's positionals: the table scan parses it alone."""
     c = lambda name: str(CORPUS / name)  # noqa: E731
     e2, square = c("e2.kb"), c("square.kb")
     report_path = str(tmp_path / "out.json")
-    return [
+    well_formed = [
+        ["corpus"],
+        ["corpus", "--budget=50"],
+        ["blowup", e2],
+        ["blowup", e2, "--chart", "chart_y"],
+        ["blowup", c("e1.kb"), "--full", "--budget", "40"],
+        ["blowup", c("e1.kb"), "--full", "--json", report_path],
+        ["crit", square],
+        ["crit", c("fat.kb")],
+        ["crit", square, "--point", "1,0"],
+        ["crit", square, "--point=1,0"],
+        ["crit", square, "--point", "-1,0"],
+        ["crit", square, "--point="],
+        ["crit", square, "--point=--1,0"],
+        ["crit", square, "--budget", "٣"],
+        ["crit", "--point", "0,0", square],
+        ["crit", square, "--point", "1"],
+        ["crit", square, "--point", "a,b"],
+        ["semistable", e2, "--chart", "chart_x", "--point", "0,1,0"],
+        ["semistable", e2, "--chart", "chart_x", "--point", "-1,0,0"],
+        ["semistable", e2, "--chart", "chart_z", "--point", "0,1,0"],
+        ["semistable", e2, "--chart", "chart_x"],
+        ["semistable", e2, "--point=1,0,0"],
+        ["obstruction", square],
+        ["obstruction", square, "--point", "0,0", "--direction", "-1,0"],
+        ["obstruction", square, "--point=0,0", "--direction=1,0", "--ext-order", "3"],
+        ["omega-verify", c("square_pair.kb")],
+        ["omega-verify", square],
+        ["fiber-check", c("family.kb")],
+        ["fiber-check", c("family.kb"), "--at", "-2"],
+        ["fiber-check", c("family.kb"), "--at=-1/2"],
+        ["fiber-check", c("family.kb"), "--at", "1/0"],
+        ["independence", c("e1aux.kb"), "--aux", "u"],
+        ["independence", c("e1aux.kb"), "--aux", "w"],
+    ]
+    other = [
         [],
         ["-h"],
         ["--help"],
@@ -832,14 +912,11 @@ def argv_battery(tmp_path):
         ["nope"],
         ["nope", e2],
         ["--budget", "2", "crit", square],
-        ["corpus"],
-        ["corpus", "--budget=50"],
         ["corpus", "extra"],
-        ["blowup", e2],
-        ["blowup", e2, "--chart", "chart_y"],
         ["blowup", e2, "--ch=chart_x", "--json", report_path],
-        ["blowup", c("e1.kb"), "--full", "--budget", "40"],
         ["blowup", c("e1.kb"), "--fu"],
+        ["blowup", e2, "--full=x"],
+        ["blowup", e2, "--full", "--full"],
         ["blowup", e2, "-h"],
         ["blowup", e2, "--h"],
         ["blowup"],
@@ -847,54 +924,49 @@ def argv_battery(tmp_path):
         ["blowup", e2, "--nope"],
         ["blowup", e2, "--budget", "x"],
         ["blowup", e2, "--budget"],
-        ["crit", square],
-        ["crit", c("fat.kb")],
-        ["crit", square, "--point", "1,0"],
-        ["crit", square, "--point=1,0"],
         ["crit", square, "--poi", "-1,0"],
-        ["crit", square, "--point", "-1,0"],
         ["crit", square, "--point=-1/2,0", "--js", report_path],
         ["crit", square, "--point"],
         ["crit", square, "--point", "1,0", "--point", "0,0"],
-        ["crit", "--point", "0,0", square],
         ["crit", "--", square],
         ["crit", square, "--", "extra"],
         ["crit", square, "-"],
         ["crit", "-h"],
-        ["crit", square, "--point", "1"],
-        ["crit", square, "--point", "a,b"],
-        ["semistable", e2, "--chart", "chart_x", "--point", "0,1,0"],
         ["semistable", e2, "--cha", "chart_x", "--poi=-1,0,0"],
-        ["semistable", e2, "--chart", "chart_x", "--point", "-1,0,0"],
-        ["semistable", e2, "--chart", "chart_z", "--point", "0,1,0"],
         ["semistable", e2, "--c", "chart_x"],
-        ["semistable", e2, "--chart", "chart_x"],
-        ["obstruction", square],
-        ["obstruction", square, "--point", "0,0", "--direction", "-1,0"],
         ["obstruction", square, "--dir=1,0", "--ext-order", "3"],
         ["obstruction", square, "--ext", "x"],
+        ["obstruction", square, "--ext-order", "x"],
         ["obstruction", square, "--e", "2"],
         ["obstruction", square, "--budget", "-1"],
-        ["omega-verify", c("square_pair.kb")],
         ["omega-verify", c("square_pair.kb"), "--bud", "50"],
-        ["omega-verify", square],
-        ["fiber-check", c("family.kb")],
-        ["fiber-check", c("family.kb"), "--at", "-2"],
-        ["fiber-check", c("family.kb"), "--at=-1/2"],
         ["fiber-check", c("family.kb"), "--a", "1"],
-        ["fiber-check", c("family.kb"), "--at", "1/0"],
-        ["independence", c("e1aux.kb"), "--aux", "u"],
         ["independence", c("e1aux.kb"), "--au=u"],
         ["independence", c("e1aux.kb")],
-        ["independence", c("e1aux.kb"), "--aux", "w"],
         ["independence", c("e1aux.kb"), "--aux", "u", "--budget", "x"],
+        ["independence", c("e1aux.kb"), "--aux=u", "--aux", "u"],
     ]
+    return well_formed, other
 
 
 def test_argv_battery_matches_the_full_parse(capsys, monkeypatch, tmp_path):
+    import argparse
+
+    # every parse that reaches argparse goes through parse_known_args
+    reached = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        reached.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    well_formed, other = argv_battery(tmp_path)
     codes = set()
-    for argv in argv_battery(tmp_path):
+    for argv in well_formed + other:
+        reached.clear()
         got = outcome(capsys, argv)
+        assert bool(reached) == (argv in other), argv
         with monkeypatch.context() as m:
             m.setattr(cli, "_parse_words", full_parse)
             want = outcome(capsys, argv)
@@ -902,6 +974,83 @@ def test_argv_battery_matches_the_full_parse(capsys, monkeypatch, tmp_path):
         codes.add(got[0])
     # reports, error exits, help and argparse errors are all covered
     assert {0, 2, 3, ("exit", 0), ("exit", 2)} <= codes
+
+
+def parsed(parse, words):
+    """The namespace ``parse`` gives ``words``, or its exit code and
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(list(words))
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+FLAG_VALUES = ["7", "1", "0,1,0", "u", "", "1/2", "a b", "٣"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line that starts nearly well formed: one word per
+    positional, and each flag of the command at most once, with ``=`` or
+    with its value as the next word, bare if it takes no value; but now
+    and then a required flag is left out, a bare flag takes ``=value``
+    or a flag that takes a value comes without one.  Then up to three
+    edits: a flag cut to a prefix, a repeated item, a dropped item, an
+    extra positional, ``-h``, ``--help``, ``--`` or an unknown flag, a
+    flag of any command, or a value that starts with '-'.  Non-int
+    values of ``--budget`` and ``--ext-order`` come with the values
+    drawn."""
+    _, tables = cli._build_parser()
+    every = sorted({flag for table in tables.values() for flag in table[0]})
+    command = draw(st.sampled_from(sorted(tables) + ["nope", "-h"]))
+    flags, positionals, _, required = tables.get(command, ({}, [], {}, []))
+    groups = [["m.kb"] for _ in positionals]
+    now_and_then = [False, False, False, True]
+    for flag, action in flags.items():
+        if action not in required and draw(st.booleans()):
+            continue
+        if action in required and draw(st.sampled_from(now_and_then)):
+            continue
+        value = draw(st.sampled_from(FLAG_VALUES))
+        if (action.nargs == 0) != draw(st.sampled_from(now_and_then)):
+            groups.append([flag])
+        elif action.nargs == 0 or draw(st.booleans()):
+            groups.append([flag + "=" + value])
+        else:
+            groups.append([flag, value])
+    flag_groups = [g for g in groups if g[0].startswith("--")]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(
+            ["prefix", "repeat", "drop", "extra", "special", "foreign", "negative"]
+        ))
+        if edit == "prefix" and flag_groups:
+            group = draw(st.sampled_from(flag_groups))
+            flag, eq, value = group[0].partition("=")
+            group[0] = flag[: draw(st.integers(3, len(flag)))] + eq + value
+        elif edit == "repeat" and groups:
+            groups.append(list(draw(st.sampled_from(groups))))
+        elif edit == "drop" and groups:
+            groups.remove(draw(st.sampled_from(groups)))
+        elif edit == "extra":
+            groups.append([draw(st.sampled_from(["x", "", "-", "-1"]))])
+        elif edit == "special":
+            groups.append([draw(st.sampled_from(["-h", "--help", "--", "--nope", "-x", "--h"]))])
+        elif edit == "foreign":
+            groups.append([draw(st.sampled_from(every)), draw(st.sampled_from(FLAG_VALUES))])
+        elif edit == "negative":
+            groups.append([draw(st.sampled_from(every)), draw(st.sampled_from(["-1", "-1,0", "-x"]))])
+    return [command] + [word for group in draw(st.permutations(groups)) for word in group]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+@example(["blowup", "m.kb", "--full=x"])
+@example(["independence", "m.kb"])
+@example(["obstruction", "m.kb", "--ext-order", "x"])
+def test_scanned_words_match_the_full_parse(words):
+    assert parsed(cli._parse_words, words) == parsed(full_parse, words)
 
 
 INTEGER_PARTS = st.from_regex(r"[+-]?0*[0-9]{1,6}", fullmatch=True)

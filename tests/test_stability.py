@@ -81,10 +81,9 @@ def test_unstable_ideal_of_rank_two_atlases():
 
 def test_point_verdicts_on_the_exceptional_locus():
     cx = atlas3()[0]
-    atlas = atlas3()
-    assert point_semistable((0, 1, 0), cx, atlas).semistable
-    assert point_semistable((0, 1, 5), cx, atlas).semistable
-    bad = point_semistable((1, 0, 0), cx, atlas)
+    assert point_semistable((0, 1, 0), cx).semistable
+    assert point_semistable((0, 1, 5), cx).semistable
+    bad = point_semistable((1, 0, 0), cx)
     assert not bad.semistable
     assert bad.direction == (1,)
     assert bad.limit == (Fraction(0),) * 3
@@ -92,16 +91,15 @@ def test_point_verdicts_on_the_exceptional_locus():
 
 def test_point_off_the_exceptional_locus_flows_across_charts():
     cx = atlas3()[0]
-    atlas = atlas3()
     # xi != 0 identifies an honest orbit of the ambient space
-    assert point_semistable((1, 1, 0), cx, atlas).semistable
-    verdict = point_semistable((2, 0, 0), cx, atlas)
+    assert point_semistable((1, 1, 0), cx).semistable
+    verdict = point_semistable((2, 0, 0), cx)
     assert not verdict.semistable
 
 
 def test_unstable_witness_direction_actually_flows_to_zero():
     cx = atlas3()[0]
-    verdict = point_semistable((1, 0, 0), cx, atlas3())
+    verdict = point_semistable((1, 0, 0), cx)
     s = verdict.direction[0]
     for i, w in enumerate(cx.weights.rows[0]):
         # strictly positive pairing on every nonzero coordinate
@@ -113,7 +111,7 @@ def test_rank_two_origin_flows_to_itself_on_chart_x():
     ring = Ring(["x", "y", "z", "w"])
     weights = WeightMatrix([(1, -1, 0, 0), (0, 0, 1, -1)])
     charts = make_charts(ring, weights, Subtorus.full(2))
-    verdict = point_semistable((0, 0, 0, 0), charts[0], charts)
+    verdict = point_semistable((0, 0, 0, 0), charts[0])
     assert not verdict.semistable
     # the fiber support is the pivot x alone, of weight (1, 0)
     assert verdict.direction[0] > 0
@@ -142,7 +140,7 @@ def test_point_verdicts_match_the_cochar_box_at_every_rank(case):
     column = lambda i: tuple(r[i] for r in rows)  # noqa: E731
     moving = [i for i in range(len(point)) if any(column(i))]
     support = [i for i in moving if i == chart.pivot or point[i] != 0]
-    verdict = point_semistable(point, chart, charts)
+    verdict = point_semistable(point, chart)
     # fiber weights lie in {-1, 0, 1}, so each minor of a vertex of the
     # normalized cone is at most 2 and Cramer's rule bounds it by 6
     assert verdict.semistable == (
