@@ -6,17 +6,18 @@ coordinate transforms.  Subtori are saturated cocharacter sublattices,
 stored as canonical Hermite-reduced row bases so equal subtori compare
 equal.
 
-Because the action is diagonal, a point's stabilizer, the closedness
-of its orbit and the vanishing of a monomial on it depend only on its
-coordinate support.  The blowup-center scan therefore works support by
-support: everything but one emptiness test (is some point of V(I)
-supported exactly there?) is read off the support itself, and for a
-monomial ideal that test is too.  Only supports whose weight columns
-have rank below k have a nontrivial stabilizer, so the one scan,
-``_closed_orbit_supports``, grows those alone.
+Because the action is diagonal, a point's stabilizer and the closedness
+of its orbit depend only on the set of distinct nonzero weight columns
+its support carries, and the vanishing of a monomial on it only on the
+support.  The one scan, ``_closed_orbit_supports``, therefore visits
+column sets, and only those of rank below k, which alone have a
+nontrivial stabilizer.  The center search decides each column set by
+emptiness questions (is some point of V(I) nonzero on the chosen
+coordinates?), and for a monomial ideal reads those off the coordinates.
 """
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -222,51 +223,39 @@ def _monomial_variables(ideal) -> list[set[int]] | None:
     return [{i for m in g.terms for i, e in enumerate(m) if e} for g in ideal.generators]
 
 
-def _realized_on(variables: list[set[int]], support: Iterable[int]) -> bool:
-    """Whether some point of V(I) has exactly the support S, for a
-    monomial ideal I given by its generators' variables.
-
-    On the points with support exactly S a monomial vanishes iff one of
-    its variables lies outside S, so such points lie in V(I) iff every
-    generator has a variable outside S.  No generator: always realized;
-    a constant generator: never.
-    """
-    return all(v.difference(support) for v in variables)
-
-
 def support_is_realized(
     support: Sequence[int], ideal, budget: groebner.Budget | None = None
 ) -> bool:
-    """Whether some point of V(I) has exactly the given coordinate support.
+    """Whether some point of V(I) is nonzero on every coordinate of the
+    given support.
 
-    A monomial ideal is decided by its generators' variables alone.
-    Otherwise such a point is a zero of I and of the off-support
-    coordinates at which the product of the support's coordinates is
-    invertible, so one Rabinowitsch basis decides it: in the ring with
-    one adjoined variable t, the ideal generated by I, the off-support
-    variables and ``1 - t * prod_{i in S} x_i`` contains 1 exactly when
-    no point does.
+    For a monomial ideal I the point that is 1 on the support and 0
+    elsewhere is the witness: a monomial vanishes there iff one of its
+    variables lies outside the support, and a generator whose variables
+    all lie inside vanishes at no point nonzero on the support.  So I is
+    decided by its generators' variables alone (no generator: always
+    realized; a constant generator: never).  Otherwise one Rabinowitsch
+    basis decides it: in the ring with one adjoined variable t, the
+    ideal generated by I and ``1 - t * prod_{i in S} x_i`` contains 1
+    exactly when no such point exists.
     """
     variables = _monomial_variables(ideal)
     if variables is not None:
-        return _realized_on(variables, support)
+        return all(v.difference(support) for v in variables)
     ring = ideal.ring
-    support = set(support)
     big = ring.adjoin_front([groebner._fresh_name(ring, "t")])
-    gens = [g.rename_ring(big) for g in ideal.generators]
     prod = big.var(big.names[0])
-    for i, name in enumerate(ring.names):
-        if i in support:
-            prod = prod * big.var(name)
-        else:
-            gens.append(big.var(name))
+    for i in support:
+        prod = prod * big.var(ring.names[i])
+    gens = [g.rename_ring(big) for g in ideal.generators]
     gens.append(big.one() - prod)
     gb = groebner.buchberger(groebner.Ideal(big, gens), budget=budget)
     return not groebner.contains_one(gb)
 
 
-# the widest ambient space a support scan visits; a wider one raises
-MAX_SCAN_VARS = 16
+# the most distinct nonzero weight columns a center scan takes sets of;
+# it visits up to 2^16 of them, and a wider weight matrix raises
+_MAX_COLUMNS = 16
 
 
 def _echelon_extend(basis: tuple, col: tuple[int, ...]) -> tuple:
@@ -316,45 +305,35 @@ def _rank_deficient_supports(cols: list[tuple[int, ...]], candidates: Sequence[i
         level = grown
 
 
-def _closed_orbit_supports(weights: WeightMatrix, candidates: Sequence[int]):
-    """Every support drawn from ``candidates`` whose orbit is closed and
-    whose stabilizer is nontrivial, with that stabilizer.  A point's
-    stabilizer depends only on its coordinate support, so with every
-    coordinate as a candidate the scan is exhaustive.
+def _closed_orbit_supports(weights: WeightMatrix):
+    """Every set of distinct nonzero weight columns whose orbit is
+    closed and whose stabilizer is nontrivial, as the first coordinate
+    carrying each of its columns, with that stabilizer.
 
-    The stabilizer is nontrivial exactly when the support's columns have
-    rank below k, so the scan grows only rank-deficient supports (see
-    ``_rank_deficient_supports``): a full-rank support and each of its
-    supersets are never visited.  Closedness and the stabilizer depend
-    only on the set of distinct nonzero weight columns of the support,
-    so the closed-orbit LP and the kernel run once per such set among
-    the rank-deficient supports.  This is exact: a strictly positive
-    combination summing to zero can merge repeated columns or split one
-    column's coefficient among its copies, and a zero column takes any
-    positive coefficient without changing the sum; the stabilizer is
-    the left kernel of the same columns, and ``Subtorus`` stores that
-    lattice in canonical Hermite form.  Every support the full scan
-    would yield is still yielded, in the same order.  A weight matrix
-    wider than ``MAX_SCAN_VARS`` raises ``BudgetExceededError``.
+    Closedness and the stabilizer of a point depend only on the set of
+    distinct nonzero weight columns its support carries: a strictly
+    positive combination summing to zero can merge repeated columns or
+    split one column's coefficient among its copies, and a zero column
+    takes any positive coefficient without changing the sum; the
+    stabilizer is the left kernel of the same columns, and ``Subtorus``
+    stores that lattice in canonical Hermite form.  So the column sets
+    cover every coordinate support.  The stabilizer is nontrivial
+    exactly when the columns have rank below k, so the scan grows only
+    rank-deficient sets (see ``_rank_deficient_supports``).  More than
+    16 distinct nonzero columns raise ``BudgetExceededError``.
     """
-    if weights.n > MAX_SCAN_VARS:
+    first: dict[tuple[int, ...], int] = {}
+    for i, col in enumerate(weights.columns()):
+        if any(col):
+            first.setdefault(col, i)
+    if len(first) > _MAX_COLUMNS:
         raise BudgetExceededError(
-            f"support scan over {weights.n} coordinates exceeds the "
-            f"{MAX_SCAN_VARS}-variable cap"
+            f"center scan over {len(first)} distinct weight columns exceeds "
+            f"the {_MAX_COLUMNS}-column cap"
         )
-    cols = weights.columns()
-    by_columns: dict[frozenset, Subtorus | None] = {}
-    for support in _rank_deficient_supports(cols, candidates, weights.k):
-        key = frozenset(cols[i] for i in support if any(cols[i]))
-        if key not in by_columns:
-            by_columns[key] = (
-                stabilizer_subtorus(support, weights)
-                if orbit_is_closed(support, weights)
-                else None
-            )
-        R = by_columns[key]
-        if R is not None:
-            yield support, R
+    for support in _rank_deficient_supports(weights.columns(), list(first.values()), weights.k):
+        if orbit_is_closed(support, weights):
+            yield support, stabilizer_subtorus(support, weights)
 
 
 def closed_orbit_stabilizers(weights: WeightMatrix) -> list[Subtorus]:
@@ -363,17 +342,8 @@ def closed_orbit_stabilizers(weights: WeightMatrix) -> list[Subtorus]:
     Unlike ``enumerate_blowup_centers`` this keeps trivially-acting
     subtori and ignores any ideal: the list serves structural checks that
     quantify over all closed-orbit points.
-
-    Closedness and the stabilizer depend only on the set of distinct
-    nonzero weight columns of a support (see ``_closed_orbit_supports``),
-    so the scan's candidates are those columns, each represented by the
-    first coordinate carrying it.
     """
-    first: dict[tuple[int, ...], int] = {}
-    for i, col in enumerate(weights.columns()):
-        if any(col):
-            first.setdefault(col, i)
-    found = {R.cochar: R for _, R in _closed_orbit_supports(weights, list(first.values()))}
+    found = {R.cochar: R for _, R in _closed_orbit_supports(weights)}
     return sorted(found.values(), key=lambda R: R.sort_key())
 
 
@@ -383,38 +353,57 @@ def enumerate_blowup_centers(
     unstable=None,
     budget: groebner.Budget | None = None,
 ) -> list[Subtorus]:
-    """Nontrivial stabilizer subtori of closed-orbit points of V(I).
+    """Nontrivial stabilizer subtori of closed-orbit points of V(I) that
+    lie outside the unstable locus.
 
-    Scans every coordinate support S whose orbit is closed and whose
-    stabilizer is nontrivial (see ``_closed_orbit_supports``).  On the
-    points with support exactly S a monomial vanishes iff one of its
-    variables lies outside S, so an unstable ideal (monomial generators
-    only) excludes S when every generator has such a variable; one
-    without generators vanishes everywhere and so excludes every center.
-    That test is read off S and runs first.  A support that passes it
-    must be realized by a point of V(I): for a monomial ideal I the same
-    rule decides that, otherwise it costs one emptiness basis, under
-    ``budget``.  Subtori acting trivially on the ambient space
-    are excluded: blowing up along the whole space is the degenerate
-    case handled by the caller.
+    Scans the column sets C whose orbit is closed and whose stabilizer R
+    is nontrivial (see ``_closed_orbit_supports``).  A point's support
+    carries exactly the columns C when the point vanishes on every
+    coordinate whose nonzero column lies outside C and is nonzero on
+    some coordinate of each column of C; zero-weight coordinates are
+    free.  The point is not unstable when some generator of the unstable
+    ideal (monomials only) is nonzero there, that is when the point is
+    nonzero on that generator's variables; at stage 0 the constant 1 is
+    that generator, and an unstable ideal without generators excludes
+    every center.  So, with I' the ideal I plus the coordinates off C,
+    R is a center iff some choice of one coordinate per column of C and
+    of one unstable generator whose variables avoid those off C leaves a
+    point of V(I') nonzero on the chosen coordinates and variables.
+    ``support_is_realized`` decides each choice, smallest first, under
+    ``budget``.  Subtori acting trivially on the ambient space are
+    excluded: blowing up along the whole space is the degenerate case
+    handled by the caller.
 
     Results are deduplicated and sorted by decreasing dimension, ties
     broken by the canonical cocharacter rows.
     """
-    unstable_vars = None
-    if unstable is not None:
+    if unstable is None:
+        unstable_vars = [set()]
+    else:
         unstable_vars = _monomial_variables(unstable)
         if unstable_vars is None:
             raise PreconditionError("unstable ideal must be generated by monomials")
+    ring = ideal.ring
+    cols = weights.columns()
     found: dict = {}
-    for support, R in _closed_orbit_supports(weights, range(weights.n)):
-        if R.cochar in found:
-            continue
-        if not fixed_locus(weights, R):
-            continue  # acts trivially on the ambient space
-        if unstable_vars is not None and _realized_on(unstable_vars, support):
-            continue  # every point with this support is unstable
-        if not support_is_realized(support, ideal, budget):
-            continue
-        found[R.cochar] = R
+    for support, R in _closed_orbit_supports(weights):
+        if R.cochar in found or not fixed_locus(weights, R):
+            continue  # known, or acts trivially on the ambient space
+        chosen = {cols[i] for i in support}
+        off = [i for i, col in enumerate(cols) if any(col) and col not in chosen]
+        classes = [[i for i, col in enumerate(cols) if col == cols[j]] for j in support]
+        picks = {
+            tuple(sorted(u.union(coords)))
+            for u in unstable_vars
+            if u.isdisjoint(off)
+            for coords in product(*classes)
+        }
+        sliced = groebner.Ideal(
+            ring, [*ideal.generators, *(ring.var(ring.names[i]) for i in off)]
+        )
+        if any(
+            support_is_realized(pick, sliced, budget)
+            for pick in sorted(picks, key=lambda p: (len(p), p))
+        ):
+            found[R.cochar] = R
     return sorted(found.values(), key=lambda R: R.sort_key())

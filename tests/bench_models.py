@@ -1,5 +1,8 @@
 """The bench models of ``perfbench/models`` as model-file text: the three
-of ROADMAP's baseline section and the rank-2 model ``rank2.kb``."""
+of ROADMAP's baseline section and the rank-2 model ``rank2.kb``; and the
+matrix models ``c3m2.kb`` and ``c3m3.kb``, written from their formula."""
+
+import itertools
 
 BENCH_MODELS = {
     "heavy.kb": (
@@ -23,6 +26,25 @@ BENCH_MODELS = {
         'potential = "x*y*z*w + x^2*y^2 + z^2*w^2"\n'
     ),
 }
+
+
+def matrix_model(m: int) -> str:
+    """The local model at the sheaf O_p^m on C^3: the entries of three
+    m x m matrices X, Y, Z (Ext^1 = C^3 (x) gl(m)), the potential
+    tr X[Y, Z], and the maximal torus of GL(m) modulo scalars, taken as
+    the diagonal matrices with last entry 1.  Entry (i, j) has weight
+    e_i - e_j, restricted to the first m - 1 coordinates."""
+    entries = [(a, i, j) for a in "xyz" for i in range(1, m + 1) for j in range(1, m + 1)]
+    names = ", ".join(f"{a}{i}{j}" for a, i, j in entries)
+    rows = [[int(i == r) - int(j == r) for _, i, j in entries] for r in range(1, m)]
+    terms = []
+    for i, j, k in itertools.product(range(1, m + 1), repeat=3):
+        terms += [f"x{i}{j}*y{j}{k}*z{k}{i}", f"-x{i}{j}*z{j}{k}*y{k}{i}"]
+    potential = " + ".join(terms).replace("+ -", "- ")
+    return f'variables = [{names}]\nweights = {rows}\npotential = "{potential}"\n'
+
+
+MATRIX_MODELS = {"c3m2.kb": matrix_model(2), "c3m3.kb": matrix_model(3)}
 
 
 def write_bench_models(directory):

@@ -10,7 +10,11 @@ Runs, in one process under a `sys.settrace` line tracer:
 - every subcommand once with `--budget 0`;
 - three lines that the table scan of `cli._parse_words` leaves to
   argparse: one with flag prefixes, one with a repeated flag, one with
-  a value that starts with '-'.
+  a value that starts with '-';
+- four lines that argparse rejects, so `cli.main` raises `SystemExit`:
+  a store_true flag given a value, a budget that is no integer, a
+  missing positional argument and an unknown command.  The sweep
+  counts the exit code and goes on.
 
 Then, per module of `src/equiblow`, it prints the statements no run
 reached (as line ranges) and the functions no run entered, then the
@@ -64,6 +68,13 @@ ARGPARSE_LINES = (
     ["crit", "src/equiblow/corpus/square.kb", "--point=1,0", "--point", "0,0"],
     ["obstruction", "src/equiblow/corpus/square.kb", "--budget", "-1"],
 )
+# lines the table scan refuses and argparse rejects
+REJECTED_LINES = (
+    ["blowup", "src/equiblow/corpus/e2.kb", "--full=x"],
+    ["crit", "src/equiblow/corpus/e2.kb", "--budget", "x"],
+    ["crit"],
+    ["nope", "src/equiblow/corpus/e2.kb"],
+)
 
 
 def command_lines(scratch: Path) -> list[list[str]]:
@@ -95,7 +106,7 @@ def command_lines(scratch: Path) -> list[list[str]]:
             add([cmd, rel])
     for argv in EVERY_SUBCOMMAND:
         add([*argv, "--budget", "0"])
-    for argv in ARGPARSE_LINES:
+    for argv in ARGPARSE_LINES + REJECTED_LINES:
         add(list(argv))
     return out
 
@@ -215,7 +226,10 @@ def _sweep(argvs) -> int:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
                 io.StringIO()
             ):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as stop:
+                    code = stop.code
             codes[code] = codes.get(code, 0) + 1
     finally:
         sys.settrace(None)

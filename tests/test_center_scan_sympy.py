@@ -1,29 +1,35 @@
 """The center scan against sympy, an implementation that shares no code.
 
-``enumerate_blowup_centers`` reads the unstable exclusion off the
-coordinate support and decides realization with one emptiness basis,
-or, for a monomial ideal, off the support too.
-The reference below keeps the semantics those shortcuts replace and
-answers both questions with ``sympy.groebner``:
+``enumerate_blowup_centers`` scans sets of distinct weight columns,
+reads the unstable exclusion off the chosen coordinates and decides
+realization with one emptiness basis per choice, or, for a monomial
+ideal, off the coordinates too.  The reference below keeps the
+per-coordinate definition those shortcuts replace: it enumerates every
+coordinate support S with ``itertools`` and
 
-- a support S is realized when the Rabinowitsch system of V(I), the
+- decides whether the orbit of a point with support S is closed, and
+  the row space of its stabilizer, exactly over QQ with sympy's
+  ``DomainMatrix`` (the Caratheodory oracle of ``test_linalg``);
+- calls S realized when the Rabinowitsch system of V(I), the
   off-support coordinates and ``1 - t * prod_{i in S} x_i`` is not the
-  unit ideal;
-- S is excluded when every unstable generator g lies in the radical of
+  unit ideal (``sympy.groebner``);
+- excludes S when every unstable generator g lies in the radical of
   the support slice, that is when adding ``1 - s * g`` makes the same
   system the unit ideal.
 
-Only the supports and their stabilizers come from equiblow, through
-``torus._closed_orbit_supports``.  sympy is only a test oracle here; the
-tests skip without it.
+Centers are compared as rational row spaces.  sympy is only a test
+oracle here; the tests skip without it.
 """
 
 import itertools
+import operator
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
 sympy = pytest.importorskip("sympy")
+
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from equiblow import (  # noqa: E402
     Ideal,
@@ -38,7 +44,9 @@ from equiblow import (  # noqa: E402
     support_is_realized,
     unstable_ideal,
 )
-from equiblow.torus import _closed_orbit_supports, monomial_weight  # noqa: E402
+from test_linalg import caratheodory_oracles  # noqa: E402
+
+QQ = sympy.QQ
 
 
 def _to_sympy(p: Poly, gens):
@@ -63,26 +71,60 @@ def _rabinowitsch(ideal: Ideal, support, xs, t) -> list:
     return system
 
 
-def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> list:
+def _row_space(rows, k: int) -> tuple:
+    """The reduced row echelon basis of the rational span of ``rows``."""
+    if not rows:
+        return ()
+    matrix = DomainMatrix([[QQ(x) for x in row] for row in rows], (len(rows), k), QQ)
+    reduced, pivots = matrix.rref()
+    return tuple(tuple(reduced[i, j].element for j in range(k)) for i in range(len(pivots)))
+
+
+def _stabilizer(columns, k: int) -> tuple:
+    """Row space of the cocharacters pairing to zero with every column."""
+    if not columns:
+        return _row_space([[int(i == j) for j in range(k)] for i in range(k)], k)
+    matrix = DomainMatrix(
+        [[QQ(x) for x in col] for col in columns], (len(columns), k), QQ
+    )
+    return _row_space(matrix.nullspace().to_list(), k)
+
+
+def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> set:
     ring = ideal.ring
+    k = len(weights.rows)
+    cols = list(zip(*weights.rows))
+    _, relint = caratheodory_oracles()
     xs = sympy.symbols(ring.names)
     t, s = sympy.Dummy("t"), sympy.Dummy("s")
-    found: dict = {}
-    for support, R in _closed_orbit_supports(weights, range(weights.n)):
-        if R.cochar in found:
-            continue
-        if all(not any(R.restrict(weights.column(i))) for i in range(ring.n)):
-            continue  # acts trivially on the ambient space
-        system = _rabinowitsch(ideal, support, xs, t)
-        if _is_unit_ideal(system, (t, *xs)):
-            continue  # no point of V(I) has this support
-        if unstable is not None and all(
-            _is_unit_ideal(system + [1 - s * _to_sympy(g, xs)], (s, t, *xs))
-            for g in unstable.generators
-        ):
-            continue  # every realizing point is unstable
-        found[R.cochar] = R
-    return sorted(found.values(), key=lambda R: R.sort_key())
+    found = set()
+    for size in range(ring.n + 1):
+        for support in itertools.combinations(range(ring.n), size):
+            carried = [cols[i] for i in support]
+            if carried and not relint(carried):
+                continue  # the orbit is not closed
+            R = _stabilizer(carried, k)
+            if not R or R in found:
+                continue
+            if all(sum(a * b for a, b in zip(r, w)) == 0 for r in R for w in cols):
+                continue  # acts trivially on the ambient space
+            system = _rabinowitsch(ideal, support, xs, t)
+            if _is_unit_ideal(system, (t, *xs)):
+                continue  # no point of V(I) has this support
+            if unstable is not None and all(
+                _is_unit_ideal(system + [1 - s * _to_sympy(g, xs)], (s, t, *xs))
+                for g in unstable.generators
+            ):
+                continue  # every realizing point is unstable
+            found.add(R)
+    return found
+
+
+def assert_centers_match(weights, ideal, unstable=None):
+    centers = enumerate_blowup_centers(weights, ideal, unstable)
+    spaces = {_row_space(R.cochar, weights.k) for R in centers}
+    assert len(spaces) == len(centers)
+    assert spaces == _reference_centers(weights, ideal, unstable)
 
 
 @st.composite
@@ -102,8 +144,8 @@ def rank_one_models(draw):
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         a = draw(st.sampled_from(monos))
-        w = monomial_weight(a, weights)
-        partners = [b for b in monos if b != a and monomial_weight(b, weights) == w]
+        w = sum(map(operator.mul, a, weights.rows[0]))
+        partners = [b for b in monos if b != a and sum(map(operator.mul, b, weights.rows[0])) == w]
         if partners and not monomial and draw(st.booleans()):
             b = draw(st.sampled_from(partners))
             gens.append(Poly(ring, {a: 1, b: draw(st.sampled_from([1, -1, 2]))}))
@@ -134,9 +176,7 @@ def _model(weights, gens, drawn):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_center_scan_matches_sympy_on_full_torus_charts(model):
     weights, ideal, drawn = model
-    assert enumerate_blowup_centers(weights, ideal) == _reference_centers(
-        weights, ideal, None
-    )
+    assert_centers_match(weights, ideal)
     for chart in make_charts(ideal.ring, weights, Subtorus.full(1)):
         raw = intrinsic_ideal(ideal, chart)
         # the chart's own unstable ideal excludes every center on rank 1
@@ -144,9 +184,7 @@ def test_center_scan_matches_sympy_on_full_torus_charts(model):
         # the support rule where it keeps a center
         monomials = [Poly(chart.ring, {m: 1}) for m in drawn[chart.pivot]]
         for unstable in (unstable_ideal(chart), Ideal(chart.ring, monomials)):
-            assert enumerate_blowup_centers(
-                chart.weights, raw, unstable
-            ) == _reference_centers(chart.weights, raw, unstable)
+            assert_centers_match(chart.weights, raw, unstable)
 
 
 R2 = Ring(["x0", "x1"])
@@ -172,15 +210,18 @@ def monomial_ideals(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_monomial_support_realization_matches_sympy(ideal):
     # monomial ideals are decided off the supports, with no emptiness
-    # basis; every support, closed orbit or not, must agree with sympy
+    # basis; every support, closed orbit or not, must agree with sympy,
+    # and for a monomial ideal a point nonzero on S exists exactly when
+    # one with support S does
     ring = ideal.ring
     xs = sympy.symbols(ring.names)
     t = sympy.Dummy("t")
     for size in range(ring.n + 1):
         for support in itertools.combinations(range(ring.n), size):
-            expected = not _is_unit_ideal(_rabinowitsch(ideal, support, xs, t), (t, *xs))
-            assert support_is_realized(support, ideal) == expected
+            system = _rabinowitsch(ideal, support, xs, t)
+            exact = not _is_unit_ideal(system, (t, *xs))
+            off = [xs[i] for i in range(ring.n) if i not in support]
+            nonzero = not _is_unit_ideal([p for p in system if p not in off], (t, *xs))
+            assert support_is_realized(support, ideal) == nonzero == exact
     weights = WeightMatrix([[(-1) ** i for i in range(ring.n)]])
-    assert enumerate_blowup_centers(weights, ideal) == _reference_centers(
-        weights, ideal, None
-    )
+    assert_centers_match(weights, ideal)

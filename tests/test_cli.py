@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bench_models import write_bench_models
+from bench_models import MATRIX_MODELS, write_bench_models
 from scalars import is_canonical_scalar
 from equiblow import TheoremCheckError, cli, groebner
 
@@ -810,6 +810,30 @@ def test_bench_model_trees_compute_exact_basis_counts(
     calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "blowup", str(tmp_path / name), "--full")
     assert len(calls) == count
+
+
+def test_zero_weight_coordinates_cost_no_center_basis(capsys, monkeypatch, tmp_path):
+    # one nonzero column and three zero-weight coordinates: the center
+    # scan tests column sets with the zero-weight coordinates free, not
+    # every coordinate support, so the tree takes two bases (nine when
+    # each support was tested)
+    path = tmp_path / "zero_columns.kb"
+    path.write_text(
+        "variables = [a0, a1, a2, a3]\n"
+        "weights = [[0, 0, -2, 0], [0, 0, -1, 0]]\n"
+        'potential = "a0^2*a3^2 + 3*a1 + 2*a0*a1*a3^2 + a0^2*a1^2"\n'
+    )
+    calls = count_calls(monkeypatch, groebner, "buchberger")
+    report(capsys, "blowup", str(path), "--full")
+    assert len(calls) == 2
+
+
+def test_crit_scans_the_gl3_matrix_model(capsys, tmp_path):
+    # 27 coordinates but only 6 distinct nonzero weight columns: the
+    # center scan's cap counts columns
+    path = tmp_path / "c3m3.kb"
+    path.write_text(MATRIX_MODELS["c3m3.kb"])
+    assert report(capsys, "crit", str(path))["ledger"]["passed"] is True
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ were first attached above rank one (before that the loop exited 5 on
 it); ``FRAME_GOLDEN`` (the subcommands no other digest covers, and their
 error exits, as exit code and the SHA-256 of stdout and of stderr)
 before one command frame loaded, budgeted and reported every
-subcommand.  A change that alters any report fails here, and the digest to
+subcommand; ``MATRIX_GOLDEN`` (the Kirwan loop on the GL(2) matrix
+model) before the center scan visited weight-column sets in place of
+coordinate supports.  A change that alters any report fails here, and the digest to
 compare against is the one below, not a fresh recording.
 """
 
@@ -21,7 +23,7 @@ import io
 
 import pytest
 
-from bench_models import BENCH_MODELS, write_bench_models
+from bench_models import BENCH_MODELS, MATRIX_MODELS, write_bench_models
 from equiblow import cli
 
 GOLDEN = {
@@ -69,6 +71,10 @@ KIRWAN_GOLDEN = {
     "blowup rank2.kb --full": (0, "68a6bda79fbe13b28bbe7694e6ce70128ceb4015eb0bd430c737a13f84174f7b"),
 }
 
+MATRIX_GOLDEN = {
+    "blowup c3m2.kb --full": (0, "c7fe027de03c665b4af445c61dea87c49d8c2f79a74f43250368e5718400fe1a"),
+}
+
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 FRAME_GOLDEN = {
@@ -87,7 +93,10 @@ FRAME_GOLDEN = {
 
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
-    return write_bench_models(tmp_path_factory.mktemp("bench"))
+    directory = write_bench_models(tmp_path_factory.mktemp("bench"))
+    for name, text in MATRIX_MODELS.items():
+        (directory / name).write_text(text)
+    return directory
 
 
 def _run(case: str, bench_dir=None) -> tuple[int, str]:
@@ -97,7 +106,7 @@ def _run(case: str, bench_dir=None) -> tuple[int, str]:
 
 def _run_with_stderr(case: str, bench_dir=None) -> tuple[int, str, str]:
     argv = [
-        str((bench_dir if w in BENCH_MODELS else cli.CORPUS_DIR) / w)
+        str((bench_dir if w in BENCH_MODELS or w in MATRIX_MODELS else cli.CORPUS_DIR) / w)
         if w.endswith(".kb")
         else w
         for w in case.split()
@@ -131,6 +140,11 @@ def test_point_query_digest_is_unchanged(case, bench_dir):
 @pytest.mark.parametrize("case", sorted(KIRWAN_GOLDEN))
 def test_kirwan_loop_digest_is_unchanged(case, bench_dir):
     assert _run(case, bench_dir) == KIRWAN_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_GOLDEN))
+def test_matrix_model_digest_is_unchanged(case, bench_dir):
+    assert _run(case, bench_dir) == MATRIX_GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(FRAME_GOLDEN))

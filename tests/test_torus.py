@@ -5,8 +5,9 @@ import itertools
 import unittest.mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bench_models import MATRIX_MODELS
 from equiblow import (
     Budget,
     BudgetExceededError,
@@ -16,9 +17,13 @@ from equiblow import (
     Ring,
     Subtorus,
     WeightMatrix,
+    buchberger,
+    build_model,
     closed_orbit_stabilizers,
+    contains_one,
     enumerate_blowup_centers,
     orbit_is_closed,
+    parse_model_text,
     parse_poly,
     poly_weight,
     stabilizer_subtorus,
@@ -177,13 +182,19 @@ def test_closed_orbit_rule_matches_limit_oracle_k2_sample():
 
 def test_support_is_realized_gives_the_slice():
     I = Ideal(R3, [parse_poly("y*z", R3), parse_poly("x*z", R3), parse_poly("x*y", R3)])
-    # the z-axis minus the origin has support exactly {z}
+    # the z-axis minus the origin is nonzero on {z}
     assert support_is_realized((2,), I) is True
     # the support {x, y} forces x*y = 0, impossible with both nonzero
     assert support_is_realized((0, 1), I) is False
-    # the empty support is the origin: on the three axes, not on x = 1
+    # the empty support asks only for a point of V(I), off the support
+    # anything goes: x = 1 has the point (1, 0, 0), and x = 1 is nonzero
+    # on {x} but never on {x, y} once x*y = 0 holds too
     assert support_is_realized((), I) is True
-    assert support_is_realized((), Ideal(R3, [parse_poly("x - 1", R3)])) is False
+    line = Ideal(R3, [parse_poly("x - 1", R3)])
+    assert support_is_realized((), line) is True
+    assert support_is_realized((0,), line) is True
+    assert support_is_realized((0, 1), Ideal(R3, [*line.generators, *I.generators])) is False
+    assert support_is_realized((), Ideal(R3, [parse_poly("x - 1", R3), R3.var("x")])) is False
 
 
 def test_enumerate_blowup_centers_on_three_axes():
@@ -269,11 +280,26 @@ def closed_orbit_supports_by_brute_force(W):
     return out
 
 
+def nonzero_columns(support, W):
+    return frozenset(W.column(i) for i in support if any(W.column(i)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(weight_matrices_with_repeats())
 def test_closed_orbit_scan_matches_the_per_support_scan(W):
-    got = [(support, R.cochar) for support, R in _closed_orbit_supports(W, range(W.n))]
-    assert got == closed_orbit_supports_by_brute_force(W)
+    # every coordinate support with the same nonzero columns has the
+    # same stabilizer, and the scan visits each such column set once,
+    # through the first coordinate carrying each column
+    want = {}
+    for support, cochar in closed_orbit_supports_by_brute_force(W):
+        assert want.setdefault(nonzero_columns(support, W), cochar) == cochar
+    got = {}
+    for support, R in _closed_orbit_supports(W):
+        assert all(W.columns().index(W.column(i)) == i for i in support)
+        key = nonzero_columns(support, W)
+        assert key not in got
+        got[key] = R.cochar
+    assert got == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,7 +314,7 @@ def test_scans_solve_closed_orbit_lps_only_below_full_rank(W):
         return orbit_is_closed(support, weights)
 
     with unittest.mock.patch.object(torus, "orbit_is_closed", recorded):
-        list(_closed_orbit_supports(W, range(W.n)))
+        list(_closed_orbit_supports(W))
         closed_orbit_stabilizers(W)
     assert seen
     for support in seen:
@@ -304,7 +330,7 @@ def test_a_rank_one_scan_visits_only_the_empty_support():
 
     W = WeightMatrix([(1, -1, 2, -2)])
     with unittest.mock.patch.object(torus, "orbit_is_closed", recorded):
-        assert list(_closed_orbit_supports(W, range(W.n))) == [((), T1)]
+        assert list(_closed_orbit_supports(W)) == [((), T1)]
         assert closed_orbit_stabilizers(W) == [T1]
     assert seen == [(), ()]
 
@@ -336,23 +362,124 @@ def weight_matrices(draw):
 @settings(max_examples=120, deadline=None)
 @given(weight_matrices())
 def test_closed_orbit_stabilizers_match_the_support_scan(W):
-    by_cochar = {R.cochar: R for _, R in _closed_orbit_supports(W, range(W.n))}
+    by_cochar = {
+        cochar: Subtorus(cochar, W.k)
+        for _, cochar in closed_orbit_supports_by_brute_force(W)
+    }
     want = sorted(by_cochar.values(), key=lambda R: R.sort_key())
     assert closed_orbit_stabilizers(W) == want
 
 
-def test_both_scans_refuse_one_coordinate_past_the_cap():
-    assert torus.MAX_SCAN_VARS == 16
-    for n in (16, 17):
-        W = WeightMatrix([[1, -1] * (n // 2) + [1] * (n % 2)])
-        everything = Ideal(Ring([f"x{i}" for i in range(n)]), [])
-        if n == 16:
-            assert closed_orbit_stabilizers(W) == [T1]
-            assert enumerate_blowup_centers(W, everything) == [T1]
-            continue
-        with pytest.raises(BudgetExceededError) as centers:
-            enumerate_blowup_centers(W, everything)
-        with pytest.raises(BudgetExceededError) as stabilizers:
-            closed_orbit_stabilizers(W)
-        want = "support scan over 17 coordinates exceeds the 16-variable cap"
-        assert str(centers.value) == str(stabilizers.value) == want
+@st.composite
+def center_models(draw):
+    """Rank 1 to 3 and 1 to 7 coordinates, whose columns are drawn from
+    up to three columns, their negatives and the zero column, so repeats
+    and lower-dimensional closed-orbit stabilizers are common; an ideal
+    of one to three weight-homogeneous squarefree monomials or binomials,
+    none constant (monomials only for a third of the draws); and no
+    unstable ideal, or one of up to two squarefree monomials."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    column = st.tuples(*[st.integers(min_value=-2, max_value=2)] * k)
+    base = draw(st.lists(column, min_size=1, max_size=3))
+    pool = base + [tuple(-x for x in c) for c in base] + [(0,) * k]
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    W = WeightMatrix([[c[a] for c in cols] for a in range(k)])
+    ring = Ring([f"x{i}" for i in range(W.n)])
+    monos = list(itertools.product(range(2), repeat=W.n))
+    monomial = draw(st.integers(0, 2)) == 0
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.sampled_from(monos[1:]))
+        w = monomial_weight(a, W)
+        partners = [b for b in monos if b != a and monomial_weight(b, W) == w]
+        if partners and not monomial and draw(st.booleans()):
+            b = draw(st.sampled_from(partners))
+            gens.append(Poly(ring, {a: 1, b: draw(st.sampled_from([1, -1, 2]))}))
+        else:
+            gens.append(Poly(ring, {a: 1}))
+    unstable = None
+    if draw(st.booleans()):
+        drawn = draw(st.lists(st.sampled_from(monos), max_size=2))
+        unstable = Ideal(ring, [Poly(ring, {m: 1}) for m in drawn])
+    return W, Ideal(ring, gens), unstable
+
+
+def centers_by_brute_force(W, ideal, unstable):
+    """The centers by their definition, one coordinate support at a
+    time: a closed orbit, a stabilizer acting nontrivially on the ambient
+    space, some unstable generator nonzero on the support, and a point
+    of V(I) with exactly that support, which a Rabinowitsch basis of I,
+    the off-support coordinates and ``1 - t * prod_{i in S} x_i`` finds."""
+    ring = ideal.ring
+    big = Ring(["t", *ring.names])
+    found = {}
+    for size in range(W.n + 1):
+        for support in itertools.combinations(range(W.n), size):
+            if not orbit_is_closed(support, W):
+                continue
+            R = stabilizer_subtorus(support, W)
+            if R.is_trivial() or not any(any(R.restrict(c)) for c in W.columns()):
+                continue
+            if unstable is not None and not any(
+                all(i in support for m in g.terms for i, e in enumerate(m) if e)
+                for g in unstable.generators
+            ):
+                continue  # every point with this support is unstable
+            gens = [g.rename_ring(big) for g in ideal.generators]
+            gens += [big.var(ring.names[i]) for i in range(W.n) if i not in support]
+            prod = big.var("t")
+            for i in support:
+                prod = prod * big.var(ring.names[i])
+            gens.append(big.one() - prod)
+            if not contains_one(buchberger(Ideal(big, gens))):
+                found[R.cochar] = R
+    return sorted(found.values(), key=lambda R: R.sort_key())
+
+
+R5 = Ring([f"x{i}" for i in range(5)])
+# x0 and x4 carry the same column: on x1*(x0 - x4) = 0 no point has
+# support {x0, x1} or {x1, x4}, only {x0, x1, x4}; on x0 = 0 the column
+# is carried by x4 alone
+W5 = WeightMatrix([(1, -1, 0, 0, 1), (0, 0, 1, -1, 0)])
+BINOMIAL = Ideal(R5, [parse_poly("x0*x1 - x1*x4", R5)])
+
+
+@example((W5, BINOMIAL, None))
+@example((W5, BINOMIAL, Ideal(R5, [parse_poly("x4", R5)])))
+@example((W5, BINOMIAL, Ideal(R5, [parse_poly("x2*x4", R5)])))
+@example((W5, Ideal(R5, [parse_poly("x0", R5)]), None))
+@example((W5, Ideal(R5, [parse_poly("x0", R5), parse_poly("x1*x2 - x3*x4", R5)]), None))
+@settings(max_examples=150, deadline=None)
+@given(center_models())
+def test_center_scan_matches_the_per_support_definition(model):
+    W, ideal, unstable = model
+    assert enumerate_blowup_centers(W, ideal, unstable) == centers_by_brute_force(
+        W, ideal, unstable
+    )
+
+
+def test_gl3_matrix_model_has_the_three_root_kernels():
+    # the stabilizers of the GL(3) matrix model's closed orbits: the
+    # full torus and the kernel of each root pair
+    W = build_model(parse_model_text(MATRIX_MODELS["c3m3.kb"])).weights
+    assert W.n == 27
+    got = [R.cochar for R in closed_orbit_stabilizers(W)]
+    assert got == [((1, 0), (0, 1)), ((0, 1),), ((1, 0),), ((1, 1),)]
+
+
+def test_both_scans_refuse_one_column_past_the_cap():
+    # the cap counts distinct nonzero weight columns: 40 coordinates with
+    # two columns pass, and so do 16 columns beside a zero one
+    for cols in ([1, -1] * 20, [0] + [c for c in range(-8, 9) if c]):
+        W = WeightMatrix([cols])
+        everything = Ideal(Ring([f"x{i}" for i in range(W.n)]), [])
+        assert closed_orbit_stabilizers(W) == [T1]
+        assert enumerate_blowup_centers(W, everything) == [T1]
+    W = WeightMatrix([[c for c in range(-8, 10) if c]])
+    everything = Ideal(Ring([f"x{i}" for i in range(W.n)]), [])
+    with pytest.raises(BudgetExceededError) as centers:
+        enumerate_blowup_centers(W, everything)
+    with pytest.raises(BudgetExceededError) as stabilizers:
+        closed_orbit_stabilizers(W)
+    want = "center scan over 17 distinct weight columns exceeds the 16-column cap"
+    assert str(centers.value) == str(stabilizers.value) == want
