@@ -19,6 +19,7 @@ from .poly import (
     Mono,
     Poly,
     Ring,
+    _divide,
     block_order,
     divmod_multi,
     exact_div,
@@ -27,7 +28,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    sub_scaled,
 )
 from .record import Record
 
@@ -92,66 +92,29 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
 # Buchberger
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mono_lcm(lf, lg)
-    uf = mono_div(lcm, lf)
-    ug = mono_div(lcm, lg)
-    return f.term_mul(uf, exact_div(1, f.leading_coefficient(order))) - g.term_mul(
-        ug, exact_div(1, g.leading_coefficient(order))
-    )
-
-
-class _Tracked:
-    """A polynomial plus its representation over the original generators."""
-
-    __slots__ = ("poly", "rep", "sugar")
-
-    def __init__(self, poly: Poly, rep: tuple[Poly, ...] | None, sugar: int):
-        self.poly = poly
-        self.rep = rep
-        self.sugar = sugar
-
-    def scaled(self, c) -> "_Tracked":
-        rep = None if self.rep is None else tuple(r * c for r in self.rep)
-        return _Tracked(self.poly * c, rep, self.sugar)
-
-
-def _reduce_tracked(
-    item: _Tracked, basis: list[_Tracked], order: MonomialOrder, budget: Budget
-) -> _Tracked:
-    """Full reduction of a tracked polynomial against the working basis.
-
-    The running remainder is a dict updated in place; each step does the
-    same exact arithmetic as subtracting the reducer as a new Poly.
-    """
-    ring = item.poly.ring
-    work = dict(item.poly.terms)
-    rep = item.rep
-    sugar = item.sugar
-    out_terms: dict = {}
-    key = order.key
-    lead = [(b, b.poly.leading_monomial(order), b.poly.leading_coefficient(order)) for b in basis]
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for b, lm, lc in lead:
-            quot = mono_div(m, lm)
-            if quot is not None:
-                break
-        else:
-            out_terms[m] = c
-            continue
-        coeff = exact_div(c, lc)
-        sub_scaled(work, b.poly.terms, quot, coeff, lm)
-        sugar = max(sugar, b.sugar + mono_degree(quot))
-        if rep is not None:
-            rep = tuple(
-                r - br.term_mul(quot, coeff) for r, br in zip(rep, b.rep)
-            )
-    reduced = Poly._make(ring, out_terms)
+def _reduce(
+    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+) -> tuple[Poly, dict[int, dict]]:
+    """Full reduction of p by the working basis: the remainder, whose
+    degree the budget caps, and the quotient terms by basis index."""
+    quotients, r_terms = _divide(p, basis, order)
+    reduced = Poly._make(p.ring, r_terms)
     _check_degree(reduced.total_degree(), budget)
-    return _Tracked(reduced, rep, sugar)
+    return reduced, quotients
+
+
+def _cofactors(
+    rep: tuple[Poly, ...], quotients: dict[int, dict], reps: Sequence[tuple[Poly, ...]]
+) -> tuple[Poly, ...]:
+    """rep - sum(q_i * reps[i]): the cofactors over the generators of a
+    remainder, from those of its dividend (``rep``) and of its divisors
+    (``reps``), and the quotient terms q_i that ``_divide`` returned."""
+    ring = rep[0].ring
+    qs = [(Poly._make(ring, q), reps[i]) for i, q in quotients.items()]
+    return tuple(
+        r - Poly._sum_of_products(ring, [(q, rr[t]) for q, rr in qs])
+        for t, r in enumerate(rep)
+    )
 
 
 def _check_degree(degree: int, budget: Budget) -> None:
@@ -191,34 +154,45 @@ def buchberger(
     if not _tracked and all(len(g.terms) == 1 for g in gens):
         return _monomial_basis(ring, order, gens, budget)
 
-    def unit_rep(i: int) -> tuple[Poly, ...] | None:
-        if not _tracked:
-            return None
-        return tuple(ring.one() if j == i else ring.zero() for j in range(len(gens)))
+    # the working basis, each element's sugar and, when tracked, its
+    # cofactors over the generators; a remainder's sugar and cofactors
+    # are read off the quotients of its reduction
+    basis: list[Poly] = []
+    sugars: list[int] = []
+    reps: list[tuple[Poly, ...]] | None = [] if _tracked else None
+    zero = (ring.zero(),) * len(gens)
 
-    basis: list[_Tracked] = []
-    for i, g in enumerate(gens):
-        item = _reduce_tracked(
-            _Tracked(g, unit_rep(i), g.total_degree()), basis, order, budget
-        )
-        if not item.poly.is_zero():
-            basis.append(item)
+    def add(p: Poly, sugar: int, rep) -> bool:
+        p, quotients = _reduce(p, basis, order, budget)
+        if p.is_zero():
+            return False
+        for i, q in quotients.items():
+            sugar = max(sugar, sugars[i] + max(map(mono_degree, q)))
+        basis.append(p)
+        sugars.append(sugar)
+        if reps is not None:
+            reps.append(_cofactors(rep, quotients, reps))
         _check_size(len(basis), budget)
+        return True
+
+    for t, g in enumerate(gens):
+        rep = None if reps is None else zero[:t] + (ring.one(),) + zero[t + 1 :]
+        add(g, g.total_degree(), rep)
 
     # each pair is pushed once under (sugar, order key of the lcm, i, j);
     # the keys never change, so the heap yields the pairs in that order
-    lms: list[Mono] = [b.poly.leading_monomial(order) for b in basis]
+    lms: list[Mono] = [b.leading_monomial(order) for b in basis]
     pairs: list[tuple] = []
     done: set[tuple[int, int]] = set()
 
     def push_pairs(j: int):
-        lj, sj = lms[j], basis[j].sugar
+        lj, sj = lms[j], sugars[j]
         dj = mono_degree(lj)
         for i in range(j):
             li = lms[i]
             lcm = mono_lcm(li, lj)
             d = mono_degree(lcm)
-            sugar = max(basis[i].sugar + d - mono_degree(li), sj + d - dj)
+            sugar = max(sugars[i] + d - mono_degree(li), sj + d - dj)
             heappush(pairs, (sugar, order.key(lcm), i, j))
 
     for j in range(1, len(basis)):
@@ -245,40 +219,33 @@ def buchberger(
                 break
         if skip:
             continue
-        s = _s_poly(basis[i].poly, basis[j].poly, order)
-        rep = None
-        if _tracked:
-            ui = mono_div(lcm, li)
-            uj = mono_div(lcm, lj)
-            ci = exact_div(1, basis[i].poly.leading_coefficient(order))
-            cj = exact_div(1, basis[j].poly.leading_coefficient(order))
-            rep = tuple(
-                ri.term_mul(ui, ci) - rj.term_mul(uj, cj)
-                for ri, rj in zip(basis[i].rep, basis[j].rep)
-            )
-        item = _reduce_tracked(_Tracked(s, rep, sugar), basis, order, budget)
-        if item.poly.is_zero():
-            continue
-        basis.append(item)
-        lms.append(item.poly.leading_monomial(order))
-        _check_size(len(basis), budget)
-        push_pairs(len(basis) - 1)
+        # the S-polynomial s = 0 - (-ci*x^ui)*basis[i] - (cj*x^uj)*basis[j]
+        ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
+        ci = exact_div(1, basis[i].leading_coefficient(order))
+        cj = exact_div(1, basis[j].leading_coefficient(order))
+        s = basis[i].term_mul(ui, ci) - basis[j].term_mul(uj, cj)
+        rep = None if reps is None else _cofactors(zero, {i: {ui: -ci}, j: {uj: cj}}, reps)
+        if add(s, sugar, rep):
+            lms.append(basis[-1].leading_monomial(order))
+            push_pairs(len(basis) - 1)
 
-    return _finalize(ring, order, basis, _tracked, budget)
+    return _finalize(ring, order, basis, reps, budget)
 
 
 def _finalize(
-    ring: Ring, order: MonomialOrder, basis: list[_Tracked], tracked: bool, budget: Budget
+    ring: Ring, order: MonomialOrder, basis: list[Poly], reps: list | None, budget: Budget
 ):
-    """Interreduce, tail-reduce, normalise to monic, sort canonically.
+    """Interreduce, tail-reduce, normalise to monic, sort canonically;
+    with ``reps``, the basis elements' cofactors, also return the
+    cofactors of each result.
 
     Tail reduction keeps the leading term, but outside a graded order it
     can raise the total degree, so it runs under the caller's budget too.
     """
     # drop elements whose leading monomial another one divides
-    keep: list[_Tracked] = []
-    lms = [b.poly.leading_monomial(order) for b in basis]
-    for i, b in enumerate(basis):
+    keep: list[int] = []
+    lms = [b.leading_monomial(order) for b in basis]
+    for i in range(len(basis)):
         redundant = False
         for j in range(len(basis)):
             if i == j:
@@ -288,23 +255,25 @@ def _finalize(
                     redundant = True
                     break
         if not redundant:
-            keep.append(b)
+            keep.append(i)
 
     # tail-reduce every survivor against the others
-    final: list[_Tracked] = []
-    for i, b in enumerate(keep):
-        others = [keep[j] for j in range(len(keep)) if j != i]
+    final: list[tuple] = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        b, quotients = basis[i], {}
         if others:
-            b = _reduce_tracked(b, others, order, budget)
-        lc = b.poly.leading_coefficient(order)
-        final.append(b.scaled(exact_div(1, lc)))
+            b, quotients = _reduce(b, [basis[k] for k in others], order, budget)
+        c = exact_div(1, b.leading_coefficient(order))
+        rep = None
+        if reps is not None:
+            rep = _cofactors(reps[i], quotients, [reps[k] for k in others])
+            rep = tuple(r * c for r in rep)
+        final.append((b * c, rep))
 
-    final.sort(key=lambda b: order.key(b.poly.leading_monomial(order)))
-    gb = GroebnerBasis(ring, order, tuple(b.poly for b in final))
-    if tracked:
-        reps = {b.poly: b.rep for b in final}
-        return gb, reps
-    return gb
+    final.sort(key=lambda f: order.key(f[0].leading_monomial(order)))
+    gb = GroebnerBasis(ring, order, tuple(b for b, _ in final))
+    return gb if reps is None else (gb, dict(final))
 
 
 def _monomial_basis(
@@ -360,26 +329,24 @@ def lift_certificate(
     Returns q with p == sum(q_i * g_i), or None when p is not a member.
     The identity is re-checked by expansion before returning.
     """
+    zero = tuple(ideal.ring.zero() for _ in ideal.generators)
     if p.is_zero():
-        return tuple(ideal.ring.zero() for _ in ideal.generators)
+        return zero
     if not ideal.generators:
         return None
     gb, reps = buchberger(ideal, DEGREVLEX, budget, _tracked=True)
-    quotients, r = divmod_multi(p, gb.basis, gb.order)
-    if not r.is_zero():
+    # dividing -p gives -q_b where p = sum(q_b * b) + r, so with r = 0
+    # the cofactors of p are 0 - sum(-q_b * reps[b])
+    quotients, r = _divide(-p, gb.basis, gb.order)
+    if r:
         return None
-    out = [ideal.ring.zero() for _ in ideal.generators]
-    for q, b in zip(quotients, gb.basis):
-        if q.is_zero():
-            continue
-        for t, rep_part in enumerate(reps[b]):
-            out[t] = out[t] + q * rep_part
+    out = _cofactors(zero, quotients, [reps[b] for b in gb.basis])
     total = ideal.ring.zero()
     for q, g in zip(out, ideal.generators):
         total = total + q * g
     if total != p:
         raise TheoremCheckError("lift certificate failed re-expansion")  # pragma: no cover
-    return tuple(out)
+    return out
 
 
 def eliminate(
@@ -392,13 +359,14 @@ def eliminate(
     Computed with a block order that makes the eliminated variables
     dominate, so basis elements free of them generate the intersection.
     """
-    drop = [nm for nm in ideal.ring.names if nm in set(names)]
-    missing = set(names) - set(ideal.ring.names)
+    names = set(names)
+    drop = [nm for nm in ideal.ring.names if nm in names]
+    missing = names - set(ideal.ring.names)
     if missing:
         raise ValueError(f"cannot eliminate non-variables: {sorted(missing)}")
     if not drop:
         return ideal
-    front = Ring(tuple(drop) + tuple(nm for nm in ideal.ring.names if nm not in set(drop)))
+    front = Ring(tuple(drop) + tuple(nm for nm in ideal.ring.names if nm not in names))
     moved = Ideal(front, [g.rename_ring(front) for g in ideal.generators])
     gb = buchberger(moved, block_order(len(drop)), budget)
     sub = ideal.ring.without(drop)

@@ -13,15 +13,18 @@ slower ``Fraction`` arithmetic.  The whole package keeps this rule: a
 result is never a float and never an integral ``Fraction``.
 
 ``Poly(ring, terms)`` makes every coefficient canonical and drops
-zeros.  The arithmetic and the division loop here and the reduction
-loop in ``groebner`` build their results with ``Poly._make(ring,
-terms)`` instead, which skips both steps.  Its invariant: the dict it is
-given holds only nonzero canonical scalars, and it becomes the
-polynomial's own ``terms`` without a copy, so the caller must not touch
-it afterwards.  The arithmetic loops fold a sum or product that lands on
-an integral ``Fraction`` back to ``int`` inline, with one ``type(...) is
-int`` test when it is an int already, rather than through a ``canon``
-call per term.
+zeros.  The arithmetic and the division loop here build their results
+with ``Poly._make(ring, terms)`` instead, which skips both steps.  Its
+invariant: the dict it is given holds only nonzero canonical scalars,
+and it becomes the polynomial's own ``terms`` without a copy, so the
+caller must not touch it afterwards.  The arithmetic loops fold a sum
+or product that lands on an integral ``Fraction`` back to ``int``
+inline, with one ``type(...) is int`` test when it is an int already,
+rather than through a ``canon`` call per term.
+
+``_divide`` is the package's one multivariate division loop: ``divmod_multi``
+wraps its quotient and remainder terms as polynomials, and Buchberger in
+``groebner`` reads remainders, sugar and cofactors off them.
 """
 from __future__ import annotations
 
@@ -571,17 +574,17 @@ def sub_scaled(work: dict, terms: Mapping, quot: Mono, c, skip: Mono):
         work[t] = v
 
 
-def divmod_multi(
+def _divide(
     p: Poly, divisors: Sequence[Poly], order: MonomialOrder
-) -> tuple[list[Poly], Poly]:
-    """Multivariate division: p = sum(q_i * divisors_i) + r.
+) -> tuple[dict[int, dict], dict]:
+    """The division loop: p = sum(q_i * divisors[i]) + r.
 
-    No monomial of r is divisible by any divisor's leading monomial.
-    The quotients make the identity exact, which lift certificates
-    re-check by expansion.
+    Returns the terms of each nonzero q_i, keyed by i, and the terms of
+    r, all keeping the ``_make`` invariant.  The largest term left is
+    cancelled by the first divisor whose leading monomial divides it,
+    or else moved to r.
     """
-    ring = p.ring
-    quotients: list[dict] = [{} for _ in divisors]
+    quotients: dict[int, dict] = {}
     lead = [(d.leading_monomial(order), d.leading_coefficient(order)) for d in divisors]
     r_terms: dict = {}
     work = dict(p.terms)
@@ -593,12 +596,28 @@ def divmod_multi(
             quot = mono_div(m, lm)
             if quot is not None:
                 coeff = exact_div(c, lc)
-                quotients[i][quot] = coeff
+                q = quotients.get(i)
+                if q is None:
+                    quotients[i] = q = {}
+                q[quot] = coeff
                 sub_scaled(work, divisors[i].terms, quot, coeff, lm)
                 break
         else:
             r_terms[m] = c
-    return [Poly._make(ring, q) for q in quotients], Poly._make(ring, r_terms)
+    return quotients, r_terms
+
+
+def divmod_multi(
+    p: Poly, divisors: Sequence[Poly], order: MonomialOrder
+) -> tuple[list[Poly], Poly]:
+    """Multivariate division: p = sum(q_i * divisors_i) + r.
+
+    No monomial of r is divisible by any divisor's leading monomial,
+    and the quotients make the identity exact.
+    """
+    quotients, r_terms = _divide(p, divisors, order)
+    qs = [Poly._make(p.ring, quotients.get(i) or {}) for i in range(len(divisors))]
+    return qs, Poly._make(p.ring, r_terms)
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly | None:

@@ -779,7 +779,8 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
     # specialization are exponent maps (the package has no generic
     # substitution), and every divisor on these runs is one term, so
     # ``divide_exact`` never enters the multivariate division loop; the
-    # Groebner engine binds the loop under its own name, out of the patch
+    # Groebner engine reduces through the loop's kernel ``poly._divide``
+    # and binds ``divmod_multi`` under its own name, both out of the patch
     from equiblow import poly
 
     entered = []
@@ -798,6 +799,26 @@ def test_chart_transport_neither_substitutes_nor_long_divides(capsys, monkeypatc
     calls.clear()
     report(capsys, "fiber-check", str(CORPUS / "family.kb"), "--at=3/2")
     assert (entered, len(calls)) == ([], 0)
+
+
+def test_the_layer_tracer_records_buchberger_inputs(capsys, monkeypatch):
+    # the benchmark's ``--trace 1`` wraps every public function of each
+    # layer and keys each ``buchberger`` call by its bound arguments,
+    # ``_tracked`` among them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import layertrace
+
+    original = groebner.buchberger
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
+    finally:
+        tracer.uninstall()
+    assert groebner.buchberger is original
+    assert tracer.summary()["calls"]["groebner.buchberger"] == 2
+    assert len(tracer.buchberger_inputs) == 2
+    assert not any(tracked for *_, tracked in tracer.buchberger_inputs)
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,10 @@ def test_elimination_projects_a_graph():
     E2 = eliminate(C, ["z"])
     target = Ring(["x", "y"])
     assert ideal_equal(E2, Ideal(target, [parse_poly("y - x^2", target)]))
+    # the names are read once, so a one-shot iterable eliminates them all
+    assert eliminate(C, (n for n in ["z"])) == E2
+    E3 = eliminate(C, iter(["x", "z"]))
+    assert E3.ring.names == ("y",) and not E3.generators
 
 
 def test_budget_caps_raise():
@@ -242,42 +246,67 @@ def test_zero_generators_are_dropped():
     assert len(I.generators) == 1
 
 
+SMALL_BUDGETS = st.builds(Budget, st.integers(0, 4), st.integers(0, 8))
+
+
 @st.composite
-def monomial_ideals(draw):
-    """One to four variables, up to six one-term generators with
-    coefficients 1, -1, 2 or -1/3, some repeated, sometimes the constant 1,
-    under one of the three orders and a budget small enough to raise."""
+def drawn_ideals(draw, max_terms=1, min_gens=0, budgets=st.none() | SMALL_BUDGETS):
+    """One to four variables, ``min_gens`` to six generators of one to
+    ``max_terms`` terms with coefficients 1, -1, 2 or -1/3, some repeated,
+    sometimes the constant 1, under one of the three orders and a drawn
+    budget."""
     n = draw(st.integers(1, 4))
     ring = Ring([f"v{i}" for i in range(n)])
     mono = st.tuples(*[st.integers(0, 3)] * n)
     coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
-    gens = draw(st.lists(st.builds(lambda m, c: Poly(ring, {m: c}), mono, coeff), max_size=6))
+    terms = st.dictionaries(mono, coeff, min_size=1, max_size=max_terms)
+    gens = draw(st.lists(st.builds(lambda t: Poly(ring, t), terms), min_size=min_gens, max_size=6))
     if gens:
         gens += draw(st.lists(st.sampled_from(gens), max_size=2))
     if draw(st.integers(0, 4)) == 0:
         gens.insert(draw(st.integers(0, len(gens))), ring.one())
     gens = draw(st.permutations(gens))
     order = draw(st.sampled_from([DEGREVLEX, LEX, block_order(1)]))
-    budget = draw(
-        st.none() | st.builds(Budget, st.integers(0, 4), st.integers(0, 8))
-    )
-    return Ideal(ring, gens), order, budget
+    return Ideal(ring, gens), order, draw(budgets)
 
 
 def _basis_or_error(ideal, order, budget, tracked):
+    """The reduced basis, or the budget error's text; a tracked basis
+    element must re-expand from its cofactors over the generators."""
     try:
         gb = buchberger(ideal, order, budget, _tracked=tracked)
     except BudgetExceededError as exc:
         return str(exc)
-    gb = gb[0] if tracked else gb
+    if tracked:
+        gb, reps = gb
+        for g in gb.basis:
+            total = ideal.ring.zero()
+            for q, h in zip(reps[g], ideal.generators):
+                total = total + q * h
+            assert total == g
     return [(str(p), p.terms) for p in gb.basis]
 
 
-@given(monomial_ideals())
+@given(drawn_ideals())
 @settings(max_examples=300, deadline=None)
 def test_monomial_bases_equal_the_general_engine(case):
     # the certificate-tracking engine always runs the pair loop; reduced
     # bases and budget errors must agree with the minimal-generator path
+    ideal, order, budget = case
+    assert _basis_or_error(ideal, order, budget, False) == _basis_or_error(
+        ideal, order, budget, True
+    )
+
+
+@given(
+    drawn_ideals(
+        max_terms=3, min_gens=2, budgets=st.builds(Budget, st.integers(2, 12), st.integers(4, 16))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_tracked_and_plain_engines_agree_on_general_ideals(case):
+    # the same reductions run with and without cofactors, so the bases
+    # and the budget errors are the same
     ideal, order, budget = case
     assert _basis_or_error(ideal, order, budget, False) == _basis_or_error(
         ideal, order, budget, True

@@ -5,8 +5,9 @@ A name that a module of ``src/equiblow`` imports at module level must be
 read somewhere in that module, or be listed in its ``__all__`` (the
 package ``__init__`` re-exports that way).  A name the module reads
 counts even when other modules import it from there too: ``groebner``
-imports ``divmod_multi`` for ``normal_form`` and ``lift_certificate``,
-which is a use, not a bare re-export.
+imports ``divmod_multi`` for ``normal_form``, which is a use, not a bare
+re-export, and the division loop's kernel ``_divide`` for Buchberger's
+reductions and ``lift_certificate``.
 """
 
 import ast
