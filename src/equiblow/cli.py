@@ -24,7 +24,6 @@ from .blowup import (
 from .dcrit import (
     SmallExtension,
     cohomology_dims,
-    dcritical_chart,
     find_lift,
     four_term_at,
     lifting_data,
@@ -41,10 +40,10 @@ from .errors import (
 )
 from .family import fiber_blowup_commutes
 from .groebner import Budget, contains_one, eliminate
-from .modelfile import BuiltModel, build_model, load_model_file, parse_hint
-from .poly import Ring, canon, parse_poly
+from .modelfile import build_model, load_model_file, parse_hint, parse_model_text
+from .poly import canon
 from .stability import point_semistable
-from .torus import Subtorus, WeightMatrix
+from .torus import Subtorus
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -109,14 +108,14 @@ def _stages(nodes) -> list[dict]:
     }]
 
 
-def _chart_entry(node, prefix: str = "") -> dict:
+def _chart_entry(node) -> dict:
     """The report entry of a stage-0 node."""
     chart = node.chart
     checks = {"xi": True}
     if node.coincides is not None:
         checks["coinc"] = node.coincides
     return rpt.chart_entry(
-        prefix + chart.name,
+        chart.name,
         chart.ring.names,
         chart.weights.rows,
         ideal_gb=rpt.gb_strings(node.gb),
@@ -213,7 +212,7 @@ def cmd_semistable(args, built, budget) -> tuple[list, dict, int]:
 
 def cmd_obstruction(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
-        raise PreconditionError("obstruction requires a potential model")
+        raise PreconditionError("obstruction requires a potential or section model")
     n = built.ring.n
     if args.point is not None:
         point = _parse_point(args.point, n)
@@ -273,7 +272,7 @@ def cmd_omega_verify(args, built, budget) -> tuple[list, dict, int]:
 
 def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
-        raise PreconditionError("fiber-check requires a potential model")
+        raise PreconditionError("fiber-check requires a potential or section model")
     try:
         c = canon(args.at)
     except (ValueError, ZeroDivisionError):
@@ -287,13 +286,6 @@ def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
     return [], ledger, 0
 
 
-def _independent(built: BuiltModel, aux, budget) -> bool:
-    """Eliminate the auxiliary coordinates to get the small ideal, then
-    check that its intrinsic chart ideals match the model's."""
-    small = eliminate(built.ideal, aux, budget)
-    return embedding_independence_check(small, built.ideal, built.weights, aux, budget)
-
-
 def cmd_independence(args, built, budget) -> tuple[list, dict, int]:
     aux = tuple(s.strip() for s in args.aux.split(",") if s.strip())
     if not aux:
@@ -301,113 +293,90 @@ def cmd_independence(args, built, budget) -> tuple[list, dict, int]:
     for a in aux:
         if a not in built.ring.index:
             raise ModelFileError(f"auxiliary variable {a!r} is not in the model")
-    ledger = {"aux": list(aux), "independent": _independent(built, aux, budget)}
-    return [], ledger, 0
+    # eliminate the auxiliary coordinates to get the small ideal, then
+    # check that its intrinsic chart ideals match the model's
+    small = eliminate(built.ideal, aux, budget)
+    independent = embedding_independence_check(
+        small, built.ideal, built.weights, aux, budget
+    )
+    return [], {"aux": list(aux), "independent": independent}, 0
 
 
 # ---------------------------------------------------------------------------
-# corpus runner
+# corpus runner: every bundled example as subcommand lines
 
 
-def _corpus_checks(budget) -> tuple[list[dict], list[dict]]:
-    """All bundled models through their pipelines plus the deterministic
-    worked examples; returns (chart entries, named checks)."""
-    charts_out: list[dict] = []
-    checks: list[dict] = []
+# the files whose stage-0 charts the corpus report lists, each chart named
+# after its file, with the coincidence check of each file with a section
+_PIPELINE = ("e1.kb", "e2.kb", "conic.kb", "square.kb", "fat.kb")
+# the rank-0 models of the obstruction spot checks, which have no file
+_INLINE_MODELS = {
+    "cubic": 'variables = [x]\nweights = []\npotential = "1/3*x^3"\n',
+    "quadratic": 'variables = [x]\nweights = []\npotential = "1/2*x^2"\n',
+}
 
-    def check(name: str, passed: bool):
-        checks.append({"name": name, "passed": bool(passed)})
 
-    pipeline = ["e1.kb", "e2.kb", "conic.kb", "square.kb", "fat.kb"]
-    for fname in pipeline:
-        built = build_model(load_model_file(str(CORPUS_DIR / fname)))
-        atlas = make_charts(built.ring, built.weights, Subtorus.full(built.weights.k))
-        nodes, _ = blowup_tree(built.ideal, built.model, atlas, budget)
-        if fname == "e2.kb":
-            e2 = nodes
-        charts_out += [_chart_entry(node, prefix=f"{fname}:") for node in nodes]
-        if built.model is not None:
-            check(f"coinc:{fname}", all(node.coincides for node in nodes))
+def _holds(key, expected=True):
+    """The verdict that a line's ledger holds ``expected`` at ``key``."""
+    return lambda charts, ledger: ledger[key] == expected
 
-    trivial = build_model(load_model_file(str(CORPUS_DIR / "trivial.kb")))
-    check("dense:trivial.kb", action_is_trivial(trivial.weights))
 
-    fam = build_model(load_model_file(str(CORPUS_DIR / "family.kb")))
-    for c in (0, 1, -2):
-        results = fiber_blowup_commutes(fam.model, c, budget=budget)
-        check(f"fiber:family.kb:at={c}", all(results.values()))
-
-    pair = build_model(load_model_file(str(CORPUS_DIR / "square_pair.kb")))
-    rep = verify_omega_equivalence(
-        pair.model,
-        pair.against,
-        hint=parse_hint(pair),
-        basepoint=pair.source.basepoint,
-        budget=budget,
-    )
-    check("omega:square_pair.kb", rep.passed)
-
-    for fname, aux in (("e1aux.kb", ("u",)), ("e2aux.kb", ("u",))):
-        built = build_model(load_model_file(str(CORPUS_DIR / fname)))
-        check(f"independence:{fname}", _independent(built, aux, budget))
-
+_DIMS = "cohomology_dims"
+_CHART_X = "semistable e2.kb --chart chart_x"
+# the named checks past the pipeline's, in report order: (name, command
+# line, verdict on the line's chart entries and ledger)
+_CORPUS_CHECKS = (
+    ("dense:trivial.kb", "blowup trivial.kb", _holds("dense")),
+    ("fiber:family.kb:at=0", "fiber-check family.kb --at=0", _holds("commutes")),
+    ("fiber:family.kb:at=1", "fiber-check family.kb --at=1", _holds("commutes")),
+    ("fiber:family.kb:at=-2", "fiber-check family.kb --at=-2", _holds("commutes")),
+    ("omega:square_pair.kb", "omega-verify square_pair.kb", _holds("passed")),
+    ("independence:e1aux.kb", "independence e1aux.kb --aux u", _holds("independent")),
+    ("independence:e2aux.kb", "independence e2aux.kb --aux u", _holds("independent")),
     # worked cohomology dimensions, frozen
-    ring2 = Ring(["x", "y"])
-    w2 = WeightMatrix([(1, -1)])
-    square = dcritical_chart(parse_poly("1/2*x^2*y^2", ring2), w2)
-    dims_a = cohomology_dims(four_term_at(square, (1, 0)))
-    dims_b = cohomology_dims(four_term_at(square, (0, 0)))
-    ring3 = Ring(["x", "y", "z"])
-    w3 = WeightMatrix([(1, -1, 0)])
-    xyz = dcritical_chart(parse_poly("x*y*z", ring3), w3)
-    dims_c = cohomology_dims(four_term_at(xyz, (1, 0, 0)))
-    check("dims:square:(1,0)", dims_a == (0, 0, 0, 0))
-    check("dims:square:origin", dims_b == (1, 2, 2, 1))
-    check("dims:xyz:(1,0,0)", dims_c == (0, 0, 0, 0))
-
-    # obstruction spot checks
-    ring1 = Ring(["x"])
-    w0 = WeightMatrix([])
-    cubic = dcritical_chart(parse_poly("1/3*x^3", ring1), w0)
-    ext = SmallExtension(2, [(0, 1)])
-    data = lifting_data(cubic, ext)
-    ob = obstruction_assignment(cubic, ext, data=data)
-    check(
-        "obstruction:cubic",
-        (not ob.liftable) and find_lift(cubic, ext, data=data) is None,
-    )
-    quad = dcritical_chart(parse_poly("1/2*x^2", ring1), w0)
-    ext0 = SmallExtension(2, [(0, 0)])
-    data0 = lifting_data(quad, ext0)
-    ob0 = obstruction_assignment(quad, ext0, data=data0)
-    check(
-        "obstruction:quadratic",
-        ob0.liftable and find_lift(quad, ext0, data=data0) is not None,
-    )
-
-    # stability verdicts on the blown-up three-axes model
-    chart_x = e2[0].chart
-    check("unstable:e2:chart_x", rpt.ideal_strings(e2[0].unstable) == ["T_y"])
-    check(
-        "semistable:e2:(0,1,0)",
-        point_semistable((0, 1, 0), chart_x).semistable,
-    )
-    check(
-        "unstable-point:e2:(1,0,0)",
-        not point_semistable((1, 0, 0), chart_x).semistable,
-    )
-    check(
-        "semistable:e2:(0,1,5)",
-        point_semistable((0, 1, 5), chart_x).semistable,
-    )
-    return charts_out, checks
+    ("dims:square:(1,0)", "crit square.kb --point=1,0", _holds(_DIMS, [0, 0, 0, 0])),
+    ("dims:square:origin", "crit square.kb --point=0,0", _holds(_DIMS, [1, 2, 2, 1])),
+    ("dims:xyz:(1,0,0)", "crit e2.kb --point=1,0,0", _holds(_DIMS, [0, 0, 0, 0])),
+    ("obstruction:cubic", "obstruction cubic --point=0 --direction=1", _holds("liftable", False)),
+    ("obstruction:quadratic", "obstruction quadratic --point=0 --direction=0", _holds("liftable")),
+    # the pipeline's own run, whose first chart is chart_x: a second
+    # blowup would compute the chart bases again
+    ("unstable:e2:chart_x", "blowup e2.kb", lambda c, _: c[0]["unstable_gb"] == ["T_y"]),
+    ("semistable:e2:(0,1,0)", f"{_CHART_X} --point=0,1,0", _holds("semistable")),
+    ("unstable-point:e2:(1,0,0)", f"{_CHART_X} --point=1,0,0", _holds("semistable", False)),
+    ("semistable:e2:(0,1,5)", f"{_CHART_X} --point=0,1,5", _holds("semistable")),
+)
 
 
 def cmd_corpus(args, built, budget) -> tuple[list, dict, int]:
-    charts_out, checks = _corpus_checks(budget)
+    models: dict = {}  # each file is read and built once per run
+    runs: dict = {}  # and each line run once
+
+    def run(line: str) -> tuple[list, dict]:
+        if line not in runs:
+            parsed = _parse_words(line.split())
+            name = parsed.file
+            if name not in models:
+                text = _INLINE_MODELS.get(name)
+                models[name] = build_model(
+                    parse_model_text(text)
+                    if text is not None
+                    else load_model_file(str(CORPUS_DIR / name))
+                )
+            runs[line] = _DISPATCH[parsed.command](parsed, models[name], budget)[:2]
+        return runs[line]
+
+    charts_out: list[dict] = []
+    checks: list[dict] = []
+    for name in _PIPELINE:
+        charts, ledger = run(f"blowup {name}")
+        charts_out += [{**c, "name": f"{name}:{c['name']}"} for c in charts]
+        if "coinc_all" in ledger:
+            checks.append({"name": f"coinc:{name}", "passed": ledger["coinc_all"]})
+    for name, line, verdict in _CORPUS_CHECKS:
+        checks.append({"name": name, "passed": verdict(*run(line))})
     failed = [c["name"] for c in checks if not c["passed"]]
-    ledger = {"checks": checks, "failed": failed}
-    return charts_out, ledger, 1 if failed else 0
+    return charts_out, {"checks": checks, "failed": failed}, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -415,15 +415,18 @@ def build_model(mf: ModelFile) -> BuiltModel:
                 labels = tuple(f"e{i}" for i in range(len(section)))
             if len(labels) != len(section) or len(mf.frame_weights) != len(section):
                 raise ModelFileError("frame data must match the section length")
-            bundle = EquivariantBundle(labels, mf.frame_weights, mf.twist)
-            model = LocalModel(
-                ring,
-                weights,
-                bundle,
-                section,
-                divisor=dict(mf.divisor),
-                base_param=mf.base_parameter,
-            )
+            try:
+                bundle = EquivariantBundle(labels, mf.frame_weights, mf.twist)
+                model = LocalModel(
+                    ring,
+                    weights,
+                    bundle,
+                    section,
+                    divisor=dict(mf.divisor),
+                    base_param=mf.base_parameter,
+                )
+            except ValueError as e:  # e.g. a repeated label or a stray divisor
+                raise ModelFileError(str(e)) from None
         return BuiltModel(ring, weights, ideal, model, None, mf)
     except PolyParseError as e:
         raise ModelFileError(f"bad polynomial: {e}") from None

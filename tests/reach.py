@@ -7,6 +7,8 @@ Runs, in one process under a `sys.settrace` line tracer:
 - `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
   `omega-verify` and `fiber-check` on every corpus and bench model file,
   and on one section file written to a temporary directory;
+- `blowup` on two malformed files written next to it, a bad polynomial
+  and a repeated frame label, each an exit 2;
 - every subcommand once with `--budget 0`;
 - three lines that the table scan of `cli._parse_words` leaves to
   argparse: one with flag prefixes, one with a repeated flag, one with
@@ -51,6 +53,12 @@ SECTION_FILE = (
     'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
     'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
 )
+# malformed files, each refused by `blowup` with exit 2: a bad polynomial,
+# and the section file with a repeated frame label
+BAD_FILES = {
+    "bad-poly.kb": 'variables = [x, y]\nweights = [[1, -1]]\npotential = "x*y +"\n',
+    "bad-frame.kb": SECTION_FILE + "frame_labels = [a, a]\n",
+}
 # one command line per subcommand, to which `--budget 0` is appended
 EVERY_SUBCOMMAND = (
     ["blowup", "src/equiblow/corpus/e2.kb"],
@@ -79,7 +87,7 @@ REJECTED_LINES = (
 
 def command_lines(scratch: Path) -> list[list[str]]:
     """Distinct argv lists of the sweep, in run order; the section file
-    is written into the directory ``scratch``."""
+    and the malformed files are written into the directory ``scratch``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -104,6 +112,9 @@ def command_lines(scratch: Path) -> list[list[str]]:
             add(["blowup", rel, *extra])
         for cmd in ("crit", "omega-verify", "fiber-check"):
             add([cmd, rel])
+    for name, text in BAD_FILES.items():
+        (scratch / name).write_text(text)
+        add(["blowup", str(scratch / name)])
     for argv in EVERY_SUBCOMMAND:
         add([*argv, "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:

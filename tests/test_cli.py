@@ -285,6 +285,7 @@ def test_build_model_checks_invariance_once(monkeypatch):
 # ones the eagerly built model gave.  A body without its own `variables`
 # follows MODEL_HEADER.
 MODEL_HEADER = "variables = [x, y, t]\nweights = [[1, -1, 0]]\n"
+SECTION_BODY = 'ideal = ["x*y"]\nsection = ["y", "x"]\n'
 MODEL_FILE_ERRORS = {
     # the ring's own checks, before the bad potential
     "bad-variable-name": (
@@ -331,6 +332,19 @@ MODEL_FILE_ERRORS = {
     "superscript-in-basepoint": (
         'potential = "x*y"\nbasepoint = [², 0, 0]\n',
         "error: basepoint must list one rational per variable\n",
+    ),
+    # the frame data of a section file, which the model's classes check
+    "duplicate-frame-labels": (
+        SECTION_BODY + "frame_weights = [[1], [-1]]\nframe_labels = [a, a]\n",
+        "error: duplicate frame labels\n",
+    ),
+    "frame-weight-length": (
+        SECTION_BODY + "frame_weights = [[1, 2], [-1]]\n",
+        "error: frame weight length must match the torus rank\n",
+    ),
+    "stray-divisor": (
+        SECTION_BODY + "frame_weights = [[1], [-1]]\ndivisor = [[q, 1]]\n",
+        "error: divisor coordinate 'q' is not a ring variable\n",
     ),
 }
 
@@ -606,6 +620,9 @@ def test_obstruction_disagreement_is_exit_5(capsys, monkeypatch, tmp_path):
         capsys, "obstruction", str(src), "--direction", "1", "--ext-order", "2"
     )
     assert code == 5
+    # the corpus spot check on the same model runs the same command
+    code, out, _ = run(capsys, "corpus")
+    assert (code, out) == (5, "")
 
 
 def test_obstruction_evaluates_its_inputs_once(capsys, monkeypatch):
@@ -644,6 +661,47 @@ def test_corpus_checks_all_pass(capsys):
     names = [c["name"] for c in rep["ledger"]["checks"]]
     assert "coinc:e2.kb" in names
     assert "omega:square_pair.kb" in names
+
+
+def test_corpus_dims_checks_read_the_crit_command(capsys, monkeypatch):
+    real = cli._DISPATCH["crit"]
+
+    def altered(args, built, budget):
+        charts, ledger, code = real(args, built, budget)
+        return charts, {**ledger, "cohomology_dims": [9, 9, 9, 9]}, code
+
+    monkeypatch.setitem(cli._DISPATCH, "crit", altered)
+    code, out, _ = run(capsys, "corpus")
+    assert code == 1
+    assert json.loads(out)["ledger"]["failed"] == [
+        "dims:square:(1,0)",
+        "dims:square:origin",
+        "dims:xyz:(1,0,0)",
+    ]
+
+
+def test_corpus_reads_each_bundled_file_once(capsys, monkeypatch):
+    calls = []
+    real = cli.load_model_file
+
+    def counted(path):
+        calls.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_model_file", counted)
+    report(capsys, "corpus")
+    assert len(calls) == 10
+    assert len(set(calls)) == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("crit",), ("obstruction", "--point=0,0"), ("fiber-check",)],
+)
+def test_point_commands_refuse_an_ideal_only_file(capsys, argv):
+    code, out, err = run(capsys, argv[0], str(CORPUS / "fat.kb"), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == f"precondition: {argv[0]} requires a potential or section model\n"
 
 
 def test_corpus_failure_is_exit_1(capsys, monkeypatch):
