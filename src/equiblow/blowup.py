@@ -19,6 +19,7 @@ from .groebner import (
     normal_form,
 )
 from .poly import DEGREVLEX, Poly, Ring, divide_exact
+from .record import Record
 from .torus import (
     Subtorus,
     WeightMatrix,
@@ -250,7 +251,7 @@ class BlowupChart:
                 for row in parent_weights.rows
             ]
         )
-        self.exceptional = "xi_" + parent_ring.names[pivot]
+        self.exceptional = self.ring.names[pivot]
         self.columns = columns
         self.restricted = restricted
         self.moving = moving
@@ -412,24 +413,15 @@ def intrinsic_ideal(ideal: Ideal, chart: BlowupChart, budget: Budget | None = No
     return Ideal(chart.ring, gens)
 
 
-class BlowupSection(tuple):
-    """The blowup section on one chart.  ``frame_moving`` flags the frame
-    elements that move under the chart's center, decided here alone: their
-    components were divided by xi, and ``transport_model`` twists them."""
-
-    def __new__(cls, components, frame_moving: tuple[bool, ...]):
-        self = super().__new__(cls, components)
-        self.frame_moving = frame_moving
-        return self
-
-
 def frame_moving(model: LocalModel, chart: BlowupChart) -> tuple[bool, ...]:
     """Per frame element of the model's bundle, whether it moves under the
-    chart's center."""
+    chart's center: the components that ``blowup_section`` divides by xi,
+    and the frames that ``transport_model`` and
+    ``dcrit.lift_morphism_to_blowup`` twist."""
     return tuple(any(chart.center.restrict(v)) for v in model.bundle.weights)
 
 
-def blowup_section(model: LocalModel, chart: BlowupChart) -> BlowupSection:
+def blowup_section(model: LocalModel, chart: BlowupChart) -> tuple[Poly, ...]:
     """Section of the blowup bundle: components on fixed frame elements
     pull back, components on moving ones pull back and divide by xi.
 
@@ -446,7 +438,7 @@ def blowup_section(model: LocalModel, chart: BlowupChart) -> BlowupSection:
                 f"exceptional coordinate {chart.exceptional}: {comp}"
             )
         comps.append(q)
-    return BlowupSection(comps, moving)
+    return tuple(comps)
 
 
 def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:
@@ -457,15 +449,13 @@ def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:
     def bump(name: str, m: int):
         out[name] = out.get(name, 0) + m
 
+    # chart coordinate i sits at parent position i: x_i = xi·T_i when
+    # x_i is a moving coordinate other than the pivot
     for name, m in divisor.items():
         i = chart.parent_ring.index[name]
-        if i == chart.pivot:
+        if i != chart.pivot and i in chart.moving:
             bump(chart.exceptional, m)
-        elif i in chart.moving:
-            bump(chart.exceptional, m)
-            bump("T_" + name, m)
-        else:
-            bump(name, m)
+        bump(chart.ring.names[i], m)
     return out
 
 
@@ -495,7 +485,7 @@ def _cleared_form_transform(chart: BlowupChart):
             rows[i][i] = xi * xi
             for j in chart.moving:
                 if j != chart.pivot:
-                    rows[i][j] = -(xi * ring.var("T_" + chart.parent_ring.names[j]))
+                    rows[i][j] = -(xi * ring.var(ring.names[j]))
         elif i in chart.moving:
             rows[i][i] = xi
         else:
@@ -540,7 +530,7 @@ def twisted_cofactor(model: LocalModel):
     )
 
 
-class WeakModelReport:
+class WeakModelReport(Record):
     """Outcome of the structural checks of a weak local model: the twisted
     action pairing factors through the cofactor, the cofactor kills the
     section, and restriction to any closed-orbit fixed locus projects to
@@ -548,23 +538,9 @@ class WeakModelReport:
 
     __slots__ = ("factorization", "composite_zero", "fixed_projection", "witnesses")
 
-    def __init__(self, factorization, composite_zero, fixed_projection, witnesses):
-        self.factorization = bool(factorization)
-        self.composite_zero = bool(composite_zero)
-        self.fixed_projection = bool(fixed_projection)
-        self.witnesses = tuple(witnesses)
-
     @property
     def passed(self) -> bool:
         return self.factorization and self.composite_zero and self.fixed_projection
-
-    def __repr__(self):
-        flags = (
-            f"factorization={self.factorization}, "
-            f"composite_zero={self.composite_zero}, "
-            f"fixed_projection={self.fixed_projection}"
-        )
-        return f"WeakModelReport({flags})"
 
 
 def check_weak_local_model(model: LocalModel) -> WeakModelReport:
@@ -663,7 +639,9 @@ def check_weak_local_model(model: LocalModel) -> WeakModelReport:
                         f"fixed_projection: stabilizer {c} on frame "
                         f"{model.bundle.labels[b]} leaves {acc}"
                     )
-    return WeakModelReport(factorization, composite_zero, fixed_projection, witnesses)
+    return WeakModelReport(
+        factorization, composite_zero, fixed_projection, tuple(witnesses)
+    )
 
 
 def blowup_local_model(
@@ -684,7 +662,7 @@ def blowup_local_model(
 
 
 def transport_model(
-    model: LocalModel, section: BlowupSection, chart: BlowupChart
+    model: LocalModel, section: tuple[Poly, ...], chart: BlowupChart
 ) -> LocalModel:
     """The weak local model on a chart of the full-torus blowup, given
     its blowup section there.  The bundle gains a xi twist on the
@@ -700,7 +678,7 @@ def transport_model(
             "pairing; a Kirwan tree that starts at the full torus needs a "
             "potential file"
         )
-    ring, moving = chart.ring, section.frame_moving
+    ring, moving = chart.ring, frame_moving(model, chart)
     pivot_w = chart.columns[chart.pivot]
     labels, weights = [], []
     for mov, lab, v in zip(moving, model.bundle.labels, model.bundle.weights):

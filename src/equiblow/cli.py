@@ -56,15 +56,6 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 def _parse_budget(args) -> Budget | None:
     value = args.budget
     if value is None:
-        env = os.environ.get("EQUIBLOW_BUDGET")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ModelFileError(
-                    f"EQUIBLOW_BUDGET must be an integer, got {env!r}"
-                ) from None
-    if value is None:
         return None
     if value < 1:
         raise ModelFileError("budget must be a positive integer")

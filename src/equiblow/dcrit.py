@@ -22,6 +22,7 @@ from .errors import PreconditionError, TheoremCheckError
 from .groebner import Budget, Ideal, buchberger, lift_certificate, normal_form, saturate
 from .linalg import coker_projection, mat_mul, rank, solve
 from .poly import DEGREVLEX, Poly, Ring, canon, divide_exact, exact_div
+from .record import Record
 from .torus import (
     WeightMatrix,
     isotypic_pieces,
@@ -222,9 +223,7 @@ def cohomology_dims(K: FourTermComplexAtPoint) -> tuple[int, int, int, int]:
     Verifies the Euler identity h0 - h1 + h2 - h3 = r - n before
     reporting.
     """
-    r0 = rank([list(row) for row in K.m0]) if K.k else 0
-    r1 = rank([list(row) for row in K.m1]) if K.r else 0
-    r2 = rank([list(row) for row in K.m2]) if (K.k and K.r) else 0
+    r0, r1, r2 = rank(K.m0), rank(K.m1), rank(K.m2)
     h0 = K.k - r0
     h1 = (K.n - r1) - r0
     h2 = (K.r - r2) - r1
@@ -351,22 +350,11 @@ class SmallExtension:
         return f"SmallExtension(m={self.m}, series={self.series})"
 
 
-class ObstructionAssignment:
+class ObstructionAssignment(Record):
     """Obstruction class of a small extension in cokernel coordinates,
     along with its dimension count and the liftability verdict."""
 
     __slots__ = ("vector", "coker_dim", "liftable")
-
-    def __init__(self, vector, coker_dim, liftable):
-        self.vector = tuple(vector)
-        self.coker_dim = int(coker_dim)
-        self.liftable = bool(liftable)
-
-    def __repr__(self):
-        return (
-            f"ObstructionAssignment(vector={self.vector}, "
-            f"liftable={self.liftable})"
-        )
 
 
 def _extension_residual(model: LocalModel, ext: SmallExtension):
@@ -406,7 +394,7 @@ def obstruction_assignment(
     ``lifting_data`` result already in hand.
     """
     top, K = data if data is not None else lifting_data(model, ext)
-    dim, project = coker_projection([list(row) for row in K.m1], model.bundle.rank)
+    dim, project = coker_projection(K.m1, model.bundle.rank)
     vector = project(top)
     return ObstructionAssignment(vector, dim, all(x == 0 for x in vector))
 
@@ -420,8 +408,7 @@ def find_lift(model: LocalModel, ext: SmallExtension, data=None):
     """
     top, K = data if data is not None else lifting_data(model, ext)
     # columns of the middle map multiply the unknown correction
-    A = [list(row) for row in K.m1]
-    delta = solve(A, [-x for x in top])
+    delta = solve(K.m1, [-x for x in top])
     if delta is None:
         return None
     series = [c + (delta[i],) for i, c in enumerate(ext.series)]
@@ -432,7 +419,7 @@ def find_lift(model: LocalModel, ext: SmallExtension, data=None):
 # equivalence of sections
 
 
-class OmegaEquivalenceReport:
+class OmegaEquivalenceReport(Record):
     """Per-condition outcome of a section-equivalence check: equality of
     the cut ideals after localization, both correction identities modulo
     the squared ideal, and equivariance of the correction matrices."""
@@ -445,13 +432,6 @@ class OmegaEquivalenceReport:
         "witnesses",
     )
 
-    def __init__(self, same_ideal, identity_forward, identity_backward, equivariant, witnesses):
-        self.same_ideal = bool(same_ideal)
-        self.identity_forward = bool(identity_forward)
-        self.identity_backward = bool(identity_backward)
-        self.equivariant = bool(equivariant)
-        self.witnesses = tuple(witnesses)
-
     @property
     def passed(self) -> bool:
         return (
@@ -459,13 +439,6 @@ class OmegaEquivalenceReport:
             and self.identity_forward
             and self.identity_backward
             and self.equivariant
-        )
-
-    def __repr__(self):
-        return (
-            f"OmegaEquivalenceReport(same_ideal={self.same_ideal}, "
-            f"forward={self.identity_forward}, backward={self.identity_backward}, "
-            f"equivariant={self.equivariant})"
         )
 
 
@@ -565,7 +538,7 @@ def verify_omega_equivalence(
                 f"weight {expected}"
             )
     return OmegaEquivalenceReport(
-        same_ideal, identity_forward, identity_backward, equivariant, witnesses
+        same_ideal, identity_forward, identity_backward, equivariant, tuple(witnesses)
     )
 
 
@@ -719,24 +692,12 @@ def lift_morphism_to_blowup(A, model: LocalModel, chart):
     return tuple(tuple(lifted[c][j] for c in range(r)) for j in range(n))
 
 
-class CokernelComparison:
+class CokernelComparison(Record):
     """Comparison of obstruction cokernels along a coordinate inclusion:
     dimensions on both sides and whether dropping the auxiliary frame
     components induces a bijection."""
 
     __slots__ = ("compatible", "dim_small", "dim_big", "witnesses")
-
-    def __init__(self, compatible, dim_small, dim_big, witnesses):
-        self.compatible = bool(compatible)
-        self.dim_small = int(dim_small)
-        self.dim_big = int(dim_big)
-        self.witnesses = tuple(witnesses)
-
-    def __repr__(self):
-        return (
-            f"CokernelComparison(compatible={self.compatible}, "
-            f"dims=({self.dim_big} -> {self.dim_small}))"
-        )
 
 
 def phi_ck_at_point(
@@ -781,12 +742,8 @@ def phi_ck_at_point(
 
     Ks = four_term_at(small, point)
     Kb = four_term_at(big, big_point)
-    dim_s, project_s = coker_projection(
-        [list(row) for row in Ks.m1], small.bundle.rank
-    )
-    dim_b, project_b = coker_projection(
-        [list(row) for row in Kb.m1], big.bundle.rank
-    )
+    dim_s, project_s = coker_projection(Ks.m1, small.bundle.rank)
+    dim_b, project_b = coker_projection(Kb.m1, big.bundle.rank)
     witnesses: list[str] = []
     compatible = True
     if dim_s != dim_b:
@@ -823,4 +780,4 @@ def phi_ck_at_point(
         if rank(matrix) != dim_s:
             compatible = False
             witnesses.append("induced map on cokernels is not a bijection")
-    return CokernelComparison(compatible, dim_s, dim_b, witnesses)
+    return CokernelComparison(compatible, dim_s, dim_b, tuple(witnesses))

@@ -66,11 +66,6 @@ class GroebnerBasis(Record):
 
     __slots__ = ("ring", "order", "basis")
 
-    def __init__(self, ring: Ring, order: MonomialOrder, basis: tuple[Poly, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "basis", basis)
-
 
 def contains_one(gb: GroebnerBasis) -> bool:
     return len(gb.basis) == 1 and gb.basis[0].is_constant() and not gb.basis[0].is_zero()
@@ -309,16 +304,14 @@ def _monomial_basis(
 # derived operations
 
 
-def ideal_equal(
-    a: Ideal, b: Ideal, order: MonomialOrder = DEGREVLEX, budget: Budget | None = None
-) -> bool:
+def ideal_equal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
     """Ideal equality: the same generator set gives the same ideal at
-    once; otherwise reduced bases, which are unique, decide."""
+    once; otherwise reduced DEGREVLEX bases, which are unique, decide."""
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
     if set(a.generators) == set(b.generators):
         return True
-    return buchberger(a, order, budget).basis == buchberger(b, order, budget).basis
+    return buchberger(a, DEGREVLEX, budget).basis == buchberger(b, DEGREVLEX, budget).basis
 
 
 def lift_certificate(

@@ -1,12 +1,16 @@
 """Exact linear algebra over Q and Z.
 
-Rational kernels, solutions and cokernels via Gaussian elimination on
-canonical scalars (an int when integral, else a Fraction with
-denominator > 1, as in ``poly``), dividing only through ``exact_div``;
-ranks and the convex-position tests that GIT stability needs by
-integer-preserving (Bareiss) elimination, so their entries stay plain
-ints; Hermite reduction for integer lattices.  No floating point
-anywhere.
+Three integer-preserving algorithms, and no floating point anywhere:
+
+- one elimination over Q: ``_echelon``, Bareiss's fraction-free row
+  echelon form after clearing each row's denominators, which ``rank``
+  counts, ``solve`` back-substitutes and ``coker_projection`` reduces
+  by; their results are canonical scalars (an int when integral, else
+  a Fraction with denominator > 1, as in ``poly``), built only through
+  ``exact_div``;
+- Hermite reduction for integer lattices;
+- a fraction-free phase-one simplex for the exact LPs and the
+  convex-position tests that GIT stability needs.
 """
 from __future__ import annotations
 
@@ -36,79 +40,87 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def transpose(A: Mat) -> Mat:
-    if not A:
-        return ()
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
+    return tuple(zip(*A))
 
 
-def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(map(canon, r)) for r in A]
+def _cleared(row) -> tuple[int, list[int]]:
+    """The lcm of the row's denominators, and the row times it as ints.
+    A float raises ``TypeError``, as in ``canon``."""
+    types = set(map(type, row))
+    if types <= {int}:
+        return 1, list(row)
+    if any(issubclass(t, float) for t in types):
+        raise TypeError("a float is not an exact rational")
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _echelon(A) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form of a matrix of ints and Fractions: its
+    nonzero rows and their pivot columns, by Bareiss's fraction-free
+    elimination after clearing each row's denominators.
+
+    Pivot r is the minor of the first r + 1 rows (swaps applied) on the
+    first r + 1 pivot columns, so the last pivot is the determinant of
+    the pivot block.  A row with a zero below a pivot is left as it is,
+    so each row keeps ``base``, the pivot it was last eliminated
+    against: its entries are the minors bordering the block of that
+    pivot, and the next elimination divides by ``base`` exactly
+    (Sylvester's identity), here and in ``coker_projection``.
+    """
+    rows = [_cleared(row)[1] for row in A]
     m = len(rows)
     n = len(rows[0]) if rows else 0
+    base = [1] * m
     pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [exact_div(x, pv) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [canon(x - f * y) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def rank(A: Mat) -> int:
-    """Exact rank of a matrix of ints and Fractions, computed
-    fraction-free after clearing each row's denominators."""
-    rows = []
-    for row in A:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    # Bareiss elimination
-    rk = 0
     prev = 1
     r = 0
     for c in range(n):
+        if r == m:
+            break
         pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        base[r], base[pivot] = base[pivot], base[r]
+        if base[r] != prev:  # scale the pivot row to the minors of this step
+            rows[r] = [x * prev // base[r] for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        rk += 1
+            f = rows[i][c]
+            if f:
+                rows[i] = [(p * x - f * y) // base[i] for x, y in zip(rows[i], top)]
+                base[i] = p
+        prev = p
+        pivots.append(c)
         r += 1
-        if r == m:
-            break
-    return rk
+    return rows[:r], pivots
+
+
+def rank(A: Mat) -> int:
+    """Exact rank of a matrix of ints and Fractions."""
+    return len(_echelon(A)[1])
 
 
 def solve(A: Mat, b: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None when inconsistent."""
+    """One exact solution of A x = b, with every free variable 0, or None
+    when inconsistent."""
     if not A:
         return () if all(canon(x) == 0 for x in b) else None
     n = len(A[0])
-    aug = tuple(tuple(row) + (b[i],) for i, row in enumerate(A))
-    R, pivots = rref(aug)
-    if n in pivots:
+    rows, pivots = _echelon([[*row, b[i]] for i, row in enumerate(A)])
+    if pivots and pivots[-1] == n:
         return None
+    # d, the determinant of the pivot block, makes d * x integral by
+    # Cramer's rule: back-substitute for y = d * x in ints
+    d = rows[-1][pivots[-1]] if pivots else 1
     x = [0] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
+    y = []
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        yc = (d * row[n] - sum(row[j] * yj for j, yj in y)) // row[c]
+        y.append((c, yc))
+        x[c] = exact_div(yc, d)
     return tuple(x)
 
 
@@ -118,24 +130,27 @@ def coker_projection(A: Mat, rows: int) -> tuple[int, Callable[[Sequence], Vec]]
     Returns (dimension, project) where project sends v in Q^rows to its
     coordinates in a fixed complement basis of im(A).  Deterministic:
     the complement consists of the standard basis vectors at non-pivot
-    positions of the reduced column space.
+    positions of the column space's echelon form, and the coordinates
+    are those of the unique w = v - u, u in im(A), that vanishes at the
+    pivot positions.
     """
-    cols = transpose(A) if A else ()
-    if not cols:
-        R: Mat = ()
-        pivots: tuple[int, ...] = ()
-    else:
-        R, pivots = rref(cols)
+    echelon, pivots = _echelon(transpose(A))
     free = [i for i in range(rows) if i not in pivots]
 
     def project(v: Sequence) -> Vec:
-        w = [canon(x) for x in v]
-        for r, pc in enumerate(pivots):
-            f = w[pc]
-            if f != 0:
-                for j in range(rows):
-                    w[j] -= f * R[r][j]
-        return tuple(canon(w[i]) for i in free)
+        # v, denominators cleared, is one more row of the elimination;
+        # it ends as base * den * w, the minors bordering the block of
+        # the last pivot it was eliminated against
+        den, w = _cleared(v)
+        base = 1
+        for row, c in zip(echelon, pivots):
+            f = w[c]
+            if f:
+                p = row[c]
+                w = [(p * x - f * y) // base for x, y in zip(w, row)]
+                base = p
+        scale = den * base
+        return tuple(exact_div(w[i], scale) for i in free)
 
     return len(free), project
 

@@ -1,14 +1,26 @@
 """Immutable records: small value classes with named fields.
 
-A subclass names its fields in ``__slots__`` and sets them once, in
-``__init__``, with ``object.__setattr__``.  Equality, the hash and the
-repr go by the fields in that order, as a frozen dataclass's do, so the
-package never imports ``dataclasses`` (which pulls in ``inspect``).
+A subclass names its fields in ``__slots__``.  The inherited
+``__init__`` takes their values positionally, in that order; a subclass
+that checks or converts its inputs writes its own and sets each field
+once with ``object.__setattr__``.  Equality, the hash and the repr go
+by the fields in that order, as a frozen dataclass's do, so the package
+never imports ``dataclasses`` (which pulls in ``inspect``).
 """
 
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} values")
+        # zip(..., strict=True) would take twice as long: records are
+        # built in the inner loops of the chart transport
+        setattr_ = object.__setattr__
+        for name, value in zip(names, values):
+            setattr_(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

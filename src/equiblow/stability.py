@@ -176,11 +176,10 @@ def unstable_ideal(chart: BlowupChart) -> Ideal:
                 (chart.pivot,) + tau, fiber
             ):
                 minimal.append(set(tau))
-    names = chart.parent_ring.names
     generators = []
     for tau in minimal:
         g = ring.one()
         for i in sorted(tau):
-            g = g * ring.var("T_" + names[i])
+            g = g * ring.var(ring.names[i])
         generators.append(g)
     return Ideal(ring, generators)

@@ -121,10 +121,6 @@ class GradedPiece(Record):
 
     __slots__ = ("weight", "part")
 
-    def __init__(self, weight: tuple[int, ...], part: Poly):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "part", part)
-
 
 def monomial_weight(m: Mono, weights: WeightMatrix) -> tuple[int, ...]:
     """Full-torus weight of a monomial: W times the exponent vector."""

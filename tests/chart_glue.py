@@ -8,7 +8,7 @@ of one blowup agree on chart overlaps, through the transition map
 between two charts.
 """
 
-from equiblow import DEGREVLEX, Ideal, PreconditionError, ideal_equal, saturate
+from equiblow import Ideal, PreconditionError, ideal_equal, saturate
 
 
 def subs(p, images, target):
@@ -103,6 +103,5 @@ def charts_glue(ideal_a, chart_a, ideal_b, chart_b, budget=None):
     return ideal_equal(
         saturate(moved, t_link, budget),
         saturate(ideal_a, t_link, budget),
-        DEGREVLEX,
         budget,
     )

@@ -4,7 +4,7 @@ import importlib.util
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from equiblow import (
@@ -254,6 +254,25 @@ def fraction_relint(vs):
     return fraction_lp_feasible(A, [0] * d, [1] * len(vs))
 
 
+def sympy_rref():
+    """Reduced row echelon form over QQ by sympy's DomainMatrix, with
+    Fraction entries."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ = sympy.QQ
+
+    def rref(rows):
+        M = [[QQ(x.numerator, x.denominator) for x in row] for row in rows]
+        reduced, pivots = DomainMatrix(M, (len(M), len(M[0])), QQ).rref()
+        return [
+            [Fraction(int(e.numerator), int(e.denominator)) for e in row]
+            for row in reduced.to_list()
+        ], pivots
+
+    return rref
+
+
 def caratheodory_oracles():
     """Hull and relative-interior membership by Caratheodory enumeration,
     with every linear system solved exactly by sympy.
@@ -266,18 +285,14 @@ def caratheodory_oracles():
     positive coefficient.  (sympy's own simplex, `lpmin`, accepts
     infeasible equality systems here, so it is no oracle.)
     """
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    QQ = sympy.QQ
+    rref = sympy_rref()
 
     def unique_nonnegative(cols, rhs):
         n = len(cols)
-        rows = [[QQ(c[i]) for c in cols] + [QQ(rhs[i])] for i in range(len(rhs))]
-        reduced, pivots = DomainMatrix(rows, (len(rows), n + 1), QQ).rref()
-        if pivots != tuple(range(n)):  # singular or inconsistent
+        reduced, pivots = rref([[c[i] for c in cols] + [rhs[i]] for i in range(len(rhs))])
+        if tuple(pivots) != tuple(range(n)):  # singular or inconsistent
             return False
-        return all(reduced[j, n].element >= 0 for j in range(n))
+        return all(reduced[j][n] >= 0 for j in range(n))
 
     def hull(vs):
         d = len(vs[0])
@@ -387,6 +402,16 @@ def test_rank_of_mixed_entries_matches_a_rational_row_reduction(M):
     assert rank(transpose(M)) == frac_rank(M)
 
 
+def test_the_elimination_refuses_a_float():
+    with pytest.raises(TypeError):
+        rank([[1, 0.5]])
+    with pytest.raises(TypeError):
+        solve([[1, 2]], [0.5])
+    _, project = coker_projection([[1], [2]], 2)
+    with pytest.raises(TypeError):
+        project([0.5, 0])
+
+
 def test_integer_kernels_build_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("an integer kernel built a Fraction")
@@ -401,3 +426,68 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
     assert separating_direction([(1, 1), (2, -1)]) is not None
     assert zero_in_relative_interior([(1, 0), (-1, 0), (0, 2), (0, -3)])
     assert not zero_in_relative_interior([(0, 0), (1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# the elimination over Q against sympy
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b, v): a dense m x n matrix of ints and Fractions, m, n <= 8,
+    with some rows replaced by combinations of others; a right-hand side
+    that is consistent by construction or drawn freely (then often
+    inconsistent); and a vector of Q^m to project."""
+    entry = st.one_of(
+        st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    )
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=max(m - 2, 0))):
+        others = [j for j in range(m) if j != i]
+        j, k = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        c = draw(entry)
+        A[i] = [c * x + y for x, y in zip(A[j], A[k])]
+    if draw(st.booleans()):
+        x = draw(st.lists(entry, min_size=n, max_size=n))
+        b = [sum((a * xi for a, xi in zip(row, x)), 0) for row in A]
+    else:
+        b = draw(st.lists(entry, min_size=m, max_size=m))
+    return A, b, draw(st.lists(entry, min_size=m, max_size=m))
+
+
+HILBERT8 = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+
+
+@given(rational_systems())
+@example((HILBERT8, [1] * 8, list(range(8))))
+# a dense 8 x 8 of rank 7 and an inconsistent right-hand side
+@example((HILBERT8[:7] + [[x + y for x, y in zip(*HILBERT8[:2])]], [1] * 8, [1] * 8))
+@settings(max_examples=200, deadline=None)
+def test_rank_solve_and_coker_projection_match_sympy(system):
+    rref = sympy_rref()
+    A, b, v = system
+    m, n = len(A), len(A[0])
+    _, pivots = rref(A)
+    assert rank(A) == len(pivots)
+
+    R, pivots = rref([row + [bi] for row, bi in zip(A, b)])
+    got = solve(A, b)
+    if n in pivots:
+        assert got is None
+    else:
+        want = [0] * n
+        for r, c in enumerate(pivots):
+            want[c] = R[r][n]
+        assert list(got) == want
+        assert all(is_canonical_scalar(x) for x in got)
+
+    R, pivots = rref(transpose(A))
+    free = [i for i in range(m) if i not in pivots]
+    dim, project = coker_projection(A, m)
+    got = project(v)
+    assert dim == len(free)
+    assert list(got) == [
+        v[i] - sum(v[c] * R[r][i] for r, c in enumerate(pivots)) for i in free
+    ]
+    assert all(is_canonical_scalar(x) for x in got)

@@ -3,6 +3,7 @@ equality, hash, repr and immutability are checked against a frozen
 dataclass twin with the same fields."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -10,11 +11,15 @@ from equiblow import (
     DEGREVLEX,
     LEX,
     Budget,
+    CokernelComparison,
     GradedPiece,
     GroebnerBasis,
     Ideal,
+    ObstructionAssignment,
+    OmegaEquivalenceReport,
     Ring,
     Subtorus,
+    WeakModelReport,
     WeightMatrix,
     parse_poly,
 )
@@ -48,6 +53,26 @@ CASES = [
         GradedPiece((1,), X * Y),
         GradedPiece((0,), X * Y),
     ),
+    (
+        WeakModelReport(True, True, False, ("fixed_projection: leaves x",)),
+        WeakModelReport(True, True, False, ("fixed_projection: leaves x",)),
+        WeakModelReport(True, True, True, ()),
+    ),
+    (
+        OmegaEquivalenceReport(True, True, True, True, ()),
+        OmegaEquivalenceReport(True, True, True, True, ()),
+        OmegaEquivalenceReport(False, True, True, True, ("same_ideal: differ",)),
+    ),
+    (
+        CokernelComparison(True, 1, 1, ()),
+        CokernelComparison(True, 1, 1, ()),
+        CokernelComparison(False, 1, 2, ("cokernel dimensions differ",)),
+    ),
+    (
+        ObstructionAssignment((1, Fraction(1, 2)), 2, False),
+        ObstructionAssignment((1, Fraction(1, 2)), 2, False),
+        ObstructionAssignment((0, 0), 2, True),
+    ),
 ]
 
 
@@ -65,3 +90,10 @@ def test_records_match_their_frozen_dataclass_twins(a, same, other):
             delattr(a, name)
     with pytest.raises(AttributeError):
         a.extra = 1
+
+
+def test_a_record_takes_one_value_per_field():
+    with pytest.raises(TypeError):
+        GradedPiece((1,))
+    with pytest.raises(TypeError):
+        ObstructionAssignment((), 0, True, ())

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from equiblow import Ring, Subtorus, WeightMatrix, make_charts, parse_poly
 from equiblow.dcrit import _jacobian_at
 from equiblow.groebner import Ideal, buchberger
-from equiblow.linalg import rref, solve
+from equiblow.linalg import coker_projection, solve
 from equiblow.poly import DEGREVLEX, LEX, Poly, canon, divide_exact, divmod_multi, exact_div
 from equiblow.stability import point_to_chart
 from scalars import is_canonical_scalar
@@ -218,14 +218,21 @@ def int_matrices(max_rows=4, max_cols=4):
     )
 
 
-@given(int_matrices())
-@example([[3, 1], [1, 1]])
-def test_rref_on_ints_gives_canonical_reference_values(A):
-    R, pivots = rref(A)
-    want, want_pivots = reference_rref(A)
-    assert [list(row) for row in R] == want
-    assert list(pivots) == want_pivots
-    assert all(is_canonical_scalar(x) for row in R for x in row)
+@given(int_matrices(), st.lists(st.sampled_from([0, 1, -1, 2, 5]), min_size=4, max_size=4))
+@example([[3], [1]], [1, 2, 0, 0])
+def test_coker_projection_on_ints_gives_canonical_reference_values(A, v):
+    # the coordinates at the non-pivot rows of v minus the element of
+    # im(A) that agrees with v at the pivots of A's reduced transpose
+    v = v[: len(A)]
+    dim, project = coker_projection(A, len(A))
+    R, pivots = reference_rref([list(col) for col in zip(*A)])
+    free = [i for i in range(len(A)) if i not in pivots]
+    got = project(v)
+    assert dim == len(free)
+    assert list(got) == [
+        v[i] - sum(v[pc] * R[r][i] for r, pc in enumerate(pivots)) for i in free
+    ]
+    assert all(is_canonical_scalar(x) for x in got)
 
 
 @given(int_matrices(), st.lists(st.sampled_from([0, 1, -1, 2, 5]), min_size=4, max_size=4))
