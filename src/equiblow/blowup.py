@@ -52,33 +52,24 @@ def zero_matrix(ring: Ring, rows: int, cols: int):
     return tuple(tuple(ring.zero() for _ in range(cols)) for _ in range(rows))
 
 
-class EquivariantBundle:
+class EquivariantBundle(Record):
     """Trivialized equivariant bundle: a labeled frame with one integer
-    weight vector per frame element, plus the accumulated exceptional
-    twist on the current chart (divisor bookkeeping)."""
+    weight vector per frame element."""
 
-    __slots__ = ("labels", "weights", "twist")
+    __slots__ = ("labels", "weights")
 
-    def __init__(self, labels, weights, twist: int = 0):
+    def __init__(self, labels, weights):
         labels = tuple(str(s) for s in labels)
         weights = tuple(tuple(int(x) for x in w) for w in weights)
         if len(labels) != len(weights):
             raise ValueError("frame labels and weights must pair up")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate frame labels")
-        twist = int(twist)
-        if twist < 0:
-            raise ValueError("exceptional twist cannot be negative")
-        self.labels = labels
-        self.weights = weights
-        self.twist = twist
+        Record.__init__(self, labels, weights)
 
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def __repr__(self):
-        return f"EquivariantBundle({list(self.labels)}, twist={self.twist})"
 
 
 class LocalModel:
@@ -684,7 +675,7 @@ def transport_model(
     for mov, lab, v in zip(moving, model.bundle.labels, model.bundle.weights):
         labels.append("xi*" + lab if mov else lab)
         weights.append(tuple(a + b for a, b in zip(v, pivot_w)) if mov else v)
-    bundle = EquivariantBundle(labels, weights, model.bundle.twist + 2)
+    bundle = EquivariantBundle(labels, weights)
     divisor = pullback_divisor(model.divisor, chart)
     divisor[chart.exceptional] = divisor.get(chart.exceptional, 0) + 2
 

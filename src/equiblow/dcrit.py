@@ -48,8 +48,6 @@ def dcritical_chart(
     if weights.k and weights.n != ring.n:
         raise ValueError("weight matrix width must match the ring")
     _require_invariant(f, weights)
-    if base_param is not None and base_param not in ring.index:
-        raise ValueError(f"base parameter {base_param!r} is not a ring variable")
     return _dcritical_model(f, weights, base_param)
 
 
@@ -95,7 +93,7 @@ def derivative_matrix(section, ring: Ring):
     )
 
 
-class FourTermComplexAtPoint:
+class FourTermComplexAtPoint(Record):
     """Evaluated complex (torus) -> (tangent) -> (bundle) -> (torus dual)
     at a rational point of the section's zero locus.
 
@@ -108,24 +106,17 @@ class FourTermComplexAtPoint:
     def __init__(self, point, m0, m1, m2, k, n, r):
         """Both compositions m1·m0 and m2·m1 must vanish, or
         ``TheoremCheckError`` is raised."""
-        self.point = tuple(point)
+        point = tuple(point)
         if r and k and not _iszero_matrix(mat_mul(m1, m0)):
             raise TheoremCheckError(
-                f"middle map does not kill the action column at {self.point}"
+                f"middle map does not kill the action column at {point}"
             )
         if r and k and not _iszero_matrix(mat_mul(m2, m1)):
             raise TheoremCheckError(
-                f"twisted cofactor does not kill the middle map at {self.point}"
+                f"twisted cofactor does not kill the middle map at {point}"
             )
-        self.m0 = tuple(tuple(row) for row in m0)
-        self.m1 = tuple(tuple(row) for row in m1)
-        self.m2 = tuple(tuple(row) for row in m2)
-        self.k = k
-        self.n = n
-        self.r = r
-
-    def __repr__(self):
-        return f"FourTermComplexAtPoint(point={self.point})"
+        m0, m1, m2 = (tuple(tuple(row) for row in m) for m in (m0, m1, m2))
+        Record.__init__(self, point, m0, m1, m2, k, n, r)
 
 
 def _eval_matrix(rows, point):
@@ -323,7 +314,7 @@ def _series_eval(p: Poly, power, order):
     return tuple(map(canon, total))
 
 
-class SmallExtension:
+class SmallExtension(Record):
     """A square-zero extension of the dual-number tower together with a
     map into the locus: coordinates given as truncated power series in
     one parameter, defined to order m - 1 inclusive."""
@@ -338,16 +329,11 @@ class SmallExtension:
             raise PreconditionError(
                 f"extension order must lie between 1 and {self.MAX_ORDER}"
             )
-        series = tuple(_series_trim(c, m - 1) for c in series)
-        self.m = m
-        self.series = series
+        Record.__init__(self, m, tuple(_series_trim(c, m - 1) for c in series))
 
     @property
     def basepoint(self):
         return tuple(c[0] for c in self.series)
-
-    def __repr__(self):
-        return f"SmallExtension(m={self.m}, series={self.series})"
 
 
 class ObstructionAssignment(Record):

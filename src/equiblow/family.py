@@ -16,12 +16,7 @@ from .torus import Subtorus, WeightMatrix
 def _base_index(model: LocalModel) -> int:
     if model.base_param is None:
         raise PreconditionError("model has no base parameter")
-    ring = model.ring
-    if model.base_param not in ring.index:
-        raise PreconditionError(
-            f"base parameter {model.base_param!r} is not a ring variable"
-        )
-    t = ring.index[model.base_param]
+    t = model.ring.index[model.base_param]
     for row in model.weights.rows:
         if row[t] != 0:
             raise PreconditionError(

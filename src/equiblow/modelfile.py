@@ -19,39 +19,107 @@ from .groebner import Ideal
 from .poly import Poly, Ring, canon, parse_poly
 from .torus import WeightMatrix
 
-_KEYS = {
-    "variables",
-    "weights",
-    "potential",
-    "ideal",
-    "section",
-    "frame_weights",
-    "frame_labels",
-    "divisor",
-    "twist",
-    "base_parameter",
-    "basepoint",
-    "hint",
-}
+
+def _strings(value, mf):
+    if isinstance(value, list):
+        for s in value:
+            if not isinstance(s, str):
+                return None
+        return tuple(value)
+
+
+def _string(value, mf):
+    if isinstance(value, str):
+        return value
+
+
+def _int_rows(value, mf):
+    if isinstance(value, list):
+        for row in value:
+            if not isinstance(row, list):
+                return None
+            for x in row:
+                if not isinstance(x, int):
+                    return None
+        return tuple(map(tuple, value))
+
+
+def _weights(value, mf):
+    if isinstance(value, list):
+        for row in value:
+            if not isinstance(row, list):
+                return None
+        width = len(mf.variables)
+        for row in value:
+            for x in row:
+                if not isinstance(x, int):
+                    raise ModelFileError("weights must be integers")
+            if len(row) != width:
+                raise ModelFileError("weight row width must match variables")
+        return tuple(map(tuple, value))
+
+
+def _divisor(value, mf):
+    if isinstance(value, list):
+        div = {}
+        for item in value:
+            if not (
+                isinstance(item, list)
+                and len(item) == 2
+                and isinstance(item[0], str)
+                and isinstance(item[1], int)
+                and item[1] > 0
+            ):
+                raise ModelFileError(
+                    "divisor entries must be [name, positive multiplicity]"
+                )
+            div[item[0]] = item[1]
+        return div
+
+
+def _base_parameter(value, mf):
+    if isinstance(value, str) and value in mf.variables:
+        t = mf.variables.index(value)
+        for row in mf.weights:
+            if row[t]:
+                raise ModelFileError(
+                    "base parameter must have weight zero in every row"
+                )
+        return value
+
+
+def _basepoint(value, mf):
+    if isinstance(value, list) and len(value) == len(mf.variables):
+        try:
+            return tuple(map(canon, value))
+        except (TypeError, ValueError, ZeroDivisionError):
+            return None
+
+
+# The optional keys, in the order they are checked, so a file with
+# several faults is refused for the first.  A rule is (key, test,
+# message): ``test(value, mf)`` gets the file's value for the key and
+# the ``ModelFile`` with its variables and weights set, and returns the
+# value the field keeps, or None to refuse the file with ``message``; a
+# test with a second refusal raises it itself.  A key the file leaves
+# out reads None, but ``divisor`` reads {}.
+_OPTIONAL = (
+    ("potential", _string, "potential must be a quoted string"),
+    ("ideal", _strings, "ideal must be a list of quoted strings"),
+    ("section", _strings, "section must be a list of quoted strings"),
+    ("frame_weights", _int_rows, "frame_weights must be integer rows"),
+    ("frame_labels", _strings, "frame_labels must be a list of names"),
+    ("divisor", _divisor, "divisor must be a list of [name, multiplicity]"),
+    ("base_parameter", _base_parameter, "base_parameter must name a variable"),
+    ("basepoint", _basepoint, "basepoint must list one rational per variable"),
+    ("hint", _string, "hint must be a quoted string"),
+)
 
 
 class ModelFile:
     """Parsed but unbuilt model data, shapes validated."""
 
-    __slots__ = (
-        "variables",
-        "weights",
-        "potential",
-        "ideal",
-        "section",
-        "frame_weights",
-        "frame_labels",
-        "divisor",
-        "twist",
-        "base_parameter",
-        "basepoint",
-        "hint",
-    )
+    __slots__ = ("variables", "weights", *(key for key, _, _ in _OPTIONAL))
 
     def __init__(self, entries: dict):
         for key in entries:
@@ -62,126 +130,29 @@ class ModelFile:
             weights = entries["weights"]
         except KeyError as e:
             raise ModelFileError(f"missing required key {e.args[0]!r}") from None
-        if not isinstance(variables, list) or not all(
-            isinstance(v, str) for v in variables
-        ):
+        self.variables = _strings(variables, self)
+        if self.variables is None:
             raise ModelFileError("variables must be a list of names")
-        self.variables = tuple(variables)
-        if not isinstance(weights, list) or not all(
-            isinstance(row, list) for row in weights
-        ):
+        self.weights = _weights(weights, self)
+        if self.weights is None:
             raise ModelFileError("weights must be a list of integer rows")
-        rows = []
-        for row in weights:
-            out = []
-            for x in row:
-                if not isinstance(x, int):
-                    raise ModelFileError("weights must be integers")
-                out.append(x)
-            if len(out) != len(self.variables):
-                raise ModelFileError("weight row width must match variables")
-            rows.append(tuple(out))
-        self.weights = tuple(rows)
-
-        has_potential = "potential" in entries
-        has_ideal = "ideal" in entries
-        if has_potential == has_ideal:
+        if ("potential" in entries) == ("ideal" in entries):
             raise ModelFileError(
                 "exactly one of 'potential' or 'ideal' is required"
             )
-        self.potential = entries.get("potential")
-        if self.potential is not None and not isinstance(self.potential, str):
-            raise ModelFileError("potential must be a quoted string")
-        ideal = entries.get("ideal")
-        if ideal is not None:
-            if not isinstance(ideal, list) or not all(
-                isinstance(g, str) for g in ideal
-            ):
-                raise ModelFileError("ideal must be a list of quoted strings")
-            ideal = tuple(ideal)
-        self.ideal = ideal
+        for key, test, message in _OPTIONAL:
+            if key in entries:
+                value = test(entries[key], self)
+                if value is None:
+                    raise ModelFileError(message)
+                setattr(self, key, value)
+            else:
+                setattr(self, key, None)
+        if self.divisor is None:
+            self.divisor = {}
 
-        section = entries.get("section")
-        if section is not None:
-            if not isinstance(section, list) or not all(
-                isinstance(g, str) for g in section
-            ):
-                raise ModelFileError("section must be a list of quoted strings")
-            section = tuple(section)
-        self.section = section
 
-        fw = entries.get("frame_weights")
-        if fw is not None:
-            if not isinstance(fw, list) or not all(
-                isinstance(row, list) and all(isinstance(x, int) for x in row)
-                for row in fw
-            ):
-                raise ModelFileError("frame_weights must be integer rows")
-            fw = tuple(tuple(row) for row in fw)
-        self.frame_weights = fw
-
-        fl = entries.get("frame_labels")
-        if fl is not None:
-            if not isinstance(fl, list) or not all(isinstance(s, str) for s in fl):
-                raise ModelFileError("frame_labels must be a list of names")
-            fl = tuple(fl)
-        self.frame_labels = fl
-
-        divisor = entries.get("divisor", [])
-        if not isinstance(divisor, list):
-            raise ModelFileError("divisor must be a list of [name, multiplicity]")
-        div = {}
-        for item in divisor:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not isinstance(item[0], str)
-                or not isinstance(item[1], int)
-                or item[1] <= 0
-            ):
-                raise ModelFileError(
-                    "divisor entries must be [name, positive multiplicity]"
-                )
-            div[item[0]] = item[1]
-        self.divisor = div
-
-        twist = entries.get("twist", 0)
-        if not isinstance(twist, int) or twist < 0:
-            raise ModelFileError("twist must be a nonnegative integer")
-        self.twist = twist
-
-        bp = entries.get("base_parameter")
-        if bp is not None:
-            if not isinstance(bp, str) or bp not in self.variables:
-                raise ModelFileError("base_parameter must name a variable")
-            t = self.variables.index(bp)
-            for row in self.weights:
-                if row[t] != 0:
-                    raise ModelFileError(
-                        "base parameter must have weight zero in every row"
-                    )
-        self.base_parameter = bp
-
-        basepoint = entries.get("basepoint")
-        if basepoint is not None:
-            if not isinstance(basepoint, list) or len(basepoint) != len(
-                self.variables
-            ):
-                raise ModelFileError(
-                    "basepoint must list one rational per variable"
-                )
-            try:
-                basepoint = tuple(map(canon, basepoint))
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ModelFileError(
-                    "basepoint must list one rational per variable"
-                ) from None
-        self.basepoint = basepoint
-
-        hint = entries.get("hint")
-        if hint is not None and not isinstance(hint, str):
-            raise ModelFileError("hint must be a quoted string")
-        self.hint = hint
+_KEYS = frozenset(ModelFile.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +387,7 @@ def build_model(mf: ModelFile) -> BuiltModel:
             if len(labels) != len(section) or len(mf.frame_weights) != len(section):
                 raise ModelFileError("frame data must match the section length")
             try:
-                bundle = EquivariantBundle(labels, mf.frame_weights, mf.twist)
+                bundle = EquivariantBundle(labels, mf.frame_weights)
                 model = LocalModel(
                     ring,
                     weights,

@@ -33,6 +33,8 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Iterable, Mapping, Sequence
 
+from .record import Record
+
 Mono = tuple  # exponent vector, length == number of ring variables
 
 
@@ -98,7 +100,7 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
 # monomial orders
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     """A total order on monomials, exposed as a sort key.
 
     Larger key means larger monomial.  The block order puts the first
@@ -112,8 +114,7 @@ class MonomialOrder:
     def __init__(self, name: str, block: int = 0):
         if name not in ("degrevlex", "lex", "block"):
             raise ValueError(f"unknown monomial order {name!r}")
-        self.name = name
-        self.block = block
+        Record.__init__(self, name, block)
 
     def key(self, m: Mono):
         if self.name == "degrevlex":
@@ -127,21 +128,6 @@ class MonomialOrder:
             sum(tail),
             *map(neg, reversed(tail)),
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.name == other.name
-            and self.block == other.block
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.block))
-
-    def __repr__(self):
-        if self.name == "block":
-            return f"MonomialOrder('block', {self.block})"
-        return f"MonomialOrder({self.name!r})"
 
 
 DEGREVLEX = MonomialOrder("degrevlex")

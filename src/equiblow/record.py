@@ -2,8 +2,9 @@
 
 A subclass names its fields in ``__slots__``.  The inherited
 ``__init__`` takes their values positionally, in that order; a subclass
-that checks or converts its inputs writes its own and sets each field
-once with ``object.__setattr__``.  Equality, the hash and the repr go
+that checks or converts its inputs writes its own, which passes the
+checked values on to ``Record.__init__`` or sets each field once with
+``object.__setattr__``.  Equality, the hash and the repr go
 by the fields in that order, as a frozen dataclass's do, so the package
 never imports ``dataclasses`` (which pulls in ``inspect``).
 """

@@ -17,10 +17,11 @@ from .groebner import Ideal
 from .linalg import separating_direction
 from .blowup import BlowupChart
 from .poly import canon, exact_div
+from .record import Record
 from .torus import WeightMatrix, restricted_columns
 
 
-class StabilityVerdict:
+class StabilityVerdict(Record):
     """Verdict for one point: semistable, or unstable with a witness.
 
     The witness is the destabilizing one-parameter direction together
@@ -35,17 +36,12 @@ class StabilityVerdict:
             raise ValueError("semistable verdicts carry no witness")
         if not semistable and direction is None:
             raise ValueError("unstable verdicts need a witness direction")
-        self.semistable = semistable
-        self.direction = None if direction is None else tuple(int(x) for x in direction)
-        self.limit = None if limit is None else tuple(map(canon, limit))
-        self.chart = chart
-
-    def __repr__(self):
-        if self.semistable:
-            return "StabilityVerdict(semistable)"
-        return (
-            f"StabilityVerdict(unstable, direction={self.direction}, "
-            f"limit={self.limit}, chart={self.chart})"
+        Record.__init__(
+            self,
+            semistable,
+            None if direction is None else tuple(int(x) for x in direction),
+            None if limit is None else tuple(map(canon, limit)),
+            chart,
         )
 
 

@@ -7,8 +7,8 @@ Runs, in one process under a `sys.settrace` line tracer:
 - `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
   `omega-verify` and `fiber-check` on every corpus and bench model file,
   and on one section file written to a temporary directory;
-- `blowup` on two malformed files written next to it, a bad polynomial
-  and a repeated frame label, each an exit 2;
+- `blowup` on malformed files written next to it, one per refusal of
+  `ModelFile` and `build_model`, each an exit 2;
 - every subcommand once with `--budget 0`;
 - three lines that the table scan of `cli._parse_words` leaves to
   argparse: one with flag prefixes, one with a repeated flag, one with
@@ -53,10 +53,36 @@ SECTION_FILE = (
     'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
     'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
 )
-# malformed files, each refused by `blowup` with exit 2: a bad polynomial,
-# and the section file with a repeated frame label
+# malformed files, each refused by `blowup` with exit 2: one per check
+# of `ModelFile`, in the order it makes them, then those of `build_model`
+_VW = "variables = [x, y]\nweights = [[1, -1]]\n"
+_POT = _VW + 'potential = "x*y"\n'
+_FRAMELESS = _VW + 'ideal = ["x*y"]\nsection = ["y", "x"]\n'
 BAD_FILES = {
-    "bad-poly.kb": 'variables = [x, y]\nweights = [[1, -1]]\npotential = "x*y +"\n',
+    "bad-unknown-key.kb": _POT + "colour = [red]\n",
+    "bad-missing-key.kb": 'variables = [x]\npotential = "x"\n',
+    "bad-variables.kb": 'variables = [x, 1]\nweights = [[1, -1]]\npotential = "x"\n',
+    "bad-weights.kb": 'variables = [x]\nweights = [1]\npotential = "x"\n',
+    "bad-weight-entries.kb": 'variables = [x]\nweights = [[a]]\npotential = "x"\n',
+    "bad-weight-width.kb": 'variables = [x]\nweights = [[1, -1]]\npotential = "x"\n',
+    "bad-no-potential.kb": _VW,
+    "bad-potential.kb": _VW + "potential = [x]\n",
+    "bad-ideal.kb": _VW + 'ideal = "x"\n',
+    "bad-section.kb": _POT + "section = [1, 2]\n",
+    "bad-frame-weights.kb": _FRAMELESS + "frame_weights = [1, -1]\n",
+    "bad-frame-labels.kb": SECTION_FILE + "frame_labels = [1, 2]\n",
+    "bad-divisor.kb": _POT + "divisor = x\n",
+    "bad-divisor-entry.kb": _POT + "divisor = [[x, 0]]\n",
+    "bad-base-parameter.kb": _POT + "base_parameter = z\n",
+    "bad-base-weight.kb": _POT + "base_parameter = x\n",
+    "bad-basepoint.kb": _POT + "basepoint = [a, 0]\n",
+    "bad-hint.kb": _POT + "hint = 1\n",
+    "bad-name.kb": 'variables = [x, 1y]\nweights = [[1, -1]]\npotential = "x"\n',
+    "bad-poly.kb": _VW + 'potential = "x*y +"\n',
+    "bad-not-invariant.kb": _VW + 'potential = "x + y"\n',
+    "bad-comparison.kb": _POT + 'section = ["y"]\n',
+    "bad-frameless.kb": _FRAMELESS,
+    "bad-frame-count.kb": _FRAMELESS + "frame_weights = [[1]]\n",
     "bad-frame.kb": SECTION_FILE + "frame_labels = [a, a]\n",
 }
 # one command line per subcommand, to which `--budget 0` is appended

@@ -168,12 +168,18 @@ def test_dcritical_chart_rejects_non_invariant_potential():
         dcritical_chart(parse_poly("x^2 + y", R2), W2)
 
 
+def test_dcritical_chart_rejects_a_stray_base_parameter():
+    # the refusal is LocalModel's, reached through the d-critical model
+    with pytest.raises(ValueError, match="^base parameter 'z' is not a ring variable$"):
+        dcritical_chart(parse_poly("x*y", R2), W2, base_param="z")
+
+
 def test_weak_model_check_flags_wrong_frame_weights():
     model = dcritical_chart(parse_poly("1/2*x^2*y^2", R2), W2)
     broken = LocalModel(
         R2,
         W2,
-        EquivariantBundle(model.bundle.labels, ((0,), (0,)), model.bundle.twist),
+        EquivariantBundle(model.bundle.labels, ((0,), (0,))),
         model.section,
         cofactor=model.cofactor,
         sigma_lift=model.sigma_lift,
@@ -190,7 +196,6 @@ def test_transport_to_chart_carries_divisor_twist_and_frames():
     hat = blowup_local_model(model, FULL1, chart)
     assert hat.bundle.labels == ("xi*dx", "xi*dy")
     assert hat.bundle.weights == ((2,), (0,))
-    assert hat.bundle.twist == 2
     assert hat.divisor == {"xi_x": 2}
     assert str(hat.divisor_equation()) == "xi_x^2"
     assert [str(s) for s in hat.section] == ["xi_x^2*T_y^2", "xi_x^2*T_y"]

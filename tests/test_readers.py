@@ -70,7 +70,7 @@ BLANKS = st.lists(BLANK, max_size=3).map("".join)
 # break or a comment, which is refused
 KEY_GAP = st.sampled_from(["", " ", "\t", " \r"] * 8 + ["\n", " # c\n", "#"])
 KEYS = st.sampled_from(
-    ["variables", "weights", "potential", "basepoint", "twist", "x1", "_k", "é", "7"] * 3
+    ["variables", "weights", "potential", "basepoint", "divisor", "x1", "_k", "é", "7"] * 3
     + ["a-b"]
 )
 ATOMS = st.one_of(

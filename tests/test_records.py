@@ -12,17 +12,22 @@ from equiblow import (
     LEX,
     Budget,
     CokernelComparison,
+    EquivariantBundle,
+    FourTermComplexAtPoint,
     GradedPiece,
     GroebnerBasis,
     Ideal,
     ObstructionAssignment,
     OmegaEquivalenceReport,
     Ring,
+    SmallExtension,
+    StabilityVerdict,
     Subtorus,
     WeakModelReport,
     WeightMatrix,
     parse_poly,
 )
+from equiblow.poly import MonomialOrder
 
 R = Ring(["x", "y"])
 X, Y = R.gens()
@@ -73,6 +78,27 @@ CASES = [
         ObstructionAssignment((1, Fraction(1, 2)), 2, False),
         ObstructionAssignment((0, 0), 2, True),
     ),
+    (
+        EquivariantBundle(["a", "b"], [[1], [-1]]),
+        EquivariantBundle(("a", "b"), ((1,), (-1,))),
+        EquivariantBundle(["a", "b"], [[-1], [1]]),
+    ),
+    (
+        StabilityVerdict(False, [1, -1], [Fraction(2), 0], "chart_x"),
+        StabilityVerdict(False, (1, -1), (2, 0), "chart_x"),
+        StabilityVerdict(True),
+    ),
+    (
+        SmallExtension(2, [(0, 1, 5)]),
+        SmallExtension(2, [(0, 1)]),
+        SmallExtension(3, [(0, 1)]),
+    ),
+    (
+        FourTermComplexAtPoint((1, 0), [[1], [0]], [[0, 0], [0, 1]], [[1, 0]], 1, 2, 2),
+        FourTermComplexAtPoint((1, 0), ((1,), (0,)), ((0, 0), (0, 1)), ((1, 0),), 1, 2, 2),
+        FourTermComplexAtPoint((2, 0), ((1,), (0,)), ((0, 0), (0, 1)), ((1, 0),), 1, 2, 2),
+    ),
+    (MonomialOrder("degrevlex"), DEGREVLEX, LEX),
 ]
 
 
