@@ -459,16 +459,13 @@ def verify_omega_equivalence(
     if basepoint is not None:
         if hint.evaluate(basepoint) == 0:
             raise PreconditionError("hint polynomial vanishes at the basepoint")
-    if A is None:
-        A = zero_matrix(ring, n, r)
-    if B is None:
-        B = zero_matrix(ring, n, r)
-    A = tuple(tuple(row) for row in A)
-    B = tuple(tuple(row) for row in B)
-    if len(A) != n or any(len(row) != r for row in A):
-        raise PreconditionError("correction matrices must be n x rank")
-    if len(B) != n or any(len(row) != r for row in B):
-        raise PreconditionError("correction matrices must be n x rank")
+    A, B = (
+        zero_matrix(ring, n, r) if M is None else tuple(tuple(row) for row in M)
+        for M in (A, B)
+    )
+    for M in (A, B):
+        if len(M) != n or any(len(row) != r for row in M):
+            raise PreconditionError("correction matrices must be n x rank")
     witnesses: list[str] = []
 
     ideal_a = Ideal(ring, omega)
@@ -490,30 +487,26 @@ def verify_omega_equivalence(
             squares.append(p * q)
     gb_sq = buchberger(Ideal(ring, squares), DEGREVLEX, budget)
 
-    jac_bar = derivative_matrix(omega_bar, ring)
-    corr_fwd = poly_mat_mul(
-        jac_bar, poly_mat_mul(A, [(c,) for c in omega_bar], ring), ring
-    )
-    identity_forward = True
-    for b in range(r):
-        residual = omega[b] - omega_bar[b] - corr_fwd[b][0]
-        if not normal_form(residual, gb_sq).is_zero():
-            identity_forward = False
-            witnesses.append(
-                f"identity_forward: component {b} leaves residual {residual} "
-                "modulo the squared ideal"
-            )
-    jac = derivative_matrix(omega, ring)
-    corr_bwd = poly_mat_mul(jac, poly_mat_mul(B, [(c,) for c in omega], ring), ring)
-    identity_backward = True
-    for b in range(r):
-        residual = omega_bar[b] - omega[b] - corr_bwd[b][0]
-        if not normal_form(residual, gb_sq).is_zero():
-            identity_backward = False
-            witnesses.append(
-                f"identity_backward: component {b} leaves residual {residual} "
-                "modulo the squared ideal"
-            )
+    # forward: omega = omega_bar + d(omega_bar)·A·omega_bar modulo the
+    # squared ideal; backward the same with the sections and B for A
+    identity = []
+    for name, M, src, dst in (
+        ("identity_forward", A, omega_bar, omega),
+        ("identity_backward", B, omega, omega_bar),
+    ):
+        jac = derivative_matrix(src, ring)
+        corr = poly_mat_mul(jac, poly_mat_mul(M, [(c,) for c in src], ring), ring)
+        holds = True
+        for b in range(r):
+            residual = dst[b] - src[b] - corr[b][0]
+            if not normal_form(residual, gb_sq).is_zero():
+                holds = False
+                witnesses.append(
+                    f"{name}: component {b} leaves residual {residual} "
+                    "modulo the squared ideal"
+                )
+        identity.append(holds)
+    identity_forward, identity_backward = identity
 
     equivariant = True
     for label, M in (("A", A), ("B", B)):

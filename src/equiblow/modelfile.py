@@ -89,11 +89,11 @@ def _base_parameter(value, mf):
 
 
 def _basepoint(value, mf):
+    # the reader gives quoted text, and bare text that is no int or p/q,
+    # as str: only numbers pass
     if isinstance(value, list) and len(value) == len(mf.variables):
-        try:
+        if all(isinstance(x, (int, Fraction)) for x in value):
             return tuple(map(canon, value))
-        except (TypeError, ValueError, ZeroDivisionError):
-            return None
 
 
 # The optional keys, in the order they are checked, so a file with
@@ -102,7 +102,7 @@ def _basepoint(value, mf):
 # the ``ModelFile`` with its variables and weights set, and returns the
 # value the field keeps, or None to refuse the file with ``message``; a
 # test with a second refusal raises it itself.  A key the file leaves
-# out reads None, but ``divisor`` reads {}.
+# out reads None.
 _OPTIONAL = (
     ("potential", _string, "potential must be a quoted string"),
     ("ideal", _strings, "ideal must be a list of quoted strings"),
@@ -148,8 +148,6 @@ class ModelFile:
                 setattr(self, key, value)
             else:
                 setattr(self, key, None)
-        if self.divisor is None:
-            self.divisor = {}
 
 
 _KEYS = frozenset(ModelFile.__slots__)
@@ -359,6 +357,10 @@ def build_model(mf: ModelFile) -> BuiltModel:
     weights = WeightMatrix(mf.weights)
     try:
         if mf.potential is not None:
+            # a potential's frames and divisor are the d-critical model's own
+            for key in ("frame_weights", "frame_labels", "divisor"):
+                if getattr(mf, key) is not None:
+                    raise ModelFileError(f"{key} belongs to a section file")
             f = parse_poly(mf.potential, ring)
             try:
                 _require_invariant(f, weights)
@@ -393,7 +395,7 @@ def build_model(mf: ModelFile) -> BuiltModel:
                     weights,
                     bundle,
                     section,
-                    divisor=dict(mf.divisor),
+                    divisor=mf.divisor,
                     base_param=mf.base_parameter,
                 )
             except ValueError as e:  # e.g. a repeated label or a stray divisor

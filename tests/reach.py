@@ -7,8 +7,9 @@ Runs, in one process under a `sys.settrace` line tracer:
 - `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
   `omega-verify` and `fiber-check` on every corpus and bench model file,
   and on one section file written to a temporary directory;
-- `blowup` on malformed files written next to it, one per refusal of
-  `ModelFile` and `build_model`, each an exit 2;
+- `blowup` on each malformed file of `ref.REFUSALS`, the table of
+  refusals that `test_modelfile` and `test_cli` pin too, written next to
+  it, each an exit 2;
 - every subcommand once with `--budget 0`;
 - three lines that the table scan of `cli._parse_words` leaves to
   argparse: one with flag prefixes, one with a repeated flag, one with
@@ -39,6 +40,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from ref import REFUSALS
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "equiblow"
@@ -53,38 +56,6 @@ SECTION_FILE = (
     'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
     'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
 )
-# malformed files, each refused by `blowup` with exit 2: one per check
-# of `ModelFile`, in the order it makes them, then those of `build_model`
-_VW = "variables = [x, y]\nweights = [[1, -1]]\n"
-_POT = _VW + 'potential = "x*y"\n'
-_FRAMELESS = _VW + 'ideal = ["x*y"]\nsection = ["y", "x"]\n'
-BAD_FILES = {
-    "bad-unknown-key.kb": _POT + "colour = [red]\n",
-    "bad-missing-key.kb": 'variables = [x]\npotential = "x"\n',
-    "bad-variables.kb": 'variables = [x, 1]\nweights = [[1, -1]]\npotential = "x"\n',
-    "bad-weights.kb": 'variables = [x]\nweights = [1]\npotential = "x"\n',
-    "bad-weight-entries.kb": 'variables = [x]\nweights = [[a]]\npotential = "x"\n',
-    "bad-weight-width.kb": 'variables = [x]\nweights = [[1, -1]]\npotential = "x"\n',
-    "bad-no-potential.kb": _VW,
-    "bad-potential.kb": _VW + "potential = [x]\n",
-    "bad-ideal.kb": _VW + 'ideal = "x"\n',
-    "bad-section.kb": _POT + "section = [1, 2]\n",
-    "bad-frame-weights.kb": _FRAMELESS + "frame_weights = [1, -1]\n",
-    "bad-frame-labels.kb": SECTION_FILE + "frame_labels = [1, 2]\n",
-    "bad-divisor.kb": _POT + "divisor = x\n",
-    "bad-divisor-entry.kb": _POT + "divisor = [[x, 0]]\n",
-    "bad-base-parameter.kb": _POT + "base_parameter = z\n",
-    "bad-base-weight.kb": _POT + "base_parameter = x\n",
-    "bad-basepoint.kb": _POT + "basepoint = [a, 0]\n",
-    "bad-hint.kb": _POT + "hint = 1\n",
-    "bad-name.kb": 'variables = [x, 1y]\nweights = [[1, -1]]\npotential = "x"\n',
-    "bad-poly.kb": _VW + 'potential = "x*y +"\n',
-    "bad-not-invariant.kb": _VW + 'potential = "x + y"\n',
-    "bad-comparison.kb": _POT + 'section = ["y"]\n',
-    "bad-frameless.kb": _FRAMELESS,
-    "bad-frame-count.kb": _FRAMELESS + "frame_weights = [[1]]\n",
-    "bad-frame.kb": SECTION_FILE + "frame_labels = [a, a]\n",
-}
 # one command line per subcommand, to which `--budget 0` is appended
 EVERY_SUBCOMMAND = (
     ["blowup", "src/equiblow/corpus/e2.kb"],
@@ -138,9 +109,10 @@ def command_lines(scratch: Path) -> list[list[str]]:
             add(["blowup", rel, *extra])
         for cmd in ("crit", "omega-verify", "fiber-check"):
             add([cmd, rel])
-    for name, text in BAD_FILES.items():
-        (scratch / name).write_text(text)
-        add(["blowup", str(scratch / name)])
+    for name, (text, _) in REFUSALS.items():
+        bad = scratch / f"bad-{name}.kb"
+        bad.write_text(text, encoding="utf-8")
+        add(["blowup", str(bad)])
     for argv in EVERY_SUBCOMMAND:
         add([*argv, "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:

@@ -5,8 +5,9 @@ import itertools
 from pathlib import Path
 
 import pytest
-from chart_glue import chart_images, charts_glue, subs
+from chart_maps import chart_images, subs
 from hypothesis import assume, given, settings, strategies as st
+from ref import charts_glue
 
 from equiblow import (
     EquivariantBundle,
@@ -288,6 +289,13 @@ def test_corpus_chart_ideals_glue_on_overlaps():
             )
             glued += 1
     assert glued >= 18
+    # each generator of a corpus chart ideal is homogeneous in the
+    # coordinates the transition scales by powers of T, so a transition
+    # off by such a power glues them too; this one's generator is not
+    I = Ideal(R3, [parse_poly("x*y - x^2*y^2 + z", R3)])
+    cx, cy = make_charts(R3, W3, FULL1)
+    ix, iy = intrinsic_ideal(I, cx), intrinsic_ideal(I, cy)
+    assert charts_glue(ix, cx, iy, cy) and charts_glue(iy, cy, ix, cx)
     # the oracle rejects a chart ideal that differs on the overlap
     I = Ideal(
         R3,

@@ -44,19 +44,10 @@ from equiblow import (  # noqa: E402
     support_is_realized,
     unstable_ideal,
 )
+from ref import _to_sympy  # noqa: E402
 from test_linalg import caratheodory_oracles  # noqa: E402
 
 QQ = sympy.QQ
-
-
-def _to_sympy(p: Poly, gens):
-    return sympy.Add(
-        *[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[g**e for g, e in zip(gens, m)])
-            for m, c in p.terms.items()
-        ]
-    )
 
 
 def _is_unit_ideal(polys, gens) -> bool:

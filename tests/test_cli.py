@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bench_models import MATRIX_MODELS, write_bench_models
+from ref import REFUSALS
 from scalars import is_canonical_scalar
 from equiblow import TheoremCheckError, cli, groebner
 
@@ -274,76 +275,9 @@ def test_build_model_checks_invariance_once(monkeypatch):
         assert len(calls) == 1, name
 
 
-# each file breaks one check of build_model, or two to pin their order,
-# next to test_non_invariant_potential_is_exit_2; the messages are the
-# ones the eagerly built model gave.  A body without its own `variables`
-# follows MODEL_HEADER.
-MODEL_HEADER = "variables = [x, y, t]\nweights = [[1, -1, 0]]\n"
-SECTION_BODY = 'ideal = ["x*y"]\nsection = ["y", "x"]\n'
-MODEL_FILE_ERRORS = {
-    # the ring's own checks, before the bad potential
-    "bad-variable-name": (
-        'variables = [1x, y, t]\nweights = [[1, -1, 0]]\npotential = "x*("\n',
-        "error: bad variable name '1x'\n",
-    ),
-    "duplicate-variable-name": (
-        'variables = [x, x, t]\nweights = [[1, -1, 0]]\npotential = "x*("\n',
-        "error: duplicate variable name 'x'\n",
-    ),
-    "skew-and-short": (
-        'potential = "x^2*y"\nsection = ["x"]\n',
-        "error: potential is not invariant\n",
-    ),
-    "short": (
-        'potential = "x*y"\nsection = ["x"]\n',
-        "error: comparison section must match the frame count\n",
-    ),
-    "short-and-bad": (
-        'potential = "x*y"\nsection = ["x^"]\n',
-        "error: comparison section must match the frame count\n",
-    ),
-    "base-parameter-frames": (
-        'potential = "x*y*t"\nbase_parameter = t\nsection = ["y*t", "x*t", "x*y"]\n',
-        "error: comparison section must match the frame count\n",
-    ),
-    "bad-potential": (
-        'potential = "x*y +"\n',
-        "error: bad polynomial: expected a term, found '' (at position 5)\n",
-    ),
-    "bad-potential-and-short": (
-        'potential = "x*(y"\nsection = ["x"]\n',
-        "error: bad polynomial: expected ), found '' (at position 4)\n",
-    ),
-    "bad-section": (
-        'potential = "x*y"\nsection = ["y", "x^", "t"]\n',
-        "error: bad polynomial: expected int, found '' (at position 2)\n",
-    ),
-    # a digit int() does not read is no digit of either reader
-    "superscript-in-potential": (
-        'potential = "²*x*y"\n',
-        "error: bad polynomial: unexpected character '²' (at position 0)\n",
-    ),
-    "superscript-in-basepoint": (
-        'potential = "x*y"\nbasepoint = [², 0, 0]\n',
-        "error: basepoint must list one rational per variable\n",
-    ),
-    # the frame data of a section file, which the model's classes check
-    "duplicate-frame-labels": (
-        SECTION_BODY + "frame_weights = [[1], [-1]]\nframe_labels = [a, a]\n",
-        "error: duplicate frame labels\n",
-    ),
-    "frame-weight-length": (
-        SECTION_BODY + "frame_weights = [[1, 2], [-1]]\n",
-        "error: frame weight length must match the torus rank\n",
-    ),
-    "stray-divisor": (
-        SECTION_BODY + "frame_weights = [[1], [-1]]\ndivisor = [[q, 1]]\n",
-        "error: divisor coordinate 'q' is not a ring variable\n",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MODEL_FILE_ERRORS))
+# every malformed file of the shared table is refused, with its message,
+# before the model is built, next to test_non_invariant_potential_is_exit_2
+@pytest.mark.parametrize("case", sorted(REFUSALS))
 @pytest.mark.parametrize(
     "argv",
     [
@@ -353,11 +287,11 @@ MODEL_FILE_ERRORS = {
     ],
 )
 def test_model_file_errors_do_not_wait_for_the_model(capsys, tmp_path, case, argv):
-    body, expected = MODEL_FILE_ERRORS[case]
+    body, message = REFUSALS[case]
     src = tmp_path / f"{case}.kb"
-    src.write_text(body if body.startswith("variables") else MODEL_HEADER + body)
+    src.write_text(body, encoding="utf-8")
     code, out, err = run(capsys, argv[0], str(src), *argv[1:])
-    assert (code, out, err) == (2, "", expected)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_base_parameter_section_has_one_frame_fewer(capsys, tmp_path):

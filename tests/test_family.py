@@ -4,7 +4,7 @@ blowup with passing to a fiber."""
 from fractions import Fraction
 
 import pytest
-from chart_glue import subs
+from chart_maps import subs
 from hypothesis import given, settings, strategies as st
 
 from equiblow import (

@@ -6,8 +6,6 @@ both are made monic.  sympy is only a test oracle here; the tests skip
 without it.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,37 +15,11 @@ from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 from equiblow import DEGREVLEX, Ring, parse_poly  # noqa: E402
 from equiblow.groebner import Ideal, buchberger, eliminate  # noqa: E402
 from equiblow.poly import Poly, block_order  # noqa: E402
-
-
-def _to_sympy(p: Poly, gens):
-    return sympy.Add(
-        *[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[g**e for g, e in zip(gens, m)])
-            for m, c in p.terms.items()
-        ]
-    )
+from ref import _sympy_basis  # noqa: E402
 
 
 def _terms(basis) -> set[frozenset]:
     return {frozenset(g.terms.items()) for g in basis}
-
-
-def _sympy_basis(polys: list[Poly], order) -> set[frozenset]:
-    """sympy's reduced basis, made monic, as sets of (monomial, coefficient)."""
-    gens = sympy.symbols(polys[0].ring.names)
-    G = sympy.groebner([_to_sympy(p, gens) for p in polys], *gens, order=order)
-    out = set()
-    for g in G.exprs:
-        sp = sympy.Poly(g, *gens)
-        lc = sp.LC(order=order)
-        out.add(
-            frozenset(
-                (m, Fraction(int(c.p), int(c.q)))
-                for m, c in sympy.Poly(g / lc, *gens).terms()
-            )
-        )
-    return out
 
 
 def _cyclic(n: int) -> list[Poly]:

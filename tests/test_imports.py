@@ -1,5 +1,6 @@
 """No unused imports in the package, checked with the standard library,
-and no heavy standard-library module imported at start-up.
+no heavy standard-library module imported at start-up, and reference
+oracles in ``tests/ref.py`` that import nothing from the package.
 
 A name that a module of ``src/equiblow`` imports at module level must be
 read somewhere in that module, or be listed in its ``__all__`` (the
@@ -100,3 +101,23 @@ def test_the_cli_imports_no_introspection_modules():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_the_reference_oracles_import_nothing_from_the_package():
+    # sympy, like any module outside the standard library, is imported
+    # in the body of the oracle that uses it, so the others load without it
+    path = Path(__file__).with_name("ref.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    anywhere, top = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots = {(node.module or "").split(".")[0]}
+        else:
+            continue
+        anywhere |= roots
+        if node in tree.body:
+            top |= roots
+    assert "equiblow" not in anywhere
+    assert top <= set(sys.stdlib_module_names), top

@@ -15,6 +15,7 @@ from equiblow.blowup import poly_mat_mul
 from equiblow.dcrit import _jacobian_at, _series_eval, _series_mul, _series_powers
 from equiblow.poly import Poly, canon
 from scalars import is_canonical_scalar
+from test_direct_construction import items
 
 NAMES = ("x", "y", "z", "u", "v")
 
@@ -34,10 +35,6 @@ def polys(n, max_exp=3, max_terms=5, min_terms=0):
     return st.dictionaries(monos, COEFFS, min_size=min_terms, max_size=max_terms).map(
         lambda terms: Poly(ring, terms)
     )
-
-
-def items(p: Poly):
-    return list(p.terms.items())
 
 
 # ---------------------------------------------------------------------------

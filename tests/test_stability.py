@@ -1,7 +1,6 @@
 """GIT stability on blowup charts: the fiberwise convex-hull criterion,
 unstable ideals, and pointwise verdicts with destabilizing witnesses."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from equiblow import (
     unstable_ideal,
 )
 from equiblow.stability import one_ps_limit, point_to_chart
+from ref import strict_destabilizer_exists
 
 R3 = Ring(["x", "y", "z"])
 W3 = WeightMatrix([(1, -1, 0)])
@@ -26,32 +26,6 @@ FULL1 = Subtorus.full(1)
 
 def atlas3():
     return make_charts(R3, W3, FULL1)
-
-
-def strict_destabilizer_exists(cols, bound=4):
-    """Grid oracle: a cochar with strictly positive pairing against every
-    support weight exists iff one exists with entries within the bound
-    (the defining data below stays in {-1,0,1}, so vertices of the
-    normalized cone have coordinates within 2)."""
-    if not cols:
-        return False
-    k = len(cols[0])
-    rng = range(-bound, bound + 1)
-    for s in itertools.product(rng, repeat=k):
-        if all(v == 0 for v in s):
-            continue
-        if all(sum(a * b for a, b in zip(s, w)) > 0 for w in cols):
-            return True
-    return False
-
-
-def test_hm_criterion_matches_limit_oracle_on_all_sign_patterns():
-    for k in (1, 2):
-        for dim in (1, 2, 3):
-            for flat in itertools.product((-1, 0, 1), repeat=k * dim):
-                cols = [tuple(flat[i * k : (i + 1) * k]) for i in range(dim)]
-                got = hm_fiber_semistable(tuple(range(dim)), cols)
-                assert got == (not strict_destabilizer_exists(cols))
 
 
 def test_hm_rejects_empty_support():
