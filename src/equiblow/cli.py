@@ -105,14 +105,14 @@ def _chart_entry(node) -> dict:
     checks = {"xi": True}
     if node.coincides is not None:
         checks["coinc"] = node.coincides
-    return rpt.chart_entry(
-        chart.name,
-        chart.ring.names,
-        chart.weights.rows,
-        ideal_gb=rpt.gb_strings(node.gb),
-        unstable_gb=rpt.ideal_strings(node.unstable),
-        checks=checks,
-    )
+    return {
+        "name": chart.name,
+        "vars": list(chart.ring.names),
+        "weights": [list(row) for row in chart.weights.rows],
+        "ideal_gb": rpt.gb_strings(node.gb),
+        "unstable_gb": rpt.ideal_strings(node.unstable),
+        "checks": checks,
+    }
 
 
 def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:

@@ -608,8 +608,10 @@ def construct_equivalence(
     """Equivalence data for the critical sections of two potentials that
     differ by an element of the squared critical ideal.
 
-    Returns correction matrices and a localization hint; the simplest
-    candidates are tried first and the result always re-verifies.
+    Returns correction matrices and a localization hint.  Zero matrices
+    are verified first; the forward identity reads only A and the
+    backward one only B, so a correction is assembled only for an
+    identity that fails, and the pair is verified once more.
     """
     ring = f.ring
     if g.ring != ring:
@@ -622,22 +624,17 @@ def construct_equivalence(
     unit = _detect_unit_cofactor(omega, omega_bar, ring)
     hint = unit if unit is not None else ring.one()
 
-    zero = zero_matrix(ring, ring.n, ring.n)
-    candidates = [(zero, zero)]
-    fwd = _assemble_correction(f - g, omega_bar, weights, budget)
-    bwd = _assemble_correction(g - f, omega, weights, budget)
-    if bwd is not None:
-        candidates.append((zero, bwd))
-    if fwd is not None:
-        candidates.append((fwd, zero))
-    if fwd is not None and bwd is not None:
-        candidates.append((fwd, bwd))
-    for A, B in candidates:
-        report = verify_omega_equivalence(
-            model, omega_bar, A, B, hint, budget=budget
-        )
-        if report.passed:
-            return A, B, hint
+    A = B = zero_matrix(ring, ring.n, ring.n)
+    report = verify_omega_equivalence(model, omega_bar, A, B, hint, budget=budget)
+    if report.same_ideal and not report.passed:
+        if not report.identity_forward:
+            A = _assemble_correction(f - g, omega_bar, weights, budget)
+        if A is not None and not report.identity_backward:
+            B = _assemble_correction(g - f, omega, weights, budget)
+        if A is not None and B is not None:
+            report = verify_omega_equivalence(model, omega_bar, A, B, hint, budget=budget)
+    if report.passed:
+        return A, B, hint
     raise PreconditionError(
         "no equivalence certificate found; if the sections only agree "
         "locally, supply a localization hint that does not vanish there"

@@ -29,17 +29,6 @@ def ideal_strings(ideal) -> list[str]:
     return sorted(str(p) for p in ideal.generators)
 
 
-def chart_entry(name: str, variables, weights, ideal_gb, unstable_gb, checks) -> dict:
-    return {
-        "name": name,
-        "vars": list(variables),
-        "weights": [list(row) for row in weights],
-        "ideal_gb": list(ideal_gb),
-        "unstable_gb": list(unstable_gb),
-        "checks": checks,
-    }
-
-
 def assemble(model: str, command: str, charts: list, ledger: dict) -> dict:
     return {
         "model": model,

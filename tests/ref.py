@@ -3,15 +3,24 @@
 Nothing here imports from ``equiblow`` (``test_imports`` checks that).
 A polynomial is read through its ``terms``, a dict from exponent tuples
 to ``Fraction`` coefficients, and a chart through its coordinate names,
-pivot and moving set.  The oracles on exhaustive search need only the
-standard library; those on Groebner bases use sympy, which each imports
-in its own body, so this module loads without it.
+pivot and moving set; an ideal through its ``ring`` and ``generators``,
+and a weight matrix through its ``rows``.  The first three oracles need
+only the standard library; the others use sympy, which each imports in
+its own body, so this module loads without it.
 
 - ``strict_destabilizer_exists``: the Hilbert-Mumford grid search;
 - ``closedness_limit_oracle``: one-parameter limit analysis of a torus
   orbit, for tori of rank at most 2;
+- ``frac_rank``: the rank of a rational matrix by row reduction over
+  ``Fraction``;
 - ``_to_sympy`` and ``_sympy_basis``: a polynomial as a sympy
   expression, and sympy's monic reduced basis of a generator list;
+- ``sympy_rref`` and ``caratheodory_oracles``: sympy's reduced row
+  echelon form, and hull and relative-interior membership of 0 by
+  Caratheodory enumeration on it;
+- ``_reference_centers``: the blowup centers by a brute-force scan of
+  every coordinate support, with ``_is_unit_ideal``, ``_rabinowitsch``,
+  ``_row_space`` and ``_stabilizer``;
 - ``charts_glue``: two chart ideals of one blowup agree on the charts'
   overlap;
 - ``REFUSALS``: one malformed model file per refusal of the reader and
@@ -67,6 +76,27 @@ def closedness_limit_oracle(cols):
     return True
 
 
+def frac_rank(M):
+    """Row reduction over the rationals, written out so that a rank check
+    does not lean on the package's own linear algebra."""
+    rows = [list(map(Fraction, r)) for r in M]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][c]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _to_sympy(p, gens):
     """The polynomial with ``terms`` ``p.terms`` as a sympy expression in
     the symbols ``gens``."""
@@ -99,6 +129,141 @@ def _sympy_basis(polys, order) -> set[frozenset]:
             )
         )
     return out
+
+
+def sympy_rref(rows):
+    """Reduced row echelon form over QQ by sympy's DomainMatrix: the
+    reduced rows, with Fraction entries, and the pivot columns."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ = sympy.QQ
+    M = [[QQ(x.numerator, x.denominator) for x in row] for row in rows]
+    reduced, pivots = DomainMatrix(M, (len(M), len(M[0])), QQ).rref()
+    return [
+        [Fraction(int(e.numerator), int(e.denominator)) for e in row]
+        for row in reduced.to_list()
+    ], pivots
+
+
+def caratheodory_oracles():
+    """Hull and relative-interior membership by Caratheodory enumeration,
+    with every linear system solved exactly by sympy.
+
+    0 is in conv(V) iff the barycentric system of some affinely
+    independent subset has a (unique) nonnegative solution.  0 is a
+    strictly positive combination of V iff, for each i, -v_i is a
+    nonnegative combination of a linearly independent subset of the
+    other vectors: adding up those combinations gives every weight a
+    positive coefficient.  (sympy's own simplex, `lpmin`, accepts
+    infeasible equality systems here, so it is no oracle.)
+    """
+
+    def unique_nonnegative(cols, rhs):
+        n = len(cols)
+        rows = [[c[i] for c in cols] + [rhs[i]] for i in range(len(rhs))]
+        reduced, pivots = sympy_rref(rows)
+        if tuple(pivots) != tuple(range(n)):  # singular or inconsistent
+            return False
+        return all(reduced[j][n] >= 0 for j in range(n))
+
+    def hull(vs):
+        d = len(vs[0])
+        return any(
+            unique_nonnegative([v + (1,) for v in sub], (0,) * d + (1,))
+            for size in range(1, min(len(vs), d + 1) + 1)
+            for sub in itertools.combinations(vs, size)
+        )
+
+    def in_cone(target, others, d):
+        return not any(target) or any(
+            unique_nonnegative(sub, target)
+            for size in range(1, min(len(others), d) + 1)
+            for sub in itertools.combinations(others, size)
+        )
+
+    def relint(vs):
+        d = len(vs[0])
+        return all(
+            in_cone(tuple(-x for x in v), vs[:i] + vs[i + 1 :], d)
+            for i, v in enumerate(vs)
+        )
+
+    return hull, relint
+
+
+def _is_unit_ideal(polys, gens) -> bool:
+    """The sympy expressions ``polys`` in the symbols ``gens`` generate
+    the unit ideal: their reduced grevlex basis is [1]."""
+    import sympy
+
+    return list(sympy.groebner(polys, *gens, order="grevlex").exprs) == [1]
+
+
+def _rabinowitsch(ideal, support, xs, t) -> list:
+    """I, the off-support coordinates and ``1 - t * prod_{i in S} x_i``."""
+    import sympy
+
+    system = [_to_sympy(g, xs) for g in ideal.generators]
+    system += [xs[i] for i in range(ideal.ring.n) if i not in support]
+    system.append(1 - t * sympy.Mul(*[xs[i] for i in support]))
+    return system
+
+
+def _row_space(rows) -> tuple:
+    """The reduced row echelon basis of the rational span of ``rows``."""
+    if not rows:
+        return ()
+    reduced, pivots = sympy_rref(rows)
+    return tuple(map(tuple, reduced[: len(pivots)]))
+
+
+def _stabilizer(columns, k: int) -> tuple:
+    """Row space of the cocharacters pairing to zero with every column."""
+    import sympy
+
+    if not columns:
+        return _row_space([[int(i == j) for j in range(k)] for i in range(k)])
+    return _row_space([list(v) for v in sympy.Matrix(columns).nullspace()])
+
+
+def _reference_centers(weights, ideal, unstable) -> set:
+    """The row spaces of the blowup centers of ``ideal``: every
+    coordinate support S is scanned, and the stabilizer of a point with
+    support S is a center when its orbit is closed (the Caratheodory
+    relative interior), it acts nontrivially on the ambient space, V(I)
+    has a point with support S (the Rabinowitsch system is not the unit
+    ideal), and, when ``unstable`` is given, not every such point lies
+    in V(unstable)."""
+    import sympy
+
+    ring = ideal.ring
+    k = len(weights.rows)
+    cols = list(zip(*weights.rows))
+    _, relint = caratheodory_oracles()
+    xs = sympy.symbols(ring.names)
+    t, s = sympy.Dummy("t"), sympy.Dummy("s")
+    found = set()
+    for size in range(ring.n + 1):
+        for support in itertools.combinations(range(ring.n), size):
+            carried = [cols[i] for i in support]
+            if carried and not relint(carried):
+                continue  # the orbit is not closed
+            R = _stabilizer(carried, k)
+            if not R or R in found:
+                continue
+            if all(sum(a * b for a, b in zip(r, w)) == 0 for r in R for w in cols):
+                continue  # acts trivially on the ambient space
+            system = _rabinowitsch(ideal, support, xs, t)
+            if _is_unit_ideal(system, (t, *xs)):
+                continue  # no point of V(I) has this support
+            if unstable is not None and all(
+                _is_unit_ideal(system + [1 - s * _to_sympy(g, xs)], (s, t, *xs))
+                for g in unstable.generators
+            ):
+                continue  # every realizing point is unstable
+            found.add(R)
+    return found
 
 
 def charts_glue(ideal_a, chart_a, ideal_b, chart_b) -> bool:

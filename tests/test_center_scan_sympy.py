@@ -3,13 +3,13 @@
 ``enumerate_blowup_centers`` scans sets of distinct weight columns,
 reads the unstable exclusion off the chosen coordinates and decides
 realization with one emptiness basis per choice, or, for a monomial
-ideal, off the coordinates too.  The reference below keeps the
-per-coordinate definition those shortcuts replace: it enumerates every
-coordinate support S with ``itertools`` and
+ideal, off the coordinates too.  The reference, ``ref._reference_centers``,
+keeps the per-coordinate definition those shortcuts replace: it
+enumerates every coordinate support S with ``itertools`` and
 
 - decides whether the orbit of a point with support S is closed, and
-  the row space of its stabilizer, exactly over QQ with sympy's
-  ``DomainMatrix`` (the Caratheodory oracle of ``test_linalg``);
+  the row space of its stabilizer, exactly over QQ with sympy
+  (``ref.caratheodory_oracles`` and ``ref.sympy_rref``);
 - calls S realized when the Rabinowitsch system of V(I), the
   off-support coordinates and ``1 - t * prod_{i in S} x_i`` is not the
   unit ideal (``sympy.groebner``);
@@ -29,8 +29,6 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from sympy.polys.matrices import DomainMatrix  # noqa: E402
-
 from equiblow import (  # noqa: E402
     Ideal,
     Poly,
@@ -44,76 +42,12 @@ from equiblow import (  # noqa: E402
     support_is_realized,
     unstable_ideal,
 )
-from ref import _to_sympy  # noqa: E402
-from test_linalg import caratheodory_oracles  # noqa: E402
-
-QQ = sympy.QQ
-
-
-def _is_unit_ideal(polys, gens) -> bool:
-    return list(sympy.groebner(polys, *gens, order="grevlex").exprs) == [1]
-
-
-def _rabinowitsch(ideal: Ideal, support, xs, t) -> list:
-    """I, the off-support coordinates and ``1 - t * prod_{i in S} x_i``."""
-    system = [_to_sympy(g, xs) for g in ideal.generators]
-    system += [xs[i] for i in range(ideal.ring.n) if i not in support]
-    system.append(1 - t * sympy.Mul(*[xs[i] for i in support]))
-    return system
-
-
-def _row_space(rows, k: int) -> tuple:
-    """The reduced row echelon basis of the rational span of ``rows``."""
-    if not rows:
-        return ()
-    matrix = DomainMatrix([[QQ(x) for x in row] for row in rows], (len(rows), k), QQ)
-    reduced, pivots = matrix.rref()
-    return tuple(tuple(reduced[i, j].element for j in range(k)) for i in range(len(pivots)))
-
-
-def _stabilizer(columns, k: int) -> tuple:
-    """Row space of the cocharacters pairing to zero with every column."""
-    if not columns:
-        return _row_space([[int(i == j) for j in range(k)] for i in range(k)], k)
-    matrix = DomainMatrix(
-        [[QQ(x) for x in col] for col in columns], (len(columns), k), QQ
-    )
-    return _row_space(matrix.nullspace().to_list(), k)
-
-
-def _reference_centers(weights: WeightMatrix, ideal: Ideal, unstable) -> set:
-    ring = ideal.ring
-    k = len(weights.rows)
-    cols = list(zip(*weights.rows))
-    _, relint = caratheodory_oracles()
-    xs = sympy.symbols(ring.names)
-    t, s = sympy.Dummy("t"), sympy.Dummy("s")
-    found = set()
-    for size in range(ring.n + 1):
-        for support in itertools.combinations(range(ring.n), size):
-            carried = [cols[i] for i in support]
-            if carried and not relint(carried):
-                continue  # the orbit is not closed
-            R = _stabilizer(carried, k)
-            if not R or R in found:
-                continue
-            if all(sum(a * b for a, b in zip(r, w)) == 0 for r in R for w in cols):
-                continue  # acts trivially on the ambient space
-            system = _rabinowitsch(ideal, support, xs, t)
-            if _is_unit_ideal(system, (t, *xs)):
-                continue  # no point of V(I) has this support
-            if unstable is not None and all(
-                _is_unit_ideal(system + [1 - s * _to_sympy(g, xs)], (s, t, *xs))
-                for g in unstable.generators
-            ):
-                continue  # every realizing point is unstable
-            found.add(R)
-    return found
+from ref import _is_unit_ideal, _rabinowitsch, _reference_centers, _row_space  # noqa: E402
 
 
 def assert_centers_match(weights, ideal, unstable=None):
     centers = enumerate_blowup_centers(weights, ideal, unstable)
-    spaces = {_row_space(R.cochar, weights.k) for R in centers}
+    spaces = {_row_space(R.cochar) for R in centers}
     assert len(spaces) == len(centers)
     assert spaces == _reference_centers(weights, ideal, unstable)
 

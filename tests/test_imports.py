@@ -1,6 +1,7 @@
 """No unused imports in the package, checked with the standard library,
-no heavy standard-library module imported at start-up, and reference
-oracles in ``tests/ref.py`` that import nothing from the package.
+no heavy standard-library module imported at start-up, reference
+oracles in ``tests/ref.py`` that import nothing from the package, and
+no test module that imports from another.
 
 A name that a module of ``src/equiblow`` imports at module level must be
 read somewhere in that module, or be listed in its ``__all__`` (the
@@ -121,3 +122,32 @@ def test_the_reference_oracles_import_nothing_from_the_package():
             top |= roots
     assert "equiblow" not in anywhere
     assert top <= set(sys.stdlib_module_names), top
+
+
+def _imports_from_test_modules(tree: ast.Module) -> list[int]:
+    """Lines of the imports, at any depth, that name a ``test_*`` module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0].startswith("test_") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_test_module_imports_from_another():
+    # a shared oracle or fixture lives in a module without the test_
+    # prefix (ref, scalars, chart_maps), so no test runs another's body
+    tree = ast.parse("import ref\ndef f():\n    from test_x import y\n    import test_z.w\n")
+    assert _imports_from_test_modules(tree) == [3, 4]
+    found = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = _imports_from_test_modules(tree)
+        if lines:
+            found[path.name] = lines
+    assert found == {}

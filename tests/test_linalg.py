@@ -1,7 +1,6 @@
 """Exact rational linear algebra and the convex-position predicates."""
 
 import importlib.util
-import itertools
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +24,12 @@ from equiblow.linalg import (
     separating_direction,
     transpose,
 )
+from ref import caratheodory_oracles, frac_rank, sympy_rref
 from scalars import is_canonical_scalar
+
+needs_sympy = pytest.mark.skipif(
+    importlib.util.find_spec("sympy") is None, reason="needs sympy"
+)
 
 
 def mat_vec(A, v):
@@ -94,7 +98,7 @@ def _cocharacter_rows(draw):
     )
 
 
-@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="needs sympy")
+@needs_sympy
 @settings(max_examples=150, deadline=None)
 @given(_cocharacter_rows())
 def test_subtorus_saturation_matches_the_invariant_factors(case):
@@ -119,34 +123,6 @@ def test_primitive_strips_content_but_keeps_direction():
     assert primitive((-3, 0, 0)) == (-1, 0, 0)
 
 
-def exhaustive_hull_oracle(vectors):
-    """Zero is a convex combination iff some subset of <= k+1 points
-    admits nonnegative barycentric weights; brute force over subsets."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return False
-    k = len(vectors[0])
-    for size in range(1, min(len(vectors), k + 1) + 1):
-        for sub in itertools.combinations(vectors, size):
-            A = [[Fraction(v[i]) for v in sub] for i in range(k)]
-            A.append([Fraction(1)] * size)
-            b = [Fraction(0)] * k + [Fraction(1)]
-            lam = solve(A, b)
-            if lam is not None and all(x >= 0 for x in lam):
-                return True
-    return False
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4
-    )
-)
-@settings(max_examples=150)
-def test_convex_hull_membership_matches_caratheodory_oracle(vs):
-    assert (separating_direction(vs) is None) == exhaustive_hull_oracle(vs)
-
-
 def test_relative_interior_is_strictly_stronger():
     # 0 on the boundary of conv{(1,0), (0,1)}? not even in the hull;
     # conv{(1,0), (-1,0)} contains 0 in its relative interior;
@@ -157,17 +133,6 @@ def test_relative_interior_is_strictly_stronger():
     # hull membership without relint membership
     assert separating_direction([(0, 0), (1, 0)]) is None
     assert not zero_in_relative_interior([(0, 0), (1, 0)])
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4
-    )
-)
-@settings(max_examples=100)
-def test_relint_implies_hull(vs):
-    if zero_in_relative_interior(vs):
-        assert separating_direction(vs) is None
 
 
 def mat_mul_naively(A, B):
@@ -254,89 +219,30 @@ def fraction_relint(vs):
     return fraction_lp_feasible(A, [0] * d, [1] * len(vs))
 
 
-def sympy_rref():
-    """Reduced row echelon form over QQ by sympy's DomainMatrix, with
-    Fraction entries."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    QQ = sympy.QQ
-
-    def rref(rows):
-        M = [[QQ(x.numerator, x.denominator) for x in row] for row in rows]
-        reduced, pivots = DomainMatrix(M, (len(M), len(M[0])), QQ).rref()
-        return [
-            [Fraction(int(e.numerator), int(e.denominator)) for e in row]
-            for row in reduced.to_list()
-        ], pivots
-
-    return rref
-
-
-def caratheodory_oracles():
-    """Hull and relative-interior membership by Caratheodory enumeration,
-    with every linear system solved exactly by sympy.
-
-    0 is in conv(V) iff the barycentric system of some affinely
-    independent subset has a (unique) nonnegative solution.  0 is a
-    strictly positive combination of V iff, for each i, -v_i is a
-    nonnegative combination of a linearly independent subset of the
-    other vectors: adding up those combinations gives every weight a
-    positive coefficient.  (sympy's own simplex, `lpmin`, accepts
-    infeasible equality systems here, so it is no oracle.)
-    """
-    rref = sympy_rref()
-
-    def unique_nonnegative(cols, rhs):
-        n = len(cols)
-        reduced, pivots = rref([[c[i] for c in cols] + [rhs[i]] for i in range(len(rhs))])
-        if tuple(pivots) != tuple(range(n)):  # singular or inconsistent
-            return False
-        return all(reduced[j][n] >= 0 for j in range(n))
-
-    def hull(vs):
-        d = len(vs[0])
-        return any(
-            unique_nonnegative([v + (1,) for v in sub], (0,) * d + (1,))
-            for size in range(1, min(len(vs), d + 1) + 1)
-            for sub in itertools.combinations(vs, size)
-        )
-
-    def in_cone(target, others, d):
-        return not any(target) or any(
-            unique_nonnegative(sub, target)
-            for size in range(1, min(len(others), d) + 1)
-            for sub in itertools.combinations(others, size)
-        )
-
-    def relint(vs):
-        d = len(vs[0])
-        return all(
-            in_cone(tuple(-x for x in v), vs[:i] + vs[i + 1 :], d)
-            for i, v in enumerate(vs)
-        )
-
-    return hull, relint
-
-
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.lists(
-            st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=7
-        )
-    )
+# one to seven vectors of Z^d, d <= 3, entries in [-5, 5]
+CONFIGURATIONS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=7)
 )
+
+
+@given(CONFIGURATIONS)
 @settings(max_examples=150, deadline=None)
-def test_convex_position_predicates_match_sympy_and_the_fraction_simplex(vs):
-    hull, relint = caratheodory_oracles()
-    in_hull = separating_direction(vs) is None
-    in_relint = zero_in_relative_interior(vs)
-    assert in_hull == hull(vs) == fraction_hull(vs)
-    assert in_relint == relint(vs) == fraction_relint(vs)
+def test_convex_position_predicates_match_the_fraction_simplex(vs):
     lam = separating_direction(vs)
-    assert lam is None if in_hull else primitive(lam) == lam and all(
+    assert (lam is None) == fraction_hull(vs)
+    assert zero_in_relative_interior(vs) == fraction_relint(vs)
+    assert lam is None or primitive(lam) == lam and all(
         sum(a * b for a, b in zip(lam, v)) > 0 for v in vs
     )
+
+
+@needs_sympy
+@given(CONFIGURATIONS)
+@settings(max_examples=150, deadline=None)
+def test_convex_position_predicates_match_the_caratheodory_oracles(vs):
+    hull, relint = caratheodory_oracles()
+    assert (separating_direction(vs) is None) == hull(vs)
+    assert zero_in_relative_interior(vs) == relint(vs)
 
 
 @given(
@@ -396,8 +302,6 @@ def mixed_matrices():
 @given(mixed_matrices())
 @settings(max_examples=200)
 def test_rank_of_mixed_entries_matches_a_rational_row_reduction(M):
-    from test_acceptance import frac_rank
-
     assert rank(M) == frac_rank(M)
     assert rank(transpose(M)) == frac_rank(M)
 
@@ -459,19 +363,19 @@ def rational_systems(draw):
 HILBERT8 = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
 
 
+@needs_sympy
 @given(rational_systems())
 @example((HILBERT8, [1] * 8, list(range(8))))
 # a dense 8 x 8 of rank 7 and an inconsistent right-hand side
 @example((HILBERT8[:7] + [[x + y for x, y in zip(*HILBERT8[:2])]], [1] * 8, [1] * 8))
 @settings(max_examples=200, deadline=None)
 def test_rank_solve_and_coker_projection_match_sympy(system):
-    rref = sympy_rref()
     A, b, v = system
     m, n = len(A), len(A[0])
-    _, pivots = rref(A)
+    _, pivots = sympy_rref(A)
     assert rank(A) == len(pivots)
 
-    R, pivots = rref([row + [bi] for row, bi in zip(A, b)])
+    R, pivots = sympy_rref([row + [bi] for row, bi in zip(A, b)])
     got = solve(A, b)
     if n in pivots:
         assert got is None
@@ -482,7 +386,7 @@ def test_rank_solve_and_coker_projection_match_sympy(system):
         assert list(got) == want
         assert all(is_canonical_scalar(x) for x in got)
 
-    R, pivots = rref(transpose(A))
+    R, pivots = sympy_rref(transpose(A))
     free = [i for i in range(m) if i not in pivots]
     dim, project = coker_projection(A, m)
     got = project(v)
