@@ -19,7 +19,9 @@ from .blowup import (
     zero_matrix,
 )
 from .errors import PreconditionError, TheoremCheckError
-from .groebner import Budget, Ideal, buchberger, lift_certificate, normal_form, saturate
+from .groebner import (
+    Budget, Ideal, buchberger, ideal_equal, lift_certificate, normal_form, saturate
+)
 from .linalg import coker_projection, mat_mul, rank, solve
 from .poly import DEGREVLEX, Poly, Ring, canon, divide_exact, exact_div
 from .record import Record
@@ -442,8 +444,17 @@ def verify_omega_equivalence(
 
     The ideal comparison happens after saturating by the hint polynomial,
     the algebraic stand-in for shrinking the chart around a basepoint
-    where the hint does not vanish.
+    where the hint does not vanish, and goes through ``ideal_equal``.
+    The squared ideal's basis is built only for a nonzero residual.
     """
+    return _omega_check(model, omega_bar, hint, basepoint, budget)(A, B)
+
+
+def _omega_check(model: LocalModel, omega_bar, hint, basepoint, budget):
+    """The part of ``verify_omega_equivalence`` that does not read the
+    corrections, made once: returns ``check(A, B)``, the report for one
+    pair of corrections, which builds the squared ideal's basis at most
+    once over all its calls."""
     ring = model.ring
     r = model.bundle.rank
     n = ring.n
@@ -456,69 +467,70 @@ def verify_omega_equivalence(
             raise PreconditionError("sections must live in one ring")
     if hint is None:
         hint = ring.one()
-    if basepoint is not None:
-        if hint.evaluate(basepoint) == 0:
-            raise PreconditionError("hint polynomial vanishes at the basepoint")
-    A, B = (
-        zero_matrix(ring, n, r) if M is None else tuple(tuple(row) for row in M)
-        for M in (A, B)
-    )
-    for M in (A, B):
-        if len(M) != n or any(len(row) != r for row in M):
-            raise PreconditionError("correction matrices must be n x rank")
-    witnesses: list[str] = []
+    if basepoint is not None and hint.evaluate(basepoint) == 0:
+        raise PreconditionError("hint polynomial vanishes at the basepoint")
 
     ideal_a = Ideal(ring, omega)
     ideal_b = Ideal(ring, omega_bar)
     if not hint.is_constant():
         ideal_a = saturate(ideal_a, hint, budget)
         ideal_b = saturate(ideal_b, hint, budget)
-    gb = buchberger(ideal_a, DEGREVLEX, budget)
-    # the rule of ideal_equal, keeping ideal_a's basis for the squared ideal
-    same_ideal = set(ideal_a.generators) == set(ideal_b.generators) or (
-        gb.basis == buchberger(ideal_b, DEGREVLEX, budget).basis
-    )
-    if not same_ideal:
-        witnesses.append("same_ideal: the two sections cut different ideals")
-
-    squares = []
-    for i, p in enumerate(gb.basis):
-        for q in gb.basis[i:]:
-            squares.append(p * q)
-    gb_sq = buchberger(Ideal(ring, squares), DEGREVLEX, budget)
-
+    same_ideal = ideal_equal(ideal_a, ideal_b, budget)
     # forward: omega = omega_bar + d(omega_bar)·A·omega_bar modulo the
     # squared ideal; backward the same with the sections and B for A
-    identity = []
-    for name, M, src, dst in (
-        ("identity_forward", A, omega_bar, omega),
-        ("identity_backward", B, omega, omega_bar),
-    ):
-        jac = derivative_matrix(src, ring)
-        corr = poly_mat_mul(jac, poly_mat_mul(M, [(c,) for c in src], ring), ring)
-        holds = True
-        for b in range(r):
-            residual = dst[b] - src[b] - corr[b][0]
-            if not normal_form(residual, gb_sq).is_zero():
-                holds = False
-                witnesses.append(
-                    f"{name}: component {b} leaves residual {residual} "
-                    "modulo the squared ideal"
-                )
-        identity.append(holds)
-    identity_forward, identity_backward = identity
-
-    equivariant = True
-    for label, M in (("A", A), ("B", B)):
-        for i, c, e, expected in _off_weight_entries(M, model):
-            equivariant = False
-            witnesses.append(
-                f"equivariant: entry {label}[{i}][{c}] = {e} is not of "
-                f"weight {expected}"
-            )
-    return OmegaEquivalenceReport(
-        same_ideal, identity_forward, identity_backward, equivariant, tuple(witnesses)
+    sides = (
+        ("identity_forward", derivative_matrix(omega_bar, ring), omega_bar, omega),
+        ("identity_backward", derivative_matrix(omega, ring), omega, omega_bar),
     )
+    squared = []  # the squared ideal's basis, once a residual needs it
+
+    def in_squared_ideal(residual: Poly) -> bool:
+        if residual.is_zero():
+            return True
+        if not squared:
+            # the pairwise products of generators generate the square
+            gens = ideal_a.generators
+            products = [p * q for i, p in enumerate(gens) for q in gens[i:]]
+            squared.append(buchberger(Ideal(ring, products), DEGREVLEX, budget))
+        return normal_form(residual, squared[0]).is_zero()
+
+    def check(A, B) -> OmegaEquivalenceReport:
+        A, B = (
+            zero_matrix(ring, n, r) if M is None else tuple(tuple(row) for row in M)
+            for M in (A, B)
+        )
+        for M in (A, B):
+            if len(M) != n or any(len(row) != r for row in M):
+                raise PreconditionError("correction matrices must be n x rank")
+        witnesses: list[str] = []
+        if not same_ideal:
+            witnesses.append("same_ideal: the two sections cut different ideals")
+
+        identity = []
+        for (name, jac, src, dst), M in zip(sides, (A, B)):
+            corr = poly_mat_mul(jac, poly_mat_mul(M, [(c,) for c in src], ring), ring)
+            holds = True
+            for b in range(r):
+                residual = dst[b] - src[b] - corr[b][0]
+                if not in_squared_ideal(residual):
+                    holds = False
+                    witnesses.append(
+                        f"{name}: component {b} leaves residual {residual} "
+                        "modulo the squared ideal"
+                    )
+            identity.append(holds)
+
+        equivariant = True
+        for label, M in (("A", A), ("B", B)):
+            for i, c, e, expected in _off_weight_entries(M, model):
+                equivariant = False
+                witnesses.append(
+                    f"equivariant: entry {label}[{i}][{c}] = {e} is not of "
+                    f"weight {expected}"
+                )
+        return OmegaEquivalenceReport(same_ideal, *identity, equivariant, tuple(witnesses))
+
+    return check
 
 
 def _off_weight_entries(M, model: LocalModel):
@@ -611,28 +623,29 @@ def construct_equivalence(
     Returns correction matrices and a localization hint.  Zero matrices
     are verified first; the forward identity reads only A and the
     backward one only B, so a correction is assembled only for an
-    identity that fails, and the pair is verified once more.
+    identity that fails, and the pair is verified once more by the same
+    check, which keeps the bases it computed the first time.
     """
     ring = f.ring
     if g.ring != ring:
         raise PreconditionError("potentials must live in one ring")
     model = dcritical_chart(f, weights)
-    _require_invariant(g, weights)
     omega = model.section
-    omega_bar = tuple(g.derivative(i) for i in range(ring.n))
+    omega_bar = dcritical_chart(g, weights).section
 
     unit = _detect_unit_cofactor(omega, omega_bar, ring)
     hint = unit if unit is not None else ring.one()
 
+    check = _omega_check(model, omega_bar, hint, None, budget)
     A = B = zero_matrix(ring, ring.n, ring.n)
-    report = verify_omega_equivalence(model, omega_bar, A, B, hint, budget=budget)
+    report = check(A, B)
     if report.same_ideal and not report.passed:
         if not report.identity_forward:
             A = _assemble_correction(f - g, omega_bar, weights, budget)
         if A is not None and not report.identity_backward:
             B = _assemble_correction(g - f, omega, weights, budget)
         if A is not None and B is not None:
-            report = verify_omega_equivalence(model, omega_bar, A, B, hint, budget=budget)
+            report = check(A, B)
     if report.passed:
         return A, B, hint
     raise PreconditionError(
@@ -684,7 +697,10 @@ def phi_ck_at_point(
 
     The sections must agree on the shared frames after restriction; the
     verdict records both cokernel dimensions and whether the induced map
-    is a bijection.
+    is a bijection.  Dropping the auxiliary frame components sends the
+    big frame's unit vectors onto every unit vector of the small frame,
+    so a well-defined induced map is onto, and with equal dimensions
+    bijective: no rank test is needed.
     """
     ring_s = small.ring
     ring_b = big.ring
@@ -719,7 +735,7 @@ def phi_ck_at_point(
     Ks = four_term_at(small, point)
     Kb = four_term_at(big, big_point)
     dim_s, project_s = coker_projection(Ks.m1, small.bundle.rank)
-    dim_b, project_b = coker_projection(Kb.m1, big.bundle.rank)
+    dim_b, _ = coker_projection(Kb.m1, big.bundle.rank)
     witnesses: list[str] = []
     compatible = True
     if dim_s != dim_b:
@@ -729,14 +745,10 @@ def phi_ck_at_point(
             "the small side"
         )
 
-    def drop(vec):
-        return [vec[pos] for pos in shared_frames]
-
     if compatible:
-        rb = big.bundle.rank
-        for j in range(len(Kb.m1[0]) if rb else 0):
-            col = [Kb.m1[b][j] for b in range(rb)]
-            image = project_s(drop(col))
+        for j in range(len(Kb.m1[0]) if Kb.m1 else 0):
+            # middle-map column j without its auxiliary frame components
+            image = project_s([Kb.m1[pos][j] for pos in shared_frames])
             if any(x != 0 for x in image):
                 compatible = False
                 witnesses.append(
@@ -744,16 +756,4 @@ def phi_ck_at_point(
                     f"column {j} survives projection"
                 )
                 break
-    if compatible and dim_s:
-        # the induced map is onto iff the composite from the big bundle is;
-        # with equal finite dimensions onto means bijective
-        rb = big.bundle.rank
-        columns = []
-        for b in range(rb):
-            e = [1 if i == b else 0 for i in range(rb)]
-            columns.append(project_s(drop(e)))
-        matrix = [[columns[j][i] for j in range(rb)] for i in range(dim_s)]
-        if rank(matrix) != dim_s:
-            compatible = False
-            witnesses.append("induced map on cokernels is not a bijection")
     return CokernelComparison(compatible, dim_s, dim_b, tuple(witnesses))

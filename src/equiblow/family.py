@@ -31,8 +31,9 @@ def _drop_var(source: Ring, name: str, c):
 
     Each term loses its exponent e of ``name`` and its coefficient takes
     a factor c^e, cached per exponent; terms that land on one monomial
-    sum, and zero sums are dropped.  The result equals ``Poly.subs`` with
-    c as the image of ``name``, term order included.
+    sum, and zero sums are dropped.  The result equals ``subs`` of
+    ``tests/chart_maps.py`` with c as the image of ``name``, term order
+    included.
     """
     target = source.without((name,))
     t = source.index[name]
@@ -103,10 +104,9 @@ def fiber_blowup_commutes(
     The verdict per chart also demands the blowup sections agree
     componentwise when the model carries a factorization witness.
     """
-    t = _base_index(model)
+    fiber = specialize(model, c)
     c = canon(c)
     center = Subtorus.full(model.weights.k)
-    fiber = specialize(model, c)
     family_charts = make_charts(model.ring, model.weights, center)
     fiber_charts = make_charts(fiber.ring, fiber.weights, center)
     by_pivot = {

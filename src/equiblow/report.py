@@ -7,9 +7,8 @@ time-dependent, so two runs on one input are byte-identical.
 
 from json.encoder import encode_basestring_ascii
 
+from . import __version__
 from .poly import canon
-
-VERSION = "0.1.0"
 
 
 def frac_str(x) -> str:
@@ -35,7 +34,7 @@ def assemble(model: str, command: str, charts: list, ledger: dict) -> dict:
         "command": command,
         "charts": sorted(charts, key=lambda c: c["name"]),
         "ledger": ledger,
-        "version": VERSION,
+        "version": __version__,
     }
 
 

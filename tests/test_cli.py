@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bench_models import MATRIX_MODELS, write_bench_models
+from counting import count_calls
 from ref import REFUSALS
 from scalars import is_canonical_scalar
 from equiblow import TheoremCheckError, cli, groebner
@@ -672,27 +673,13 @@ def test_negative_values_parse_after_a_space(capsys):
         assert report(capsys, *argv, prefix, value) == glued
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls of ``module.name``, wrapping it in every equiblow
-    module that binds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    for key, bound in list(sys.modules.items()):
-        if key.split(".")[0] == "equiblow" and getattr(bound, name, None) is original:
-            monkeypatch.setattr(bound, name, counted)
-    return calls
-
-
 def test_chart_bases_are_computed_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, groebner, "buchberger")
     report(capsys, "corpus")
-    # omega-verify takes one basis when both sections have one generator set
-    assert len(calls) == 28
+    # omega-verify takes three bases: the two hint saturations, which
+    # leave one generator set, and the squared ideal for its nonzero
+    # residuals
+    assert len(calls) == 27
     calls.clear()
     report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
     # one basis per chart for the report; the section check needs none,

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from counting import count_calls
 from equiblow import (
     FourTermComplexAtPoint,
     LocalModel,
@@ -224,19 +225,24 @@ def test_axis_direction_extensions_on_the_square_model_lift():
 # omega equivalence
 
 
-# f, g, ring, weights, then the A, B and hint found and the number of
-# lift certificates computed.  Zero matrices pass on the first three
-# pairs, so no certificate is needed.  On the last two the sections
-# differ by a constant factor, which is no unit cofactor: the hint is 1
-# and each identity needs its correction.
+# f, g, ring, weights, then the A, B and hint found, the number of lift
+# certificates computed and the number of Groebner bases.  Zero
+# matrices pass on the first three pairs, so no certificate is needed.
+# The first two saturate both sections by the hint, which leaves one
+# generator set, and build the squared ideal for their nonzero
+# residuals; the third has zero residuals and needs no basis.  On the
+# last two the sections differ by a constant factor, which is no unit
+# cofactor: the hint is 1 and each identity needs its correction, so
+# both section bases, the squared ideal once and one tracked basis per
+# certificate.
 ZERO2 = [["0", "0"], ["0", "0"]]
 EQUIVALENCES = {
-    "quartic": ("1/2*x^2", "1/2*x^2 + x^4", R1, W0, [["0"]], [["0"]], "4*x^2 + 1", 0),
+    "quartic": ("1/2*x^2", "1/2*x^2 + x^4", R1, W0, [["0"]], [["0"]], "4*x^2 + 1", 0, 3),
     "square-pair": (
-        "1/2*x^2*y^2", "1/2*x^2*y^2 + x^4*y^4", R2, W2, ZERO2, ZERO2, "4*x^2*y^2 + 1", 0
+        "1/2*x^2*y^2", "1/2*x^2*y^2 + x^4*y^4", R2, W2, ZERO2, ZERO2, "4*x^2*y^2 + 1", 0, 3
     ),
-    "reflexive": ("x*y", "x*y", R2, W2, ZERO2, ZERO2, "1", 0),
-    "scaled-square": ("3/2*x^2", "1/2*x^2", R1, W0, [["2"]], [["-2/9"]], "1", 2),
+    "reflexive": ("x*y", "x*y", R2, W2, ZERO2, ZERO2, "1", 0, 0),
+    "scaled-square": ("3/2*x^2", "1/2*x^2", R1, W0, [["2"]], [["-2/9"]], "1", 2, 5),
     "scaled-product": (
         "x*y",
         "2*x*y",
@@ -246,28 +252,24 @@ EQUIVALENCES = {
         [["0", "1"], ["1", "0"]],
         "1",
         2,
+        5,
     ),
 }
 
 
 @pytest.mark.parametrize("case", EQUIVALENCES.values(), ids=EQUIVALENCES.keys())
 def test_construct_equivalence_computes_only_the_corrections_it_returns(monkeypatch, case):
-    from equiblow import dcrit
+    from equiblow import dcrit, groebner
 
-    f, g, ring, weights, want_A, want_B, want_hint, certificates = case
-    calls = []
-    real = dcrit.lift_certificate
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(dcrit, "lift_certificate", counted)
+    f, g, ring, weights, want_A, want_B, want_hint, certificates, bases = case
+    lifts = count_calls(monkeypatch, dcrit, "lift_certificate")
+    buchbergers = count_calls(monkeypatch, groebner, "buchberger")
     A, B, hint = construct_equivalence(parse_poly(f, ring), parse_poly(g, ring), weights)
     assert [[str(e) for e in row] for row in A] == want_A
     assert [[str(e) for e in row] for row in B] == want_B
     assert str(hint) == want_hint
-    assert len(calls) == certificates
+    assert len(lifts) == certificates
+    assert len(buchbergers) == bases
 
 
 def test_equivalence_is_reflexive_with_unit_cofactor_one():
@@ -353,14 +355,19 @@ def test_construct_equivalence_refuses_unrelated_sections():
 # cokernel comparison along an embedding
 
 
-def test_cokernel_comparison_smooth_pair():
+def test_cokernel_comparison_smooth_pair(monkeypatch):
+    from equiblow import groebner
+
     R2u = Ring(["x", "y", "u"])
     W2u = WeightMatrix([(1, -1, 0)])
     small = dcritical_chart(parse_poly("x*y", R2), W2)
     big = dcritical_chart(parse_poly("x*y + 1/2*u^2", R2u), W2u)
+    buchbergers = count_calls(monkeypatch, groebner, "buchberger")
     cmp_ = phi_ck_at_point(small, big, (F(0), F(0)))
     assert cmp_.compatible
     assert cmp_.dim_small == 0 and cmp_.dim_big == 0
+    # the restricted section is the small one, so its check needs no basis
+    assert buchbergers == []
 
 
 def test_cokernel_comparison_square_pair():
