@@ -413,23 +413,17 @@ def frame_moving(model: LocalModel, chart: BlowupChart) -> tuple[bool, ...]:
 
 
 def blowup_section(model: LocalModel, chart: BlowupChart) -> tuple[Poly, ...]:
-    """Section of the blowup bundle: components on fixed frame elements
-    pull back, components on moving ones pull back and divide by xi.
+    """Section of the blowup bundle, carried by the rule of
+    ``intrinsic_ideal``: components on fixed frame elements pull back,
+    components on moving ones go through ``exceptional_divide``.
 
-    Divisibility is guaranteed for an invariant section (a moving frame
-    pairs with a moving component); failure is a theorem check.
+    An invariant section pairs a moving frame with a moving component,
+    so the division is exact.
     """
-    moving = frame_moving(model, chart)
-    comps = []
-    for mov, comp in zip(moving, model.section):
-        q = chart.shifted_pullback(comp, -1 if mov else 0)
-        if q is None:
-            raise TheoremCheckError(
-                "moving section component is not divisible by the "
-                f"exceptional coordinate {chart.exceptional}: {comp}"
-            )
-        comps.append(q)
-    return tuple(comps)
+    return tuple(
+        exceptional_divide(comp, chart) if mov else chart.pullback(comp)
+        for mov, comp in zip(frame_moving(model, chart), model.section)
+    )
 
 
 def pullback_divisor(divisor: dict, chart: BlowupChart) -> dict:

@@ -211,18 +211,12 @@ def four_term_at(model: LocalModel, point) -> FourTermComplexAtPoint:
 
 def cohomology_dims(K: FourTermComplexAtPoint) -> tuple[int, int, int, int]:
     """Exact cohomology dimensions of the evaluated complex, whose
-    compositions its constructor has checked.
-
-    Verifies the Euler identity h0 - h1 + h2 - h3 = r - n before
-    reporting.
-    """
+    compositions its constructor has checked."""
     r0, r1, r2 = rank(K.m0), rank(K.m1), rank(K.m2)
     h0 = K.k - r0
     h1 = (K.n - r1) - r0
     h2 = (K.r - r2) - r1
     h3 = K.k - r2
-    if h0 - h1 + h2 - h3 != K.r - K.n:
-        raise TheoremCheckError("Euler characteristic identity violated")
     return (h0, h1, h2, h3)
 
 

@@ -17,7 +17,7 @@ from .dcrit import _dcritical_model, _require_invariant
 from .errors import ModelFileError, PolyParseError, PreconditionError
 from .groebner import Ideal
 from .poly import Poly, Ring, canon, parse_poly
-from .torus import WeightMatrix
+from .torus import WeightMatrix, poly_weight
 
 
 def _strings(value, mf):
@@ -400,6 +400,10 @@ def build_model(mf: ModelFile) -> BuiltModel:
                 )
             except ValueError as e:  # e.g. a repeated label or a stray divisor
                 raise ModelFileError(str(e)) from None
+            # each nonzero component pairs with its frame to weight zero
+            for c, v in zip(section, bundle.weights):
+                if c.terms and poly_weight(c, weights) != tuple(-x for x in v):
+                    raise ModelFileError("section is not invariant")
         return BuiltModel(ring, weights, ideal, model, None, mf)
     except PolyParseError as e:
         raise ModelFileError(f"bad polynomial: {e}") from None

@@ -17,10 +17,13 @@ zeros.  The arithmetic and the division loop here build their results
 with ``Poly._make(ring, terms)`` instead, which skips both steps.  Its
 invariant: the dict it is given holds only nonzero canonical scalars,
 and it becomes the polynomial's own ``terms`` without a copy, so the
-caller must not touch it afterwards.  The arithmetic loops fold a sum
-or product that lands on an integral ``Fraction`` back to ``int``
-inline, with one ``type(...) is int`` test when it is an int already,
-rather than through a ``canon`` call per term.
+caller must not touch it afterwards.  Every sum of terms goes through
+``_fold``, which keeps that invariant: a zero sum leaves the dict, and a
+sum that lands on an integral ``Fraction`` is stored as its ``int``,
+with one ``type(...) is int`` test when it is an int already rather
+than a ``canon`` call per term.  Three loops fold inline, each for its
+speed: ``term_mul``, which scales, the product loop of
+``_sum_of_products``, and ``sub_scaled``, the division step.
 
 ``_divide`` is the package's one multivariate division loop: ``divmod_multi``
 wraps its quotient and remainder terms as polynomials, and Buchberger in
@@ -244,35 +247,22 @@ class Poly:
 
     @classmethod
     def _collect(cls, ring: Ring, pairs) -> "Poly":
-        """Sum (monomial, nonzero int or Fraction) pairs into a polynomial.
-
-        Terms that land on one monomial add, and a zero sum is dropped;
-        the result keeps the order in which monomials first appear.  An
-        integral Fraction, given or summed, is stored as its int.
-        """
-        out: dict = {}
-        for m, c in pairs:
-            if m in out:
-                c = out[m] + c
-                if not c:
-                    del out[m]
-                    continue
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            out[m] = c
-        return cls._make(ring, out)
+        """Sum (monomial, nonzero int or Fraction) pairs into a polynomial,
+        by the rule of ``_fold``."""
+        return cls._make(ring, _fold({}, pairs))
 
     @classmethod
     def _sum_of_products(cls, ring: Ring, pairs) -> "Poly":
         """The sum of a * b over the pairs of polynomials, with the terms in
         the order that ``acc = acc + a * b`` from the zero polynomial gives.
 
-        Each product is built in its own dict, as ``__mul__`` builds it,
-        and then added on, as ``__add__`` adds: a product's terms can
-        cancel and come back, which moves them to its end, before they
-        meet the sum.  A product with a one-term factor has distinct
-        monomials, and a product onto an empty sum is the sum itself, so
-        those go into the sum directly.
+        Each product is built in its own dict, by the rule of ``_fold``
+        written out inline, and then folded into the sum: a product's
+        terms can cancel and come back, which moves them to its end,
+        before they meet the sum.  A product with a one-term factor has
+        distinct monomials, and a product onto an empty sum is the sum
+        itself, so those go into the sum directly.  ``a * b`` is this sum
+        of the one pair.
         """
         acc: dict = {}
         for a, b in pairs:
@@ -292,17 +282,8 @@ class Poly:
                     if type(s) is not int and s.denominator == 1:
                         s = s.numerator
                     prod[m] = s
-            if prod is acc:
-                continue
-            for m, c in prod.items():
-                if m in acc:
-                    c += acc[m]
-                    if not c:
-                        del acc[m]
-                        continue
-                    if type(c) is not int and c.denominator == 1:
-                        c = c.numerator
-                acc[m] = c
+            if prod is not acc:
+                _fold(acc, prod.items())
         return cls._make(ring, acc)
 
     def __setattr__(self, *a):
@@ -352,17 +333,7 @@ class Poly:
         if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                c += terms[m]
-                if not c:
-                    del terms[m]
-                    continue
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-            terms[m] = c
-        return Poly._make(self.ring, terms)
+        return Poly._make(self.ring, _fold(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -379,31 +350,9 @@ class Poly:
 
     def __mul__(self, other):
         if type(other) is not Poly and isinstance(other, (int, Fraction)):
-            c = canon(other)
-            if c == 0:
-                return self.ring.zero()
-            scaled: dict = {}
-            for m, cc in self.terms.items():
-                cc *= c
-                if type(cc) is not int and cc.denominator == 1:
-                    cc = cc.numerator
-                scaled[m] = cc
-            return Poly._make(self.ring, scaled)
+            return self.term_mul((0,) * self.ring.n, other)
         self._check(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                s = c1 * c2
-                if m in out:
-                    s += out[m]
-                    if not s:
-                        del out[m]
-                        continue
-                if type(s) is not int and s.denominator == 1:
-                    s = s.numerator
-                out[m] = s
-        return Poly._make(self.ring, out)
+        return Poly._sum_of_products(self.ring, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -535,6 +484,27 @@ _set_ring = Poly.ring.__set__
 _set_terms = Poly.terms.__set__
 _set_hash = Poly._hash.__set__
 _set_lead = Poly._lead.__set__
+
+
+def _fold(out: dict, pairs) -> dict:
+    """Add (monomial, nonzero int or Fraction) pairs into ``out`` in place,
+    and return it.
+
+    A pair on a monomial of ``out`` adds to its coefficient, which keeps
+    its place; a zero sum leaves ``out``, so a monomial that cancels and
+    comes back goes last.  An integral Fraction, given or summed, is
+    stored as its int, so ``out`` keeps the ``_make`` invariant.
+    """
+    for m, c in pairs:
+        if m in out:
+            c += out[m]
+            if not c:
+                del out[m]
+                continue
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        out[m] = c
+    return out
 
 
 def sub_scaled(work: dict, terms: Mapping, quot: Mono, c, skip: Mono):
@@ -766,15 +736,8 @@ def parse_poly(text: str, ring: Ring) -> Poly:
             if kind == "-" or kind == "+":
                 negate = negate != (kind == "-")
                 i += 1
-            for m, c in parse_product().items():
-                if negate:
-                    c = -c
-                if m in out:
-                    c += out[m]
-                    if not c:
-                        del out[m]
-                        continue
-                out[m] = canon(c)
+            terms = parse_product().items()
+            _fold(out, ((m, -c) for m, c in terms) if negate else terms)
             kind = toks[i][0]
             if kind != "+" and kind != "-":
                 return out

@@ -10,7 +10,8 @@ Runs, in one process under a `sys.settrace` line tracer:
 - `blowup` on each malformed file of `ref.REFUSALS`, the table of
   refusals that `test_modelfile` and `test_cli` pin too, written next to
   it, each an exit 2;
-- every subcommand once with `--budget 0`;
+- every subcommand once with `--budget 0`, on its line of
+  `ref.EVERY_SUBCOMMAND`, which `test_cli` runs too;
 - three lines that the table scan of `cli._parse_words` leaves to
   argparse: one with flag prefixes, one with a repeated flag, one with
   a value that starts with '-';
@@ -40,7 +41,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ref import REFUSALS
+from ref import EVERY_SUBCOMMAND, REFUSALS, subcommand_line
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -55,17 +56,6 @@ PER_FILE = (
 SECTION_FILE = (
     'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
     'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
-)
-# one command line per subcommand, to which `--budget 0` is appended
-EVERY_SUBCOMMAND = (
-    ["blowup", "src/equiblow/corpus/e2.kb"],
-    ["crit", "src/equiblow/corpus/e2.kb"],
-    ["semistable", "src/equiblow/corpus/e2.kb", "--chart", "chart_x", "--point=0,1,0"],
-    ["obstruction", "src/equiblow/corpus/e2.kb"],
-    ["omega-verify", "src/equiblow/corpus/square_pair.kb"],
-    ["fiber-check", "src/equiblow/corpus/family.kb"],
-    ["independence", "src/equiblow/corpus/e1aux.kb", "--aux", "u"],
-    ["corpus"],
 )
 # well-formed lines take the table scan; these reach argparse
 ARGPARSE_LINES = (
@@ -113,8 +103,8 @@ def command_lines(scratch: Path) -> list[list[str]]:
         bad = scratch / f"bad-{name}.kb"
         bad.write_text(text, encoding="utf-8")
         add(["blowup", str(bad)])
-    for argv in EVERY_SUBCOMMAND:
-        add([*argv, "--budget", "0"])
+    for command in EVERY_SUBCOMMAND:
+        add([*subcommand_line(command, "src/equiblow/corpus"), "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:
         add(list(argv))
     return out

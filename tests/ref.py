@@ -25,6 +25,7 @@ its own body, so this module loads without it.
   overlap;
 - ``REFUSALS``: one malformed model file per refusal of the reader and
   of the builder, with its exact message.
+- ``EVERY_SUBCOMMAND``: one command line per subcommand, on corpus files.
 """
 
 import itertools
@@ -448,6 +449,21 @@ REFUSALS = {
         S + FRAMES + "divisor = [[q, 1]]\n",
         "divisor coordinate 'q' is not a ring variable",
     ),
+    # a component whose weight is not its frame's negated, after the
+    # frame checks; at the parent the first reached exit 5 in `blowup`
+    # and the second in `crit --point=1,-1`
+    "section-not-invariant": (
+        V + 'ideal = ["x*y"]\nsection = ["1 + y", "x"]\n' + FRAMES,
+        "section is not invariant",
+    ),
+    "section-not-invariant-at-a-point": (
+        V + 'ideal = ["x*y + 1"]\nsection = ["x + y", "x*y + 1"]\n' + FRAMES,
+        "section is not invariant",
+    ),
+    "skew-section-and-frame-weight-length": (
+        V + 'ideal = ["x*y"]\nsection = ["1 + y", "x"]\nframe_weights = [[1, 2], [-1]]\n',
+        "frame weight length must match the torus rank",
+    ),
     # the first rule of the reader's order decides, whatever the file order
     "first-rule-wins": (
         V + "hint = 1\nbasepoint = [0]\npotential = 3\n",
@@ -458,3 +474,26 @@ REFUSALS = {
         "divisor entries must be [name, positive multiplicity]",
     ),
 }
+
+
+# one command line per subcommand: the arguments after the subcommand,
+# each ``.kb`` name a file of the bundled corpus
+EVERY_SUBCOMMAND = {
+    "blowup": ("e2.kb",),
+    "crit": ("e2.kb",),
+    "semistable": ("e2.kb", "--chart", "chart_x", "--point=0,1,0"),
+    "obstruction": ("e2.kb",),
+    "omega-verify": ("square_pair.kb",),
+    "fiber-check": ("family.kb",),
+    "independence": ("e1aux.kb", "--aux", "u"),
+    "corpus": (),
+}
+
+
+def subcommand_line(command, corpus):
+    """The argv of ``command``'s line in ``EVERY_SUBCOMMAND``, with each
+    model file named under the directory ``corpus``."""
+    return [
+        command,
+        *(f"{corpus}/{w}" if w.endswith(".kb") else w for w in EVERY_SUBCOMMAND[command]),
+    ]

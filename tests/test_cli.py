@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bench_models import MATRIX_MODELS, write_bench_models
 from counting import count_calls
-from ref import REFUSALS
+from ref import EVERY_SUBCOMMAND, REFUSALS, subcommand_line
 from scalars import is_canonical_scalar
 from equiblow import TheoremCheckError, cli, groebner
 
@@ -196,24 +196,10 @@ def test_budget_env_variable_is_not_read(capsys, monkeypatch, value):
     assert run(capsys, *argv) == plain
 
 
-EVERY_SUBCOMMAND = {
-    "blowup": ("e2.kb",),
-    "crit": ("e2.kb",),
-    "semistable": ("e2.kb", "--chart", "chart_x", "--point=0,1,0"),
-    "obstruction": ("e2.kb",),
-    "omega-verify": ("square_pair.kb",),
-    "fiber-check": ("family.kb",),
-    "independence": ("e1aux.kb", "--aux", "u"),
-    "corpus": (),
-}
-
-
 @pytest.mark.parametrize("command", sorted(EVERY_SUBCOMMAND))
 def test_every_subcommand_rejects_an_invalid_budget(capsys, command):
-    argv = [
-        str(CORPUS / w) if w.endswith(".kb") else w for w in EVERY_SUBCOMMAND[command]
-    ]
-    assert run(capsys, command, *argv, "--budget", "0") == (
+    argv = subcommand_line(command, CORPUS)
+    assert run(capsys, *argv, "--budget", "0") == (
         2, "", "error: budget must be a positive integer\n"
     )
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from chart_maps import subs
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equiblow import (
     PreconditionError,
@@ -69,6 +69,8 @@ RXT = Ring(["x", "t", "y"])
     ),
     st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]),
 )
+# at t = 2, x*t and -2*x cancel and x*t^2 brings x back: after y
+@example({(1, 1, 0): 1, (1, 0, 0): -2, (0, 0, 1): 1, (1, 2, 0): 1}, Fraction(2))
 @settings(max_examples=80)
 def test_drop_var_matches_subs_with_a_constant_image(terms, c):
     p = Poly(RXT, terms)

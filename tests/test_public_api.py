@@ -6,7 +6,10 @@ nothing calls or tests; deleting a helper should delete its export too.
 """
 
 import ast
+import warnings
 from pathlib import Path
+
+import pytest
 
 import equiblow
 
@@ -48,3 +51,18 @@ def test_every_exported_name_is_used_outside_its_definition():
     public = [nm for nm in equiblow.__all__ if not nm.startswith("__")]
     assert public
     assert [nm for nm in public if nm not in used] == []
+
+
+def test_the_distribution_reads_its_version_from_the_package():
+    # pyproject.toml names no version of its own: setuptools reads
+    # equiblow.__version__, so the package holds the one version string
+    pytest.importorskip("setuptools")
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = TESTS.parent / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is still beta
+        raw = read_configuration(pyproject, expand=False)["project"]
+        expanded = read_configuration(pyproject, expand=True)["project"]
+    assert "version" not in raw and raw["dynamic"] == ["version"]
+    assert expanded["version"] == equiblow.__version__
