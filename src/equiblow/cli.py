@@ -1,16 +1,16 @@
 """Command-line driver: parse a model file, run one pipeline stage, and
 emit a deterministic report.
 
-Exit codes: 0 success, 1 corpus criterion failed, 2 unreadable input,
-3 precondition violated, 4 budget exceeded, 5 theorem-check failure.
+Exit codes: 0 success, 1 corpus criterion failed, 2 unreadable input or
+unwritable report, 3 precondition violated, 4 budget exceeded, 5
+theorem-check failure.
 """
 
-import argparse
-import functools
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import report as rpt
 from .blowup import (
@@ -42,6 +42,7 @@ from .family import fiber_blowup_commutes
 from .groebner import Budget, contains_one, eliminate
 from .modelfile import build_model, load_model_file, parse_hint, parse_model_text
 from .poly import canon
+from .record import Record
 from .stability import point_semistable
 from .torus import Subtorus
 
@@ -373,94 +374,84 @@ def cmd_corpus(args, built, budget) -> tuple[list, dict, int]:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The top-level parser and, per command name, the table that
-    ``_parse_words`` scans: the command's options by flag, its
-    positional arguments, the defaults of all its arguments, and its
-    required options.  The table holds the very actions that
-    ``add_argument`` returned, so each argument is declared once.
+class _Arg(Record):
+    """One argument of a subcommand as ``add_argument`` declares it: its
+    flag, or its name if it is positional (a positional is always
+    required), and the ``dest`` argparse derives from that.  ``signed``
+    marks an option whose value may start with a minus sign."""
 
-    Built once per process; parsing returns a fresh namespace per call.
-    """
-    p = argparse.ArgumentParser(
+    __slots__ = (
+        "flag", "dest", "type", "default", "required", "store_true",
+        "signed", "help", "metavar",
+    )
+
+    def __init__(self, flag, *, type=None, default=None, required=False,
+                 store_true=False, signed=False, help=None, metavar=None):
+        dest = flag.lstrip("-").replace("-", "_")
+        super().__init__(flag, dest, type, default, required, store_true,
+                         signed, help, metavar)
+
+
+_FILE = _Arg("file")
+_CHART = _Arg("--chart", metavar="NAME")
+_POINT = _Arg("--point", signed=True, metavar="a,b,c")
+_COMMON = (
+    _Arg("--json", metavar="PATH", help="write the JSON report here"),
+    _Arg("--budget", type=int, metavar="N",
+         help="cap Groebner basis size and degree at N"),
+)
+# each subcommand's summary and arguments, declared once: ``_scan`` reads
+# them, and ``_build_parser`` makes argparse's parser of them
+_COMMANDS = {
+    "blowup": ("charts, intrinsic ideals, stability", (
+        _FILE, _CHART,
+        _Arg("--full", store_true=True, default=False, help="iterate to termination"),
+        *_COMMON,
+    )),
+    "crit": ("critical-locus model and its checks", (_FILE, _POINT, *_COMMON)),
+    "semistable": ("judge one point of a blowup chart", (_FILE, _CHART, _POINT, *_COMMON)),
+    "obstruction": ("obstruction class of a small extension", (
+        _FILE, _POINT,
+        _Arg("--direction", signed=True, metavar="a,b,c"),
+        _Arg("--ext-order", type=int, default=2, metavar="m"),
+        *_COMMON,
+    )),
+    "omega-verify": ("section equivalence report", (_FILE, *_COMMON)),
+    "fiber-check": ("blowup commutes with the fiber", (
+        _FILE, _Arg("--at", signed=True, default="0", metavar="c"), *_COMMON,
+    )),
+    "independence": ("embedding independence of charts", (
+        _FILE, _Arg("--aux", required=True, metavar="u,v"), *_COMMON,
+    )),
+    "corpus": ("run every bundled example", _COMMON),
+}
+
+
+def _build_parser():
+    """The top-level argparse parser of ``_COMMANDS``, for the lines that
+    ``_scan`` refuses; argparse is imported only then."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
         prog="equiblow",
         description=(
             "Exact toolkit for torus-equivariant Kirwan blowups of affine "
             "models: intrinsic ideals, stability, obstruction data."
         ),
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    declared: dict[str, list[argparse.Action]] = {}
-
-    def command(name, summary):
-        """The ``add_argument`` of a new subcommand, recording each action."""
-        sp = sub.add_parser(name, help=summary)
-        actions = declared[name] = []
-
-        def add(*flags, **kwargs):
-            actions.append(sp.add_argument(*flags, **kwargs))
-
-        return add
-
-    def common(add):
-        add("--json", metavar="PATH", help="write the JSON report here")
-        add(
-            "--budget",
-            type=int,
-            metavar="N",
-            help="cap Groebner basis size and degree at N",
-        )
-
-    add = command("blowup", "charts, intrinsic ideals, stability")
-    add("file")
-    add("--chart", metavar="NAME")
-    add("--full", action="store_true", help="iterate to termination")
-    common(add)
-
-    add = command("crit", "critical-locus model and its checks")
-    add("file")
-    add("--point", metavar="a,b,c")
-    common(add)
-
-    add = command("semistable", "judge one point of a blowup chart")
-    add("file")
-    add("--chart", metavar="NAME")
-    add("--point", metavar="a,b,c")
-    common(add)
-
-    add = command("obstruction", "obstruction class of a small extension")
-    add("file")
-    add("--point", metavar="a,b,c")
-    add("--direction", metavar="a,b,c")
-    add("--ext-order", type=int, default=2, metavar="m")
-    common(add)
-
-    add = command("omega-verify", "section equivalence report")
-    add("file")
-    common(add)
-
-    add = command("fiber-check", "blowup commutes with the fiber")
-    add("file")
-    add("--at", default="0", metavar="c")
-    common(add)
-
-    add = command("independence", "embedding independence of charts")
-    add("file")
-    add("--aux", required=True, metavar="u,v")
-    common(add)
-
-    add = command("corpus", "run every bundled example")
-    common(add)
-    return p, {
-        name: (
-            {flag: a for a in actions for flag in a.option_strings},
-            [a for a in actions if not a.option_strings],
-            {a.dest: a.default for a in actions},
-            [a for a in actions if a.option_strings and a.required],
-        )
-        for name, actions in declared.items()
-    }
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, arguments) in _COMMANDS.items():
+        add = sub.add_parser(command, help=summary).add_argument
+        for a in arguments:
+            kwargs = {"default": a.default, "help": a.help}
+            if a.flag.startswith("-"):
+                kwargs["required"] = a.required
+            if a.store_true:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs.update(type=a.type, metavar=a.metavar)
+            add(a.flag, **kwargs)
+    return parser
 
 
 # each command takes the parsed arguments, the built model (None for
@@ -478,15 +469,9 @@ _DISPATCH = {
 }
 
 
-# options whose value may start with a minus sign, as in "--point -1,0,0";
-# argparse also takes their unique prefixes, as in "--poi -1,0,0"
-_SIGNED_OPTIONS = ("--point", "--direction", "--at")
-_NEGATIVE = re.compile(r"-[0-9.]")
-
-
-def _scan(words: list[str], table: tuple) -> argparse.Namespace | None:
+def _scan(words: list[str], arguments: tuple) -> SimpleNamespace | None:
     """The namespace of a well-formed command line, read in one pass over
-    its command's table, or None for any line that is not.
+    its command's ``arguments``, or None for any line that is not.
 
     Well formed: exact long flags, each at most once; a ``store_true``
     flag bare; any other flag as ``--flag=value`` or ``--flag value``
@@ -495,10 +480,7 @@ def _scan(words: list[str], table: tuple) -> argparse.Namespace | None:
     argument.  Such a line means the same to argparse: a flag's value
     is converted by its ``type``, an absent argument takes its default.
     """
-    flags, positionals, defaults, required = table
-    values = dict(defaults)
-    values["command"] = words[0]
-    seen = set()
+    values = {"command": words[0]}
     given = []
     i, n = 1, len(words)
     while i < n:
@@ -508,56 +490,70 @@ def _scan(words: list[str], table: tuple) -> argparse.Namespace | None:
             given.append(word)
             continue
         flag, eq, value = word.partition("=")
-        action = flags.get(flag)
-        if action is None or action in seen:
+        for arg in arguments:  # an exact flag, not given before
+            if arg.flag == flag and arg.dest not in values:
+                break
+        else:
             return None
-        seen.add(action)
-        if action.nargs == 0:  # store_true takes no value
+        if arg.store_true:  # takes no value
             if eq:
                 return None
-            values[action.dest] = action.const
+            values[arg.dest] = True
             continue
         if not eq:
             if i == n or words[i].startswith("-"):
                 return None
             value = words[i]
             i += 1
-        if action.type is not None:
+        if arg.type is not None:
             try:
-                value = action.type(value)
+                value = arg.type(value)
             except ValueError:
                 return None
-        values[action.dest] = value
-    if len(given) != len(positionals) or not seen.issuperset(required):
+        values[arg.dest] = value
+    positionals = [a.dest for a in arguments if not a.flag.startswith("-")]
+    if len(given) != len(positionals):
         return None
-    for action, word in zip(positionals, given):
-        values[action.dest] = word
-    return argparse.Namespace(**values)
+    values.update(zip(positionals, given))
+    for a in arguments:
+        if a.dest not in values:
+            if a.required:
+                return None
+            values[a.dest] = a.default
+    return SimpleNamespace(**values)
 
 
-def _parse_words(words: list[str]) -> argparse.Namespace:
+def _parse_words(words: list[str]) -> SimpleNamespace:
     """Parse a well-formed command line (see ``_scan``) by one scan of
-    its command's table.  Every other line, and every line whose first
-    word is no command, goes to the top-level parser, so usage, help and
-    every error message are argparse's own."""
-    parser, tables = _build_parser()
-    table = tables.get(words[0]) if words else None
-    if table is not None:
-        args = _scan(words, table)
+    its command's arguments.  Every other line, and every line whose
+    first word is no command, goes to argparse's parser, built for it
+    from the same table, so usage, help and every error message are
+    argparse's own."""
+    command = _COMMANDS.get(words[0]) if words else None
+    if command is not None:
+        args = _scan(words, command[1])
         if args is not None:
             return args
-    return parser.parse_args(words)
+    return _build_parser().parse_args(words)
+
+
+_NEGATIVE = re.compile(r"-[0-9.]")
 
 
 def main(argv=None) -> int:
-    # argparse takes "-1,0,0" for a flag, so glue such a value to its option
+    # argparse takes "-1,0,0" for a flag, so glue such a value to its
+    # signed option, or to a unique prefix of one, as in "--poi -1,0,0"
     words: list[str] = []
     for word in sys.argv[1:] if argv is None else argv:
         if (
             words
             and _NEGATIVE.match(word)
             and len(words[-1]) > 2
-            and any(o.startswith(words[-1]) for o in _SIGNED_OPTIONS)
+            and any(
+                a.signed and a.flag.startswith(words[-1])
+                for _, arguments in _COMMANDS.values()
+                for a in arguments
+            )
         ):
             words[-1] += "=" + word
         else:
@@ -586,7 +582,11 @@ def main(argv=None) -> int:
         return 5
     text = rpt.render(rpt.assemble(name, args.command, charts, ledger))
     if args.json:
-        Path(args.json).write_text(text, encoding="utf-8")
+        try:
+            Path(args.json).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     sys.stdout.write(text)
     return code
 

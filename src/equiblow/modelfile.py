@@ -284,7 +284,7 @@ def load_model_file(path: str) -> ModelFile:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ModelFileError(f"cannot read model file: {e}") from None
     return parse_model_text(text)
 

@@ -12,9 +12,12 @@ Runs, in one process under a `sys.settrace` line tracer:
   it, each an exit 2;
 - every subcommand once with `--budget 0`, on its line of
   `ref.EVERY_SUBCOMMAND`, which `test_cli` runs too;
-- three lines that the table scan of `cli._parse_words` leaves to
-  argparse: one with flag prefixes, one with a repeated flag, one with
-  a value that starts with '-';
+- `blowup` on a model file that is not UTF-8, and `blowup --json`
+  into a directory that does not exist, each an exit 2;
+- three lines that `cli._scan`, the scan of the declared argument
+  table `cli._COMMANDS`, refuses, so that `cli._parse_words` builds
+  argparse's parser from that table: one with flag prefixes, one with a
+  repeated flag, one with a value that starts with '-';
 - four lines that argparse rejects, so `cli.main` raises `SystemExit`:
   a store_true flag given a value, a budget that is no integer, a
   missing positional argument and an unknown command.  The sweep
@@ -57,7 +60,7 @@ SECTION_FILE = (
     'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x^2*y^2 + 1"]\n'
     'section = ["y", "x"]\nframe_weights = [[1], [-1]]\n'
 )
-# well-formed lines take the table scan; these reach argparse
+# well-formed lines take the table scan; for these argparse is built
 ARGPARSE_LINES = (
     ["semistable", "src/equiblow/corpus/e2.kb", "--cha", "chart_x", "--poi", "-1,0,0"],
     ["crit", "src/equiblow/corpus/square.kb", "--point=1,0", "--point", "0,0"],
@@ -74,7 +77,8 @@ REJECTED_LINES = (
 
 def command_lines(scratch: Path) -> list[list[str]]:
     """Distinct argv lists of the sweep, in run order; the section file
-    and the malformed files are written into the directory ``scratch``."""
+    and the malformed files are written into the directory ``scratch``,
+    where no report can be written into its subdirectory ``missing``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -103,6 +107,10 @@ def command_lines(scratch: Path) -> list[list[str]]:
         bad = scratch / f"bad-{name}.kb"
         bad.write_text(text, encoding="utf-8")
         add(["blowup", str(bad)])
+    not_utf_8 = scratch / "not-utf-8.kb"
+    not_utf_8.write_bytes(b'variables = [x]\nweights = [[1]]\npotential = "x\xff"\n')
+    add(["blowup", str(not_utf_8)])
+    add(["blowup", "src/equiblow/corpus/e2.kb", "--json", str(scratch / "missing" / "x.json")])
     for command in EVERY_SUBCOMMAND:
         add([*subcommand_line(command, "src/equiblow/corpus"), "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:

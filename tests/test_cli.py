@@ -153,6 +153,26 @@ def test_missing_file_is_exit_2(capsys):
     assert err
 
 
+def test_a_model_file_that_is_not_utf_8_is_exit_2(capsys, tmp_path):
+    src = tmp_path / "m.kb"
+    src.write_bytes(b'variables = [x]\nweights = [[1]]\npotential = "x\xff"\n')
+    assert run(capsys, "blowup", str(src)) == (
+        2,
+        "",
+        "error: cannot read model file: 'utf-8' codec can't decode byte 0xff"
+        " in position 46: invalid start byte\n",
+    )
+
+
+def test_an_unwritable_report_path_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    assert run(capsys, "blowup", str(CORPUS / "e2.kb"), "--json", str(path)) == (
+        2,
+        "",
+        f"error: cannot write report: [Errno 2] No such file or directory: '{path}'\n",
+    )
+
+
 def test_bad_basepoint_rational_is_exit_2(capsys, tmp_path):
     src = tmp_path / "bad.kb"
     src.write_text(
@@ -851,8 +871,7 @@ def test_crit_solves_lps_only_on_rank_deficient_column_sets(
 def full_parse(words):
     """The reference parse: the top-level parser, which hands the words
     after the command to the command's subparser."""
-    parser, _ = cli._build_parser()
-    return parser.parse_args(words)
+    return cli._build_parser().parse_args(words)
 
 
 def outcome(capsys, argv):
@@ -981,12 +1000,13 @@ def test_argv_battery_matches_the_full_parse(capsys, monkeypatch, tmp_path):
 
 
 def parsed(parse, words):
-    """The namespace ``parse`` gives ``words``, or its exit code and
-    what it printed."""
+    """The attributes of the namespace ``parse`` gives ``words``, each
+    with its type, since ``1 == True``; or its exit code and what it
+    printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parse(list(words))
+            return {k: (type(v), v) for k, v in vars(parse(list(words))).items()}
         except SystemExit as e:
             return e.code, out.getvalue(), err.getvalue()
 
@@ -1006,24 +1026,26 @@ def command_lines(draw):
     flag of any command, or a value that starts with '-'.  Non-int
     values of ``--budget`` and ``--ext-order`` come with the values
     drawn."""
-    _, tables = cli._build_parser()
-    every = sorted({flag for table in tables.values() for flag in table[0]})
-    command = draw(st.sampled_from(sorted(tables) + ["nope", "-h"]))
-    flags, positionals, _, required = tables.get(command, ({}, [], {}, []))
-    groups = [["m.kb"] for _ in positionals]
+    declared = [a for _, arguments in cli._COMMANDS.values() for a in arguments]
+    every = sorted({a.flag for a in declared if a.flag.startswith("--")})
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["nope", "-h"]))
+    _, arguments = cli._COMMANDS.get(command, (None, ()))
+    groups = [["m.kb"] for a in arguments if not a.flag.startswith("-")]
     now_and_then = [False, False, False, True]
-    for flag, action in flags.items():
-        if action not in required and draw(st.booleans()):
+    for a in arguments:
+        if not a.flag.startswith("-"):
             continue
-        if action in required and draw(st.sampled_from(now_and_then)):
+        if not a.required and draw(st.booleans()):
+            continue
+        if a.required and draw(st.sampled_from(now_and_then)):
             continue
         value = draw(st.sampled_from(FLAG_VALUES))
-        if (action.nargs == 0) != draw(st.sampled_from(now_and_then)):
-            groups.append([flag])
-        elif action.nargs == 0 or draw(st.booleans()):
-            groups.append([flag + "=" + value])
+        if a.store_true != draw(st.sampled_from(now_and_then)):
+            groups.append([a.flag])
+        elif a.store_true or draw(st.booleans()):
+            groups.append([a.flag + "=" + value])
         else:
-            groups.append([flag, value])
+            groups.append([a.flag, value])
     flag_groups = [g for g in groups if g[0].startswith("--")]
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(

@@ -1,5 +1,6 @@
 """No unused imports in the package, checked with the standard library,
-no heavy standard-library module imported at start-up, reference
+no heavy standard-library module imported at start-up, no argparse
+for a well-formed command line, reference
 oracles in ``tests/ref.py`` that import nothing from the package, and
 no test module that imports from another.
 
@@ -102,6 +103,23 @@ def test_the_cli_imports_no_introspection_modules():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_a_well_formed_command_line_imports_no_argparse():
+    # argparse, and gettext with it, is imported only to build the parser
+    # for a line the table scan refuses: usage, help or an error
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import equiblow.cli; "
+        "equiblow.cli.main(['crit', sys.argv[2], '--point', '-1,0']); "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent), str(SRC / "corpus" / "square.kb")],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_the_reference_oracles_import_nothing_from_the_package():
