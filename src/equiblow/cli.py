@@ -13,14 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import report as rpt
-from .blowup import (
-    BlowupChart,
-    atlas_data,
-    chart_name,
-    check_weak_local_model,
-    embedding_independence_check,
-    make_charts,
-)
+from .blowup import chart_name, embedding_independence_check, make_charts
 from .dcrit import (
     SmallExtension,
     cohomology_dims,
@@ -40,7 +33,7 @@ from .errors import (
 )
 from .family import fiber_blowup_commutes
 from .groebner import Budget, contains_one, eliminate
-from .modelfile import build_model, load_model_file, parse_hint, parse_model_text
+from .modelfile import model_of_text, parse_hint, read_text
 from .poly import canon
 from .record import Record
 from .stability import point_semistable
@@ -151,7 +144,7 @@ def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:
 def cmd_crit(args, built, budget) -> tuple[list, dict, int]:
     if built.model is None:
         raise PreconditionError("crit requires a potential or section model")
-    wm = check_weak_local_model(built.model)
+    wm = built.weak_report
     ledger = {
         "factorization": wm.factorization,
         "composite_zero": wm.composite_zero,
@@ -170,10 +163,10 @@ def cmd_crit(args, built, budget) -> tuple[list, dict, int]:
 
 
 def cmd_semistable(args, built, budget) -> tuple[list, dict, int]:
-    # the named chart alone is built; the whole atlas is only checked
-    ring, weights = built.ring, built.weights
-    center = Subtorus.full(weights.k)
-    columns, restricted, moving = atlas_data(ring, weights, center)
+    # the named chart alone is built, once per model; the whole atlas is
+    # only checked
+    ring = built.ring
+    moving = built.moving
     if args.chart is None:
         if len(moving) != 1:
             raise ModelFileError(
@@ -184,7 +177,7 @@ def cmd_semistable(args, built, budget) -> tuple[list, dict, int]:
         pivot = next((i for i in moving if chart_name(ring, i) == args.chart), None)
         if pivot is None:
             raise ModelFileError(f"no chart named {args.chart!r}")
-    chart = BlowupChart(ring, weights, center, pivot, columns, restricted, moving)
+    chart = built.chart(pivot)
     if args.point is None:
         raise ModelFileError("--point is required")
     point = _parse_point(args.point, chart.ring.n)
@@ -341,21 +334,17 @@ _CORPUS_CHECKS = (
 
 
 def cmd_corpus(args, built, budget) -> tuple[list, dict, int]:
-    models: dict = {}  # each file is read and built once per run
-    runs: dict = {}  # and each line run once
+    runs: dict = {}  # each line is run once
 
     def run(line: str) -> tuple[list, dict]:
         if line not in runs:
             parsed = _parse_words(line.split())
             name = parsed.file
-            if name not in models:
-                text = _INLINE_MODELS.get(name)
-                models[name] = build_model(
-                    parse_model_text(text)
-                    if text is not None
-                    else load_model_file(str(CORPUS_DIR / name))
-                )
-            runs[line] = _DISPATCH[parsed.command](parsed, models[name], budget)[:2]
+            text = _INLINE_MODELS.get(name)
+            if text is None:
+                text = read_text(str(CORPUS_DIR / name))
+            built = model_of_text(text)
+            runs[line] = _DISPATCH[parsed.command](parsed, built, budget)[:2]
         return runs[line]
 
     charts_out: list[dict] = []
@@ -565,7 +554,7 @@ def main(argv=None) -> int:
             name, built = "corpus", None
         else:
             name = os.path.basename(args.file)
-            built = build_model(load_model_file(args.file))
+            built = model_of_text(read_text(args.file))
         budget = _parse_budget(args)
         charts, ledger, code = _DISPATCH[args.command](args, built, budget)
     except (ModelFileError, PolyParseError) as e:

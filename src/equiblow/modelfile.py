@@ -12,12 +12,19 @@ The format is deliberately primitive so fixtures stay diff-friendly:
 import re
 from fractions import Fraction
 
-from .blowup import EquivariantBundle, LocalModel
+from .blowup import (
+    BlowupChart,
+    EquivariantBundle,
+    LocalModel,
+    WeakModelReport,
+    atlas_data,
+    check_weak_local_model,
+)
 from .dcrit import _dcritical_model, _require_invariant
 from .errors import ModelFileError, PolyParseError, PreconditionError
 from .groebner import Ideal
 from .poly import Poly, Ring, canon, parse_poly
-from .torus import WeightMatrix, poly_weight
+from .torus import Subtorus, WeightMatrix, poly_weight
 
 
 def _strings(value, mf):
@@ -280,13 +287,18 @@ def parse_model_text(text: str) -> ModelFile:
     return ModelFile(_read_entries(text))
 
 
-def load_model_file(path: str) -> ModelFile:
+def read_text(path: str) -> str:
+    """The text of the model file at ``path``, decoded as UTF-8; a
+    byte-order mark at its start is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ModelFileError(f"cannot read model file: {e}") from None
-    return parse_model_text(text)
+
+
+def load_model_file(path: str) -> ModelFile:
+    return parse_model_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +315,10 @@ class BuiltModel:
     section must cut.  ``against`` holds the file's section when it
     accompanies a potential, as the comparison section for equivalence
     checks.
+
+    Two more facts of the model alone are kept once computed: its
+    ``weak_report`` and its stage-0 charts (``moving`` and ``chart``).
+    Nothing that a budget bounds is kept on it.
     """
 
     __slots__ = (
@@ -313,6 +329,9 @@ class BuiltModel:
         "against",
         "source",
         "_potential",
+        "_weak_report",
+        "_atlas",
+        "_charts",
     )
 
     def __init__(self, ring, weights, ideal, model, against, source):
@@ -323,6 +342,9 @@ class BuiltModel:
         self.against = against
         self.source = source
         self._potential = None
+        self._weak_report = None
+        self._atlas = None
+        self._charts = {}
 
     @classmethod
     def _of_potential(cls, ring, weights, f, against, source):
@@ -347,6 +369,35 @@ class BuiltModel:
     def ideal(self):
         self._build()
         return self._ideal
+
+    @property
+    def weak_report(self) -> WeakModelReport:
+        """``check_weak_local_model`` of ``model``, which must not be None."""
+        if self._weak_report is None:
+            self._weak_report = check_weak_local_model(self.model)
+        return self._weak_report
+
+    @property
+    def moving(self) -> tuple[int, ...]:
+        """The moving coordinates of the blowup along the fixed locus of
+        the full torus, one per stage-0 chart, in coordinate order.  The
+        ``PreconditionError`` of ``atlas_data`` is raised on every read."""
+        if self._atlas is None:
+            center = Subtorus.full(self.weights.k)
+            self._atlas = (center, *atlas_data(self.ring, self.weights, center))
+        return self._atlas[3]
+
+    def chart(self, pivot: int) -> BlowupChart:
+        """The stage-0 chart of ``pivot``, one of ``moving``, built over
+        the one atlas on its first request."""
+        chart = self._charts.get(pivot)
+        if chart is None:
+            moving = self.moving
+            center, columns, restricted, _ = self._atlas
+            chart = self._charts[pivot] = BlowupChart(
+                self.ring, self.weights, center, pivot, columns, restricted, moving
+            )
+        return chart
 
 
 def build_model(mf: ModelFile) -> BuiltModel:
@@ -407,6 +458,25 @@ def build_model(mf: ModelFile) -> BuiltModel:
         return BuiltModel(ring, weights, ideal, model, None, mf)
     except PolyParseError as e:
         raise ModelFileError(f"bad polynomial: {e}") from None
+
+
+# The models built from the last ``_KEPT`` model texts, oldest first: a
+# process that reads one text again takes its BuiltModel, with what that
+# has kept, instead of parsing and building it again.  A text that fails
+# to parse or build is not kept, so its error comes on every read.
+_KEPT = 32
+_built: dict = {}
+
+
+def model_of_text(text: str) -> BuiltModel:
+    """The BuiltModel of a model text, the one kept for it if any."""
+    built = _built.get(text)
+    if built is None:
+        built = build_model(parse_model_text(text))
+        if len(_built) == _KEPT:
+            del _built[next(iter(_built))]
+        _built[text] = built
+    return built
 
 
 def parse_hint(built: BuiltModel) -> Poly | None:

@@ -13,15 +13,22 @@ Runs, in one process under a `sys.settrace` line tracer:
 - every subcommand once with `--budget 0`, on its line of
   `ref.EVERY_SUBCOMMAND`, which `test_cli` runs too;
 - `blowup` on a model file that is not UTF-8, and `blowup --json`
-  into a directory that does not exist, each an exit 2;
+  into a directory that does not exist, each an exit 2, and `blowup`
+  on a model file that opens with a byte-order mark;
 - three lines that `cli._scan`, the scan of the declared argument
   table `cli._COMMANDS`, refuses, so that `cli._parse_words` builds
   argparse's parser from that table: one with flag prefixes, one with a
   repeated flag, one with a value that starts with '-';
-- four lines that argparse rejects, so `cli.main` raises `SystemExit`:
+- five lines that argparse rejects, so `cli.main` raises `SystemExit`:
   a store_true flag given a value, a budget that is no integer, a
-  missing positional argument and an unknown command.  The sweep
-  counts the exit code and goes on.
+  missing required flag, a missing positional argument and an unknown
+  command.  The sweep counts the exit code and goes on;
+- last, its first line once more, which takes the model that
+  `modelfile` kept from the first run.
+
+The sweep runs 381 command lines, with exit codes
+{0: 265, 2: 83, 3: 25, 4: 8}, and leaves 414 of 2687 statements
+unreached.
 
 Then, per module of `src/equiblow`, it prints the statements no run
 reached (as line ranges) and the functions no run entered, then the
@@ -70,15 +77,17 @@ ARGPARSE_LINES = (
 REJECTED_LINES = (
     ["blowup", "src/equiblow/corpus/e2.kb", "--full=x"],
     ["crit", "src/equiblow/corpus/e2.kb", "--budget", "x"],
+    ["independence", "src/equiblow/corpus/e1aux.kb"],
     ["crit"],
     ["nope", "src/equiblow/corpus/e2.kb"],
 )
 
 
 def command_lines(scratch: Path) -> list[list[str]]:
-    """Distinct argv lists of the sweep, in run order; the section file
-    and the malformed files are written into the directory ``scratch``,
-    where no report can be written into its subdirectory ``missing``."""
+    """The argv lists of the sweep, in run order, each distinct but the
+    last, which repeats the first; the section file and the malformed
+    files are written into the directory ``scratch``, where no report
+    can be written into its subdirectory ``missing``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -110,11 +119,15 @@ def command_lines(scratch: Path) -> list[list[str]]:
     not_utf_8 = scratch / "not-utf-8.kb"
     not_utf_8.write_bytes(b'variables = [x]\nweights = [[1]]\npotential = "x\xff"\n')
     add(["blowup", str(not_utf_8)])
+    marked = scratch / "byte-order-mark.kb"
+    marked.write_bytes(b"\xef\xbb\xbf" + (PACKAGE / "corpus" / "e2.kb").read_bytes())
+    add(["blowup", str(marked)])
     add(["blowup", "src/equiblow/corpus/e2.kb", "--json", str(scratch / "missing" / "x.json")])
     for command in EVERY_SUBCOMMAND:
         add([*subcommand_line(command, "src/equiblow/corpus"), "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:
         add(list(argv))
+    out.append(out[0])
     return out
 
 

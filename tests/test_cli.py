@@ -164,6 +164,25 @@ def test_a_model_file_that_is_not_utf_8_is_exit_2(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crit", "--point=1,0,0"),
+        ("semistable", "--chart", "chart_x", "--point=0,1,0"),
+        ("blowup",),
+    ],
+)
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path, argv):
+    text = (CORPUS / "e2.kb").read_bytes()
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    (tmp_path / "plain" / "e2.kb").write_bytes(text)
+    (tmp_path / "marked" / "e2.kb").write_bytes(b"\xef\xbb\xbf" + text)
+    plain = run(capsys, argv[0], str(tmp_path / "plain" / "e2.kb"), *argv[1:])
+    assert plain[0] == 0
+    assert run(capsys, argv[0], str(tmp_path / "marked" / "e2.kb"), *argv[1:]) == plain
+
+
 def test_an_unwritable_report_path_is_exit_2(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     assert run(capsys, "blowup", str(CORPUS / "e2.kb"), "--json", str(path)) == (
@@ -356,11 +375,12 @@ def test_semistable_builds_no_model(capsys, monkeypatch, tmp_path):
     assert entered == []
 
 
-def test_semistable_builds_its_chart_and_at_most_the_limit_chart(
+def test_semistable_builds_each_named_chart_once_and_at_most_one_limit_chart(
     capsys, monkeypatch, tmp_path
 ):
-    # heavy.kb has six charts; a verdict needs the named one, plus the
-    # chart of the limit when that is another one
+    # heavy.kb has six charts; a process builds each named chart on its
+    # first verdict and keeps it, and a verdict builds the chart of its
+    # limit when that is another one
     from equiblow import blowup
 
     path = str(write_bench_models(tmp_path) / "heavy.kb")
@@ -368,17 +388,21 @@ def test_semistable_builds_its_chart_and_at_most_the_limit_chart(
         ",".join("1" if j == i else "0" for j in range(6)) for i in range(6)
     ]
     built = count_calls(monkeypatch, blowup, "BlowupChart")
-    seen = set()
+    named, seen = set(), set()
     for name in ("x1", "x2", "x3", "y1", "y2", "y3"):
         for point in points:
             built.clear()
             ledger = report(
                 capsys, "semistable", path, "--chart", "chart_" + name, "--point=" + point
             )["ledger"]
+            first = ledger["chart"] not in named
+            named.add(ledger["chart"])
             limit_chart = ledger.get("limit_chart", ledger["chart"])
-            assert len(built) == 1 + (limit_chart != ledger["chart"]) <= 2
-            seen.add(len(built))
-    assert seen == {1, 2}
+            assert len(built) == first + (limit_chart != ledger["chart"])
+            seen.add((first, len(built) - first))
+    assert len(named) == 6
+    # later calls on a chart build nothing, or the limit chart alone
+    assert seen == {(True, 0), (False, 0), (False, 1)}
 
 
 def test_precondition_violation_is_exit_3(capsys, tmp_path):
@@ -615,18 +639,25 @@ def test_corpus_dims_checks_read_the_crit_command(capsys, monkeypatch):
     ]
 
 
-def test_corpus_reads_each_bundled_file_once(capsys, monkeypatch):
-    calls = []
-    real = cli.load_model_file
+def test_corpus_builds_each_bundled_file_once_per_process(capsys, monkeypatch):
+    from equiblow import modelfile
+
+    reads = []
+    real = modelfile.read_text
 
     def counted(path):
-        calls.append(Path(path).name)
+        reads.append(Path(path).name)
         return real(path)
 
-    monkeypatch.setattr(cli, "load_model_file", counted)
-    report(capsys, "corpus")
-    assert len(calls) == 10
-    assert len(set(calls)) == 10
+    monkeypatch.setattr(cli, "read_text", counted)
+    builds = count_calls(monkeypatch, modelfile, "build_model")
+    first = report(capsys, "corpus")
+    # the ten files and the two inline models of the spot checks
+    assert set(reads) == {path.name for path in CORPUS.glob("*.kb")}
+    assert len(builds) == 12
+    builds.clear()
+    assert report(capsys, "corpus") == first
+    assert len(builds) == 0
 
 
 @pytest.mark.parametrize(
@@ -1110,3 +1141,130 @@ def test_parse_point_matches_the_fraction_parser(parts):
     else:
         assert list(got) == want
         assert all(is_canonical_scalar(x) for x in got)
+
+
+# ---------------------------------------------------------------------------
+# the models a process keeps, one per model text
+
+
+def test_a_file_edited_between_calls_is_read_anew(capsys, monkeypatch, tmp_path):
+    # the two texts give different crit reports; each is compared with
+    # a first read of its text under the same file name
+    from equiblow import modelfile
+
+    texts = {
+        "square": (CORPUS / "square.kb").read_text(),
+        "witness": 'variables = [x, y]\nweights = [[1, -1]]\nideal = ["x"]\n'
+        'section = ["x"]\nframe_weights = [[1]]\n',
+    }
+    path = tmp_path / "m.kb"
+    got = []
+    for text in texts.values():
+        path.write_text(text)
+        got.append(run(capsys, "crit", str(path)))
+    for name, text in texts.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "m.kb").write_text(text)
+    want = []
+    for name in texts:
+        monkeypatch.setattr(modelfile, "_built", {})
+        want.append(run(capsys, "crit", str(tmp_path / name / "m.kb")))
+    assert got == want
+    assert got[0] != got[1]
+
+
+def test_a_process_keeps_the_models_of_the_last_32_texts(monkeypatch):
+    from equiblow import modelfile
+
+    assert modelfile._KEPT == 32
+    texts = [f"variables = [x]\nweights = [[{i}]]\nideal = [\"x\"]\n" for i in range(1, 34)]
+    builds = count_calls(monkeypatch, modelfile, "build_model")
+    first = [modelfile.model_of_text(text) for text in texts]
+    assert len(builds) == 33
+    assert len(modelfile._built) == 32
+    # the oldest text went first: every other model is the one kept
+    builds.clear()
+    assert [modelfile.model_of_text(text) for text in texts[1:]] == first[1:]
+    assert len(builds) == 0
+    assert modelfile.model_of_text(texts[0]) is not first[0]
+    assert len(builds) == 1
+    assert texts[1] not in modelfile._built
+
+
+def test_a_budget_still_binds_after_an_unbudgeted_run(capsys):
+    e2 = str(CORPUS / "e2.kb")
+    report(capsys, "blowup", e2)
+    code, out, err = run(capsys, "blowup", e2, "--budget", "1")
+    assert (code, out) == (4, "")
+    assert err == "budget: reduction produced degree 2 (cap 1)\n"
+
+
+def test_model_file_errors_come_on_every_read(capsys, tmp_path):
+    from equiblow import modelfile
+
+    src = tmp_path / "m.kb"
+    src.write_text('variables = [x, y]\nweights = [[1, 1]]\npotential = "x*y"\n')
+    for _ in range(2):
+        assert run(capsys, "crit", str(src)) == (
+            2, "", "error: potential is not invariant\n"
+        )
+    assert modelfile._built == {}
+
+
+@pytest.fixture(scope="module")
+def kept_model_lines(tmp_path_factory):
+    """Lines of the point queries, fiber-checks and plain blowups, with
+    and without a budget, on every corpus and bench file."""
+    from equiblow import modelfile
+
+    bench = write_bench_models(tmp_path_factory.mktemp("bench"))
+    lines = []
+    for path in sorted(CORPUS.glob("*.kb")) + sorted(bench.glob("*.kb")):
+        mf = modelfile.load_model_file(str(path))
+        n = len(mf.variables)
+        zeros, ones = ",".join("0" * n), ",".join("1" * n)
+        f = str(path)
+        lines += [
+            ["crit", f],
+            ["crit", f, "--point=" + zeros],
+            ["obstruction", f, "--point=" + zeros, "--direction=" + ones],
+            ["fiber-check", f, "--at=1"],
+            ["blowup", f],
+            ["blowup", f, "--budget", "1"],
+        ]
+        moving = [i for i in range(n) if any(row[i] for row in mf.weights)]
+        for i in moving[:3]:
+            chart = "chart_" + mf.variables[i]
+            lines += [
+                ["semistable", f, "--chart", chart, "--point=" + zeros],
+                ["semistable", f, "--chart", chart, "--point=" + ones],
+            ]
+    return lines
+
+
+def captured(argv):
+    """``run`` for a hypothesis test, which takes no ``capsys``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_FIRST_READS: dict = {}  # line -> its outcome with no model kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kept_models_give_every_line_its_first_read_outcome(kept_model_lines, data):
+    # a command that changed a kept model, chart or report would give a
+    # later line on the same text another outcome
+    from equiblow import modelfile
+
+    lines = st.lists(st.sampled_from(kept_model_lines), min_size=1, max_size=12)
+    for line in data.draw(lines):
+        key = tuple(line)
+        if key not in _FIRST_READS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(modelfile, "_built", {})
+                _FIRST_READS[key] = captured(line)
+        assert captured(line) == _FIRST_READS[key], line
