@@ -191,6 +191,9 @@ class BlowupChart:
     and checks every chart's coordinate names; the chart weights, the
     isotypic split of ``intrinsic_ideal`` and the fiber weights of
     ``stability`` are all read off them.
+
+    ``kept`` holds the chart's ``desing.ChartFacts`` by ideal, model and
+    budget (``desing.chart_facts``), for as long as the chart lives.
     """
 
     __slots__ = (
@@ -206,6 +209,7 @@ class BlowupChart:
         "restricted",
         "moving",
         "fixed",
+        "kept",
     )
 
     def __init__(
@@ -247,6 +251,7 @@ class BlowupChart:
         self.restricted = restricted
         self.moving = moving
         self.fixed = tuple(i for i in range(parent_ring.n) if i not in moving_set)
+        self.kept = {}
 
     @property
     def xi(self) -> Poly:

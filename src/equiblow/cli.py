@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import report as rpt
-from .blowup import chart_name, embedding_independence_check, make_charts
+from .blowup import chart_name, embedding_independence_check
 from .dcrit import (
     SmallExtension,
     cohomology_dims,
@@ -31,13 +31,12 @@ from .errors import (
     PreconditionError,
     TheoremCheckError,
 )
-from .family import fiber_blowup_commutes
+from .family import fiber_charts_commute, specialize
 from .groebner import Budget, contains_one, eliminate
 from .modelfile import model_of_text, parse_hint, read_text
 from .poly import canon
 from .record import Record
 from .stability import point_semistable
-from .torus import Subtorus
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -114,11 +113,10 @@ def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:
         raise PreconditionError(
             "--full requires a model with a section (potential or section file)"
         )
-    # a trivial action has no charts, so any --chart is unknown
+    # a trivial action has no charts, so any --chart is unknown; the
+    # atlas is the model's, whose charts keep their facts for later calls
     trivial = action_is_trivial(built.weights)
-    atlas = [] if trivial else make_charts(
-        built.ring, built.weights, Subtorus.full(built.weights.k)
-    )
+    atlas = () if trivial else built.atlas
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
     if args.chart is not None and not charts:
         raise ModelFileError(f"no chart named {args.chart!r}")
@@ -262,7 +260,13 @@ def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
         c = canon(args.at)
     except (ValueError, ZeroDivisionError):
         raise ModelFileError(f"bad fiber value {args.at!r}") from None
-    results = fiber_blowup_commutes(built.model, c, budget=budget)
+    # the family's atlas and its facts, and the fibers' atlas, are the
+    # model's, kept for every base value
+    model = built.model
+    fiber = specialize(model, c)
+    results = fiber_charts_commute(
+        model, fiber, c, built.atlas, built.fiber_atlas(fiber), budget
+    )
     ledger = {
         "at": rpt.frac_str(c),
         "charts": {name: ok for name, ok in sorted(results.items())},

@@ -7,7 +7,14 @@ the full torus, stage 0 is its first stage.
 
 The driver never re-discovers a center it just blew up; that descent is a
 theorem and its failure raises loudly.
+
+``ChartFacts`` computes what a node holds (the intrinsic ideal, its
+basis, the unstable ideal, the blowup section and the coincidence
+verdict), and a stage-0 chart keeps it per ideal, model and budget.
+Nodes are built anew on every call.
 """
+
+from functools import cached_property
 
 from .blowup import blowup_section, intrinsic_ideal, make_charts, transport_model
 from .errors import BudgetExceededError, PreconditionError, TheoremCheckError
@@ -51,6 +58,56 @@ class ChartOutcome:
         return f"ChartOutcome({self.path})"
 
 
+class ChartFacts:
+    """What a stage reads of ``ideal`` on one chart, each fact computed
+    under ``budget`` on its first read and then kept: the intrinsic
+    ideal, its reduced basis, the chart's unstable ideal and, with a
+    model, the model's blowup section there and whether that cuts the
+    intrinsic ideal (both None without a model).  A fact whose
+    computation raises is not kept, so its error comes on every read."""
+
+    def __init__(self, chart, ideal, model, budget):
+        self.chart = chart
+        self.source = ideal
+        self.model = model
+        self.budget = budget
+
+    @cached_property
+    def ideal(self):
+        return intrinsic_ideal(self.source, self.chart, self.budget)
+
+    @cached_property
+    def gb(self):
+        return buchberger(self.ideal, DEGREVLEX, self.budget)
+
+    @cached_property
+    def unstable(self):
+        return unstable_ideal(self.chart)
+
+    @cached_property
+    def section(self):
+        if self.model is not None:
+            return blowup_section(self.model, self.chart)
+
+    @cached_property
+    def coincides(self):
+        if self.model is not None:
+            section = Ideal(self.chart.ring, self.section)
+            return ideal_equal(section, self.ideal, budget=self.budget)
+
+
+def chart_facts(chart, ideal, model, budget) -> ChartFacts:
+    """The facts of ``ideal`` and ``model`` on ``chart`` under
+    ``budget``, the ones ``chart.kept`` holds if any.  A fact is read
+    back only under an equal budget, so a budget that a fresh run would
+    exceed is exceeded again."""
+    key = (ideal, model, budget)
+    facts = chart.kept.get(key)
+    if facts is None:
+        facts = chart.kept[key] = ChartFacts(chart, ideal, model, budget)
+    return facts
+
+
 def action_is_trivial(weights: WeightMatrix) -> bool:
     """A torus of positive rank whose weights all vanish: every point is
     fixed, and the blowup of everything is empty."""
@@ -65,8 +122,12 @@ def blowup_tree(ideal, model, charts, budget=None, full=False):
     full torus it is these very nodes, each given its transported model
     and its children.  A ``full`` tree is refused before any center scan
     when the model's blowup section does not cut the intrinsic ideal of
-    some stage-0 node."""
-    rows = list(_stage(ideal, charts, budget, model=model))
+    some stage-0 node.
+
+    The nodes are new on every call, but their facts are the ones each
+    chart keeps (``chart_facts``): charts that outlive the call, such as
+    a built model's atlas, spare the next call that work."""
+    rows = list(_stage([chart_facts(c, ideal, model, budget) for c in charts]))
     nodes = [node for node, _ in rows]
     if not full:
         return nodes, ()
@@ -83,17 +144,12 @@ def blowup_tree(ideal, model, charts, budget=None, full=False):
     return nodes, _descend(*args)
 
 
-def _stage(ideal, charts, budget, parent=None, model=None):
-    """Chart by chart, the node of ``ideal`` and the model's blowup
-    section there (None without a model)."""
-    for chart in charts:
-        raw = intrinsic_ideal(ideal, chart, budget)
-        gb = buchberger(raw, DEGREVLEX, budget)
-        section = same = None
-        if model is not None:
-            section = blowup_section(model, chart)
-            same = ideal_equal(Ideal(chart.ring, section), raw, budget=budget)
-        yield ChartOutcome(chart, raw, gb, unstable_ideal(chart), same, parent), section
+def _stage(facts, parent=None):
+    """Chart by chart, a new node of each chart's ``facts`` and the
+    model's blowup section there (None without a model)."""
+    for f in facts:
+        ideal, gb, coincides = f.ideal, f.gb, f.coincides
+        yield ChartOutcome(f.chart, ideal, gb, f.unstable, coincides, parent), f.section
 
 
 def _descend(weights, ideal, centers, budget, depth_left, parent, rows=None, model=None):
@@ -107,7 +163,8 @@ def _descend(weights, ideal, centers, budget, depth_left, parent, rows=None, mod
         raise BudgetExceededError("blowup recursion depth exhausted")
     center = centers[0]
     if rows is None:
-        rows = _stage(ideal, make_charts(ideal.ring, weights, center), budget, parent)
+        charts = make_charts(ideal.ring, weights, center)
+        rows = _stage((ChartFacts(c, ideal, None, budget) for c in charts), parent)
     out = []
     for node, section in rows:
         chart, node_ideal = node.chart, node.ideal

@@ -7,6 +7,7 @@ fiberwise and isotypic decomposition never mixes the parameter in.
 """
 
 from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
+from .desing import chart_facts
 from .errors import PreconditionError
 from .groebner import Budget, Ideal, ideal_equal
 from .poly import Poly, Ring, canon
@@ -105,10 +106,20 @@ def fiber_blowup_commutes(
     componentwise when the model carries a factorization witness.
     """
     fiber = specialize(model, c)
-    c = canon(c)
     center = Subtorus.full(model.weights.k)
     family_charts = make_charts(model.ring, model.weights, center)
     fiber_charts = make_charts(fiber.ring, fiber.weights, center)
+    return fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget)
+
+
+def fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget):
+    """``fiber_blowup_commutes`` of ``model`` at c, whose fiber is
+    ``fiber``, over the full-torus atlases of the two.  Route one reads
+    the facts each family chart keeps (``desing.chart_facts``), so
+    charts that outlive the call serve every base value; route two is
+    computed anew, since each fiber is another model."""
+    c = canon(c)
+    ideal = model.ideal
     by_pivot = {
         ch.parent_ring.names[ch.pivot]: ch for ch in fiber_charts
     }
@@ -117,11 +128,12 @@ def fiber_blowup_commutes(
         pivot_name = model.ring.names[ch.pivot]
         fch = by_pivot[pivot_name]
         sub = _drop_var(ch.ring, model.base_param, c)
-        gens_a = [sub(p) for p in intrinsic_ideal(model.ideal, ch, budget).generators]
+        facts = chart_facts(ch, ideal, model, budget)
+        gens_a = [sub(p) for p in facts.ideal.generators]
         ideal_b = intrinsic_ideal(fiber.ideal, fch, budget)
         ok = ideal_equal(Ideal(fch.ring, gens_a), ideal_b, budget=budget)
         if ok and model.sigma_lift is not None:
-            sec_a = [sub(p) for p in blowup_section(model, ch)]
+            sec_a = [sub(p) for p in facts.section]
             sec_b = list(blowup_section(fiber, fch))
             ok = sec_a == sec_b
         out[ch.name] = ok

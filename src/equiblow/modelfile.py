@@ -19,6 +19,7 @@ from .blowup import (
     WeakModelReport,
     atlas_data,
     check_weak_local_model,
+    make_charts,
 )
 from .dcrit import _dcritical_model, _require_invariant
 from .errors import ModelFileError, PolyParseError, PreconditionError
@@ -316,9 +317,17 @@ class BuiltModel:
     accompanies a potential, as the comparison section for equivalence
     checks.
 
-    Two more facts of the model alone are kept once computed: its
-    ``weak_report`` and its stage-0 charts (``moving`` and ``chart``).
-    Nothing that a budget bounds is kept on it.
+    More facts of the model are kept once computed: its
+    ``weak_report``, its stage-0 charts (``moving``, ``chart`` and the
+    whole ``atlas``, which ``cli.cmd_blowup`` and the fiber check read)
+    and ``fiber_atlas``, the one stage-0 atlas of all its fibers.  Each
+    stage-0 chart keeps, per ideal and per budget, the intrinsic ideal,
+    its reduced basis, the unstable ideal, the blowup section and the
+    coincidence verdict (``desing.chart_facts``), each computed on its
+    first read.  A fact that a budget bounds is read back only under an
+    equal budget, and an error is never kept, so every exit under a
+    budget is that of a first run.  ``ideal`` and ``model.ideal`` differ
+    for a section file, and each keeps facts of its own.
     """
 
     __slots__ = (
@@ -332,6 +341,7 @@ class BuiltModel:
         "_weak_report",
         "_atlas",
         "_charts",
+        "_fiber_atlas",
     )
 
     def __init__(self, ring, weights, ideal, model, against, source):
@@ -345,6 +355,7 @@ class BuiltModel:
         self._weak_report = None
         self._atlas = None
         self._charts = {}
+        self._fiber_atlas = None
 
     @classmethod
     def _of_potential(cls, ring, weights, f, against, source):
@@ -398,6 +409,20 @@ class BuiltModel:
                 self.ring, self.weights, center, pivot, columns, restricted, moving
             )
         return chart
+
+    @property
+    def atlas(self) -> tuple[BlowupChart, ...]:
+        """Every stage-0 chart, in the order of ``moving``."""
+        return tuple(map(self.chart, self.moving))
+
+    def fiber_atlas(self, fiber: LocalModel) -> list[BlowupChart]:
+        """The stage-0 atlas of ``fiber``, a fiber of ``model``.  Every
+        fiber has one ring and one weight matrix, so the atlas built for
+        the first fiber asked serves them all."""
+        if self._fiber_atlas is None:
+            center = Subtorus.full(fiber.weights.k)
+            self._fiber_atlas = make_charts(fiber.ring, fiber.weights, center)
+        return self._fiber_atlas
 
 
 def build_model(mf: ModelFile) -> BuiltModel:

@@ -5,12 +5,13 @@ import sys
 
 def count_calls(monkeypatch, module, name):
     """Count calls of ``module.name``, wrapping it in every equiblow
-    module that binds it."""
+    module that binds it.  The list returned gets the ``(args, kwargs)``
+    of each call."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     for key, bound in list(sys.modules.items()):

@@ -23,11 +23,14 @@ Runs, in one process under a `sys.settrace` line tracer:
   a store_true flag given a value, a budget that is no integer, a
   missing required flag, a missing positional argument and an unknown
   command.  The sweep counts the exit code and goes on;
+- a `fiber-check` line it ran before, and `blowup e2.kb --budget 1`
+  after the unbudgeted `blowup e2.kb` (an exit 4), which read the facts
+  the model's stage-0 charts kept;
 - last, its first line once more, which takes the model that
   `modelfile` kept from the first run.
 
-The sweep runs 381 command lines, with exit codes
-{0: 265, 2: 83, 3: 25, 4: 8}, and leaves 414 of 2687 statements
+The sweep runs 383 command lines, with exit codes
+{0: 266, 2: 83, 3: 25, 4: 9}, and leaves 419 of 2724 statements
 unreached.
 
 Then, per module of `src/equiblow`, it prints the statements no run
@@ -84,8 +87,9 @@ REJECTED_LINES = (
 
 
 def command_lines(scratch: Path) -> list[list[str]]:
-    """The argv lists of the sweep, in run order, each distinct but the
-    last, which repeats the first; the section file and the malformed
+    """The argv lists of the sweep, in run order, each distinct but a
+    fiber-check that ran before and the last line, which repeats the
+    first; the section file and the malformed
     files are written into the directory ``scratch``, where no report
     can be written into its subdirectory ``missing``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -127,6 +131,11 @@ def command_lines(scratch: Path) -> list[list[str]]:
         add([*subcommand_line(command, "src/equiblow/corpus"), "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:
         add(list(argv))
+    # lines that read what the models of earlier lines kept
+    fiber = ["fiber-check", "src/equiblow/corpus/family.kb", "--at=3"]
+    add(fiber)
+    out.append(fiber)
+    add(["blowup", "src/equiblow/corpus/e2.kb", "--budget", "1"])
     out.append(out[0])
     return out
 

@@ -711,19 +711,27 @@ def test_negative_values_parse_after_a_space(capsys):
 
 
 def test_chart_bases_are_computed_once(capsys, monkeypatch):
+    from equiblow import modelfile
+
+    e2 = str(CORPUS / "e2.kb")
     calls = count_calls(monkeypatch, groebner, "buchberger")
+    report(capsys, "blowup", e2, "--full")
+    # one basis per chart for the report; the section check needs none,
+    # since the section has the intrinsic ideal's generators; the tree
+    # reuses the chart bases, and the center scan needs no emptiness
+    # basis, since the chart ideals are monomial
+    assert len(calls) == 2
+    monkeypatch.setattr(modelfile, "_built", {})
+    calls.clear()
     report(capsys, "corpus")
     # omega-verify takes three bases: the two hint saturations, which
     # leave one generator set, and the squared ideal for its nonzero
     # residuals
     assert len(calls) == 27
     calls.clear()
-    report(capsys, "blowup", str(CORPUS / "e2.kb"), "--full")
-    # one basis per chart for the report; the section check needs none,
-    # since the section has the intrinsic ideal's generators; the tree
-    # reuses the chart bases, and the center scan needs no emptiness
-    # basis, since the chart ideals are monomial
-    assert len(calls) == 2
+    # the corpus's own blowup of e2.kb left each chart its basis
+    report(capsys, "blowup", e2, "--full")
+    assert len(calls) == 0
 
 
 def reported_stages(stages):
@@ -741,14 +749,16 @@ def test_stage_zero_is_built_once_for_plain_and_full_blowups(
     capsys, monkeypatch, tmp_path, name, full
 ):
     # stage 0 builds its atlas once and judges each chart once; the tree
-    # continues from those charts, so every stage costs one atlas and
-    # every chart one section and one unstable ideal
+    # continues from those charts, so every stage costs one atlas, and
+    # every chart is built once and costs one section and one unstable
+    # ideal
     from equiblow import blowup, stability
 
     path = CORPUS / name
     if not path.exists():
         path = write_bench_models(tmp_path) / name
-    atlases = count_calls(monkeypatch, blowup, "make_charts")
+    atlases = count_calls(monkeypatch, blowup, "atlas_data")
+    built = count_calls(monkeypatch, blowup, "BlowupChart")
     sections = count_calls(monkeypatch, blowup, "blowup_section")
     unstable = count_calls(monkeypatch, stability, "unstable_ideal")
     rep = report(capsys, "blowup", str(path), *(["--full"] if full else []))
@@ -759,7 +769,7 @@ def test_stage_zero_is_built_once_for_plain_and_full_blowups(
     else:
         charts = len(rep["charts"])
         assert len(atlases) == 1
-    assert len(sections) == len(unstable) == charts
+    assert len(built) == len(sections) == len(unstable) == charts
 
 
 @pytest.mark.parametrize(
@@ -1199,6 +1209,54 @@ def test_a_budget_still_binds_after_an_unbudgeted_run(capsys):
     assert err == "budget: reduction produced degree 2 (cap 1)\n"
 
 
+def test_a_budget_that_ran_out_leaves_nothing_behind(capsys, monkeypatch):
+    from equiblow import modelfile
+
+    e2 = str(CORPUS / "e2.kb")
+    first = run(capsys, "blowup", e2)
+    assert first[0] == 0
+    monkeypatch.setattr(modelfile, "_built", {})
+    assert run(capsys, "blowup", e2, "--budget", "1")[0] == 4
+    assert run(capsys, "blowup", e2) == first
+
+
+def test_facts_of_one_budget_serve_only_that_budget(capsys, monkeypatch):
+    # e2.kb takes one basis per chart, and a budget of 50 exceeds none,
+    # yet a basis computed under it is not one of the unbudgeted run
+    e2 = str(CORPUS / "e2.kb")
+    calls = count_calls(monkeypatch, groebner, "buchberger")
+    for argv, bases in (
+        (["--budget", "50"], 2),
+        ([], 2),
+        (["--budget", "50"], 0),
+        ([], 0),
+        (["--budget", "40"], 2),
+    ):
+        calls.clear()
+        report(capsys, "blowup", e2, *argv)
+        assert len(calls) == bases, argv
+
+
+def test_a_family_computes_each_stage_zero_ideal_once(capsys, monkeypatch):
+    # plain and full blowups and fiber-checks at five base values all
+    # read the family's stage-0 intrinsic ideals; each fiber, and each
+    # deeper stage, has a ring of its own
+    from equiblow import blowup
+
+    family = str(CORPUS / "family.kb")
+    calls = count_calls(monkeypatch, blowup, "intrinsic_ideal")
+    rep = report(capsys, "blowup", family)
+    report(capsys, "blowup", family, "--full")
+    for c in ("0", "1", "-2", "1/2", "7"):
+        assert report(capsys, "fiber-check", family, "--at=" + c)["ledger"]["commutes"]
+    names = ("x", "y", "z", "t")
+    stage_zero = [chart.name for (ideal, chart, *_), _ in calls if ideal.ring.names == names]
+    assert stage_zero == [chart["name"] for chart in rep["charts"]]
+    # every fiber-check computed route two on each of its charts
+    fibers = [ideal for (ideal, *_), _ in calls if ideal.ring.names == names[:3]]
+    assert len(fibers) == 5 * len(stage_zero)
+
+
 def test_model_file_errors_come_on_every_read(capsys, tmp_path):
     from equiblow import modelfile
 
@@ -1213,33 +1271,38 @@ def test_model_file_errors_come_on_every_read(capsys, tmp_path):
 
 @pytest.fixture(scope="module")
 def kept_model_lines(tmp_path_factory):
-    """Lines of the point queries, fiber-checks and plain blowups, with
-    and without a budget, on every corpus and bench file."""
+    """Per corpus and bench file, lines of the point queries, of
+    fiber-checks at three base values, and of blowups: plain, full, of
+    one chart, without a budget and with budgets of 1 and 50."""
     from equiblow import modelfile
 
     bench = write_bench_models(tmp_path_factory.mktemp("bench"))
-    lines = []
+    by_file = []
     for path in sorted(CORPUS.glob("*.kb")) + sorted(bench.glob("*.kb")):
         mf = modelfile.load_model_file(str(path))
         n = len(mf.variables)
         zeros, ones = ",".join("0" * n), ",".join("1" * n)
         f = str(path)
-        lines += [
+        moving = [i for i in range(n) if any(row[i] for row in mf.weights)]
+        charts = ["chart_" + mf.variables[i] for i in moving[:3]]
+        lines = [
             ["crit", f],
             ["crit", f, "--point=" + zeros],
             ["obstruction", f, "--point=" + zeros, "--direction=" + ones],
-            ["fiber-check", f, "--at=1"],
-            ["blowup", f],
-            ["blowup", f, "--budget", "1"],
+            *(["fiber-check", f, "--at=" + c] for c in ("1", "-2", "1/2")),
+            *(
+                ["blowup", f, *extra, *budget]
+                for extra in ([], ["--full"], *(["--chart", c] for c in charts[:1]))
+                for budget in ([], ["--budget", "1"], ["--budget", "50"])
+            ),
         ]
-        moving = [i for i in range(n) if any(row[i] for row in mf.weights)]
-        for i in moving[:3]:
-            chart = "chart_" + mf.variables[i]
+        for chart in charts:
             lines += [
                 ["semistable", f, "--chart", chart, "--point=" + zeros],
                 ["semistable", f, "--chart", chart, "--point=" + ones],
             ]
-    return lines
+        by_file.append(lines)
+    return by_file
 
 
 def captured(argv):
@@ -1256,11 +1319,16 @@ _FIRST_READS: dict = {}  # line -> its outcome with no model kept
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_kept_models_give_every_line_its_first_read_outcome(kept_model_lines, data):
-    # a command that changed a kept model, chart or report would give a
-    # later line on the same text another outcome
+    # a command that changed a kept model, chart or report, or read a
+    # fact kept under another budget, would give a later line on the
+    # same text another outcome
     from equiblow import modelfile
 
-    lines = st.lists(st.sampled_from(kept_model_lines), min_size=1, max_size=12)
+    # the lines of one or two files, so most draws run several lines
+    # on one model text
+    files = data.draw(st.lists(st.sampled_from(kept_model_lines), min_size=1, max_size=2))
+    lines = st.lists(st.sampled_from([ln for lines in files for ln in lines]),
+                     min_size=1, max_size=12)
     for line in data.draw(lines):
         key = tuple(line)
         if key not in _FIRST_READS:

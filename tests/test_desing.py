@@ -61,6 +61,24 @@ def test_three_axes_single_stage_with_unstable_data():
     assert ox.children == ()
 
 
+def test_charts_that_keep_their_facts_give_every_call_new_nodes():
+    # the second and third calls read the facts the first left on the
+    # charts, but not its nodes, which the tree wrote its models and
+    # children on
+    model = dcritical_chart(parse_poly("x*y*z", R3), WeightMatrix([(1, -1, 0)]))
+    atlas = make_charts(model.ring, model.weights, Subtorus.full(1))
+    full, first = blowup_tree(model.ideal, model, atlas, full=True)
+    grown = [(node.model, node.children) for node in full]
+    plain, _ = blowup_tree(model.ideal, model, atlas)
+    again, _ = blowup_tree(model.ideal, model, atlas, full=True)
+    assert [(node.model, node.children) for node in full] == grown
+    assert first == tuple(full) and all(node.model is not None for node in full)
+    assert all(node.model is None and node.children == () for node in plain)
+    for a, b, c in zip(full, plain, again):
+        assert a is not b and a is not c
+        assert a.gb is b.gb is c.gb and a.unstable is b.unstable is c.unstable
+
+
 def test_trivial_action_is_reported_dense(capsys):
     # every point is fixed, so the blowup of everything is empty: the
     # report says so before any atlas is built
