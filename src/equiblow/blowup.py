@@ -187,10 +187,12 @@ class BlowupChart:
     Every chart of one atlas shares the parent's int weight columns
     (``columns``), the same columns restricted to the center
     (``restricted``) and the moving coordinates, the ones whose
-    restricted column is nonzero.  ``atlas_data`` computes them once,
-    and checks every chart's coordinate names; the chart weights, the
-    isotypic split of ``intrinsic_ideal`` and the fiber weights of
-    ``stability`` are all read off them.
+    restricted column is nonzero.  ``make_charts`` is the one builder
+    of charts: it computes these once per atlas, checks every chart's
+    coordinate names, and gives each chart its ``atlas``, the tuple of
+    all the charts built with it.  The chart weights, the isotypic split
+    of ``intrinsic_ideal`` and the fiber weights of ``stability`` are
+    all read off the shared columns.
 
     ``kept`` holds the chart's ``desing.ChartFacts`` by ideal, model and
     budget (``desing.chart_facts``), for as long as the chart lives.
@@ -210,6 +212,7 @@ class BlowupChart:
         "moving",
         "fixed",
         "kept",
+        "atlas",
     )
 
     def __init__(
@@ -223,15 +226,8 @@ class BlowupChart:
         moving: tuple[int, ...],
     ):
         """``columns``, ``restricted`` and ``moving`` are the atlas-wide
-        data that ``atlas_data`` computes, and name checks, once."""
-        if parent_weights.k and parent_weights.n != parent_ring.n:
-            raise ValueError("weight matrix width must match the ring")
+        data that ``make_charts`` computes, and name checks, once."""
         moving_set = set(moving)
-        if pivot not in moving_set:
-            raise PreconditionError(
-                f"pivot coordinate {parent_ring.names[pivot]!r} is not moving "
-                "under the center subtorus"
-            )
         self.parent_ring = parent_ring
         self.parent_weights = parent_weights
         self.center = center
@@ -302,17 +298,22 @@ def _chart_names(names, pivot: int, moving_set) -> list[str]:
     ]
 
 
-def atlas_data(ring: Ring, weights: WeightMatrix, center: Subtorus):
-    """``(columns, restricted, moving)`` shared by every chart of the
-    blowup along the center's fixed locus: the parent's int weight
-    columns, the same columns restricted to the center, and the moving
-    coordinates, in coordinate order, one per chart.
+def make_charts(
+    ring: Ring, weights: WeightMatrix, center: Subtorus
+) -> tuple[BlowupChart, ...]:
+    """The chart atlas of the blowup along the center's fixed locus.
+
+    One chart per moving coordinate, in coordinate order, all sharing
+    the parent's int weight columns, the same columns restricted to the
+    center and the moving coordinates.  Each chart's ``atlas`` is the
+    tuple returned.
 
     Raises ``PreconditionError`` when nothing moves, or when a chart
     coordinate is named like a model variable; the error names the first
-    such chart in atlas order and its first clashing coordinate, so
-    building one chart of an atlas refuses what building all would.
+    such chart in atlas order and its first clashing coordinate.
     """
+    if weights.k and weights.n != ring.n:
+        raise ValueError("weight matrix width must match the ring")
     columns = weights.columns()
     restricted = restricted_columns(weights, center)
     moving = tuple(i for i, r in enumerate(restricted) if any(r))
@@ -331,23 +332,13 @@ def atlas_data(ring: Ring, weights: WeightMatrix, center: Subtorus):
                     f"coordinate {clash!r} of {chart_name(ring, pivot)} clashes "
                     "with a model variable of the same name"
                 )
-    return columns, restricted, moving
-
-
-def make_charts(
-    ring: Ring, weights: WeightMatrix, center: Subtorus
-) -> list[BlowupChart]:
-    """The chart atlas of the blowup along the center's fixed locus.
-
-    One chart per moving coordinate, in coordinate order, all sharing
-    one ``atlas_data``.  A chart coordinate named like a model variable
-    raises ``PreconditionError``.
-    """
-    columns, restricted, moving = atlas_data(ring, weights, center)
-    return [
+    atlas = tuple(
         BlowupChart(ring, weights, center, i, columns, restricted, moving)
         for i in moving
-    ]
+    )
+    for chart in atlas:
+        chart.atlas = atlas
+    return atlas
 
 
 def exceptional_divide(p: Poly, chart: BlowupChart) -> Poly:

@@ -6,12 +6,12 @@ The base direction carries weight zero in every row, so the torus acts
 fiberwise and isotypic decomposition never mixes the parameter in.
 """
 
-from .blowup import LocalModel, blowup_section, intrinsic_ideal, make_charts
+from .blowup import LocalModel, blowup_section, intrinsic_ideal
 from .desing import chart_facts
 from .errors import PreconditionError
-from .groebner import Budget, Ideal, ideal_equal
+from .groebner import Ideal, ideal_equal
 from .poly import Poly, Ring, canon
-from .torus import Subtorus, WeightMatrix
+from .torus import WeightMatrix
 
 
 def _base_index(model: LocalModel) -> int:
@@ -93,30 +93,17 @@ def specialize(model: LocalModel, c) -> LocalModel:
     )
 
 
-def fiber_blowup_commutes(
-    model: LocalModel,
-    c,
-    budget: Budget | None = None,
-) -> dict[str, bool]:
-    """Chart-by-chart commutation of intrinsic full-torus blowup with fibers.
+def fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget):
+    """Chart-by-chart commutation of intrinsic full-torus blowup with
+    fibers: ``model`` at c, whose fiber is ``fiber``, over the full-torus
+    atlases of the two.
 
     Route one forms the intrinsic chart ideal of the family and then sets
     the parameter; route two specializes first and blows up the fiber.
     The verdict per chart also demands the blowup sections agree
-    componentwise when the model carries a factorization witness.
-    """
-    fiber = specialize(model, c)
-    center = Subtorus.full(model.weights.k)
-    family_charts = make_charts(model.ring, model.weights, center)
-    fiber_charts = make_charts(fiber.ring, fiber.weights, center)
-    return fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget)
-
-
-def fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget):
-    """``fiber_blowup_commutes`` of ``model`` at c, whose fiber is
-    ``fiber``, over the full-torus atlases of the two.  Route one reads
-    the facts each family chart keeps (``desing.chart_facts``), so
-    charts that outlive the call serve every base value; route two is
+    componentwise when the model carries a factorization witness.  Route
+    one reads the facts each family chart keeps (``desing.chart_facts``),
+    so charts that outlive the call serve every base value; route two is
     computed anew, since each fiber is another model."""
     c = canon(c)
     ideal = model.ideal

@@ -17,7 +17,6 @@ from .blowup import (
     EquivariantBundle,
     LocalModel,
     WeakModelReport,
-    atlas_data,
     check_weak_local_model,
     make_charts,
 )
@@ -318,12 +317,12 @@ class BuiltModel:
     checks.
 
     More facts of the model are kept once computed: its
-    ``weak_report``, its stage-0 charts (``moving``, ``chart`` and the
-    whole ``atlas``, which ``cli.cmd_blowup`` and the fiber check read)
-    and ``fiber_atlas``, the one stage-0 atlas of all its fibers.  Each
-    stage-0 chart keeps, per ideal and per budget, the intrinsic ideal,
-    its reduced basis, the unstable ideal, the blowup section and the
-    coincidence verdict (``desing.chart_facts``), each computed on its
+    ``weak_report``, its ``atlas`` of stage-0 charts, which ``blowup``,
+    ``semistable`` and the fiber check read, and ``fiber_atlas``, the
+    one stage-0 atlas of all its fibers.  Each stage-0 chart keeps, per
+    ideal and per budget, the intrinsic ideal, its reduced basis, the
+    unstable ideal, the blowup section and the coincidence verdict
+    (``desing.chart_facts``), each computed on its
     first read.  A fact that a budget bounds is read back only under an
     equal budget, and an error is never kept, so every exit under a
     budget is that of a first run.  ``ideal`` and ``model.ideal`` differ
@@ -340,7 +339,6 @@ class BuiltModel:
         "_potential",
         "_weak_report",
         "_atlas",
-        "_charts",
         "_fiber_atlas",
     )
 
@@ -354,7 +352,6 @@ class BuiltModel:
         self._potential = None
         self._weak_report = None
         self._atlas = None
-        self._charts = {}
         self._fiber_atlas = None
 
     @classmethod
@@ -389,33 +386,16 @@ class BuiltModel:
         return self._weak_report
 
     @property
-    def moving(self) -> tuple[int, ...]:
-        """The moving coordinates of the blowup along the fixed locus of
-        the full torus, one per stage-0 chart, in coordinate order.  The
-        ``PreconditionError`` of ``atlas_data`` is raised on every read."""
+    def atlas(self) -> tuple[BlowupChart, ...]:
+        """The stage-0 charts: ``make_charts`` along the full torus,
+        built on first read.  Its ``PreconditionError`` is raised on
+        every read."""
         if self._atlas is None:
             center = Subtorus.full(self.weights.k)
-            self._atlas = (center, *atlas_data(self.ring, self.weights, center))
-        return self._atlas[3]
+            self._atlas = make_charts(self.ring, self.weights, center)
+        return self._atlas
 
-    def chart(self, pivot: int) -> BlowupChart:
-        """The stage-0 chart of ``pivot``, one of ``moving``, built over
-        the one atlas on its first request."""
-        chart = self._charts.get(pivot)
-        if chart is None:
-            moving = self.moving
-            center, columns, restricted, _ = self._atlas
-            chart = self._charts[pivot] = BlowupChart(
-                self.ring, self.weights, center, pivot, columns, restricted, moving
-            )
-        return chart
-
-    @property
-    def atlas(self) -> tuple[BlowupChart, ...]:
-        """Every stage-0 chart, in the order of ``moving``."""
-        return tuple(map(self.chart, self.moving))
-
-    def fiber_atlas(self, fiber: LocalModel) -> list[BlowupChart]:
+    def fiber_atlas(self, fiber: LocalModel) -> tuple[BlowupChart, ...]:
         """The stage-0 atlas of ``fiber``, a fiber of ``model``.  Every
         fiber has one ring and one weight matrix, so the atlas built for
         the first fiber asked serves them all."""

@@ -123,11 +123,10 @@ def point_semistable(point, chart: BlowupChart) -> StabilityVerdict:
     outside the convex hull of the center-restricted fiber weights of its
     fiber support, on the exceptional locus and off it alike.  The
     witness is the separating direction lambda of the hull LP, and the
-    limit is taken on the first chart of the atlas, in the order of
-    ``chart.moving``, whose pivot minimises lambda . w over the support:
-    there every ratio coordinate pairs non-negatively with lambda and the
-    exceptional coordinate positively.  That chart is built from
-    ``chart``'s atlas data only when it is not ``chart`` itself.
+    limit is taken on the first chart of ``chart.atlas`` whose pivot
+    minimises lambda . w over the support: there every ratio coordinate
+    pairs non-negatively with lambda and the exceptional coordinate
+    positively.  No verdict builds a chart.
     """
     point = tuple(map(canon, point))
     if len(point) != chart.ring.n:
@@ -139,12 +138,9 @@ def point_semistable(point, chart: BlowupChart) -> StabilityVerdict:
         return StabilityVerdict(True)
     pairing = {i: sum(a * b for a, b in zip(direction, fiber[i])) for i in support}
     lowest = min(pairing.values())
-    # the support lies in chart.moving, so some pivot attains the minimum
-    pivot = next(i for i in chart.moving if pairing.get(i) == lowest)
-    other = chart if pivot == chart.pivot else BlowupChart(
-        chart.parent_ring, chart.parent_weights, chart.center, pivot,
-        chart.columns, chart.restricted, chart.moving,
-    )
+    # the support lies in chart.moving, so some chart's pivot attains
+    # the minimum
+    other = next(c for c in chart.atlas if pairing.get(c.pivot) == lowest)
     carried = point_to_chart(point, chart, other)
     limits = WeightMatrix(zip(*restricted_columns(other.weights, other.center)))
     limit = one_ps_limit(carried, direction, limits)

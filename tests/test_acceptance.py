@@ -38,7 +38,7 @@ from equiblow import (
     contains_one,
     dcritical_chart,
     embedding_independence_check,
-    fiber_blowup_commutes,
+    fiber_charts_commute,
     find_lift,
     four_term_at,
     hm_fiber_semistable,
@@ -492,7 +492,10 @@ def test_criterion_09_obstruction_agrees_with_lift_search():
 def test_criterion_10_fiberwise_blowup_commutes():
     built = build_model(load_model_file(str(CORPUS / "family.kb")))
     for c in (0, 1, -2):
-        results = fiber_blowup_commutes(built.model, c)
+        fiber = specialize(built.model, c)
+        results = fiber_charts_commute(
+            built.model, fiber, c, built.atlas, built.fiber_atlas(fiber), None
+        )
         assert set(results) == {"chart_x", "chart_y"}, c
         assert all(results.values()), (c, results)
     _pass(10, "family fibers commute at 0, 1, -2, every chart")

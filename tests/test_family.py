@@ -11,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from equiblow import (
     PreconditionError,
     Ring,
+    Subtorus,
     WeightMatrix,
     dcritical_chart,
-    fiber_blowup_commutes,
+    fiber_charts_commute,
+    make_charts,
     parse_poly,
     specialize,
 )
@@ -54,7 +56,17 @@ def test_specialize_requires_a_base_parameter():
 
 
 def test_fiber_blowup_commutes_with_fractional_value():
-    results = fiber_blowup_commutes(family_model(), Fraction(1, 2))
+    model, c = family_model(), Fraction(1, 2)
+    fiber = specialize(model, c)
+    center = Subtorus.full(1)
+    results = fiber_charts_commute(
+        model,
+        fiber,
+        c,
+        make_charts(model.ring, model.weights, center),
+        make_charts(fiber.ring, fiber.weights, center),
+        None,
+    )
     assert all(results.values())
 
 

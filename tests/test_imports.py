@@ -1,6 +1,6 @@
 """No unused imports in the package, checked with the standard library,
 no heavy standard-library module imported at start-up, no argparse
-for a well-formed command line, reference
+for a well-formed command line, one builder of blowup charts, reference
 oracles in ``tests/ref.py`` that import nothing from the package, and
 no test module that imports from another.
 
@@ -120,6 +120,41 @@ def test_a_well_formed_command_line_imports_no_argparse():
         check=True,
     ).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The innermost enclosing function or class of each call of
+    ``name`` in the module, or "" for a call at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_make_charts_is_the_one_chart_builder():
+    # every chart of an atlas shares its columns and holds the atlas, so
+    # only make_charts, which builds a whole atlas, constructs a chart
+    tree = ast.parse(
+        "class A:\n    def f(self):\n        return BlowupChart(1)\n"
+        "BlowupChart(2)\nblowup.BlowupChart(3)\nchart_name(4)\n"
+    )
+    assert _callers(tree, "BlowupChart") == ["f", "", ""]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        callers = _callers(ast.parse(path.read_text(), str(path)), "BlowupChart")
+        if callers:
+            found[path.name] = callers
+    assert found == {"blowup.py": ["make_charts"]}
 
 
 def test_the_reference_oracles_import_nothing_from_the_package():

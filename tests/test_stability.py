@@ -3,11 +3,14 @@ unstable ideals, and pointwise verdicts with destabilizing witnesses.
 The worked verdicts on the exceptional locus are acceptance
 criterion 6."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bench_models import BENCH_MODELS
+from counting import count_calls
 from equiblow import (
     PreconditionError,
     Ring,
@@ -16,8 +19,10 @@ from equiblow import (
     hm_fiber_semistable,
     make_charts,
     point_semistable,
+    stability,
     unstable_ideal,
 )
+from equiblow.modelfile import build_model, parse_model_text
 from equiblow.stability import one_ps_limit, point_to_chart
 from ref import strict_destabilizer_exists
 
@@ -124,3 +129,65 @@ def test_point_verdicts_match_the_cochar_box_at_every_rank(case):
     carried = point_to_chart(point, chart, target)
     assert verdict.limit is not None
     assert verdict.limit == one_ps_limit(carried, lam, target.weights)
+
+
+def reference_limit(columns, pivot, point, direction):
+    """The limit pivot and limit point of an unstable point of the
+    full-torus chart of ``pivot`` under ``direction``, worked from the
+    model's weight columns: the limit chart's pivot is the first moving
+    coordinate of the fiber support with the least pairing, the point is
+    carried there by the ratio maps, and each coordinate whose chart
+    weight pairs positively flows to 0."""
+    pair = lambda col: sum(a * b for a, b in zip(direction, col))  # noqa: E731
+    moving = [i for i, col in enumerate(columns) if any(col)]
+    support = [i for i in moving if i == pivot or point[i] != 0]
+    lowest = min(pair(columns[i]) for i in support)
+    target = next(i for i in support if pair(columns[i]) == lowest)
+    carried = list(map(Fraction, point))
+    if target != pivot:
+        t = carried[target]
+        for i in moving:
+            carried[i] = Fraction(point[i]) / t
+        carried[target] = point[pivot] * t
+        carried[pivot] = 1 / t
+    limit = []
+    for i, q in enumerate(carried):
+        weight = columns[i]
+        if i in moving and i != target:
+            weight = [a - b for a, b in zip(columns[i], columns[target])]
+        mu = pair(weight)
+        if mu < 0 and q != 0:
+            return target, None
+        limit.append(0 if mu > 0 else q)
+    return target, tuple(limit)
+
+
+@pytest.mark.parametrize("name", ["heavy.kb", "rank2.kb"])
+def test_every_limit_lies_on_a_chart_of_the_queried_charts_atlas(monkeypatch, name):
+    built = build_model(parse_model_text(BENCH_MODELS[name]))
+    columns = built.weights.columns()
+    carried = count_calls(monkeypatch, stability, "point_to_chart")
+    rng = random.Random(name)
+    elsewhere = 0
+    for chart in built.atlas:
+        assert chart.atlas is built.atlas
+        unstable = 0
+        while unstable < 12:
+            point = tuple(
+                rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(chart.ring.n)
+            )
+            carried.clear()
+            verdict = point_semistable(point, chart)
+            if verdict.semistable:
+                continue
+            unstable += 1
+            # the chart the limit was taken on is one of chart.atlas
+            ((_, source, target), _) = carried[0]
+            assert source is chart
+            assert any(target is c for c in chart.atlas)
+            assert target.name == verdict.chart
+            pivot, limit = reference_limit(columns, chart.pivot, point, verdict.direction)
+            assert target.pivot == pivot
+            assert verdict.limit == limit
+            elsewhere += target is not chart
+    assert elsewhere > 0
