@@ -194,8 +194,9 @@ class BlowupChart:
     of ``intrinsic_ideal`` and the fiber weights of ``stability`` are
     all read off the shared columns.
 
-    ``kept`` holds the chart's ``desing.ChartFacts`` by ideal, model and
-    budget (``desing.chart_facts``), for as long as the chart lives.
+    ``kept`` holds the chart's stage-0 tree nodes (``desing.ChartOutcome``)
+    by ideal, model and budget (``desing.chart_node``), for as long as
+    the chart lives.
     """
 
     __slots__ = (
@@ -702,7 +703,7 @@ def transport_model(
 def embedding_independence_check(
     small: Ideal,
     big: Ideal,
-    weights: WeightMatrix,
+    atlas: tuple[BlowupChart, ...],
     aux,
     budget: Budget | None = None,
 ) -> bool:
@@ -710,10 +711,11 @@ def embedding_independence_check(
 
     ``big`` must present the same locus as ``small`` inside the small
     ambient extended by auxiliary coordinates fixed by the torus.
-    ``weights`` are the big ambient's; the small ambient's are read off
-    them by name.  On every chart of the full-torus blowup, eliminating
-    the auxiliary variables from the big intrinsic ideal must recover
-    the small one exactly.
+    ``atlas`` is the big ambient's full-torus atlas; the small
+    ambient's weights are read off its weights by name.  On
+    every chart of the full-torus blowup, eliminating the auxiliary
+    variables from the big intrinsic ideal must recover the small one
+    exactly.
     """
     aux = tuple(str(a) for a in aux)
     small_names = set(small.ring.names)
@@ -722,7 +724,7 @@ def embedding_independence_check(
             "big ambient must be the small ambient plus the auxiliary coordinates"
         )
     index = big.ring.index
-    center = Subtorus.full(weights.k)
+    weights, center = atlas[0].parent_weights, atlas[0].center
     for a in aux:
         if any(center.restrict(weights.column(index[a]))):
             raise PreconditionError(
@@ -732,9 +734,7 @@ def embedding_independence_check(
         [weights.column(index[name]) for name in small.ring.names]
     )
     charts_small = make_charts(small.ring, small_weights, center)
-    by_pivot = {
-        c.parent_ring.names[c.pivot]: c for c in make_charts(big.ring, weights, center)
-    }
+    by_pivot = {c.parent_ring.names[c.pivot]: c for c in atlas}
     for cs in charts_small:
         cb = by_pivot[cs.parent_ring.names[cs.pivot]]
         ideal_small = intrinsic_ideal(small, cs, budget)

@@ -114,7 +114,7 @@ def cmd_blowup(args, built, budget) -> tuple[list, dict, int]:
             "--full requires a model with a section (potential or section file)"
         )
     # a trivial action has no charts, so any --chart is unknown; the
-    # atlas is the model's, whose charts keep their facts for later calls
+    # atlas is the model's, whose charts keep their nodes for later calls
     trivial = action_is_trivial(built.weights)
     atlas = () if trivial else built.atlas
     charts = [c for c in atlas if args.chart is None or c.name == args.chart]
@@ -258,12 +258,12 @@ def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
         c = canon(args.at)
     except (ValueError, ZeroDivisionError):
         raise ModelFileError(f"bad fiber value {args.at!r}") from None
-    # the family's atlas and its facts, and the fibers' atlas, are the
+    # the family's atlas with its nodes, and the fibers' atlas, are the
     # model's, kept for every base value
     model = built.model
     fiber = specialize(model, c)
     results = fiber_charts_commute(
-        model, fiber, c, built.atlas, built.fiber_atlas(fiber), budget
+        model, fiber, c, built.atlas, built.fiber_atlas, budget
     )
     ledger = {
         "at": rpt.frac_str(c),
@@ -277,14 +277,17 @@ def cmd_independence(args, built, budget) -> tuple[list, dict, int]:
     aux = tuple(s.strip() for s in args.aux.split(",") if s.strip())
     if not aux:
         raise ModelFileError("--aux needs at least one variable name")
-    for a in aux:
+    for i, a in enumerate(aux):
         if a not in built.ring.index:
             raise ModelFileError(f"auxiliary variable {a!r} is not in the model")
+        if a in aux[:i]:
+            raise ModelFileError(f"auxiliary variable {a!r} is repeated")
     # eliminate the auxiliary coordinates to get the small ideal, then
-    # check that its intrinsic chart ideals match the model's
+    # check that its intrinsic chart ideals match the model's on the
+    # model's atlas
     small = eliminate(built.ideal, aux, budget)
     independent = embedding_independence_check(
-        small, built.ideal, built.weights, aux, budget
+        small, built.ideal, built.atlas, aux, budget
     )
     return [], {"aux": list(aux), "independent": independent}, 0
 
@@ -327,8 +330,8 @@ _CORPUS_CHECKS = (
     ("obstruction:cubic", "obstruction cubic --point=0 --direction=1", _holds("liftable", False)),
     ("obstruction:quadratic", "obstruction quadratic --point=0 --direction=0", _holds("liftable")),
     # the pipeline's own run, whose first chart is chart_x, read back
-    # from the runs: a second run would only build its nodes and chart
-    # entries again, from the facts the charts kept
+    # from the runs: a second run would only build its chart entries
+    # again, from the nodes the charts kept
     ("unstable:e2:chart_x", "blowup e2.kb", lambda c, _: c[0]["unstable_gb"] == ["T_y"]),
     ("semistable:e2:(0,1,0)", f"{_CHART_X} --point=0,1,0", _holds("semistable")),
     ("unstable-point:e2:(1,0,0)", f"{_CHART_X} --point=1,0,0", _holds("semistable", False)),

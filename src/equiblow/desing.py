@@ -8,10 +8,10 @@ the full torus, stage 0 is its first stage.
 The driver never re-discovers a center it just blew up; that descent is a
 theorem and its failure raises loudly.
 
-``ChartFacts`` computes what a node holds (the intrinsic ideal, its
+A node (``ChartOutcome``) computes its facts (the intrinsic ideal, its
 basis, the unstable ideal, the blowup section and the coincidence
-verdict), and a stage-0 chart keeps it per ideal, model and budget.
-Nodes are built anew on every call.
+verdict) on their first read.  A stage-0 chart keeps its node per
+ideal, model and budget (``chart_node``); deeper stages build new nodes.
 """
 
 from functools import cached_property
@@ -28,26 +28,25 @@ MAX_DEPTH = 4
 
 
 class ChartOutcome:
-    """One node of the Kirwan tree: a chart of one blowup stage, its
-    intrinsic ideal with the reduced basis, and its unstable ideal, which
-    the center scan below excludes.  ``coincides`` says whether the
-    model's blowup section cuts the intrinsic ideal (None without a
-    model); ``model`` is the transported model once the tree continues
-    from a stage-0 node; ``children`` is the next stage, all along one
-    center.  ``parent`` is the node blown up to reach this one (None at
-    the first stage); ``path`` reads like ``stage0/chart_x/stage1/chart_T_y``."""
+    """One node of the Kirwan tree: a chart of one blowup stage and the
+    facts of ``source``, the ideal blown up, there.  Each fact is
+    computed under ``budget`` on its first read and then kept: the
+    intrinsic ``ideal``, its reduced basis ``gb``, the chart's
+    ``unstable`` ideal, which the center scan below excludes, and, with
+    a model, its blowup ``section`` and whether that cuts the intrinsic
+    ideal (``coincides``; both None without a model).  A fact whose
+    computation raises is not kept, so its error comes on every read.
 
-    __slots__ = (
-        "chart", "ideal", "gb", "unstable", "coincides", "model", "children",
-        "parent", "path",
-    )
+    ``model`` is the transported model once the tree continues from a
+    stage-0 node; ``children`` is the next stage, all along one center.
+    ``parent`` is the node blown up to reach this one (None at the first
+    stage); ``path`` reads like ``stage0/chart_x/stage1/chart_T_y``."""
 
-    def __init__(self, chart, ideal, gb, unstable, coincides, parent):
+    def __init__(self, chart, source, source_model, budget, parent=None):
         self.chart = chart
-        self.ideal = ideal
-        self.gb = gb
-        self.unstable = unstable
-        self.coincides = coincides
+        self.source = source
+        self.source_model = source_model
+        self.budget = budget
         self.model = None
         self.children = ()
         self.parent = parent
@@ -56,21 +55,6 @@ class ChartOutcome:
 
     def __repr__(self):
         return f"ChartOutcome({self.path})"
-
-
-class ChartFacts:
-    """What a stage reads of ``ideal`` on one chart, each fact computed
-    under ``budget`` on its first read and then kept: the intrinsic
-    ideal, its reduced basis, the chart's unstable ideal and, with a
-    model, the model's blowup section there and whether that cuts the
-    intrinsic ideal (both None without a model).  A fact whose
-    computation raises is not kept, so its error comes on every read."""
-
-    def __init__(self, chart, ideal, model, budget):
-        self.chart = chart
-        self.source = ideal
-        self.model = model
-        self.budget = budget
 
     @cached_property
     def ideal(self):
@@ -86,26 +70,26 @@ class ChartFacts:
 
     @cached_property
     def section(self):
-        if self.model is not None:
-            return blowup_section(self.model, self.chart)
+        if self.source_model is not None:
+            return blowup_section(self.source_model, self.chart)
 
     @cached_property
     def coincides(self):
-        if self.model is not None:
+        if self.source_model is not None:
             section = Ideal(self.chart.ring, self.section)
             return ideal_equal(section, self.ideal, budget=self.budget)
 
 
-def chart_facts(chart, ideal, model, budget) -> ChartFacts:
-    """The facts of ``ideal`` and ``model`` on ``chart`` under
-    ``budget``, the ones ``chart.kept`` holds if any.  A fact is read
+def chart_node(chart, ideal, model, budget) -> ChartOutcome:
+    """The stage-0 node of ``ideal`` and ``model`` on ``chart`` under
+    ``budget``, the one ``chart.kept`` holds if any.  A node is read
     back only under an equal budget, so a budget that a fresh run would
     exceed is exceeded again."""
     key = (ideal, model, budget)
-    facts = chart.kept.get(key)
-    if facts is None:
-        facts = chart.kept[key] = ChartFacts(chart, ideal, model, budget)
-    return facts
+    node = chart.kept.get(key)
+    if node is None:
+        node = chart.kept[key] = ChartOutcome(chart, ideal, model, budget)
+    return node
 
 
 def action_is_trivial(weights: WeightMatrix) -> bool:
@@ -120,15 +104,14 @@ def blowup_tree(ideal, model, charts, budget=None, full=False):
     ``full`` the first stage of the tree of ``ideal`` (empty when no
     center has a semistable point).  When that stage's center is the
     full torus it is these very nodes, each given its transported model
-    and its children.  A ``full`` tree is refused before any center scan
-    when the model's blowup section does not cut the intrinsic ideal of
-    some stage-0 node.
+    and its children anew.  A ``full`` tree is refused before any
+    center scan when the model's blowup section does not cut the
+    intrinsic ideal of some stage-0 node.
 
-    The nodes are new on every call, but their facts are the ones each
-    chart keeps (``chart_facts``): charts that outlive the call, such as
-    a built model's atlas, spare the next call that work."""
-    rows = list(_stage([chart_facts(c, ideal, model, budget) for c in charts]))
-    nodes = [node for node, _ in rows]
+    The stage-0 nodes are the ones each chart keeps (``chart_node``):
+    charts that outlive the call, such as a built model's atlas, give
+    the next call the same nodes, with the facts already read."""
+    nodes = list(_stage(chart_node(c, ideal, model, budget) for c in charts))
     if not full:
         return nodes, ()
     for node in nodes:
@@ -140,36 +123,37 @@ def blowup_tree(ideal, model, charts, budget=None, full=False):
     centers = enumerate_blowup_centers(model.weights, ideal, None, budget=budget)
     args = (model.weights, ideal, centers, budget, MAX_DEPTH, None)
     if centers and centers[0].is_full():
-        return nodes, _descend(*args, rows, model)
+        return nodes, _descend(*args, nodes, model)
     return nodes, _descend(*args)
 
 
-def _stage(facts, parent=None):
-    """Chart by chart, a new node of each chart's ``facts`` and the
-    model's blowup section there (None without a model)."""
-    for f in facts:
-        ideal, gb, coincides = f.ideal, f.gb, f.coincides
-        yield ChartOutcome(f.chart, ideal, gb, f.unstable, coincides, parent), f.section
+def _stage(nodes):
+    """The ``nodes`` of one stage, chart by chart, each yielded once its
+    facts are read, in one fixed order, so a budget stops a stage at the
+    same fact on every run."""
+    for node in nodes:
+        node.ideal, node.gb, node.coincides, node.unstable
+        yield node
 
 
-def _descend(weights, ideal, centers, budget, depth_left, parent, rows=None, model=None):
+def _descend(weights, ideal, centers, budget, depth_left, parent, nodes=None, model=None):
     """The stage along ``centers[0]`` below ``parent``, each node grown
-    to its subtree.  ``rows`` are the stage-0 nodes with their sections
-    when the stage is stage 0: each node then carries ``model`` to its
-    chart, and its subtree grows from the transported section's ideal."""
+    to its subtree.  ``nodes`` are the stage-0 nodes when the stage is
+    stage 0: each node then carries ``model`` to its chart, and its
+    subtree grows from the transported section's ideal."""
     if not centers:
         return ()
     if depth_left <= 0:
         raise BudgetExceededError("blowup recursion depth exhausted")
     center = centers[0]
-    if rows is None:
+    if nodes is None:
         charts = make_charts(ideal.ring, weights, center)
-        rows = _stage((ChartFacts(c, ideal, None, budget) for c in charts), parent)
+        nodes = _stage(ChartOutcome(c, ideal, None, budget, parent) for c in charts)
     out = []
-    for node, section in rows:
+    for node in nodes:
         chart, node_ideal = node.chart, node.ideal
         if model is not None:
-            node.model = transport_model(model, section, chart)
+            node.model = transport_model(model, node.section, chart)
             node_ideal = node.model.ideal
         next_centers = enumerate_blowup_centers(
             chart.weights, node_ideal, node.unstable, budget=budget

@@ -7,7 +7,7 @@ fiberwise and isotypic decomposition never mixes the parameter in.
 """
 
 from .blowup import LocalModel, blowup_section, intrinsic_ideal
-from .desing import chart_facts
+from .desing import chart_node
 from .errors import PreconditionError
 from .groebner import Ideal, ideal_equal
 from .poly import Poly, Ring, canon
@@ -58,15 +58,21 @@ def _drop_var(source: Ring, name: str, c):
     return sub
 
 
+def fiber_space(model: LocalModel) -> tuple[Ring, WeightMatrix]:
+    """The ring and weights of every fiber of ``model``: the family's
+    without the base coordinate and its weight column."""
+    t = _base_index(model)
+    rows = [row[:t] + row[t + 1 :] for row in model.weights.rows]
+    return model.ring.without((model.base_param,)), WeightMatrix(rows)
+
+
 def specialize(model: LocalModel, c) -> LocalModel:
     """Fiber of a family at a base value: substitute the parameter and drop
     its coordinate and weight column."""
-    t = _base_index(model)
+    target, weights = fiber_space(model)
     c = canon(c)
     ring = model.ring
-    target = ring.without((model.base_param,))
-    rows = [row[:t] + row[t + 1 :] for row in model.weights.rows]
-    weights = WeightMatrix(rows)
+    t = ring.index[model.base_param]
     if model.base_param in model.divisor:
         raise PreconditionError("base parameter cannot carry the divisor")
 
@@ -102,7 +108,7 @@ def fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget):
     the parameter; route two specializes first and blows up the fiber.
     The verdict per chart also demands the blowup sections agree
     componentwise when the model carries a factorization witness.  Route
-    one reads the facts each family chart keeps (``desing.chart_facts``),
+    one reads the node each family chart keeps (``desing.chart_node``),
     so charts that outlive the call serve every base value; route two is
     computed anew, since each fiber is another model."""
     c = canon(c)
@@ -115,12 +121,12 @@ def fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget):
         pivot_name = model.ring.names[ch.pivot]
         fch = by_pivot[pivot_name]
         sub = _drop_var(ch.ring, model.base_param, c)
-        facts = chart_facts(ch, ideal, model, budget)
-        gens_a = [sub(p) for p in facts.ideal.generators]
+        node = chart_node(ch, ideal, model, budget)
+        gens_a = [sub(p) for p in node.ideal.generators]
         ideal_b = intrinsic_ideal(fiber.ideal, fch, budget)
         ok = ideal_equal(Ideal(fch.ring, gens_a), ideal_b, budget=budget)
         if ok and model.sigma_lift is not None:
-            sec_a = [sub(p) for p in facts.section]
+            sec_a = [sub(p) for p in node.section]
             sec_b = list(blowup_section(fiber, fch))
             ok = sec_a == sec_b
         out[ch.name] = ok

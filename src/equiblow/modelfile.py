@@ -11,6 +11,7 @@ The format is deliberately primitive so fixtures stay diff-friendly:
 
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .blowup import (
     BlowupChart,
@@ -22,6 +23,7 @@ from .blowup import (
 )
 from .dcrit import _dcritical_model, _require_invariant
 from .errors import ModelFileError, PolyParseError, PreconditionError
+from .family import fiber_space
 from .groebner import Ideal
 from .poly import Poly, Ring, canon, parse_poly
 from .torus import Subtorus, WeightMatrix, poly_weight
@@ -318,91 +320,52 @@ class BuiltModel:
 
     More facts of the model are kept once computed: its
     ``weak_report``, its ``atlas`` of stage-0 charts, which ``blowup``,
-    ``semistable`` and the fiber check read, and ``fiber_atlas``, the
-    one stage-0 atlas of all its fibers.  Each stage-0 chart keeps, per
-    ideal and per budget, the intrinsic ideal, its reduced basis, the
-    unstable ideal, the blowup section and the coincidence verdict
-    (``desing.chart_facts``), each computed on its
-    first read.  A fact that a budget bounds is read back only under an
-    equal budget, and an error is never kept, so every exit under a
-    budget is that of a first run.  ``ideal`` and ``model.ideal`` differ
-    for a section file, and each keeps facts of its own.
+    ``semistable``, ``independence`` and the fiber check read, and
+    ``fiber_atlas``, the one stage-0 atlas of all its fibers.  Each
+    stage-0 chart keeps its tree node per ideal, model and budget
+    (``desing.chart_node``), and the node computes each of its facts on
+    its first read.  A fact that a budget bounds is read back only
+    under an equal budget, and an error is never kept, so every exit
+    under a budget is that of a first run.  ``ideal`` and
+    ``model.ideal`` differ for a section file, and each has nodes of its
+    own.
     """
 
-    __slots__ = (
-        "ring",
-        "weights",
-        "_ideal",
-        "_model",
-        "against",
-        "source",
-        "_potential",
-        "_weak_report",
-        "_atlas",
-        "_fiber_atlas",
-    )
-
-    def __init__(self, ring, weights, ideal, model, against, source):
+    def __init__(self, ring, weights, source, potential=None, against=None):
         self.ring = ring
         self.weights = weights
-        self._ideal = ideal
-        self._model = model
-        self.against = against
         self.source = source
-        self._potential = None
-        self._weak_report = None
-        self._atlas = None
-        self._fiber_atlas = None
+        self._potential = potential
+        self.against = against
 
-    @classmethod
-    def _of_potential(cls, ring, weights, f, against, source):
-        """Defer the d-critical model of a potential ``build_model`` has
-        checked."""
-        built = cls(ring, weights, None, None, against, source)
-        built._potential = f
-        return built
+    @cached_property
+    def model(self) -> LocalModel:
+        """The d-critical model of the potential ``build_model`` has
+        checked; a file without a potential sets its own."""
+        f, base = self._potential, self.source.base_parameter
+        return _dcritical_model(f, self.weights, base)
 
-    def _build(self):
-        f = self._potential
-        if f is not None:
-            model = _dcritical_model(f, self.weights, self.source.base_parameter)
-            self._model, self._ideal, self._potential = model, model.ideal, None
+    @cached_property
+    def ideal(self) -> Ideal:
+        return self.model.ideal
 
-    @property
-    def model(self):
-        self._build()
-        return self._model
-
-    @property
-    def ideal(self):
-        self._build()
-        return self._ideal
-
-    @property
+    @cached_property
     def weak_report(self) -> WeakModelReport:
         """``check_weak_local_model`` of ``model``, which must not be None."""
-        if self._weak_report is None:
-            self._weak_report = check_weak_local_model(self.model)
-        return self._weak_report
+        return check_weak_local_model(self.model)
 
-    @property
+    @cached_property
     def atlas(self) -> tuple[BlowupChart, ...]:
-        """The stage-0 charts: ``make_charts`` along the full torus,
-        built on first read.  Its ``PreconditionError`` is raised on
-        every read."""
-        if self._atlas is None:
-            center = Subtorus.full(self.weights.k)
-            self._atlas = make_charts(self.ring, self.weights, center)
-        return self._atlas
+        """The stage-0 charts: ``make_charts`` along the full torus.  Its
+        ``PreconditionError`` is raised on every read."""
+        return make_charts(self.ring, self.weights, Subtorus.full(self.weights.k))
 
-    def fiber_atlas(self, fiber: LocalModel) -> tuple[BlowupChart, ...]:
-        """The stage-0 atlas of ``fiber``, a fiber of ``model``.  Every
-        fiber has one ring and one weight matrix, so the atlas built for
-        the first fiber asked serves them all."""
-        if self._fiber_atlas is None:
-            center = Subtorus.full(fiber.weights.k)
-            self._fiber_atlas = make_charts(fiber.ring, fiber.weights, center)
-        return self._fiber_atlas
+    @cached_property
+    def fiber_atlas(self) -> tuple[BlowupChart, ...]:
+        """The stage-0 atlas of every fiber of ``model``, which share one
+        ring and one weight matrix (``family.fiber_space``)."""
+        ring, weights = fiber_space(self.model)
+        return make_charts(ring, weights, Subtorus.full(weights.k))
 
 
 def build_model(mf: ModelFile) -> BuiltModel:
@@ -431,7 +394,7 @@ def build_model(mf: ModelFile) -> BuiltModel:
                         "comparison section must match the frame count"
                     )
                 against = tuple(parse_poly(s, ring) for s in mf.section)
-            return BuiltModel._of_potential(ring, weights, f, against, mf)
+            return BuiltModel(ring, weights, mf, f, against)
         gens = tuple(parse_poly(s, ring) for s in mf.ideal)
         ideal = Ideal(ring, gens)
         model = None
@@ -460,7 +423,9 @@ def build_model(mf: ModelFile) -> BuiltModel:
             for c, v in zip(section, bundle.weights):
                 if c.terms and poly_weight(c, weights) != tuple(-x for x in v):
                     raise ModelFileError("section is not invariant")
-        return BuiltModel(ring, weights, ideal, model, None, mf)
+        built = BuiltModel(ring, weights, mf)
+        built.ideal, built.model = ideal, model
+        return built
     except PolyParseError as e:
         raise ModelFileError(f"bad polynomial: {e}") from None
 

@@ -12,9 +12,10 @@ Runs, in one process under a `sys.settrace` line tracer:
   it, each an exit 2;
 - every subcommand once with `--budget 0`, on its line of
   `ref.EVERY_SUBCOMMAND`, which `test_cli` runs too;
-- `blowup` on a model file that is not UTF-8, and `blowup --json`
-  into a directory that does not exist, each an exit 2, and `blowup`
-  on a model file that opens with a byte-order mark;
+- `blowup` on a model file that is not UTF-8, `blowup --json` into a
+  directory that does not exist, and `independence` with a repeated
+  auxiliary name, each an exit 2, and `blowup` on a model file that
+  opens with a byte-order mark;
 - three lines that `cli._scan`, the scan of the declared argument
   table `cli._COMMANDS`, refuses, so that `cli._parse_words` builds
   argparse's parser from that table: one with flag prefixes, one with a
@@ -24,13 +25,13 @@ Runs, in one process under a `sys.settrace` line tracer:
   missing required flag, a missing positional argument and an unknown
   command.  The sweep counts the exit code and goes on;
 - a `fiber-check` line it ran before, and `blowup e2.kb --budget 1`
-  after the unbudgeted `blowup e2.kb` (an exit 4), which read the facts
+  after the unbudgeted `blowup e2.kb` (an exit 4), which read the nodes
   the model's stage-0 charts kept;
 - last, its first line once more, which takes the model that
   `modelfile` kept from the first run.
 
-The sweep runs 383 command lines, with exit codes
-{0: 266, 2: 83, 3: 25, 4: 9}, and leaves 419 of 2724 statements
+The sweep runs 384 command lines, with exit codes
+{0: 266, 2: 84, 3: 25, 4: 9}, and leaves 413 of 2679 statements
 unreached.
 
 Then, per module of `src/equiblow`, it prints the statements no run
@@ -127,6 +128,7 @@ def command_lines(scratch: Path) -> list[list[str]]:
     marked.write_bytes(b"\xef\xbb\xbf" + (PACKAGE / "corpus" / "e2.kb").read_bytes())
     add(["blowup", str(marked)])
     add(["blowup", "src/equiblow/corpus/e2.kb", "--json", str(scratch / "missing" / "x.json")])
+    add(["independence", "src/equiblow/corpus/e1aux.kb", "--aux", "u,u"])
     for command in EVERY_SUBCOMMAND:
         add([*subcommand_line(command, "src/equiblow/corpus"), "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:

@@ -203,8 +203,9 @@ def test_criterion_03_intrinsic_ideal_is_embedding_independent():
             EquivariantBundle(labels, frame_weights),
             section,
         )
+        atlas = make_charts(wide, wide_weights, Subtorus.full(wide_weights.k))
         assert embedding_independence_check(
-            small.ideal, big.ideal, wide_weights, ("u",)
+            small.ideal, big.ideal, atlas, ("u",)
         ), text
     _pass(3, "elimination recovers the small intrinsic ideal, all charts")
 
@@ -494,7 +495,7 @@ def test_criterion_10_fiberwise_blowup_commutes():
     for c in (0, 1, -2):
         fiber = specialize(built.model, c)
         results = fiber_charts_commute(
-            built.model, fiber, c, built.atlas, built.fiber_atlas(fiber), None
+            built.model, fiber, c, built.atlas, built.fiber_atlas, None
         )
         assert set(results) == {"chart_x", "chart_y"}, c
         assert all(results.values()), (c, results)

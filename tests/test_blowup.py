@@ -224,7 +224,8 @@ def test_embedding_independence_detects_a_real_difference():
         bundle,
         (parse_poly("y*u", wide), parse_poly("x*u", wide)),
     )
-    assert not embedding_independence_check(small.ideal, big.ideal, wideW, ("u",))
+    atlas = make_charts(wide, wideW, FULL1)
+    assert not embedding_independence_check(small.ideal, big.ideal, atlas, ("u",))
 
 
 @pytest.mark.parametrize("names", [["x", "y", "v"], ["x"], ["x", "y", "u"]])
@@ -237,7 +238,7 @@ def test_embedding_independence_needs_the_big_ring_minus_the_auxiliaries(names):
         embedding_independence_check(
             Ideal(small, [small.var("x")]),
             Ideal(wide, [wide.var("x"), wide.var("u")]),
-            wideW,
+            make_charts(wide, wideW, FULL1),
             ("u",),
         )
 

@@ -147,6 +147,13 @@ def test_independence_subcommand(capsys):
     assert rep["ledger"]["independent"] is True
 
 
+def test_a_repeated_auxiliary_name_is_exit_2(capsys):
+    # as a repeated variable name in a model file is
+    assert run(capsys, "independence", str(CORPUS / "e1aux.kb"), "--aux", "u,u") == (
+        2, "", "error: auxiliary variable 'u' is repeated\n"
+    )
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "blowup", "/nonexistent/input.kb")
     assert code == 2
@@ -1270,7 +1277,9 @@ def test_model_file_errors_come_on_every_read(capsys, tmp_path):
 def kept_model_lines(tmp_path_factory):
     """Per corpus and bench file, lines of the point queries, of
     fiber-checks at three base values, and of blowups: plain, full, of
-    one chart, without a budget and with budgets of 1 and 50."""
+    one chart, without a budget and with budgets of 1 and 50; on the
+    files with an auxiliary coordinate u, the independence check,
+    without a budget and with a budget of 1."""
     from equiblow import modelfile
 
     bench = write_bench_models(tmp_path_factory.mktemp("bench"))
@@ -1297,6 +1306,11 @@ def kept_model_lines(tmp_path_factory):
             lines += [
                 ["semistable", f, "--chart", chart, "--point=" + zeros],
                 ["semistable", f, "--chart", chart, "--point=" + ones],
+            ]
+        if path.name in ("e1aux.kb", "e2aux.kb"):
+            lines += [
+                ["independence", f, "--aux", "u", *budget]
+                for budget in ([], ["--budget", "1"])
             ]
         by_file.append(lines)
     return by_file

@@ -61,22 +61,24 @@ def test_three_axes_single_stage_with_unstable_data():
     assert ox.children == ()
 
 
-def test_charts_that_keep_their_facts_give_every_call_new_nodes():
-    # the second and third calls read the facts the first left on the
-    # charts, but not its nodes, which the tree wrote its models and
-    # children on
+def test_charts_keep_their_stage_zero_nodes_per_budget():
+    # full, plain and full calls on one atlas get the nodes the charts
+    # keep, each full call giving them their models and children anew;
+    # a call under another budget gets nodes of its own
     model = dcritical_chart(parse_poly("x*y*z", R3), WeightMatrix([(1, -1, 0)]))
     atlas = make_charts(model.ring, model.weights, Subtorus.full(1))
     full, first = blowup_tree(model.ideal, model, atlas, full=True)
-    grown = [(node.model, node.children) for node in full]
+    models = [node.model for node in full]
     plain, _ = blowup_tree(model.ideal, model, atlas)
     again, _ = blowup_tree(model.ideal, model, atlas, full=True)
-    assert [(node.model, node.children) for node in full] == grown
     assert first == tuple(full) and all(node.model is not None for node in full)
-    assert all(node.model is None and node.children == () for node in plain)
-    for a, b, c in zip(full, plain, again):
-        assert a is not b and a is not c
-        assert a.gb is b.gb is c.gb and a.unstable is b.unstable is c.unstable
+    for a, b, c, m in zip(full, plain, again, models):
+        assert a is b is c
+        assert a.model is not m and a.model.section == m.section
+    budgeted, _ = blowup_tree(model.ideal, model, atlas, Budget(50, 50))
+    for a, b in zip(full, budgeted):
+        assert a is not b and a.chart is b.chart
+        assert a.gb.basis == b.gb.basis and b.model is None
 
 
 def test_trivial_action_is_reported_dense(capsys):
