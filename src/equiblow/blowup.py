@@ -10,14 +10,7 @@ that make a weak local model.
 
 
 from .errors import PreconditionError, TheoremCheckError
-from .groebner import (
-    Budget,
-    Ideal,
-    buchberger,
-    eliminate,
-    ideal_equal,
-    normal_form,
-)
+from .groebner import Budget, Ideal, buchberger, normal_form
 from .poly import DEGREVLEX, Poly, Ring, divide_exact
 from .record import Record
 from .torus import (
@@ -698,50 +691,3 @@ def transport_model(
             + "; ".join(report.witnesses)
         )
     return out
-
-
-def embedding_independence_check(
-    small: Ideal,
-    big: Ideal,
-    atlas: tuple[BlowupChart, ...],
-    aux,
-    budget: Budget | None = None,
-) -> bool:
-    """Intrinsic ideals do not depend on the equivariant embedding.
-
-    ``big`` must present the same locus as ``small`` inside the small
-    ambient extended by auxiliary coordinates fixed by the torus.
-    ``atlas`` is the big ambient's full-torus atlas; the small
-    ambient's weights are read off its weights by name.  On
-    every chart of the full-torus blowup, eliminating the auxiliary
-    variables from the big intrinsic ideal must recover the small one
-    exactly.
-    """
-    aux = tuple(str(a) for a in aux)
-    small_names = set(small.ring.names)
-    if set(big.ring.names) != small_names | set(aux) or small_names & set(aux):
-        raise PreconditionError(
-            "big ambient must be the small ambient plus the auxiliary coordinates"
-        )
-    index = big.ring.index
-    weights, center = atlas[0].parent_weights, atlas[0].center
-    for a in aux:
-        if any(center.restrict(weights.column(index[a]))):
-            raise PreconditionError(
-                f"auxiliary coordinate {a!r} must be fixed by the center"
-            )
-    small_weights = weights.with_columns(
-        [weights.column(index[name]) for name in small.ring.names]
-    )
-    charts_small = make_charts(small.ring, small_weights, center)
-    by_pivot = {c.parent_ring.names[c.pivot]: c for c in atlas}
-    for cs in charts_small:
-        cb = by_pivot[cs.parent_ring.names[cs.pivot]]
-        ideal_small = intrinsic_ideal(small, cs, budget)
-        dropped = eliminate(intrinsic_ideal(big, cb, budget), aux, budget)
-        carried = Ideal(
-            cs.ring, [g.rename_ring(cs.ring) for g in dropped.generators]
-        )
-        if not ideal_equal(carried, ideal_small, budget=budget):
-            return False
-    return True

@@ -13,7 +13,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import report as rpt
-from .blowup import embedding_independence_check
 from .dcrit import (
     SmallExtension,
     cohomology_dims,
@@ -23,7 +22,12 @@ from .dcrit import (
     obstruction_assignment,
     verify_omega_equivalence,
 )
-from .desing import action_is_trivial, blowup_tree
+from .desing import (
+    action_is_trivial,
+    blowup_tree,
+    embedding_independence_check,
+    fiber_charts_commute,
+)
 from .errors import (
     BudgetExceededError,
     ModelFileError,
@@ -31,7 +35,6 @@ from .errors import (
     PreconditionError,
     TheoremCheckError,
 )
-from .family import fiber_charts_commute, specialize
 from .groebner import Budget, contains_one, eliminate
 from .modelfile import model_of_text, parse_hint, read_text
 from .poly import canon
@@ -259,11 +262,11 @@ def cmd_fiber_check(args, built, budget) -> tuple[list, dict, int]:
     except (ValueError, ZeroDivisionError):
         raise ModelFileError(f"bad fiber value {args.at!r}") from None
     # the family's atlas with its nodes, and the fibers' atlas, are the
-    # model's, kept for every base value
-    model = built.model
-    fiber = specialize(model, c)
+    # model's, kept for every base value; the fibers' atlas is read
+    # first, so the base parameter's refusals come before the atlas's
+    fiber_atlas = built.fiber_atlas
     results = fiber_charts_commute(
-        model, fiber, c, built.atlas, built.fiber_atlas, budget
+        built.model, c, built.atlas, fiber_atlas, budget
     )
     ledger = {
         "at": rpt.frac_str(c),
@@ -329,9 +332,8 @@ _CORPUS_CHECKS = (
     ("dims:xyz:(1,0,0)", "crit e2.kb --point=1,0,0", _holds(_DIMS, [0, 0, 0, 0])),
     ("obstruction:cubic", "obstruction cubic --point=0 --direction=1", _holds("liftable", False)),
     ("obstruction:quadratic", "obstruction quadratic --point=0 --direction=0", _holds("liftable")),
-    # the pipeline's own run, whose first chart is chart_x, read back
-    # from the runs: a second run would only build its chart entries
-    # again, from the nodes the charts kept
+    # the pipeline's line again, whose first chart is chart_x: it reads
+    # the nodes that e2's charts kept from the pipeline's run
     ("unstable:e2:chart_x", "blowup e2.kb", lambda c, _: c[0]["unstable_gb"] == ["T_y"]),
     ("semistable:e2:(0,1,0)", f"{_CHART_X} --point=0,1,0", _holds("semistable")),
     ("unstable-point:e2:(1,0,0)", f"{_CHART_X} --point=1,0,0", _holds("semistable", False)),
@@ -340,18 +342,13 @@ _CORPUS_CHECKS = (
 
 
 def cmd_corpus(args, built, budget) -> tuple[list, dict, int]:
-    runs: dict = {}  # each line is run once
-
     def run(line: str) -> tuple[list, dict]:
-        if line not in runs:
-            parsed = _parse_words(line.split())
-            name = parsed.file
-            text = _INLINE_MODELS.get(name)
-            if text is None:
-                text = read_text(str(CORPUS_DIR / name))
-            built = model_of_text(text)
-            runs[line] = _DISPATCH[parsed.command](parsed, built, budget)[:2]
-        return runs[line]
+        parsed = _parse_words(line.split())
+        text = _INLINE_MODELS.get(parsed.file)
+        if text is None:
+            text = read_text(str(CORPUS_DIR / parsed.file))
+        command = _COMMANDS[parsed.command][0]
+        return command(parsed, model_of_text(text), budget)[:2]
 
     charts_out: list[dict] = []
     checks: list[dict] = []
@@ -395,30 +392,36 @@ _COMMON = (
     _Arg("--budget", type=int, metavar="N",
          help="cap Groebner basis size and degree at N"),
 )
-# each subcommand's summary and arguments, declared once: ``_scan`` reads
-# them, and ``_build_parser`` makes argparse's parser of them
+# each subcommand's function, summary and arguments, declared once:
+# ``main`` and ``cmd_corpus`` call the function, ``_scan`` reads the
+# arguments, and ``_build_parser`` makes argparse's parser of them.  The
+# function takes the parsed arguments, the built model (None for
+# corpus) and the validated budget, and returns its report's chart
+# entries, its ledger and the exit code
 _COMMANDS = {
-    "blowup": ("charts, intrinsic ideals, stability", (
+    "blowup": (cmd_blowup, "charts, intrinsic ideals, stability", (
         _FILE, _CHART,
         _Arg("--full", store_true=True, default=False, help="iterate to termination"),
         *_COMMON,
     )),
-    "crit": ("critical-locus model and its checks", (_FILE, _POINT, *_COMMON)),
-    "semistable": ("judge one point of a blowup chart", (_FILE, _CHART, _POINT, *_COMMON)),
-    "obstruction": ("obstruction class of a small extension", (
+    "crit": (cmd_crit, "critical-locus model and its checks", (_FILE, _POINT, *_COMMON)),
+    "semistable": (cmd_semistable, "judge one point of a blowup chart", (
+        _FILE, _CHART, _POINT, *_COMMON,
+    )),
+    "obstruction": (cmd_obstruction, "obstruction class of a small extension", (
         _FILE, _POINT,
         _Arg("--direction", signed=True, metavar="a,b,c"),
         _Arg("--ext-order", type=int, default=2, metavar="m"),
         *_COMMON,
     )),
-    "omega-verify": ("section equivalence report", (_FILE, *_COMMON)),
-    "fiber-check": ("blowup commutes with the fiber", (
+    "omega-verify": (cmd_omega_verify, "section equivalence report", (_FILE, *_COMMON)),
+    "fiber-check": (cmd_fiber_check, "blowup commutes with the fiber", (
         _FILE, _Arg("--at", signed=True, default="0", metavar="c"), *_COMMON,
     )),
-    "independence": ("embedding independence of charts", (
+    "independence": (cmd_independence, "embedding independence of charts", (
         _FILE, _Arg("--aux", required=True, metavar="u,v"), *_COMMON,
     )),
-    "corpus": ("run every bundled example", _COMMON),
+    "corpus": (cmd_corpus, "run every bundled example", _COMMON),
 }
 
 
@@ -435,7 +438,7 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, arguments) in _COMMANDS.items():
+    for command, (_, summary, arguments) in _COMMANDS.items():
         add = sub.add_parser(command, help=summary).add_argument
         for a in arguments:
             kwargs = {"default": a.default, "help": a.help}
@@ -447,21 +450,6 @@ def _build_parser():
                 kwargs.update(type=a.type, metavar=a.metavar)
             add(a.flag, **kwargs)
     return parser
-
-
-# each command takes the parsed arguments, the built model (None for
-# corpus) and the validated budget, and returns its report's chart
-# entries, its ledger and the exit code
-_DISPATCH = {
-    "blowup": cmd_blowup,
-    "crit": cmd_crit,
-    "semistable": cmd_semistable,
-    "obstruction": cmd_obstruction,
-    "omega-verify": cmd_omega_verify,
-    "fiber-check": cmd_fiber_check,
-    "independence": cmd_independence,
-    "corpus": cmd_corpus,
-}
 
 
 def _scan(words: list[str], arguments: tuple) -> SimpleNamespace | None:
@@ -526,7 +514,7 @@ def _parse_words(words: list[str]) -> SimpleNamespace:
     argparse's own."""
     command = _COMMANDS.get(words[0]) if words else None
     if command is not None:
-        args = _scan(words, command[1])
+        args = _scan(words, command[2])
         if args is not None:
             return args
     return _build_parser().parse_args(words)
@@ -546,7 +534,7 @@ def main(argv=None) -> int:
             and len(words[-1]) > 2
             and any(
                 a.signed and a.flag.startswith(words[-1])
-                for _, arguments in _COMMANDS.values()
+                for *_, arguments in _COMMANDS.values()
                 for a in arguments
             )
         ):
@@ -562,7 +550,7 @@ def main(argv=None) -> int:
             name = os.path.basename(args.file)
             built = model_of_text(read_text(args.file))
         budget = _parse_budget(args)
-        charts, ledger, code = _DISPATCH[args.command](args, built, budget)
+        charts, ledger, code = _COMMANDS[args.command][0](args, built, budget)
     except (ModelFileError, PolyParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

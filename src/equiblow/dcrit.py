@@ -317,6 +317,8 @@ class SmallExtension(Record):
 
     __slots__ = ("m", "series")
 
+    # the largest order a caller may ask for; ``find_lift``'s lift is
+    # one order past its extension's
     MAX_ORDER = 6
 
     def __init__(self, m: int, series):
@@ -393,8 +395,11 @@ def find_lift(model: LocalModel, ext: SmallExtension, data=None):
     delta = solve(K.m1, [-x for x in top])
     if delta is None:
         return None
-    series = [c + (delta[i],) for i, c in enumerate(ext.series)]
-    return SmallExtension(ext.m + 1, series)
+    # set without the constructor, whose cap the lift may pass
+    lift = object.__new__(SmallExtension)
+    series = tuple(_series_trim(c + (d,), ext.m) for c, d in zip(ext.series, delta))
+    Record.__init__(lift, ext.m + 1, series)
+    return lift
 
 
 # ---------------------------------------------------------------------------

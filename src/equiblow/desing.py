@@ -10,16 +10,25 @@ theorem and its failure raises loudly.
 
 A node (``ChartOutcome``) computes its facts (the intrinsic ideal, its
 basis, the unstable ideal, the blowup section and the coincidence
-verdict) on their first read.  A stage-0 chart keeps its node per
-ideal, model and budget (``chart_node``); deeper stages build new nodes.
+verdict) on their first read.  It is the one caller of
+``blowup.intrinsic_ideal``, and of ``blowup.blowup_section`` but for
+the test-only ``blowup_local_model``.  A stage-0 chart keeps its node
+per ideal, model and budget (``chart_node``); deeper stages build new
+nodes.
+
+The two commutation checks of the intrinsic blowup read their chart
+facts from nodes too: with the equivariant embedding
+(``embedding_independence_check``) and with taking fibers
+(``fiber_charts_commute``).
 """
 
 from functools import cached_property
 
 from .blowup import blowup_section, intrinsic_ideal, make_charts, transport_model
 from .errors import BudgetExceededError, PreconditionError, TheoremCheckError
-from .groebner import Ideal, buchberger, ideal_equal
-from .poly import DEGREVLEX
+from .family import _drop_var, specialize
+from .groebner import Ideal, buchberger, eliminate, ideal_equal
+from .poly import DEGREVLEX, canon
 from .stability import unstable_ideal
 from .torus import WeightMatrix, enumerate_blowup_centers
 
@@ -169,3 +178,76 @@ def _descend(weights, ideal, centers, budget, depth_left, parent, nodes=None, mo
         )
         out.append(node)
     return tuple(out)
+
+
+def embedding_independence_check(small, big, atlas, aux, budget=None) -> bool:
+    """Intrinsic ideals do not depend on the equivariant embedding.
+
+    ``big`` must present the same locus as ``small`` inside the small
+    ambient extended by auxiliary coordinates fixed by the torus.
+    ``atlas`` is the big ambient's full-torus atlas; the small
+    ambient's weights are read off its weights by name.  On
+    every chart of the full-torus blowup, eliminating the auxiliary
+    variables from the big intrinsic ideal must recover the small one
+    exactly.  The big ideal is that of the node each big chart keeps
+    (``chart_node`` without a model), which for an ideal file is the
+    node its plain blowup reads; the small charts are built anew.
+    """
+    aux = tuple(str(a) for a in aux)
+    small_names = set(small.ring.names)
+    if set(big.ring.names) != small_names | set(aux) or small_names & set(aux):
+        raise PreconditionError(
+            "big ambient must be the small ambient plus the auxiliary coordinates"
+        )
+    index = big.ring.index
+    weights, center = atlas[0].parent_weights, atlas[0].center
+    for a in aux:
+        if any(center.restrict(weights.column(index[a]))):
+            raise PreconditionError(
+                f"auxiliary coordinate {a!r} must be fixed by the center"
+            )
+    small_weights = weights.with_columns(
+        [weights.column(index[name]) for name in small.ring.names]
+    )
+    charts_small = make_charts(small.ring, small_weights, center)
+    by_pivot = {c.parent_ring.names[c.pivot]: c for c in atlas}
+    for cs in charts_small:
+        cb = by_pivot[cs.parent_ring.names[cs.pivot]]
+        ideal_small = ChartOutcome(cs, small, None, budget).ideal
+        dropped = eliminate(chart_node(cb, big, None, budget).ideal, aux, budget)
+        carried = Ideal(
+            cs.ring, [g.rename_ring(cs.ring) for g in dropped.generators]
+        )
+        if not ideal_equal(carried, ideal_small, budget=budget):
+            return False
+    return True
+
+
+def fiber_charts_commute(model, c, family_charts, fiber_charts, budget):
+    """Chart-by-chart commutation of intrinsic full-torus blowup with
+    fibers: ``model`` at c, over the full-torus atlases of the family
+    and of its fibers.
+
+    Route one forms the intrinsic chart ideal of the family and then sets
+    the parameter; route two specializes first and blows up the fiber.
+    The verdict per chart also demands the blowup sections agree
+    componentwise when the model carries a factorization witness.  Route
+    one reads the node each family chart keeps (``chart_node``), so
+    charts that outlive the call serve every base value; route two reads
+    a new node on each fiber chart, since each fiber is another model."""
+    c = canon(c)
+    fiber = specialize(model, c)
+    ideal, fiber_ideal = model.ideal, fiber.ideal
+    by_pivot = {ch.parent_ring.names[ch.pivot]: ch for ch in fiber_charts}
+    out: dict[str, bool] = {}
+    for ch in family_charts:
+        fch = by_pivot[model.ring.names[ch.pivot]]
+        sub = _drop_var(ch.ring, model.base_param, c)
+        node = chart_node(ch, ideal, model, budget)
+        fiber_node = ChartOutcome(fch, fiber_ideal, fiber, budget)
+        gens_a = [sub(p) for p in node.ideal.generators]
+        ok = ideal_equal(Ideal(fch.ring, gens_a), fiber_node.ideal, budget=budget)
+        if ok and model.sigma_lift is not None:
+            ok = [sub(p) for p in node.section] == list(fiber_node.section)
+        out[ch.name] = ok
+    return out

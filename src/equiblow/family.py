@@ -1,29 +1,16 @@
-"""Families over an affine base line: specialization of local models at a
-parameter value and the chart-by-chart check that the intrinsic blowup
-commutes with taking fibers.
+"""Families over an affine base line: the space of every fiber and the
+specialization of local models at a parameter value.  The check that
+the intrinsic blowup commutes with taking fibers reads chart facts, so
+it lives with the tree nodes, in ``desing``.
 
 The base direction carries weight zero in every row, so the torus acts
 fiberwise and isotypic decomposition never mixes the parameter in.
 """
 
-from .blowup import LocalModel, blowup_section, intrinsic_ideal
-from .desing import chart_node
+from .blowup import LocalModel
 from .errors import PreconditionError
-from .groebner import Ideal, ideal_equal
 from .poly import Poly, Ring, canon
 from .torus import WeightMatrix
-
-
-def _base_index(model: LocalModel) -> int:
-    if model.base_param is None:
-        raise PreconditionError("model has no base parameter")
-    t = model.ring.index[model.base_param]
-    for row in model.weights.rows:
-        if row[t] != 0:
-            raise PreconditionError(
-                "base parameter must have weight zero in every row"
-            )
-    return t
 
 
 def _drop_var(source: Ring, name: str, c):
@@ -60,8 +47,16 @@ def _drop_var(source: Ring, name: str, c):
 
 def fiber_space(model: LocalModel) -> tuple[Ring, WeightMatrix]:
     """The ring and weights of every fiber of ``model``: the family's
-    without the base coordinate and its weight column."""
-    t = _base_index(model)
+    without the base coordinate and its weight column.  Refuses a model
+    without a base parameter, or whose base parameter moves or carries
+    the divisor."""
+    if model.base_param is None:
+        raise PreconditionError("model has no base parameter")
+    t = model.ring.index[model.base_param]
+    if any(row[t] for row in model.weights.rows):
+        raise PreconditionError("base parameter must have weight zero in every row")
+    if model.base_param in model.divisor:
+        raise PreconditionError("base parameter cannot carry the divisor")
     rows = [row[:t] + row[t + 1 :] for row in model.weights.rows]
     return model.ring.without((model.base_param,)), WeightMatrix(rows)
 
@@ -73,9 +68,6 @@ def specialize(model: LocalModel, c) -> LocalModel:
     c = canon(c)
     ring = model.ring
     t = ring.index[model.base_param]
-    if model.base_param in model.divisor:
-        raise PreconditionError("base parameter cannot carry the divisor")
-
     sub = _drop_var(ring, model.base_param, c)
     section = tuple(sub(comp) for comp in model.section)
     cofactor = tuple(tuple(sub(e) for e in row) for row in model.cofactor)
@@ -97,37 +89,3 @@ def specialize(model: LocalModel, c) -> LocalModel:
         potential=potential,
         base_param=None,
     )
-
-
-def fiber_charts_commute(model, fiber, c, family_charts, fiber_charts, budget):
-    """Chart-by-chart commutation of intrinsic full-torus blowup with
-    fibers: ``model`` at c, whose fiber is ``fiber``, over the full-torus
-    atlases of the two.
-
-    Route one forms the intrinsic chart ideal of the family and then sets
-    the parameter; route two specializes first and blows up the fiber.
-    The verdict per chart also demands the blowup sections agree
-    componentwise when the model carries a factorization witness.  Route
-    one reads the node each family chart keeps (``desing.chart_node``),
-    so charts that outlive the call serve every base value; route two is
-    computed anew, since each fiber is another model."""
-    c = canon(c)
-    ideal = model.ideal
-    by_pivot = {
-        ch.parent_ring.names[ch.pivot]: ch for ch in fiber_charts
-    }
-    out: dict[str, bool] = {}
-    for ch in family_charts:
-        pivot_name = model.ring.names[ch.pivot]
-        fch = by_pivot[pivot_name]
-        sub = _drop_var(ch.ring, model.base_param, c)
-        node = chart_node(ch, ideal, model, budget)
-        gens_a = [sub(p) for p in node.ideal.generators]
-        ideal_b = intrinsic_ideal(fiber.ideal, fch, budget)
-        ok = ideal_equal(Ideal(fch.ring, gens_a), ideal_b, budget=budget)
-        if ok and model.sigma_lift is not None:
-            sec_a = [sub(p) for p in node.section]
-            sec_b = list(blowup_section(fiber, fch))
-            ok = sec_a == sec_b
-        out[ch.name] = ok
-    return out

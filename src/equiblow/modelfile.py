@@ -363,9 +363,12 @@ class BuiltModel:
     @cached_property
     def fiber_atlas(self) -> tuple[BlowupChart, ...]:
         """The stage-0 atlas of every fiber of ``model``, which share one
-        ring and one weight matrix (``family.fiber_space``)."""
+        ring and one weight matrix (``family.fiber_space``), along the
+        center of ``atlas``.  Its refusals come in the order a fiber
+        check meets them: the base parameter's, then ``atlas``'s, then
+        its own."""
         ring, weights = fiber_space(self.model)
-        return make_charts(ring, weights, Subtorus.full(weights.k))
+        return make_charts(ring, weights, self.atlas[0].center)
 
 
 def build_model(mf: ModelFile) -> BuiltModel:

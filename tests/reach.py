@@ -6,7 +6,8 @@ Runs, in one process under a `sys.settrace` line tracer:
 - every operation of every `perfbench` workload for seeds 1 and 2;
 - `blowup`, `blowup --full`, `blowup --full --budget 3`, `crit`,
   `omega-verify` and `fiber-check` on every corpus and bench model file,
-  and on one section file written to a temporary directory;
+  and on two section files written to a temporary directory, the second
+  with its base parameter on the divisor;
 - `blowup` on each malformed file of `ref.REFUSALS`, the table of
   refusals that `test_modelfile` and `test_cli` pin too, written next to
   it, each an exit 2;
@@ -14,8 +15,9 @@ Runs, in one process under a `sys.settrace` line tracer:
   `ref.EVERY_SUBCOMMAND`, which `test_cli` runs too;
 - `blowup` on a model file that is not UTF-8, `blowup --json` into a
   directory that does not exist, and `independence` with a repeated
-  auxiliary name, each an exit 2, and `blowup` on a model file that
-  opens with a byte-order mark;
+  auxiliary name, each an exit 2, `blowup` on a model file that
+  opens with a byte-order mark, and `obstruction` at the largest
+  extension order, whose lift is one order past it;
 - three lines that `cli._scan`, the scan of the declared argument
   table `cli._COMMANDS`, refuses, so that `cli._parse_words` builds
   argparse's parser from that table: one with flag prefixes, one with a
@@ -30,8 +32,8 @@ Runs, in one process under a `sys.settrace` line tracer:
 - last, its first line once more, which takes the model that
   `modelfile` kept from the first run.
 
-The sweep runs 384 command lines, with exit codes
-{0: 266, 2: 84, 3: 25, 4: 9}, and leaves 413 of 2679 statements
+The sweep runs 391 command lines, with exit codes
+{0: 269, 2: 85, 3: 27, 4: 10}, and leaves 411 of 2666 statements
 unreached.
 
 Then, per module of `src/equiblow`, it prints the statements no run
@@ -55,7 +57,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ref import EVERY_SUBCOMMAND, REFUSALS, subcommand_line
+from ref import BASE_ON_DIVISOR, EVERY_SUBCOMMAND, REFUSALS, subcommand_line
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -90,7 +92,7 @@ REJECTED_LINES = (
 def command_lines(scratch: Path) -> list[list[str]]:
     """The argv lists of the sweep, in run order, each distinct but a
     fiber-check that ran before and the last line, which repeats the
-    first; the section file and the malformed
+    first; the section files and the malformed
     files are written into the directory ``scratch``, where no report
     can be written into its subdirectory ``missing``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -107,12 +109,13 @@ def command_lines(scratch: Path) -> list[list[str]]:
         for name in workloads.WORKLOADS:
             for op in workloads.build(name, seed, ROOT):
                 add(op.argv)
-    section = scratch / "section.kb"
-    section.write_text(SECTION_FILE)
+    sections = [scratch / "section.kb", scratch / "base-on-divisor.kb"]
+    for path, text in zip(sections, (SECTION_FILE, BASE_ON_DIVISOR)):
+        path.write_text(text)
     files = sorted((PACKAGE / "corpus").glob("*.kb")) + sorted(
         (ROOT / "perfbench" / "models").glob("*.kb")
     )
-    for rel in [str(path.relative_to(ROOT)) for path in files] + [str(section)]:
+    for rel in [str(path.relative_to(ROOT)) for path in files] + list(map(str, sections)):
         for extra in PER_FILE:
             add(["blowup", rel, *extra])
         for cmd in ("crit", "omega-verify", "fiber-check"):
@@ -129,6 +132,8 @@ def command_lines(scratch: Path) -> list[list[str]]:
     add(["blowup", str(marked)])
     add(["blowup", "src/equiblow/corpus/e2.kb", "--json", str(scratch / "missing" / "x.json")])
     add(["independence", "src/equiblow/corpus/e1aux.kb", "--aux", "u,u"])
+    add(["obstruction", "src/equiblow/corpus/e2.kb", "--point=1,0,0",
+         "--direction=1,0,0", "--ext-order", "6"])
     for command in EVERY_SUBCOMMAND:
         add([*subcommand_line(command, "src/equiblow/corpus"), "--budget", "0"])
     for argv in ARGPARSE_LINES + REJECTED_LINES:

@@ -476,6 +476,15 @@ REFUSALS = {
 }
 
 
+# a section file whose base parameter carries the divisor: it builds,
+# and a fiber check refuses it
+BASE_ON_DIVISOR = (
+    'variables = [x, y, t]\nweights = [[1, -1, 0]]\nideal = ["x*y - t"]\n'
+    'section = ["x*y - t"]\nframe_weights = [[0]]\ndivisor = [[t, 1]]\n'
+    "base_parameter = t\n"
+)
+
+
 # one command line per subcommand: the arguments after the subcommand,
 # each ``.kb`` name a file of the bundled corpus
 EVERY_SUBCOMMAND = {

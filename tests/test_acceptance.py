@@ -493,9 +493,8 @@ def test_criterion_09_obstruction_agrees_with_lift_search():
 def test_criterion_10_fiberwise_blowup_commutes():
     built = build_model(load_model_file(str(CORPUS / "family.kb")))
     for c in (0, 1, -2):
-        fiber = specialize(built.model, c)
         results = fiber_charts_commute(
-            built.model, fiber, c, built.atlas, built.fiber_atlas, None
+            built.model, c, built.atlas, built.fiber_atlas, None
         )
         assert set(results) == {"chart_x", "chart_y"}, c
         assert all(results.values()), (c, results)

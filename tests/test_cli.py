@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bench_models import MATRIX_MODELS, write_bench_models
 from counting import count_calls
-from ref import EVERY_SUBCOMMAND, REFUSALS, subcommand_line
+from ref import BASE_ON_DIVISOR, EVERY_SUBCOMMAND, REFUSALS, subcommand_line
 from scalars import is_canonical_scalar
 from equiblow import TheoremCheckError, cli, groebner
 
@@ -140,6 +140,40 @@ def test_fiber_check_subcommand(capsys):
     rep = report(capsys, "fiber-check", str(CORPUS / "family.kb"), "--at", "-2")
     assert rep["ledger"]["commutes"] is True
     assert rep["ledger"]["charts"] == {"chart_x": True, "chart_y": True}
+
+
+def test_fiber_check_refuses_a_model_without_a_base_parameter_first(capsys):
+    # trivial.kb has nothing that moves, so its atlas refuses too, but
+    # the base parameter comes first
+    trivial = str(CORPUS / "trivial.kb")
+    assert run(capsys, "fiber-check", trivial) == (
+        3, "", "precondition: model has no base parameter\n"
+    )
+    assert run(capsys, "semistable", trivial, "--point=0,0") == (
+        3, "", "precondition: center equals ambient; blowup empty\n"
+    )
+
+
+def test_fiber_check_refuses_a_base_parameter_on_the_divisor(capsys, tmp_path):
+    src = tmp_path / "base-on-divisor.kb"
+    src.write_text(BASE_ON_DIVISOR)
+    assert report(capsys, "blowup", str(src))["ledger"]["coinc_all"] is True
+    assert run(capsys, "fiber-check", str(src), "--at=1") == (
+        3, "", "precondition: base parameter cannot carry the divisor\n"
+    )
+
+
+def test_obstruction_takes_the_largest_order_and_refuses_past_it(capsys):
+    # the lift of an order-6 extension has order 7, past the cap on the
+    # orders a caller may ask for
+    e2 = str(CORPUS / "e2.kb")
+    line = ("obstruction", e2, "--point=1,0,0", "--direction=1,0,0", "--ext-order")
+    ledger = report(capsys, *line, "6")["ledger"]
+    assert (ledger["order"], ledger["liftable"]) == (6, True)
+    for order in ("7", "0"):
+        assert run(capsys, *line, order) == (
+            3, "", "precondition: extension order must lie between 1 and 6\n"
+        )
 
 
 def test_independence_subcommand(capsys):
@@ -627,13 +661,13 @@ def test_corpus_checks_all_pass(capsys):
 
 
 def test_corpus_dims_checks_read_the_crit_command(capsys, monkeypatch):
-    real = cli._DISPATCH["crit"]
+    real, *declared = cli._COMMANDS["crit"]
 
     def altered(args, built, budget):
         charts, ledger, code = real(args, built, budget)
         return charts, {**ledger, "cohomology_dims": [9, 9, 9, 9]}, code
 
-    monkeypatch.setitem(cli._DISPATCH, "crit", altered)
+    monkeypatch.setitem(cli._COMMANDS, "crit", (altered, *declared))
     code, out, _ = run(capsys, "corpus")
     assert code == 1
     assert json.loads(out)["ledger"]["failed"] == [
@@ -1071,10 +1105,10 @@ def command_lines(draw):
     flag of any command, or a value that starts with '-'.  Non-int
     values of ``--budget`` and ``--ext-order`` come with the values
     drawn."""
-    declared = [a for _, arguments in cli._COMMANDS.values() for a in arguments]
+    declared = [a for *_, arguments in cli._COMMANDS.values() for a in arguments]
     every = sorted({a.flag for a in declared if a.flag.startswith("--")})
     command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["nope", "-h"]))
-    _, arguments = cli._COMMANDS.get(command, (None, ()))
+    *_, arguments = cli._COMMANDS.get(command, (None, None, ()))
     groups = [["m.kb"] for a in arguments if not a.flag.startswith("-")]
     now_and_then = [False, False, False, True]
     for a in arguments:

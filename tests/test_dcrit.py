@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from counting import count_calls
+from scalars import is_canonical_scalar
 from equiblow import (
     FourTermComplexAtPoint,
     LocalModel,
@@ -219,6 +220,22 @@ def test_axis_direction_extensions_on_the_square_model_lift():
     ob = obstruction_assignment(model, ext)
     assert ob.liftable
     assert find_lift(model, ext) is not None
+
+
+def test_the_order_cap_bounds_the_extension_not_its_lift():
+    model = square_model()
+    top = SmallExtension.MAX_ORDER
+    ext = SmallExtension(top, [(1, 1), (0,)])
+    lift = find_lift(model, ext)
+    assert lift.m == top + 1
+    # the lift extends each series by one coefficient, canonical as the
+    # constructor's are
+    assert [c[:top] for c in lift.series] == list(ext.series)
+    assert all(len(c) == top + 1 for c in lift.series)
+    assert all(is_canonical_scalar(x) for c in lift.series for x in c)
+    for m in (0, top + 1):
+        with pytest.raises(PreconditionError, match=f"between 1 and {top}"):
+            SmallExtension(m, [(1, 1), (0,)])
 
 
 # ---------------------------------------------------------------------------

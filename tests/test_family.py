@@ -19,7 +19,7 @@ from equiblow import (
     parse_poly,
     specialize,
 )
-from equiblow.family import _drop_var
+from equiblow.family import _drop_var, fiber_space
 from equiblow.poly import Poly
 from scalars import is_canonical_scalar
 
@@ -57,14 +57,12 @@ def test_specialize_requires_a_base_parameter():
 
 def test_fiber_blowup_commutes_with_fractional_value():
     model, c = family_model(), Fraction(1, 2)
-    fiber = specialize(model, c)
     center = Subtorus.full(1)
     results = fiber_charts_commute(
         model,
-        fiber,
         c,
         make_charts(model.ring, model.weights, center),
-        make_charts(fiber.ring, fiber.weights, center),
+        make_charts(*fiber_space(model), center),
         None,
     )
     assert all(results.values())

@@ -1,6 +1,7 @@
 """No unused imports in the package, checked with the standard library,
 no heavy standard-library module imported at start-up, no argparse
-for a well-formed command line, one builder of blowup charts, reference
+for a well-formed command line, one builder of blowup charts, one
+home for chart facts, reference
 oracles in ``tests/ref.py`` that import nothing from the package, and
 no test module that imports from another.
 
@@ -141,6 +142,17 @@ def _callers(tree: ast.Module, name: str) -> list[str]:
     return found
 
 
+def _package_callers(name: str) -> dict[str, list[str]]:
+    """Module file -> ``_callers`` of ``name``, for each module of the
+    package that calls it."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        callers = _callers(ast.parse(path.read_text(), str(path)), name)
+        if callers:
+            found[path.name] = callers
+    return found
+
+
 def test_make_charts_is_the_one_chart_builder():
     # every chart of an atlas shares its columns and holds the atlas, so
     # only make_charts, which builds a whole atlas, constructs a chart
@@ -149,12 +161,20 @@ def test_make_charts_is_the_one_chart_builder():
         "BlowupChart(2)\nblowup.BlowupChart(3)\nchart_name(4)\n"
     )
     assert _callers(tree, "BlowupChart") == ["f", "", ""]
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        callers = _callers(ast.parse(path.read_text(), str(path)), "BlowupChart")
-        if callers:
-            found[path.name] = callers
-    assert found == {"blowup.py": ["make_charts"]}
+    assert _package_callers("BlowupChart") == {"blowup.py": ["make_charts"]}
+
+
+def test_chart_facts_are_computed_only_by_tree_nodes():
+    # a node computes each chart fact under its budget and keeps it, so
+    # every reader (the tree, both commutation checks) reads a node, and
+    # only desing builds one; blowup_local_model is the test-only
+    # transport of one chart
+    assert _package_callers("intrinsic_ideal") == {"desing.py": ["ideal"]}
+    assert _package_callers("blowup_section") == {
+        "blowup.py": ["blowup_local_model"],
+        "desing.py": ["section"],
+    }
+    assert set(_package_callers("ChartOutcome")) == {"desing.py"}
 
 
 def test_the_reference_oracles_import_nothing_from_the_package():
