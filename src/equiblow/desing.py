@@ -19,16 +19,19 @@ nodes.
 The two commutation checks of the intrinsic blowup read their chart
 facts from nodes too: with the equivariant embedding
 (``embedding_independence_check``) and with taking fibers
-(``fiber_charts_commute``).
+(``fiber_charts_commute``).  The fiber check builds no fiber model: a
+fiber's node reads the family's bundle and the fiber's section, which
+is all that ``blowup_section`` reads of a model.
 """
 
 from functools import cached_property
 
 from .blowup import blowup_section, intrinsic_ideal, make_charts, transport_model
 from .errors import BudgetExceededError, PreconditionError, TheoremCheckError
-from .family import _drop_var, specialize
+from .family import _drop_var, fiber_section
 from .groebner import Ideal, buchberger, eliminate, ideal_equal
 from .poly import DEGREVLEX, canon
+from .record import Record
 from .stability import unstable_ideal
 from .torus import WeightMatrix, enumerate_blowup_centers
 
@@ -223,26 +226,38 @@ def embedding_independence_check(small, big, atlas, aux, budget=None) -> bool:
     return True
 
 
+class _Fiber(Record):
+    """What a fiber's node reads of its model: the family's ``bundle``,
+    whose frame weights every fiber shares, and the fiber's
+    ``section``."""
+
+    __slots__ = ("bundle", "section")
+
+
 def fiber_charts_commute(model, c, family_charts, fiber_charts, budget):
     """Chart-by-chart commutation of intrinsic full-torus blowup with
     fibers: ``model`` at c, over the full-torus atlases of the family
     and of its fibers.
 
     Route one forms the intrinsic chart ideal of the family and then sets
-    the parameter; route two specializes first and blows up the fiber.
-    The verdict per chart also demands the blowup sections agree
-    componentwise when the model carries a factorization witness.  Route
-    one reads the node each family chart keeps (``chart_node``), so
-    charts that outlive the call serve every base value; route two reads
-    a new node on each fiber chart, since each fiber is another model."""
+    the parameter, into each fiber chart's ring; route two sets the
+    parameter in the family's section alone (``fiber_section``), in the
+    fibers' ring that the fiber charts keep as ``parent_ring``, and
+    blows up that section's ideal.  The verdict per chart also demands
+    the blowup sections agree componentwise when the model carries a
+    factorization witness.  Route one reads the node each family chart
+    keeps (``chart_node``), so charts that outlive the call serve every
+    base value; route two reads a new node on each fiber chart, since
+    each fiber is another section."""
     c = canon(c)
-    fiber = specialize(model, c)
-    ideal, fiber_ideal = model.ideal, fiber.ideal
+    fiber_ring = fiber_charts[0].parent_ring
+    fiber = _Fiber(model.bundle, fiber_section(model, c, fiber_ring))
+    ideal, fiber_ideal = model.ideal, Ideal(fiber_ring, fiber.section)
     by_pivot = {ch.parent_ring.names[ch.pivot]: ch for ch in fiber_charts}
     out: dict[str, bool] = {}
     for ch in family_charts:
         fch = by_pivot[model.ring.names[ch.pivot]]
-        sub = _drop_var(ch.ring, model.base_param, c)
+        sub = _drop_var(ch.ring, model.base_param, c, fch.ring)
         node = chart_node(ch, ideal, model, budget)
         fiber_node = ChartOutcome(fch, fiber_ideal, fiber, budget)
         gens_a = [sub(p) for p in node.ideal.generators]

@@ -21,9 +21,10 @@ caller must not touch it afterwards.  Every sum of terms goes through
 ``_fold``, which keeps that invariant: a zero sum leaves the dict, and a
 sum that lands on an integral ``Fraction`` is stored as its ``int``,
 with one ``type(...) is int`` test when it is an int already rather
-than a ``canon`` call per term.  Three loops fold inline, each for its
+than a ``canon`` call per term.  Four loops fold inline, each for its
 speed: ``term_mul``, which scales, the product loop of
-``_sum_of_products``, and ``sub_scaled``, the division step.
+``_sum_of_products``, ``sub_scaled``, the division step, and
+``family._drop_var``, which sets one variable to a value.
 
 ``_divide`` is the package's one multivariate division loop: ``divmod_multi``
 wraps its quotient and remainder terms as polynomials, and Buchberger in

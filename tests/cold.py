@@ -1,6 +1,6 @@
-"""Warm and cold pass times of the gated workloads, on one tree.
+"""Warm and cold pass times of the gated workloads, on one tree or two.
 
-    python3 tests/cold.py [ROOT] [--passes N]
+    python3 tests/cold.py [ROOT] [--passes N] [--against PARENT_ROOT] [--rounds R]
 
 For `point-queries` and `chart-sweep` at seeds 1-3, the seed's workload
 lines (`perfbench/workloads.build`, which it only reads, from this tree)
@@ -16,6 +16,13 @@ each (default 8):
   `equiblow` call pays past start-up.
 
 Prints the minimum pass time of each mode, in ms, per workload and seed.
+
+With `--rounds R` (default 1) every workload and seed is measured R
+times, and each cell is the minimum over the rounds: one round of a
+few passes can fall wholly inside a burst of outside load.  With
+`--against PARENT_ROOT` a round runs each workload and seed on both
+trees in turn, and the tree that goes first alternates from round to
+round; the table gains the second tree's warm and cold columns.
 Standard library only; pytest does not collect this file (no `test_`
 prefix).
 """
@@ -82,23 +89,61 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(description="warm and cold pass times")
     parser.add_argument("root", nargs="?", default=str(HERE), help="tree to run")
     parser.add_argument("--passes", type=int, default=8, help="passes per mode")
+    parser.add_argument(
+        "--against", metavar="PARENT_ROOT", help="second tree, run in turn with ROOT"
+    )
+    parser.add_argument(
+        "--rounds", type=int, default=1, help="rounds; each cell is their minimum"
+    )
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be positive")
-    root, passes = Path(args.root).resolve(), args.passes
+    if args.rounds < 1:
+        parser.error("--rounds must be positive")
+    trees = [Path(args.root).resolve()]
+    if args.against is not None:
+        trees.append(Path(args.against).resolve())
+    passes, rounds = args.passes, args.rounds
     sys.path.insert(0, str(HERE / "perfbench"))
     import workloads
 
-    print(f"tree: {root}, minimum of {passes} passes per mode")
-    print(f"{'workload':<14} {'seed':>4} {'lines':>5} {'warm ms':>8} {'cold ms':>8}")
-    for name in WORKLOADS:
-        for seed in SEEDS:
-            argvs = [op.argv for op in workloads.build(name, seed, HERE)]
-            best = pass_times(root, argvs, passes)
-            print(
-                f"{name:<14} {seed:>4} {len(argvs):>5} "
-                f"{best['warm'] * 1e3:>8.2f} {best['cold'] * 1e3:>8.2f}"
-            )
+    cells = [
+        (name, seed, [op.argv for op in workloads.build(name, seed, HERE)])
+        for name in WORKLOADS
+        for seed in SEEDS
+    ]
+    best = {
+        (name, seed, tree): {"warm": float("inf"), "cold": float("inf")}
+        for name, seed, _ in cells
+        for tree in trees
+    }
+    for r in range(rounds):
+        order = trees if r % 2 == 0 else trees[::-1]
+        for name, seed, argvs in cells:
+            for tree in order:
+                times = pass_times(tree, argvs, passes)
+                cell = best[name, seed, tree]
+                for mode in cell:
+                    cell[mode] = min(cell[mode], times[mode])
+
+    over = f" over {rounds} rounds" if rounds > 1 else ""
+    if len(trees) == 1:
+        print(f"tree: {trees[0]}, minimum of {passes} passes per mode{over}")
+        print(f"{'workload':<14} {'seed':>4} {'lines':>5} {'warm ms':>8} {'cold ms':>8}")
+    else:
+        print(f"tree: {trees[0]}")
+        print(f"against: {trees[1]}")
+        print(f"minimum of {passes} passes per mode{over}, the first tree alternating")
+        print(
+            f"{'workload':<14} {'seed':>4} {'lines':>5} {'warm ms':>8} {'cold ms':>8}"
+            f" {'vs warm':>8} {'vs cold':>8}"
+        )
+    for name, seed, argvs in cells:
+        row = f"{name:<14} {seed:>4} {len(argvs):>5}"
+        for tree in trees:
+            cell = best[name, seed, tree]
+            row += f" {cell['warm'] * 1e3:>8.2f} {cell['cold'] * 1e3:>8.2f}"
+        print(row)
     return 0
 
 

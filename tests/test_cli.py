@@ -15,7 +15,7 @@ from bench_models import MATRIX_MODELS, write_bench_models
 from counting import count_calls
 from ref import BASE_ON_DIVISOR, EVERY_SUBCOMMAND, REFUSALS, subcommand_line
 from scalars import is_canonical_scalar
-from equiblow import TheoremCheckError, cli, groebner
+from equiblow import Ideal, TheoremCheckError, cli, groebner
 
 CORPUS = Path(cli.__file__).parent / "corpus"
 
@@ -1293,6 +1293,55 @@ def test_a_family_computes_each_stage_zero_ideal_once(capsys, monkeypatch):
     # every fiber-check computed route two on each of its charts
     fibers = [ideal for (ideal, *_), _ in calls if ideal.ring.names == names[:3]]
     assert len(fibers) == 5 * len(stage_zero)
+
+
+def test_a_fiber_check_builds_no_fiber_model(capsys, monkeypatch):
+    # a fiber-check sets the base value in the family's section alone:
+    # it calls no specialize and builds no LocalModel, and still computes
+    # one fiber intrinsic ideal per fiber chart
+    from equiblow import blowup, family as families
+
+    family = str(CORPUS / "family.kb")
+    report(capsys, "blowup", family)
+    specialized = count_calls(monkeypatch, families, "specialize")
+    calls = count_calls(monkeypatch, blowup, "intrinsic_ideal")
+    models = []
+    init = blowup.LocalModel.__init__
+
+    def counted_init(self, *args, **kwargs):
+        models.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(blowup.LocalModel, "__init__", counted_init)
+    for c in ("0", "-2", "11/6"):
+        calls.clear()
+        rep = report(capsys, "fiber-check", family, "--at=" + c)
+        fibers = [chart.name for (ideal, chart, *_), _ in calls]
+        assert all(ideal.ring.names == ("x", "y", "z") for (ideal, *_), _ in calls)
+        assert fibers == list(rep["ledger"]["charts"])
+    assert specialized == [] and models == []
+
+
+def test_fiber_check_reports_a_chart_where_the_routes_differ(capsys, monkeypatch):
+    # route two with one generator dropped from the fiber's ideal on
+    # chart_x: that chart does not commute, and the line still exits 0
+    from equiblow import desing
+
+    intrinsic = desing.intrinsic_ideal
+
+    def dropped(ideal, chart, budget=None):
+        out = intrinsic(ideal, chart, budget)
+        if chart.parent_ring.names == ("x", "y", "z") and chart.name == "chart_x":
+            out = Ideal(out.ring, out.generators[:-1])
+        return out
+
+    monkeypatch.setattr(desing, "intrinsic_ideal", dropped)
+    rep = report(capsys, "fiber-check", str(CORPUS / "family.kb"), "--at=1")
+    assert rep["ledger"] == {
+        "at": "1",
+        "charts": {"chart_x": False, "chart_y": True},
+        "commutes": False,
+    }
 
 
 def test_model_file_errors_come_on_every_read(capsys, tmp_path):
